@@ -10,9 +10,12 @@ keyword or relies on the default.
 The rule parses the base module (option ``base-glob``, default
 ``*/backends/base.py``), collects the abstract methods of the protocol
 class (option ``protocol``, default ``ExecutionBackend``), then checks
-every class in the project that lists the protocol as a base:
+every class in the project that reaches the protocol through its bases —
+directly, or through intermediate classes defined in the project (a
+shared pool-lifecycle base, say), whose methods count as inherited:
 
-* every abstract method is implemented (same name);
+* every abstract method is implemented, by the class or a project base
+  (required of leaf classes only: an intermediate base may stay partial);
 * positional parameter names match, in order;
 * keyword-only parameter names match, in order;
 * every default value matches the base's, token for token
@@ -85,14 +88,34 @@ def _class_methods(node: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     }
 
 
-def _base_names(node: ast.ClassDef) -> set[str]:
-    out: set[str] = set()
+def _base_names(node: ast.ClassDef) -> list[str]:
+    out: list[str] = []
     for base in node.bases:
         if isinstance(base, ast.Name):
-            out.add(base.id)
+            out.append(base.id)
         elif isinstance(base, ast.Attribute):
-            out.add(base.attr)
+            out.append(base.attr)
     return out
+
+
+Owned = tuple[FileContext, ast.ClassDef]
+
+
+def _lineage(
+    owned: Owned, classes: dict[str, Owned], protocol: str, seen: set[str]
+) -> tuple[list[Owned], bool]:
+    """``owned`` and its project-local ancestors, nearest first, and
+    whether any path through them reaches ``protocol``."""
+    out, reaches = [owned], False
+    for base in _base_names(owned[1]):
+        if base == protocol:
+            reaches = True
+        elif base in classes and base not in seen:
+            seen.add(base)
+            above, hit = _lineage(classes[base], classes, protocol, seen)
+            out += above
+            reaches = reaches or hit
+    return out, reaches
 
 
 def _drift(base: MethodSig, impl: MethodSig) -> list[str]:
@@ -170,18 +193,32 @@ class ProtocolDriftRule(Rule):
             for name, fn in _class_methods(base_class).items()
             if _is_abstract(fn)
         }
+        classes: dict[str, Owned] = {}
         for ctx in project.files:
-            if ctx is base_ctx:
-                continue
             for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if protocol not in _base_names(node):
-                    continue
-                methods = _class_methods(node)
-                for name in sorted(abstract):
-                    impl = methods.get(name)
-                    if impl is None:
+                if isinstance(node, ast.ClassDef) and node is not base_class:
+                    classes.setdefault(node.name, (ctx, node))
+        subclassed = {
+            base for _, node in classes.values() for base in _base_names(node)
+        }
+        reported: set[tuple[int, str]] = set()
+        for ctx, node in classes.values():
+            lineage, reaches = _lineage(
+                (ctx, node), classes, protocol, {node.name}
+            )
+            if not reaches:
+                continue
+            for name in sorted(abstract):
+                found = next(
+                    (
+                        (owner_ctx, owner, methods[name])
+                        for owner_ctx, owner in lineage
+                        if name in (methods := _class_methods(owner))
+                    ),
+                    None,
+                )
+                if found is None:
+                    if node.name not in subclassed:
                         yield self.finding(
                             ctx,
                             node,
@@ -189,11 +226,16 @@ class ProtocolDriftRule(Rule):
                             f"{protocol}.{name}; the schedule executor "
                             "will hit the abstract method at runtime",
                         )
+                    continue
+                owner_ctx, owner, impl = found
+                for problem in _drift(abstract[name], _signature(impl)):
+                    # an inherited method: one finding, not one per heir
+                    if (id(impl), problem) in reported:
                         continue
-                    for problem in _drift(abstract[name], _signature(impl)):
-                        yield self.finding(
-                            ctx,
-                            impl,
-                            f"{node.name}.{name} drifts from "
-                            f"{protocol}.{name}: {problem}",
-                        )
+                    reported.add((id(impl), problem))
+                    yield self.finding(
+                        owner_ctx,
+                        impl,
+                        f"{owner.name}.{name} drifts from "
+                        f"{protocol}.{name}: {problem}",
+                    )

@@ -5,15 +5,19 @@ exposes exactly the capabilities the paper's execution layer needs — TTM,
 Gram/leading-factor extraction, randomized sketching (single-pass, with
 its power-iteration companion ``cross_gram``), regridding, and the two
 reductions (Frobenius norm, gather) — over an opaque *handle* type of its
-choosing
-(a plain ndarray for the shared-memory backends, a
-:class:`~repro.dist.dtensor.DistTensor` for the virtual cluster). Every
+choosing: a plain ndarray for the sequential and threaded backends, a
+``ShmTensor`` (a named shared-memory segment) for the process pool, a
+:class:`~repro.storage.StoredTensor` on any of the three once a run has
+spilled, a :class:`~repro.dist.dtensor.DistTensor` for the virtual
+cluster. Every
 backend also carries a :class:`~repro.mpi.stats.StatsLedger` so callers can
 read volumes/FLOPs/seconds uniformly via :meth:`ExecutionBackend.stats`.
 
 The schedule executor (:mod:`repro.backends.schedule`) is written purely
 against this interface; adding a backend means implementing these nine
-primitives, nothing more.
+primitives, nothing more — and for a shared-memory machine most of that
+is already written: :mod:`repro.backends.blockkernels` holds the kernels,
+a new backend supplies a block source and a map.
 """
 
 from __future__ import annotations

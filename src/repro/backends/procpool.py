@@ -2,12 +2,16 @@
 
 The first backend that leaves the GIL behind entirely. Handles are
 :class:`ShmTensor` instances — tensors living in named
-``multiprocessing.shared_memory`` segments — and every kernel partitions
-its work over the exact block geometry the threaded backend uses
-(:mod:`repro.backends.blockpar`), fanning block tasks out to a pool of
-worker *processes*. Workers attach to the segments by name, so no tensor
-ever crosses a pipe: a task message carries a segment name, a shape, a
-dtype and a slice — plus the (small) factor matrix for TTM steps.
+``multiprocessing.shared_memory`` segments — and every kernel is the
+shared block kernel of :mod:`repro.backends.blockkernels`, cut over the
+exact block geometry the threaded backend uses
+(:mod:`repro.backends.blockpar`) and mapped over a pool of worker
+*processes*. Every task is one submission of
+:func:`~repro.backends.blockkernels.run_block`. Workers attach to the
+segments by name, so no tensor ever crosses a pipe: a task message carries
+:class:`~repro.backends.blockkernels.BlockSource` descriptions (a segment
+name, a shape, a dtype) and a slice — plus the (small) factor matrix for
+TTM steps.
 
 Determinism is preserved exactly as in the threaded backend:
 
@@ -44,44 +48,36 @@ import sys
 import weakref
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 
-from repro.backends.base import ExecutionBackend
+from repro.backends.blockkernels import (
+    BlockSource,
+    PoolBackend,
+    block_bytes,
+    gram_factor,
+    oc_distribute,
+    run_block,
+    run_cross_gram,
+    run_gram,
+    run_norm_sq,
+    run_sketch,
+    run_ttm,
+    serial_map,
+    shared_memory,
+    ttm_out,
+)
 from repro.backends.blockpar import (
     OC_LEASE_FACTOR,
-    block_slices,
-    check_worker_count,
     gram_evd_flops,
-    oc_block_slices,
-    reduce_partials,
     split_mode,
 )
 from repro.backends.errors import BackendUnavailableError
-from repro.backends.ockernels import (
-    oc_cross_gram,
-    oc_distribute,
-    oc_gram,
-    oc_norm_sq,
-    oc_sketch,
-    oc_ttm,
-    serial_map,
-)
-from repro.backends.sketch import (
-    add_block_contribution,
-    out_shape as sketch_out_shape,
-    sketch_flops,
-)
+from repro.backends.sketch import sketch_flops
 from repro.storage import CorruptBlockError, StorageError, StoredTensor
-from repro.tensor.linalg import leading_eigvecs
-from repro.tensor.ttm import ttm
-from repro.tensor.unfold import unfold
-
-try:  # gated: some platforms build Python without shared memory
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - absent only on exotic builds
-    shared_memory = None
 
 
 def _pool_context():
@@ -129,6 +125,10 @@ class ShmTensor:
         return self._shm.name
 
     @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    @property
     def array(self) -> np.ndarray:
         """The parent's live view of the segment."""
         if self._array is None:
@@ -157,36 +157,9 @@ def _destroy_segment(shm) -> None:
 
 
 # --------------------------------------------------------------------- #
-# worker-side task functions (module level: picklable under spawn)
+# the traced-task wrapper (module level: picklable under spawn), and the
+# parent's two ways of reaching a handle
 # --------------------------------------------------------------------- #
-
-
-def _attach(name: str):
-    """Attach to a segment by name for the duration of one block task.
-
-    Python < 3.13 registers *attached* segments with the resource tracker
-    as if the worker owned them; pool workers inherit the parent's tracker,
-    so the duplicate register is an idempotent set-add that the parent's
-    ``unlink`` cleanly retires — no compensation needed.
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
-def _release(shm) -> None:
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - view not yet collected
-        pass
-
-
-def _view(shm, shape, dtype) -> np.ndarray:
-    return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
-
-
-def _block_index(ndim: int, split: int, lo: int, hi: int) -> tuple:
-    index: list[slice] = [slice(None)] * ndim
-    index[split] = slice(lo, hi)
-    return tuple(index)
 
 
 def _run_timed(func, *args):
@@ -200,125 +173,6 @@ def _run_timed(func, *args):
     t0 = perf_counter()
     value = func(*args)
     return (os.getpid(), t0, perf_counter()), value
-
-
-def _ttm_block(
-    in_name, in_shape, in_dtype, out_name, out_shape, out_dtype,
-    matrix, mode, split, lo, hi,
-) -> None:
-    """One TTM block: read a slice of ``in``, write a disjoint slice of ``out``."""
-    src = _attach(in_name)
-    dst = _attach(out_name)
-    try:
-        x = _view(src, in_shape, in_dtype)
-        out = _view(dst, out_shape, out_dtype)
-        index = _block_index(len(in_shape), split, lo, hi)
-        out[index] = ttm(x[index], matrix, mode)
-        del x, out
-    finally:
-        _release(src)
-        _release(dst)
-
-
-def _gram_block(name, shape, dtype, mode, split, lo, hi):
-    """One Gram partial: ``U U^T`` of the slice's mode unfolding."""
-    shm = _attach(name)
-    try:
-        x = _view(shm, shape, dtype)
-        index = _block_index(len(shape), split, lo, hi)
-        u = unfold(x[index], mode)
-        g = u @ u.T
-        del x
-    finally:
-        _release(shm)
-    return g
-
-
-def _sketch_partials(dims, specs, split, lo, hi, block):
-    """One block's full-size sketch partials plus its norm partial.
-
-    Shared by the shm and file task functions (and the serial fallback),
-    so every transport computes bit-identical per-block contributions.
-    ``split=-1`` means the block is the whole tensor.
-    """
-    ranges = tuple(
-        (lo, hi) if m == split else (0, int(dims[m]))
-        for m in range(len(dims))
-    )
-    contribs = []
-    for spec in specs:
-        out = np.zeros(sketch_out_shape(dims, spec), dtype=block.dtype)
-        add_block_contribution(out, block, spec, ranges)
-        contribs.append(out)
-    flat = block.reshape(-1)
-    return contribs, float(np.dot(flat, flat))
-
-
-def _sketch_block(name, shape, dtype, specs, split, lo, hi):
-    """One block's contributions to every sketch plus its norm partial."""
-    shm = _attach(name)
-    try:
-        x = _view(shm, shape, dtype)
-        index = _block_index(len(shape), split, lo, hi)
-        result = _sketch_partials(
-            tuple(shape), specs, split, lo, hi,
-            np.ascontiguousarray(x[index]),
-        )
-        del x
-    finally:
-        _release(shm)
-    return result
-
-
-def _xgram_block(
-    a_name, a_shape, a_dtype, b_name, b_shape, b_dtype, mode, split, lo, hi
-):
-    """One cross-Gram partial ``unfold(A)[cols] @ unfold(B)[cols].T``."""
-    sa = _attach(a_name)
-    sb = _attach(b_name)
-    try:
-        a = _view(sa, a_shape, a_dtype)
-        b = _view(sb, b_shape, b_dtype)
-        index = _block_index(len(a_shape), split, lo, hi)
-        ua = unfold(a[index], mode)
-        ub = unfold(b[index], mode)
-        g = ua @ ub.T
-        del a, b
-    finally:
-        _release(sa)
-        _release(sb)
-    return g
-
-
-def _norm_block(name, shape, dtype, lo, hi):
-    """Partial squared norm of the flat range ``[lo, hi)``."""
-    shm = _attach(name)
-    try:
-        flat = _view(shm, shape, dtype).reshape(-1)
-        piece = flat[lo:hi]
-        value = float(np.dot(piece, piece))
-        del flat, piece
-    finally:
-        _release(shm)
-    return value
-
-
-# --------------------------------------------------------------------- #
-# worker-side task functions over spill files (out-of-core handles)
-#
-# When the source tensor is mmap-backed (a StoredTensor: a spill block or
-# a lazily opened .npy), workers map the *files* directly instead of
-# copying the tensor through shared_memory segments — a task message is
-# just paths + geometry, and the only bytes that move are the pages each
-# worker actually touches.
-# --------------------------------------------------------------------- #
-
-
-def _map_file(path, offset, shape, dtype, mode):
-    return np.memmap(
-        path, dtype=np.dtype(dtype), mode=mode,
-        offset=int(offset), shape=tuple(shape),
-    )
 
 
 def _mappable(handle: StoredTensor):
@@ -337,71 +191,11 @@ def _mappable(handle: StoredTensor):
         return None
 
 
-def _ttm_block_file(
-    in_path, in_offset, in_shape, in_dtype,
-    out_path, out_shape, out_dtype,
-    matrix, mode, split, lo, hi,
-) -> None:
-    """One TTM block: map input ro + output r+, write a disjoint slice."""
-    src = _map_file(in_path, in_offset, in_shape, in_dtype, "r")
-    dst = _map_file(out_path, 0, out_shape, out_dtype, "r+")
-    try:
-        index = _block_index(len(in_shape), split, lo, hi)
-        dst[index] = ttm(np.ascontiguousarray(src[index]), matrix, mode)
-        dst.flush()
-    finally:
-        del src, dst
-
-
-def _gram_block_file(path, offset, shape, dtype, mode, split, lo, hi):
-    """One Gram partial read straight off the mapped file."""
-    src = _map_file(path, offset, shape, dtype, "r")
-    try:
-        index = _block_index(len(shape), split, lo, hi)
-        u = unfold(np.ascontiguousarray(src[index]), mode)
-        return u @ u.T
-    finally:
-        del src
-
-
-def _sketch_block_file(path, offset, shape, dtype, specs, split, lo, hi):
-    """Sketch partials of one block read straight off the mapped file."""
-    src = _map_file(path, offset, shape, dtype, "r")
-    try:
-        index = _block_index(len(shape), split, lo, hi)
-        return _sketch_partials(
-            tuple(shape), specs, split, lo, hi,
-            np.ascontiguousarray(src[index]),
-        )
-    finally:
-        del src
-
-
-def _xgram_block_file(
-    a_path, a_offset, a_shape, a_dtype,
-    b_path, b_offset, b_shape, b_dtype,
-    mode, split, lo, hi,
-):
-    """One cross-Gram partial off two mapped files."""
-    sa = _map_file(a_path, a_offset, a_shape, a_dtype, "r")
-    sb = _map_file(b_path, b_offset, b_shape, b_dtype, "r")
-    try:
-        index = _block_index(len(a_shape), split, lo, hi)
-        ua = unfold(np.ascontiguousarray(sa[index]), mode)
-        ub = unfold(np.ascontiguousarray(sb[index]), mode)
-        return ua @ ub.T
-    finally:
-        del sa, sb
-
-
-def _norm_block_file(path, offset, shape, dtype, lo, hi):
-    """Partial squared norm of the flat range ``[lo, hi)`` off the file."""
-    src = _map_file(path, offset, shape, dtype, "r")
-    try:
-        piece = np.ascontiguousarray(src.reshape(-1)[lo:hi])
-        return float(np.dot(piece, piece))
-    finally:
-        del src
+def _view(handle, *, write: bool = False) -> BlockSource:
+    """The parent's own source of a handle (no name or path needed)."""
+    if isinstance(handle, ShmTensor):
+        handle = handle.array
+    return BlockSource.of(handle, write=write)
 
 
 # --------------------------------------------------------------------- #
@@ -409,29 +203,19 @@ def _norm_block_file(path, offset, shape, dtype, lo, hi):
 # --------------------------------------------------------------------- #
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Block-parallel execution over a pool of worker processes.
-
-    Parameters
-    ----------
-    n_workers:
-        Pool size; defaults to ``min(8, cpu_count - 1)``. Also the
-        processor count plans default to, so planning granularity matches
-        execution granularity.
-    """
+class ProcessPoolBackend(PoolBackend):
+    """Block-parallel execution over a pool of ``n_workers`` processes."""
 
     name = "procpool"
 
     def __init__(self, n_workers: int | None = None) -> None:
-        super().__init__()
-        self._pool: ProcessPoolExecutor | None = None  # before any raise
+        super().__init__(n_workers)
         if shared_memory is None:  # pragma: no cover - exotic builds only
             raise BackendUnavailableError(
                 "multiprocessing.shared_memory is unavailable on this "
                 "platform",
                 backend=self.name,
             )
-        n_workers = check_worker_count(n_workers, self.name)
         try:  # probe: /dev/shm may be missing or unwritable in sandboxes
             probe = shared_memory.SharedMemory(create=True, size=16)
             probe.close()
@@ -440,40 +224,15 @@ class ProcessPoolBackend(ExecutionBackend):
             raise BackendUnavailableError(
                 f"cannot allocate shared memory ({exc})",
                 backend=self.name,
-                config={"n_workers": n_workers},
+                config={"n_workers": self.n_workers},
             ) from exc
-        self.n_workers = n_workers
 
-    @property
-    def default_procs(self) -> int:
-        return self.n_workers
+    def _start_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.n_workers, mp_context=_pool_context()
+        )
 
-    # -- pool lifecycle --------------------------------------------------- #
-
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers, mp_context=_pool_context()
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the pool down; the backend stays usable (pool reopens)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ProcessPoolBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-
-    # -- helpers ----------------------------------------------------------- #
+    # -- the process map --------------------------------------------------- #
 
     def _await_all(self, futures, owned: tuple = ()) -> list:
         """Collect fan-out results; on failure leave the backend healthy.
@@ -524,13 +283,60 @@ class ProcessPoolBackend(ExecutionBackend):
             out.append(value)
         return out
 
-    def _store(self, array: np.ndarray) -> ShmTensor:
-        handle = ShmTensor(array.shape, array.dtype)
-        handle.array[...] = array
-        return handle
+    def _worker_lease(self, tasks):
+        """Parent-side lease modeling the workers' concurrent residency.
 
-    def _parallel(self) -> bool:
-        return self.n_workers > 1
+        Workers are separate processes, so their block copies cannot
+        charge the in-process gauge directly; the parent charges the
+        worst case — every pool worker holding one leased block at once —
+        for the duration of the fan-out. Segment-backed tasks copy
+        nothing and lease nothing.
+        """
+        store = tasks[0][1][0].store
+        if store is None:
+            return nullcontext()
+        biggest = max(
+            block_bytes(sources, split, lo, hi)
+            for _, sources, _, _, split, lo, hi in tasks
+        )
+        concurrency = min(len(tasks), self.n_workers)
+        return store.gauge.lease(OC_LEASE_FACTOR * biggest * concurrency)
+
+    def _map(self, tasks, owned: tuple = ()) -> list:
+        """Block tasks over the pool, results in task (ascending) order."""
+        with self._worker_lease(tasks):
+            futures = [self._submit(run_block, *task) for task in tasks]
+            return self._collect(tasks[0][0], futures, owned)
+
+    # -- handles -> sources ------------------------------------------------ #
+
+    def _descriptor(self, handle) -> BlockSource | None:
+        """What a worker opens: a segment name, or a path it can map."""
+        if isinstance(handle, ShmTensor):
+            return BlockSource(handle.shape, handle.dtype, shm=handle.name)
+        mapped = _mappable(handle)
+        if mapped is None:
+            return None
+        return BlockSource(
+            handle.shape, handle.dtype, path=mapped[0], offset=mapped[1],
+            store=handle.store,
+        )
+
+    def _sources(self, avoid: int | None, *handles):
+        """``(sources, n_workers, map)`` for one kernel over ``handles``.
+
+        A fan-out worth shipping — more than one worker, a mode to split,
+        every handle reachable by name or path — gets descriptors and
+        the process map. Anything else runs on the parent's own views
+        through the serial map, cut for one worker.
+        """
+        if self.n_workers > 1 and (
+            split_mode(handles[0].shape, avoid) is not None
+        ):
+            sources = [self._descriptor(handle) for handle in handles]
+            if all(source is not None for source in sources):
+                return sources, self.n_workers, self._map
+        return [_view(handle) for handle in handles], 1, serial_map
 
     # -- data placement -------------------------------------------------- #
 
@@ -540,7 +346,10 @@ class ProcessPoolBackend(ExecutionBackend):
             # place (workers will map the file directly — no copy through
             # shared_memory at all); anything else spills write-through.
             return oc_distribute(tensor, store)
-        return self._store(np.ascontiguousarray(tensor))
+        tensor = np.asarray(tensor)
+        handle = ShmTensor(tensor.shape, tensor.dtype)
+        handle.array[...] = tensor
+        return handle
 
     def gather(self, handle) -> np.ndarray:
         if isinstance(handle, StoredTensor):
@@ -550,140 +359,24 @@ class ProcessPoolBackend(ExecutionBackend):
         # mapping stays valid for as long as the caller holds it.
         return handle.array
 
-    def shape(self, handle) -> tuple[int, ...]:
-        return handle.shape
-
-    # -- out-of-core fan-out ---------------------------------------------- #
-
-    def _stored_slices(self, handle: StoredTensor, split: int) -> list[slice]:
-        return oc_block_slices(
-            handle.shape,
-            split,
-            handle.dtype.itemsize,
-            handle.store.per_block_bytes(self.n_workers),
-            self.n_workers,
-        )
-
-    def _worker_lease(self, handle: StoredTensor, slices: list[slice]):
-        """Parent-side lease modeling the workers' concurrent residency.
-
-        Workers are separate processes, so their block copies cannot
-        charge the in-process gauge directly; the parent charges the
-        worst case — every pool worker holding one leased block at once —
-        for the duration of the fan-out.
-        """
-        split_total = sum(sl.stop - sl.start for sl in slices)
-        slab = max(1, handle.nbytes // max(1, split_total))
-        biggest = max(sl.stop - sl.start for sl in slices)
-        concurrency = min(len(slices), self.n_workers)
-        return handle.store.gauge.lease(
-            OC_LEASE_FACTOR * biggest * slab * concurrency
-        )
-
     # -- kernels ---------------------------------------------------------- #
 
-    def _ttm_stored(
-        self, handle: StoredTensor, matrix: np.ndarray, mode: int
-    ) -> StoredTensor:
-        """TTM over a spilled handle: workers map the files directly."""
-        split = split_mode(handle.shape, avoid=mode)
-        mapped = _mappable(handle) if self._parallel() else None
-        if split is None or mapped is None:
-            return oc_ttm(handle, matrix, mode, 1, serial_map)
-        in_path, in_offset = mapped
-        matrix = np.asarray(matrix)
-        out_shape = (
-            handle.shape[:mode]
-            + (matrix.shape[0],)
-            + handle.shape[mode + 1 :]
-        )
-        out_dtype = np.result_type(handle.dtype, matrix.dtype)
-        out = StoredTensor.allocate(handle.store, out_shape, out_dtype)
-        slices = self._stored_slices(handle, split)
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _ttm_block_file,
-                    in_path, in_offset, handle.shape,
-                    handle.dtype.str,
-                    out.path, out_shape, out_dtype.str,
-                    matrix, mode, split, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            self._collect("ttm", futures, owned=(out,))
-        return out
-
-    def ttm(
-        self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"
-    ) -> ShmTensor:
-        if isinstance(handle, StoredTensor):
-            start = perf_counter()
-            out = self._ttm_stored(handle, matrix, mode)
-            self.ledger.add_compute(
-                op="gemm",
-                tag=tag,
-                flops=float(matrix.shape[0] * handle.size),
-                seconds=perf_counter() - start,
-            )
-            return out
+    def ttm(self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"):
         start = perf_counter()
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None or not self._parallel():
-            out = self._store(ttm(handle.array, matrix, mode))
+        matrix = np.asarray(matrix)
+        (source,), n_workers, map = self._sources(mode, handle)
+        shape, dtype = ttm_out(handle.shape, handle.dtype, matrix, mode)
+        if isinstance(handle, StoredTensor):
+            out = StoredTensor.allocate(handle.store, shape, dtype)
         else:
-            out_shape = (
-                handle.shape[:mode]
-                + (matrix.shape[0],)
-                + handle.shape[mode + 1 :]
-            )
-            out_dtype = np.result_type(handle.dtype, matrix.dtype)
-            out = ShmTensor(out_shape, out_dtype)
-            futures = [
-                self._submit(
-                    _ttm_block,
-                    handle.name, handle.shape, handle.dtype.str,
-                    out.name, out_shape, out_dtype.str,
-                    matrix, mode, split, sl.start, sl.stop,
-                )
-                for sl in block_slices(handle.shape[split], self.n_workers)
-            ]
-            self._collect("ttm", futures, owned=(out,))
-        size = int(np.prod(handle.shape))
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(matrix.shape[0] * size),
-            seconds=perf_counter() - start,
-        )
+            out = ShmTensor(shape, dtype)
+        if map is serial_map:
+            sink = _view(out, write=True)
+        else:
+            sink, map = self._descriptor(out), partial(map, owned=(out,))
+        run_ttm(source, sink, matrix, mode, n_workers, map)
+        self._record("gemm", tag, matrix.shape[0] * handle.size, start)
         return out
-
-    def _gram_stored(
-        self,
-        handle: StoredTensor,
-        mode: int,
-        out: np.ndarray | None,
-    ) -> np.ndarray:
-        """Gram accumulation over a spilled handle via file-mapped workers."""
-        split = split_mode(handle.shape, avoid=mode)
-        mapped = _mappable(handle) if self._parallel() else None
-        if split is None or mapped is None:
-            return oc_gram(handle, mode, 1, serial_map, out)
-        path, offset = mapped
-        slices = self._stored_slices(handle, split)
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _gram_block_file,
-                    path, offset, handle.shape,
-                    handle.dtype.str,
-                    mode, split, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            partials = self._collect("gram", futures)
-        # Fixed ascending-block reduction order (determinism).
-        return reduce_partials(partials, handle.shape[mode], out)
 
     def leading_factor(
         self,
@@ -700,216 +393,30 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"ProcessPoolBackend only supports the Gram+EVD route, "
                 f"got method={method!r}"
             )
-        if isinstance(handle, StoredTensor):
-            start = perf_counter()
-            g = self._gram_stored(handle, mode, out)
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
-            self.ledger.add_compute(
-                op="syrk",
-                tag=tag,
-                flops=float(gram_evd_flops(handle.shape[mode], handle.size)),
-                seconds=perf_counter() - start,
-            )
-            return factor
         start = perf_counter()
-        length = handle.shape[mode]
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None or not self._parallel():
-            u = unfold(handle.array, mode)
-            g = u @ u.T
-        else:
-            futures = [
-                self._submit(
-                    _gram_block,
-                    handle.name, handle.shape, handle.dtype.str,
-                    mode, split, sl.start, sl.stop,
-                )
-                for sl in block_slices(handle.shape[split], self.n_workers)
-            ]
-            partials = self._collect("gram", futures)
-            # Fixed ascending-block reduction order (determinism).
-            g = reduce_partials(partials, length, out)
-        g = (g + g.T) * 0.5
-        flops = gram_evd_flops(length, int(np.prod(handle.shape)))
-        factor = leading_eigvecs(g, k)
-        self.ledger.add_compute(
-            op="syrk",
-            tag=tag,
-            flops=float(flops),
-            seconds=perf_counter() - start,
-        )
+        (source,), n_workers, map = self._sources(mode, handle)
+        factor = gram_factor(run_gram(source, mode, n_workers, map, out), k)
+        flops = gram_evd_flops(handle.shape[mode], handle.size)
+        self._record("syrk", tag, flops, start)
         return factor
-
-    def _accumulate_sketches(self, dims, specs, results):
-        """Ascending-block accumulation shared by both sketch transports."""
-        outs = [
-            np.zeros(sketch_out_shape(dims, spec), dtype=np.dtype(
-                results[0][0][i].dtype if results else np.float64
-            ))
-            for i, spec in enumerate(specs)
-        ]
-        norm_sq = 0.0
-        for contribs, part in results:  # ascending block order
-            for out, contrib in zip(outs, contribs):
-                out += contrib
-            norm_sq += part
-        return outs, float(norm_sq)
-
-    def _sketch_stored(self, handle: StoredTensor, specs):
-        split = split_mode(handle.shape, avoid=None)
-        mapped = _mappable(handle) if self._parallel() else None
-        if split is None or mapped is None:
-            return oc_sketch(handle, specs, 1, serial_map)
-        path, offset = mapped
-        slices = self._stored_slices(handle, split)
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _sketch_block_file,
-                    path, offset, handle.shape,
-                    handle.dtype.str, specs, split, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            results = self._collect("sketch", futures)
-        return self._accumulate_sketches(tuple(handle.shape), specs, results)
 
     def sketch(self, handle, specs, *, tag="sketch"):
         start = perf_counter()
         specs = list(specs)
-        if isinstance(handle, StoredTensor):
-            sketches, norm_sq = self._sketch_stored(handle, specs)
-        else:
-            dims = tuple(handle.shape)
-            split = split_mode(dims, avoid=None)
-            if split is None or not self._parallel():
-                sketches, norm_sq = _sketch_partials(
-                    dims, specs, -1, 0, 0,
-                    np.ascontiguousarray(handle.array),
-                )
-            else:
-                futures = [
-                    self._submit(
-                        _sketch_block,
-                        handle.name, handle.shape, handle.dtype.str,
-                        specs, split, sl.start, sl.stop,
-                    )
-                    for sl in block_slices(dims[split], self.n_workers)
-                ]
-                results = self._collect("sketch", futures)
-                sketches, norm_sq = self._accumulate_sketches(
-                    dims, specs, results
-                )
-        size = int(np.prod(handle.shape))
+        (source,), n_workers, map = self._sources(None, handle)
+        sketches, norm_sq = run_sketch(source, specs, n_workers, map)
         flops = sum(sketch_flops(handle.shape, spec) for spec in specs)
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(flops) + float(size),
-            seconds=perf_counter() - start,
-        )
+        self._record("gemm", tag, float(flops) + float(handle.size), start)
         return sketches, norm_sq
-
-    def _xgram_stored(self, a: StoredTensor, b: StoredTensor, mode: int):
-        split = split_mode(a.shape, avoid=mode)
-        mapped_a = _mappable(a) if self._parallel() else None
-        mapped_b = _mappable(b) if self._parallel() else None
-        if split is None or mapped_a is None or mapped_b is None:
-            return oc_cross_gram(a, b, mode, 1, serial_map)
-        a_path, a_offset = mapped_a
-        b_path, b_offset = mapped_b
-        slices = self._stored_slices(a, split)
-        with self._worker_lease(a, slices), self._worker_lease(b, slices):
-            futures = [
-                self._submit(
-                    _xgram_block_file,
-                    a_path, a_offset, a.shape, a.dtype.str,
-                    b_path, b_offset, b.shape, b.dtype.str,
-                    mode, split, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            partials = self._collect("xgram", futures)
-        # Fixed ascending-block reduction order (determinism).
-        return reduce_partials(partials, a.shape[mode])
 
     def cross_gram(self, handle, other, mode: int, *, tag="xgram"):
         start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            g = self._xgram_stored(handle, other, mode)
-        else:
-            split = split_mode(handle.shape, avoid=mode)
-            if split is None or not self._parallel():
-                g = unfold(handle.array, mode) @ unfold(other.array, mode).T
-            else:
-                futures = [
-                    self._submit(
-                        _xgram_block,
-                        handle.name, handle.shape, handle.dtype.str,
-                        other.name, other.shape, other.dtype.str,
-                        mode, split, sl.start, sl.stop,
-                    )
-                    for sl in block_slices(
-                        handle.shape[split], self.n_workers
-                    )
-                ]
-                partials = self._collect("xgram", futures)
-                # Fixed ascending-block reduction order (determinism).
-                g = reduce_partials(partials, handle.shape[mode])
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(other.shape[mode]) * float(np.prod(handle.shape)),
-            seconds=perf_counter() - start,
-        )
+        (a, b), n_workers, map = self._sources(mode, handle, other)
+        g = run_cross_gram(a, b, mode, n_workers, map)
+        flops = float(other.shape[mode]) * float(handle.size)
+        self._record("gemm", tag, flops, start)
         return g
 
-    def regrid(self, handle, grid, *, tag="regrid"):
-        return handle
-
-    def _norm_stored(self, handle: StoredTensor) -> float:
-        slices = oc_block_slices(
-            (handle.size,),
-            0,
-            handle.dtype.itemsize,
-            handle.store.per_block_bytes(self.n_workers),
-            self.n_workers,
-        )
-        mapped = _mappable(handle) if self._parallel() else None
-        if len(slices) <= 1 or mapped is None:
-            return oc_norm_sq(handle, 1, serial_map)
-        path, offset = mapped
-        # flat slices cover handle.size, so _worker_lease's slab reduces
-        # to the itemsize — one formula for every fan-out
-        with self._worker_lease(handle, slices):
-            futures = [
-                self._submit(
-                    _norm_block_file,
-                    path, offset, handle.shape,
-                    handle.dtype.str, sl.start, sl.stop,
-                )
-                for sl in slices
-            ]
-            partials = self._collect("norm", futures)
-        # Ascending block order, same as every other backend.
-        return float(sum(partials))
-
     def fro_norm_sq(self, handle, *, tag="norm") -> float:
-        if isinstance(handle, StoredTensor):
-            return self._norm_stored(handle)
-        size = int(np.prod(handle.shape))
-        slices = block_slices(size, self.n_workers)
-        if len(slices) <= 1 or not self._parallel():
-            flat = handle.array.reshape(-1)
-            return float(np.dot(flat, flat))
-        futures = [
-            self._submit(
-                _norm_block,
-                handle.name, handle.shape, handle.dtype.str,
-                sl.start, sl.stop,
-            )
-            for sl in slices
-        ]
-        # Ascending block order, same as the threaded backend.
-        return float(sum(self._collect("norm", futures)))
+        (source,), n_workers, map = self._sources(None, handle)
+        return run_norm_sq(source, n_workers, map)

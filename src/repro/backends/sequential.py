@@ -7,9 +7,10 @@ sequential runs expose the same ``stats()`` surface as the virtual cluster
 
 When a run spills (``distribute(..., store=...)``), handles become
 :class:`~repro.storage.StoredTensor` block descriptions and every kernel
-runs its out-of-core form (:mod:`repro.backends.ockernels`): one
-budget-bounded block resident at a time, same ledger records, same
-numerics to 1e-10.
+runs blocked through :mod:`repro.backends.blockkernels` on the serial
+map: one budget-bounded block resident at a time, same ledger records,
+same numerics to 1e-10. The in-memory forms below are the whole-tensor
+reference every blocked path is compared against.
 """
 
 from __future__ import annotations
@@ -18,27 +19,29 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.backends.base import ExecutionBackend
-from repro.backends.ockernels import (
-    oc_cross_gram,
+from repro.backends.blockkernels import (
+    BlockBackend,
+    BlockSource,
+    gram_block,
+    gram_factor,
     oc_distribute,
-    oc_gram,
-    oc_norm_sq,
-    oc_sketch,
-    oc_ttm,
+    run_cross_gram,
+    run_gram,
+    run_norm_sq,
+    run_sketch,
     serial_map,
+    ttm_in_process,
+    xgram_block,
 )
+from repro.backends.blockpar import gram_evd_flops
 from repro.backends.sketch import sketch_arrays, sketch_flops
 from repro.storage import StoredTensor
-from repro.tensor.linalg import (
-    leading_eigvecs,
-    leading_left_singular_vectors,
-)
+from repro.tensor.linalg import leading_left_singular_vectors
 from repro.tensor.ttm import ttm
 from repro.tensor.unfold import unfold
 
 
-class SequentialBackend(ExecutionBackend):
+class SequentialBackend(BlockBackend):
     """The numpy reference path (one rank, shared memory)."""
 
     name = "sequential"
@@ -55,9 +58,6 @@ class SequentialBackend(ExecutionBackend):
             return handle.open()
         return handle
 
-    def shape(self, handle) -> tuple[int, ...]:
-        return tuple(handle.shape)
-
     # -- kernels ---------------------------------------------------------- #
 
     def ttm(
@@ -65,15 +65,10 @@ class SequentialBackend(ExecutionBackend):
     ) -> np.ndarray:
         start = perf_counter()
         if isinstance(handle, StoredTensor):
-            out = oc_ttm(handle, matrix, mode, 1, serial_map)
+            out = ttm_in_process(handle, matrix, mode, 1, serial_map)
         else:
             out = ttm(handle, matrix, mode)
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(matrix.shape[0] * handle.size),
-            seconds=perf_counter() - start,
-        )
+        self._record("gemm", tag, matrix.shape[0] * handle.size, start)
         return out
 
     def leading_factor(
@@ -94,74 +89,52 @@ class SequentialBackend(ExecutionBackend):
                     f"out-of-core handles only support the Gram+EVD "
                     f"route, got method={method!r}"
                 )
-            g = oc_gram(handle, mode, 1, serial_map, out)
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
-        elif method == "gram":
-            u = unfold(handle, mode)
-            if (
-                out is not None
-                and out.shape == (length, length)
-                and out.dtype == u.dtype
-            ):
-                g = np.matmul(u, u.T, out=out)
-            else:
-                g = u @ u.T
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
-        else:
+            g = run_gram(BlockSource.of(handle), mode, 1, serial_map, out)
+            factor = gram_factor(g, k)
+        elif method != "gram":
             factor = leading_left_singular_vectors(
                 unfold(handle, mode), k, method=method
             )
-        flops = (
-            length * (length + 1) // 2 * (handle.size // length)
-            + 4 * length**3 // 3
-        )
-        self.ledger.add_compute(
-            op="syrk",
-            tag=tag,
-            flops=float(flops),
-            seconds=perf_counter() - start,
-        )
+        elif (
+            out is not None
+            and out.shape == (length, length)
+            and out.dtype == handle.dtype
+        ):
+            u = unfold(handle, mode)
+            factor = gram_factor(np.matmul(u, u.T, out=out), k)
+        else:
+            factor = gram_factor(gram_block(handle, mode), k)
+        self._record("syrk", tag, gram_evd_flops(length, handle.size), start)
         return factor
 
     def sketch(self, handle, specs, *, tag="sketch"):
         start = perf_counter()
         if isinstance(handle, StoredTensor):
-            sketches, norm_sq = oc_sketch(handle, specs, 1, serial_map)
+            sketches, norm_sq = run_sketch(
+                BlockSource.of(handle), specs, 1, serial_map
+            )
         else:
             sketches, norm_sq = sketch_arrays(handle, specs)
         flops = sum(sketch_flops(handle.shape, spec) for spec in specs)
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(flops) + float(handle.size),
-            seconds=perf_counter() - start,
-        )
+        self._record("gemm", tag, float(flops) + float(handle.size), start)
         return sketches, norm_sq
 
     def cross_gram(self, handle, other, mode: int, *, tag="xgram"):
         start = perf_counter()
         if isinstance(handle, StoredTensor):
-            g = oc_cross_gram(handle, other, mode, 1, serial_map)
+            g = run_cross_gram(
+                BlockSource.of(handle), BlockSource.of(other), mode,
+                1, serial_map,
+            )
         else:
-            ua = unfold(handle, mode)
-            ub = unfold(other, mode)
-            g = ua @ ub.T
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(other.shape[mode]) * float(handle.size),
-            seconds=perf_counter() - start,
-        )
+            g = xgram_block(handle, other, mode)
+        flops = float(other.shape[mode]) * float(handle.size)
+        self._record("gemm", tag, flops, start)
         return g
-
-    def regrid(self, handle, grid, *, tag="regrid"):
-        return handle
 
     def fro_norm_sq(self, handle, *, tag="norm") -> float:
         if isinstance(handle, StoredTensor):
-            return oc_norm_sq(handle, 1, serial_map)
+            return run_norm_sq(BlockSource.of(handle), 1, serial_map)
         # sqrt-then-square matches the historical fro_norm()**2 path bit for
         # bit — it matters at the norm-identity cancellation floor.
         return float(np.linalg.norm(handle.ravel())) ** 2

@@ -1,10 +1,13 @@
 """Shared-memory threaded backend — the first real-parallel path.
 
-Handles are plain ndarrays living in shared memory; each kernel partitions
-its work over the same near-even block ranges the distributed engine uses
-(:func:`repro.dist.blocks.block_ranges`) and fans the blocks out to a
-thread pool. NumPy releases the GIL inside BLAS, so the per-block dgemms
-genuinely overlap. Determinism is preserved by construction:
+Handles are plain ndarrays living in shared memory (or
+:class:`~repro.storage.StoredTensor` block descriptions when a run
+spills); every kernel is the shared block kernel of
+:mod:`repro.backends.blockkernels`, cut over the same near-even block
+ranges the distributed engine uses (:func:`repro.dist.blocks
+.block_ranges`) and mapped over a thread pool. NumPy releases the GIL
+inside BLAS, so the per-block dgemms genuinely overlap. Determinism is
+preserved by construction:
 
 * TTM blocks write disjoint slices of a preallocated output (no reduction
   across threads at all);
@@ -22,79 +25,36 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.backends.base import ExecutionBackend
-from repro.backends.blockpar import (
-    block_slices,
-    check_worker_count,
-    gram_evd_flops,
-    reduce_partials,
-    split_mode,
-)
-from repro.backends.ockernels import (
-    oc_cross_gram,
+from repro.backends.blockkernels import (
+    BlockSource,
+    PoolBackend,
+    gram_factor,
     oc_distribute,
-    oc_gram,
-    oc_norm_sq,
-    oc_sketch,
-    oc_ttm,
+    run_block,
+    run_cross_gram,
+    run_gram,
+    run_norm_sq,
+    run_sketch,
+    ttm_in_process,
 )
-from repro.backends.sketch import (
-    add_block_contribution,
-    out_shape as sketch_out_shape,
-    sketch_flops,
-)
+from repro.backends.blockpar import gram_evd_flops
+from repro.backends.sketch import sketch_flops
 from repro.storage import StoredTensor
-from repro.tensor.linalg import leading_eigvecs
-from repro.tensor.ttm import ttm
-from repro.tensor.unfold import unfold
 
 
-class ThreadedBackend(ExecutionBackend):
-    """Block-parallel execution over a thread pool.
-
-    Parameters
-    ----------
-    n_workers:
-        Pool size; defaults to ``min(8, cpu_count - 1)``. Also the
-        processor count plans default to, so planning granularity matches
-        execution granularity.
-    """
+class ThreadedBackend(PoolBackend):
+    """Block-parallel execution over a thread pool of ``n_workers``."""
 
     name = "threaded"
 
-    def __init__(self, n_workers: int | None = None) -> None:
-        super().__init__()
-        self._pool: ThreadPoolExecutor | None = None  # before any raise
-        self.n_workers = check_worker_count(n_workers, self.name)
+    def _start_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=self.n_workers, thread_name_prefix="repro-block"
+        )
 
-    @property
-    def default_procs(self) -> int:
-        return self.n_workers
-
-    # -- pool lifecycle --------------------------------------------------- #
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="repro-block"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the pool down; the backend stays usable (pool reopens)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ThreadedBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+    def _map(self, tasks) -> list:
+        """Block tasks over the pool, results in task (ascending) order."""
+        return list(self._executor().map(run_block, *zip(*tasks)))
 
     # -- data placement -------------------------------------------------- #
 
@@ -108,56 +68,14 @@ class ThreadedBackend(ExecutionBackend):
             return handle.open()
         return handle
 
-    def shape(self, handle) -> tuple[int, ...]:
-        return tuple(handle.shape)
-
-    # -- out-of-core fan-out ---------------------------------------------- #
-
-    def _oc_map(self, func, items) -> list:
-        """Blocks over the pool, results in submission (ascending) order."""
-        return list(self._executor().map(func, items))
-
     # -- kernels ---------------------------------------------------------- #
 
-    def ttm(
-        self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"
-    ) -> np.ndarray:
+    def ttm(self, handle, matrix: np.ndarray, mode: int, *, tag="ttm"):
         start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            out = oc_ttm(handle, matrix, mode, self.n_workers, self._oc_map)
-            self.ledger.add_compute(
-                op="gemm",
-                tag=tag,
-                flops=float(matrix.shape[0] * handle.size),
-                seconds=perf_counter() - start,
-            )
-            return out
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None:
-            out = ttm(handle, matrix, mode)
-        else:
-            out_shape = (
-                handle.shape[:mode]
-                + (matrix.shape[0],)
-                + handle.shape[mode + 1 :]
-            )
-            out = np.empty(
-                out_shape, dtype=np.result_type(handle.dtype, matrix.dtype)
-            )
-
-            def work(sl: slice) -> None:
-                index: list[slice] = [slice(None)] * handle.ndim
-                index[split] = sl
-                out[tuple(index)] = ttm(handle[tuple(index)], matrix, mode)
-
-            slices = block_slices(handle.shape[split], self.n_workers)
-            list(self._executor().map(work, slices))
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(matrix.shape[0] * handle.size),
-            seconds=perf_counter() - start,
+        out = ttm_in_process(
+            handle, matrix, mode, self.n_workers, self._map
         )
+        self._record("gemm", tag, matrix.shape[0] * handle.size, start)
         return out
 
     def leading_factor(
@@ -176,146 +94,34 @@ class ThreadedBackend(ExecutionBackend):
                 f"got method={method!r}"
             )
         start = perf_counter()
-        length = handle.shape[mode]
-        if isinstance(handle, StoredTensor):
-            g = oc_gram(handle, mode, self.n_workers, self._oc_map, out)
-            g = (g + g.T) * 0.5
-            factor = leading_eigvecs(g, k)
-            self.ledger.add_compute(
-                op="syrk",
-                tag=tag,
-                flops=float(gram_evd_flops(length, handle.size)),
-                seconds=perf_counter() - start,
-            )
-            return factor
-        split = split_mode(handle.shape, avoid=mode)
-        if split is None:
-            u = unfold(handle, mode)
-            g = u @ u.T
-        else:
-            slices = block_slices(handle.shape[split], self.n_workers)
-
-            def partial(sl: slice) -> np.ndarray:
-                index: list[slice] = [slice(None)] * handle.ndim
-                index[split] = sl
-                u = unfold(handle[tuple(index)], mode)
-                return u @ u.T
-
-            partials = list(self._executor().map(partial, slices))
-            g = reduce_partials(partials, length, out)
-        g = (g + g.T) * 0.5
-        flops = gram_evd_flops(length, handle.size)
-        factor = leading_eigvecs(g, k)
-        self.ledger.add_compute(
-            op="syrk",
-            tag=tag,
-            flops=float(flops),
-            seconds=perf_counter() - start,
+        g = run_gram(
+            BlockSource.of(handle), mode, self.n_workers, self._map, out
         )
+        factor = gram_factor(g, k)
+        flops = gram_evd_flops(handle.shape[mode], handle.size)
+        self._record("syrk", tag, flops, start)
         return factor
 
     def sketch(self, handle, specs, *, tag="sketch"):
         start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            sketches, norm_sq = oc_sketch(
-                handle, specs, self.n_workers, self._oc_map
-            )
-        else:
-            sketches, norm_sq = self._sketch_memory(handle, specs)
-        flops = sum(sketch_flops(handle.shape, spec) for spec in specs)
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(flops) + float(handle.size),
-            seconds=perf_counter() - start,
+        sketches, norm_sq = run_sketch(
+            BlockSource.of(handle), specs, self.n_workers, self._map
         )
+        flops = sum(sketch_flops(handle.shape, spec) for spec in specs)
+        self._record("gemm", tag, float(flops) + float(handle.size), start)
         return sketches, norm_sq
-
-    def _sketch_memory(self, handle, specs):
-        """In-memory blocked sketch: per-block partials, ascending sum."""
-        dims = tuple(handle.shape)
-        full = tuple((0, int(d)) for d in dims)
-        split = split_mode(dims, avoid=None)
-        if split is None:
-            return self._sketch_block(handle, specs, dims, full)
-        slices = block_slices(dims[split], self.n_workers)
-
-        def partial(sl: slice):
-            index: list[slice] = [slice(None)] * handle.ndim
-            index[split] = sl
-            ranges = tuple(
-                (sl.start, sl.stop) if m == split else full[m]
-                for m in range(handle.ndim)
-            )
-            return self._sketch_block(handle[tuple(index)], specs, dims, ranges)
-
-        results = list(self._executor().map(partial, slices))
-        outs = [
-            np.zeros(sketch_out_shape(handle.shape, spec), dtype=handle.dtype)
-            for spec in specs
-        ]
-        norm_sq = 0.0
-        for contribs, part in results:  # ascending block order
-            for out, contrib in zip(outs, contribs):
-                out += contrib
-            norm_sq += part
-        return outs, float(norm_sq)
-
-    @staticmethod
-    def _sketch_block(block, specs, dims, ranges):
-        """One block's full-size sketch partials plus its norm partial."""
-        block = np.ascontiguousarray(block)
-        contribs = []
-        for spec in specs:
-            out = np.zeros(sketch_out_shape(dims, spec), dtype=block.dtype)
-            add_block_contribution(out, block, spec, ranges)
-            contribs.append(out)
-        flat = block.reshape(-1)
-        return contribs, float(np.dot(flat, flat))
 
     def cross_gram(self, handle, other, mode: int, *, tag="xgram"):
         start = perf_counter()
-        if isinstance(handle, StoredTensor):
-            g = oc_cross_gram(
-                handle, other, mode, self.n_workers, self._oc_map
-            )
-        else:
-            split = split_mode(handle.shape, avoid=mode)
-            if split is None:
-                g = unfold(handle, mode) @ unfold(other, mode).T
-            else:
-                slices = block_slices(handle.shape[split], self.n_workers)
-
-                def partial(sl: slice) -> np.ndarray:
-                    index: list[slice] = [slice(None)] * handle.ndim
-                    index[split] = sl
-                    ua = unfold(handle[tuple(index)], mode)
-                    ub = unfold(other[tuple(index)], mode)
-                    return ua @ ub.T
-
-                partials = list(self._executor().map(partial, slices))
-                g = reduce_partials(partials, handle.shape[mode])
-        self.ledger.add_compute(
-            op="gemm",
-            tag=tag,
-            flops=float(other.shape[mode]) * float(handle.size),
-            seconds=perf_counter() - start,
+        g = run_cross_gram(
+            BlockSource.of(handle), BlockSource.of(other), mode,
+            self.n_workers, self._map,
         )
+        flops = float(other.shape[mode]) * float(handle.size)
+        self._record("gemm", tag, flops, start)
         return g
 
-    def regrid(self, handle, grid, *, tag="regrid"):
-        return handle
-
     def fro_norm_sq(self, handle, *, tag="norm") -> float:
-        if isinstance(handle, StoredTensor):
-            return oc_norm_sq(handle, self.n_workers, self._oc_map)
-        flat = handle.reshape(-1)
-        slices = block_slices(flat.shape[0], self.n_workers)
-        if len(slices) <= 1:
-            return float(np.dot(flat, flat))
-
-        def partial(sl: slice) -> float:
-            piece = flat[sl]
-            return float(np.dot(piece, piece))
-
-        return float(sum(self._executor().map(partial, slices)))
+        return run_norm_sq(
+            BlockSource.of(handle), self.n_workers, self._map
+        )

@@ -366,6 +366,56 @@ class TestProtocolDrift:
         out = findings(ProtocolDriftRule(), base, impl)
         assert len(out) == 1 and "positional" in out[0].message
 
+    def test_two_level_hierarchy_is_checked(self):
+        # A backend behind a shared pool-lifecycle base must not leave
+        # the gate: the leaf's drift is flagged, the method it inherits
+        # from the (partial, unflagged) intermediate class counts as
+        # implemented, and that inherited method is itself compared.
+        base = ctx("src/repro/backends/base.py", BASE_MODULE)
+        pool = ctx("src/repro/backends/pool.py", """
+            from repro.backends.base import ExecutionBackend
+            class PoolBackend(ExecutionBackend):
+                def gather(self, handle):
+                    return handle
+        """)
+        good = ctx("src/repro/backends/good.py", """
+            from repro.backends.pool import PoolBackend
+            class GoodBackend(PoolBackend):
+                def ttm(self, handle, matrix, mode, *, tag="ttm"):
+                    return handle
+        """)
+        assert findings(ProtocolDriftRule(), base, pool, good) == []
+        drifting = ctx("src/repro/backends/bad.py", """
+            from repro.backends import pool
+            class BadBackend(pool.PoolBackend):
+                def ttm(self, handle, matrix, mode, *, tag="TTM"):
+                    return handle
+            class LazyBackend(pool.PoolBackend):
+                pass
+        """)
+        out = findings(ProtocolDriftRule(), base, pool, good, drifting)
+        assert [f.path for f in out] == [drifting.path] * 2
+        assert "BadBackend.ttm" in out[0].message
+        assert "default" in out[0].message
+        assert "LazyBackend does not implement" in out[1].message
+
+    def test_inherited_drift_reported_once_at_its_definition(self):
+        base = ctx("src/repro/backends/base.py", BASE_MODULE)
+        impl = ctx("src/repro/backends/bad.py", """
+            from repro.backends.base import ExecutionBackend
+            class PoolBackend(ExecutionBackend):
+                def gather(self, h):
+                    return h
+            class ABackend(PoolBackend):
+                def ttm(self, handle, matrix, mode, *, tag="ttm"):
+                    return handle
+            class BBackend(PoolBackend):
+                def ttm(self, handle, matrix, mode, *, tag="ttm"):
+                    return handle
+        """)
+        out = findings(ProtocolDriftRule(), base, impl)
+        assert len(out) == 1 and "PoolBackend.gather" in out[0].message
+
     def test_non_backend_classes_ignored(self):
         base = ctx("src/repro/backends/base.py", BASE_MODULE)
         other = ctx("src/repro/other.py", """

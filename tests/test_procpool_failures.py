@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-import repro.backends.procpool as procpool_mod
+from repro.backends.blockkernels import KERNELS
 from repro.backends.procpool import ProcessPoolBackend
+from repro.backends.sequential import SequentialBackend
+from repro.backends.sketch import single_pass_specs
+from repro.storage import MmapStore
 from repro.tensor.ttm import ttm
 
 pytestmark = pytest.mark.skipif(
@@ -36,21 +39,14 @@ def _gram_bomb(*args, **kwargs):  # pragma: no cover - runs in a worker
     raise RuntimeError("injected gram failure")
 
 
-_REAL_NORM = procpool_mod._norm_block
+_REAL_NORM = KERNELS["norm"]
 
 
-def _norm_bomb(name, shape, dtype, lo, hi):  # pragma: no cover - worker
-    """Kill the worker only for tensors carrying the poison marker."""
-    shm = procpool_mod.shared_memory.SharedMemory(name=name)
-    try:
-        flat = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
-        poisoned = float(flat.reshape(-1)[0]) > 100.0
-        del flat
-    finally:
-        shm.close()
-    if poisoned:
+def _norm_bomb(piece):  # pragma: no cover - worker
+    """Kill the worker only for the block carrying the poison marker."""
+    if float(piece[0]) > 100.0:
         os._exit(13)
-    return _REAL_NORM(name, shape, dtype, lo, hi)
+    return _REAL_NORM(piece)
 
 
 @pytest.fixture
@@ -81,15 +77,15 @@ class TestWorkerException:
 
     def test_gram_failure_leaves_backend_usable(self, tensor, monkeypatch):
         # Patch before the pool ever forks so workers inherit the bomb.
-        real = procpool_mod._gram_block
-        monkeypatch.setattr(procpool_mod, "_gram_block", _gram_bomb)
+        real = KERNELS["gram"]
+        monkeypatch.setitem(KERNELS, "gram", _gram_bomb)
         backend = ProcessPoolBackend(n_workers=2)
         try:
             handle = backend.distribute(tensor, ())
             before = shm_entries()
             with pytest.raises(RuntimeError, match="injected"):
                 backend.leading_factor(handle, 0, 3)
-            monkeypatch.setattr(procpool_mod, "_gram_block", real)
+            monkeypatch.setitem(KERNELS, "gram", real)
             gc.collect()
             assert shm_entries() - before == set()
             # The pool is poisoned (forked workers keep the bomb), so drop
@@ -124,30 +120,67 @@ class TestGatherViewLifetime:
 
 
 class TestWorkerDeath:
-    def test_dead_worker_resets_pool_and_cleans_shm(self, tensor):
+    @pytest.mark.parametrize("transport", ["shm", "file"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_dead_worker_resets_pool_and_cleans_shm(
+        self, kernel, transport, tmp_path, monkeypatch
+    ):
+        """One worker entry serves every kernel on both transports: a
+        worker dying in any of them is a typed error, leaves ``/dev/shm``
+        and the spill root clean and the pool dropped, and the next call
+        of the same kernel recovers on a fresh pool."""
+        tensor = np.random.default_rng(0).standard_normal((24, 20, 16))
+        matrix = np.random.default_rng(2).standard_normal((6, 24))
+        specs = single_pass_specs(
+            np.random.default_rng(3), tensor.shape, (4, 4, 3), 2, tensor.dtype
+        )
+
+        def call(b, handle):
+            if kernel == "ttm":
+                return np.asarray(b.gather(b.ttm(handle, matrix, 0)))
+            if kernel == "gram":
+                return b.leading_factor(handle, 0, 3)
+            if kernel == "xgram":
+                return b.cross_gram(handle, handle, 0)
+            if kernel == "sketch":
+                sketches, norm_sq = b.sketch(handle, specs)
+                return np.concatenate(
+                    [s.ravel() for s in sketches] + [[norm_sq]]
+                )
+            return b.fro_norm_sq(handle)
+
         backend = ProcessPoolBackend(n_workers=2)
-        original = procpool_mod._ttm_block
-        # Patch before the first kernel: the pool forks lazily, so the
-        # workers inherit the hard-exit stub.
-        procpool_mod._ttm_block = _exit_hard
+        store = None
+        if transport == "file":
+            store = MmapStore(root=str(tmp_path), max_block_bytes=8192)
         try:
-            handle = backend.distribute(tensor, ())
+            handle = backend.distribute(tensor, (), store=store)
             before = shm_entries()
-            matrix = np.random.default_rng(2).standard_normal((3, 8))
+            input_keys = set(store.keys()) if store is not None else None
+            # Patch before the first kernel: the pool forks lazily, so the
+            # workers inherit the hard-exit stub.
+            monkeypatch.setitem(KERNELS, kernel, _exit_hard)
             with pytest.raises(BrokenProcessPool):
-                backend.ttm(handle, matrix, 0)
+                call(backend, handle)
             gc.collect()
-            # No leaked segments, and the broken pool was dropped.
+            # No leaked segments or spill blocks, and the broken pool
+            # was dropped.
             assert shm_entries() - before == set()
+            if store is not None:
+                assert set(store.keys()) == input_keys
             assert backend._pool is None
-        finally:
-            procpool_mod._ttm_block = original
-        try:
-            # A fresh pool (forked with the real task function) recovers.
-            out = backend.gather(backend.ttm(handle, matrix, 0))
-            np.testing.assert_allclose(out, ttm(tensor, matrix, 0), atol=1e-12)
+            # A fresh pool (forked with the real block function) recovers.
+            monkeypatch.undo()
+            np.testing.assert_allclose(
+                call(backend, handle),
+                call(SequentialBackend(), tensor),
+                atol=1e-10,
+            )
         finally:
             backend.close()
+            if store is not None:
+                store.close()
+        assert list(tmp_path.iterdir()) == []
 
     def test_session_batch_survives_pool_recovery(self, tensor):
         """A run_many stream keeps going after the pool is rebuilt."""
@@ -158,8 +191,7 @@ class TestWorkerDeath:
         # module) decomposes the healthy items normally.
         poisoned = tensor.copy()
         poisoned.flat[0] = 1e6
-        original = procpool_mod._norm_block
-        procpool_mod._norm_block = _norm_bomb
+        KERNELS["norm"] = _norm_bomb
         backend = ProcessPoolBackend(n_workers=2)
         session = TuckerSession(backend=backend)
         try:
@@ -181,7 +213,7 @@ class TestWorkerDeath:
             assert batch.items[0].index == 1
             assert np.isfinite(batch.items[0].error)
         finally:
-            procpool_mod._norm_block = original
+            KERNELS["norm"] = _REAL_NORM
             session.close()
 
 
@@ -194,8 +226,7 @@ class TestTracedCrash:
 
         poisoned = tensor.copy()
         poisoned.flat[0] = 1e6
-        original = procpool_mod._norm_block
-        procpool_mod._norm_block = _norm_bomb
+        KERNELS["norm"] = _norm_bomb
         backend = ProcessPoolBackend(n_workers=2)
         session = TuckerSession(backend=backend, trace=True)
         try:
@@ -225,7 +256,7 @@ class TestTracedCrash:
             # The observer never leaks past the crashed run.
             assert backend.ledger.observer is None
         finally:
-            procpool_mod._norm_block = original
+            KERNELS["norm"] = _REAL_NORM
             session.close()
 
     def test_untraced_crash_leaves_tracer_empty(self, tensor):
@@ -233,8 +264,7 @@ class TestTracedCrash:
 
         poisoned = tensor.copy()
         poisoned.flat[0] = 1e6
-        original = procpool_mod._norm_block
-        procpool_mod._norm_block = _norm_bomb
+        KERNELS["norm"] = _norm_bomb
         backend = ProcessPoolBackend(n_workers=2)
         session = TuckerSession(backend=backend)
         try:
@@ -247,5 +277,5 @@ class TestTracedCrash:
             assert session.tracer.mark() == 0
             assert session.last_error_trace is None
         finally:
-            procpool_mod._norm_block = original
+            KERNELS["norm"] = _REAL_NORM
             session.close()

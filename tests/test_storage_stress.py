@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-import repro.backends.procpool as procpool_mod
+from repro.backends.blockkernels import KERNELS
 from repro.backends.procpool import ProcessPoolBackend
 from repro.session import TuckerSession
 from repro.storage import MmapStore, resident_gauge
@@ -190,9 +190,7 @@ class TestProcpoolSpillCrash:
             handle = backend.distribute(tensor, (), store=store)
             input_keys = set(store.keys())
             assert input_keys  # the spilled input block
-            monkeypatch.setattr(
-                procpool_mod, "_ttm_block_file", _exit_hard
-            )
+            monkeypatch.setitem(KERNELS, "ttm", _exit_hard)
             with pytest.raises(BrokenProcessPool):
                 backend.ttm(handle, matrix, 0)
             gc.collect()
@@ -227,7 +225,7 @@ class TestProcpoolSpillCrash:
             memory_budget=BUDGET,
             spill_dir=str(tmp_path),
         )
-        monkeypatch.setattr(procpool_mod, "_gram_block_file", _exit_hard)
+        monkeypatch.setitem(KERNELS, "gram", _exit_hard)
         try:
             with pytest.raises(BrokenProcessPool):
                 session.run(
