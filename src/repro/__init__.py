@@ -30,9 +30,9 @@ Backends: ``"sequential"`` (numpy), ``"simcluster"`` (the virtual cluster
 with exact volume accounting), ``"threaded"`` (shared-memory block
 parallelism), ``"procpool"`` (multi-core process pool over shared-memory
 segments) — or ``"auto"``, which scores the input's metadata against a
-calibratable cost model and picks per tensor. The legacy one-shot entry
-points (``tucker``, ``hooi_sequential``, ``hooi_distributed``) remain as
-deprecation shims.
+calibratable cost model and picks per tensor. The legacy one-shot
+deprecation shims were removed in PR 14; ``TuckerSession.run`` /
+``.hooi`` replace them.
 """
 
 import logging as _logging
@@ -77,6 +77,7 @@ from repro.session import (
     BatchItem,
     BatchResult,
     CompiledPlan,
+    TuckerResult,
     TuckerSession,
     compile_plan,
 )
@@ -85,14 +86,10 @@ from repro.hooi import (
     sthosvd,
     dist_sthosvd,
     sthosvd_grid_plan,
-    hooi_sequential,
-    hooi_distributed,
     hooi_reference_step,
     ModelReport,
     predict,
     select_plan,
-    tucker,
-    TuckerResult,
 )
 from repro.tensor import (
     ttm,
@@ -144,13 +141,10 @@ __all__ = [
     "sthosvd",
     "dist_sthosvd",
     "sthosvd_grid_plan",
-    "hooi_sequential",
-    "hooi_distributed",
     "hooi_reference_step",
     "ModelReport",
     "predict",
     "select_plan",
-    "tucker",
     "TuckerResult",
     "ttm",
     "ttm_chain",

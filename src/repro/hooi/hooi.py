@@ -1,4 +1,4 @@
-"""HOOI drivers (paper Figure 2).
+"""HOOI single invocations (paper Figure 2).
 
 A single invocation maps ``{G; F_1..F_N} -> {G~; F~_1..F~_N}``:
 
@@ -8,12 +8,13 @@ A single invocation maps ``{G; F_1..F_N} -> {G~; F~_1..F~_N}``:
    as Figure 2 specifies (tree reuse requires it);
 2. the new core ``G~ = T x_1 F~_1^T ... x_N F~_N^T``.
 
-``hooi_step_sequential`` / ``hooi_step_distributed`` remain the
-single-invocation engine entry points. The iterate-to-convergence drivers
-``hooi_sequential`` / ``hooi_distributed`` are **deprecated shims** over
-:class:`repro.session.TuckerSession` (which runs the same compiled
-schedules on any backend); they keep their historical signatures and
-results. ``hooi_reference_step`` is the tree-free naive implementation
+``hooi_step_sequential`` / ``hooi_step_distributed`` are the
+single-invocation engine entry points: they compile the plan's tree and
+core chain with :mod:`repro.backends.schedule` and replay them on a
+sequential or simcluster backend. Iterating to convergence is
+:meth:`repro.session.TuckerSession.hooi` (the iterated-driver shims that
+used to live here were removed in PR 14).
+``hooi_reference_step`` is the tree-free naive implementation
 (N independent chains) used as the test oracle; it also offers the classic
 Gauss-Seidel update (immediately reusing freshly computed factors), which
 trees cannot express — comparing the two is one of the repo's extension
@@ -22,43 +23,31 @@ experiments.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backends import (
+    SequentialBackend,
+    SimClusterBackend,
+    check_factors,
+    compile_core_steps,
+    compile_tree_steps,
+    run_core_steps,
+    run_tree_steps,
+)
+from repro.core.ordering import optimal_chain_ordering
 from repro.core.planner import Plan
 from repro.dist.dtensor import DistTensor
 from repro.hooi.decomposition import TuckerDecomposition
-from repro.hooi.executor import (
-    compute_core_distributed,
-    compute_core_sequential,
-    execute_tree_distributed,
-    execute_tree_sequential,
-)
-from repro.mpi.comm import SimCluster
 from repro.tensor.linalg import leading_left_singular_vectors
 from repro.tensor.ttm import ttm_chain
 from repro.tensor.unfold import unfold
 from repro.util.dtypes import as_float
 
 
-@dataclass
-class HooiResult:
-    """Outcome of an iterated HOOI run."""
-
-    decomposition: TuckerDecomposition
-    errors: list[float] = field(default_factory=list)
-    iterations: int = 0
-
-    @property
-    def final_error(self) -> float:
-        return self.errors[-1] if self.errors else float("nan")
-
-
 # --------------------------------------------------------------------- #
-# single invocations (engine-level, not deprecated)
+# single invocations (engine-level)
 # --------------------------------------------------------------------- #
 
 
@@ -68,11 +57,22 @@ def hooi_step_sequential(
     plan: Plan,
 ) -> TuckerDecomposition:
     """One HOOI invocation (Figure 2), sequentially, per ``plan``'s tree."""
-    new_factors = execute_tree_sequential(
-        tensor, factors, plan.tree, plan.meta
+    meta = plan.meta
+    tensor = as_float(tensor)
+    backend = SequentialBackend()
+    new_factors = run_tree_steps(
+        backend,
+        tensor,
+        check_factors(factors, meta, dtype=tensor.dtype),
+        compile_tree_steps(plan.tree, meta),
     )
-    ordered = [new_factors[m] for m in range(plan.meta.ndim)]
-    core = compute_core_sequential(tensor, ordered, plan.meta)
+    ordered = [new_factors[m] for m in range(meta.ndim)]
+    core = run_core_steps(
+        backend,
+        tensor,
+        ordered,
+        compile_core_steps(optimal_chain_ordering(meta)),
+    )
     return TuckerDecomposition(core=core, factors=ordered)
 
 
@@ -86,114 +86,46 @@ def hooi_step_distributed(
     """One HOOI invocation on the engine.
 
     Returns the new decomposition (with the core assembled — it is small)
-    plus the distributed core. ``dtensor`` must live on
-    ``plan.initial_grid``.
+    plus the distributed core. ``dtensor`` must be distributed on
+    ``plan.initial_grid``. Factor inputs and outputs are replicated (they
+    are small; the paper keeps a copy per processor). Communication lands
+    in the cluster ledger with tags ``{tag}:ttm...``, ``{tag}:regrid...``,
+    ``{tag}:svd...`` and ``{tag}:core:...``; the core chain follows the
+    plan's ``core_order`` / ``core_scheme`` (the dynamic algorithm's
+    path-DP gridding) when it has them.
     """
-    new_factors = execute_tree_distributed(dtensor, factors, plan, tag=tag)
-    ordered = [new_factors[m] for m in range(plan.meta.ndim)]
-    core_dist = compute_core_distributed(
+    meta = plan.meta
+    factors = check_factors(factors, meta)
+    if dtensor.global_shape != meta.dims:
+        raise ValueError(
+            f"tensor shape {dtensor.global_shape} != plan dims {meta.dims}"
+        )
+    if dtensor.grid.shape != plan.initial_grid:
+        raise ValueError(
+            f"tensor grid {dtensor.grid.shape} != plan initial grid "
+            f"{plan.initial_grid}; distribute (or regrid) first"
+        )
+    backend = SimClusterBackend(dtensor.cluster)
+    new_factors = run_tree_steps(
+        backend,
+        dtensor,
+        factors,
+        compile_tree_steps(plan.tree, meta, scheme=plan.scheme),
+        tag=tag,
+    )
+    ordered = [new_factors[m] for m in range(meta.ndim)]
+    core_dist = run_core_steps(
+        backend,
         dtensor,
         ordered,
-        plan.meta,
-        core_order=plan.core_order or None,
-        core_scheme=plan.core_scheme or None,
+        compile_core_steps(
+            list(plan.core_order) or optimal_chain_ordering(meta),
+            plan.core_scheme or None,
+        ),
         tag=f"{tag}:core",
     )
     dec = TuckerDecomposition(core=core_dist.to_global(), factors=ordered)
     return dec, core_dist
-
-
-# --------------------------------------------------------------------- #
-# iterated drivers (deprecated shims over the session layer)
-# --------------------------------------------------------------------- #
-
-
-def _as_hooi_result(res) -> HooiResult:
-    return HooiResult(
-        decomposition=res.decomposition,
-        errors=list(res.errors),
-        iterations=res.n_iters,
-    )
-
-
-def hooi_sequential(
-    tensor: np.ndarray,
-    init: TuckerDecomposition,
-    *,
-    plan: Plan | None = None,
-    n_procs: int = 1,
-    max_iters: int = 10,
-    tol: float = 1e-8,
-) -> HooiResult:
-    """Iterate HOOI until the error improvement drops below ``tol``.
-
-    .. deprecated::
-        Use ``TuckerSession(backend="sequential").hooi(...)`` instead.
-
-    ``tol`` compares successive normalized errors; ``max_iters`` bounds the
-    sweep count. The returned ``errors`` list has one entry per completed
-    invocation (via the norm identity — free even for big tensors).
-    """
-    warnings.warn(
-        "hooi_sequential() is deprecated; use "
-        "repro.session.TuckerSession(backend='sequential').hooi(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import TuckerSession
-
-    session = TuckerSession(backend="sequential")
-    return _as_hooi_result(
-        session.hooi(
-            tensor,
-            init,
-            plan=plan,
-            n_procs=n_procs,
-            max_iters=max_iters,
-            tol=tol,
-        )
-    )
-
-
-def hooi_distributed(
-    cluster: SimCluster,
-    tensor: np.ndarray,
-    init: TuckerDecomposition,
-    *,
-    plan: Plan | None = None,
-    max_iters: int = 10,
-    tol: float = 1e-8,
-) -> HooiResult:
-    """Iterated HOOI on the virtual cluster.
-
-    .. deprecated::
-        Use ``TuckerSession(backend="simcluster", cluster=...).hooi(...)``.
-
-    ``tensor`` is distributed onto the plan's initial grid up front (the
-    paper does not charge initial distribution). Per-iteration errors come
-    from the norm identity using distributed norms, so no rank ever holds
-    the full tensor during iteration.
-    """
-    warnings.warn(
-        "hooi_distributed() is deprecated; use "
-        "repro.session.TuckerSession(backend='simcluster', cluster=...)"
-        ".hooi(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import TuckerSession
-
-    session = TuckerSession(backend="simcluster", cluster=cluster)
-    return _as_hooi_result(
-        session.hooi(
-            tensor,
-            init,
-            plan=plan,
-            n_procs=cluster.n_procs,
-            max_iters=max_iters,
-            tol=tol,
-        )
-    )
 
 
 # --------------------------------------------------------------------- #

@@ -22,8 +22,8 @@ Quickstart::
     res2 = session.run(other_tensor, (8, 6, 5)) # plan-cache hit
     print(res.error, res2.from_cache, session.backend.stats())
 
-The legacy entry points (``tucker``, ``hooi_sequential``,
-``hooi_distributed``) remain as thin deprecation shims over this layer.
+The legacy one-shot deprecation shims were removed in PR 14;
+``TuckerSession.run`` / ``.hooi`` replace them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import threading
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from repro.backends import (
     select_storage,
 )
 from repro.backends.blockpar import OC_LEASE_FACTOR
+from repro.backends.select import resolve_auto_procs
 from repro.backends.schedule import (
     RAND_METHODS,
     Step,
@@ -73,9 +74,13 @@ from repro.storage import (
     parse_bytes,
     warm_pages,
 )
+from repro.core.grids import feasible_procs
 from repro.core.meta import TensorMeta
 from repro.core.ordering import optimal_chain_ordering
 from repro.core.planner import Plan, Planner
+from repro.hooi.decomposition import TuckerDecomposition
+from repro.hooi.portfolio import select_plan
+from repro.hooi.sthosvd import sthosvd as host_sthosvd
 from repro.mpi.stats import StatsLedger
 from repro.obs import MetricsRegistry, Trace, Tracer, canonical_tag, safe_rate
 from repro.obs.trace import NULL_TRACER
@@ -138,7 +143,7 @@ class TuckerResult:
     defaults.
     """
 
-    decomposition: "TuckerDecomposition"  # noqa: F821 - hooi import is lazy
+    decomposition: TuckerDecomposition
     plan: Plan
     errors: list[float]
     sthosvd_error: float
@@ -310,6 +315,19 @@ def _cast_for_run(arr: np.ndarray, dtype, store) -> np.ndarray:
         store.put(key, arr, dtype=dtype)  # chunked write-through cast
         return store.get(key)
     return arr.astype(dtype, copy=False)
+
+
+def _check_storage_knobs(storage: str, memory_budget, spill_codec):
+    """Fail fast on a bad storage mode, budget string or codec name;
+    returns ``(budget bytes or None, codec)`` (``"auto"`` / ``None`` kept)."""
+    if storage not in STORAGE_MODES:
+        raise ValueError(
+            f"storage must be one of {STORAGE_MODES}, got {storage!r}"
+        )
+    budget = parse_bytes(memory_budget) if memory_budget is not None else None
+    if spill_codec not in (None, "auto"):
+        spill_codec = check_codec(spill_codec)
+    return budget, spill_codec
 
 
 def _item_source(raw, index: int) -> str:
@@ -627,6 +645,7 @@ class TuckerSession:
                 raise ValueError(
                     "calibration= only applies to backend='auto'"
                 )
+            self._profile = None
             self.backend = get_backend(
                 backend, cluster=cluster, n_procs=n_procs, machine=machine
             )
@@ -644,20 +663,11 @@ class TuckerSession:
         # *correct*, just serialized.
         self._cache_lock = threading.RLock()
         self._run_lock = threading.RLock()
-        if storage not in STORAGE_MODES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
         self._storage = storage
-        # Fail fast on a bad budget string; keep bytes (or None).
-        self._memory_budget = (
-            parse_bytes(memory_budget) if memory_budget is not None else None
+        self._memory_budget, self._spill_codec = _check_storage_knobs(
+            storage, memory_budget, spill_codec
         )
         self._spill_dir = spill_dir
-        # Fail fast on a bad codec name; "auto" defers to the selector.
-        self._spill_codec = (
-            spill_codec if spill_codec == "auto" else check_codec(spill_codec)
-        )
         # The session always owns a real tracer: the per-run root span
         # is what result.seconds reads even with tracing off (one span
         # per run, drained immediately — no accumulation). Inner
@@ -694,7 +704,7 @@ class TuckerSession:
             codec=(
                 spill_codec if spill_codec is not None else self._spill_codec
             ),
-            profile=getattr(self, "_profile", None),
+            profile=self._profile,
         )
 
     def _open_store(
@@ -760,32 +770,28 @@ class TuckerSession:
         self,
         meta: TensorMeta,
         n_procs: int | None,
-        dtype,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_codec: str | None = None,
+        dtype: np.dtype,
+        storage: StorageSelection | None = None,
+        algo: dict | None = None,
     ) -> None:
         """Pick and install the backend for this input (auto mode only).
 
         Backend instances are cached per name so their ledgers persist
         across runs; ``self.backend`` always points at the last selection.
-        ``storage``/``memory_budget`` are the per-run overrides: whether
-        this input will spill changes the scores (spill I/O charged,
-        staging copies dropped), so the selector is told up front.
+        ``storage`` is this run's resolved storage verdict: whether the
+        input will spill changes the scores (spill I/O charged, staging
+        copies dropped), so the selector is told up front. ``algo``
+        carries the run's ``method`` / ``oversample`` / ``power_iters``,
+        so a randomized run is priced as sketches, not as exact sweeps.
         """
         if not self._auto:
             return
-        from repro.backends.select import resolve_auto_procs
-
-        work_dtype = (
-            resolve_dtype(np.float64, dtype)
-            if dtype is not None
-            else np.dtype(np.float64)
-        )
-        nbytes = int(np.prod([int(d) for d in meta.dims])) * work_dtype.itemsize
-        storage_sel = self._select_storage(
-            nbytes, storage, memory_budget, spill_codec
-        )
+        if storage is None:
+            # compile() ahead of any run: price under the session's own
+            # storage defaults.
+            storage = self._select_storage(
+                meta.cardinality * dtype.itemsize, None, None
+            )
         procs = n_procs if n_procs is not None else self._auto_procs
         effective_procs = resolve_auto_procs(procs)
         selection = select_backend(
@@ -794,9 +800,9 @@ class TuckerSession:
             n_procs=procs,
             dtype=dtype,
             profile=self._profile,
-            spilled=storage_sel.spilled,
+            spilled=storage.spilled,
             # Spilled scoring charges the codec this run will spill with.
-            codec=storage_sel.codec,
+            codec=storage.codec,
             # Instances cached at exactly this worker count have already
             # paid their startup (pool spin-up); don't charge it again. A
             # same-name pool at a *different* count must be rebuilt, so
@@ -806,6 +812,7 @@ class TuckerSession:
                 for name, p in self._backends
                 if p == effective_procs
             },
+            **(algo or {}),
         )
         # Try the winner, then the remaining candidates in score order: a
         # backend the host cannot provide (no /dev/shm, say) must degrade
@@ -832,11 +839,9 @@ class TuckerSession:
                 self._backends[key] = backend
             self.backend = backend
             if name != selection.backend:
-                selection = Selection(
+                selection = replace(
+                    selection,
                     backend=name,
-                    n_procs=selection.n_procs,
-                    dtype=selection.dtype,
-                    scores=selection.scores,
                     reason=(
                         f"{selection.reason}; fell back to {name} "
                         f"(unavailable: {'; '.join(errors)})"
@@ -885,16 +890,6 @@ class TuckerSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _result_meta(self) -> dict:
-        """Backend/selection fields shared by every TuckerResult."""
-        return {
-            "backend": self.backend.name,
-            "auto_selected": self._auto,
-            "selection_reason": (
-                self._selection.reason if self._auto and self._selection else ""
-            ),
-        }
-
     # -- tracing ----------------------------------------------------------- #
 
     def _tr(self) -> Tracer:
@@ -939,10 +934,10 @@ class TuckerSession:
         """Drain this run's spans; fold run metrics; ``None`` untraced."""
         self.metrics.counter("runs").inc()
         self.metrics.histogram("run_seconds").observe(root.seconds)
-        if not self._trace_enabled:
-            self.tracer.drain(tmark)  # just the root span; keep memory flat
-            return None
+        # Untraced this is just the root span; draining keeps memory flat.
         trace = self.tracer.drain(tmark)
+        if not self._trace_enabled:
+            return None
         trace.meta.update(dict(root.attrs))
         self._fold_metrics(trace)
         trace.meta["metrics"] = self.metrics.snapshot()
@@ -950,14 +945,12 @@ class TuckerSession:
 
     def _stash_error_trace(self, tmark: int) -> None:
         """Preserve a failed run's partial spans (crash forensics)."""
+        trace = self.tracer.drain(tmark)
         if self._trace_enabled:
-            trace = self.tracer.drain(tmark)
             roots = trace.roots()
             if roots:
                 trace.meta.update(dict(roots[-1].attrs))
             self.last_error_trace = trace
-        else:
-            self.tracer.drain(tmark)
 
     def _fold_metrics(self, trace: Trace) -> None:
         """Update the session registry from one run's spans."""
@@ -1033,26 +1026,44 @@ class TuckerSession:
             )
         return procs
 
+    def _cache_get(self, key: tuple, plan: Plan | None = None) -> CompiledPlan | None:
+        """LRU lookup, counting the hit or miss; ``plan`` pins an
+        identity-keyed entry to the very object it was compiled from."""
+        with self._cache_lock:
+            cached = self._cache.get(key)
+            if cached is not None and (plan is None or cached.plan is plan):
+                self._cache.move_to_end(key)
+                self._hits += 1
+                self.metrics.counter("plan_cache_hits").inc()
+                return cached
+            self._misses += 1
+        self.metrics.counter("plan_cache_misses").inc()
+        return None
+
+    def _cache_put(self, key: tuple, compiled: CompiledPlan) -> CompiledPlan:
+        with self._cache_lock:
+            self._cache[key] = compiled
+            while len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
+        return compiled
+
     def _compile(
         self,
         meta: TensorMeta,
         n_procs: int | None,
         planner: str | Planner,
         dtype,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_codec: str | None = None,
+        storage: StorageSelection | None = None,
+        algo: dict | None = None,
     ) -> tuple[CompiledPlan, bool]:
         """Compile (or fetch from cache); returns ``(plan, from_cache)``."""
-        from repro.hooi.portfolio import select_plan
-
+        dtype = resolve_dtype(np.float64, dtype) if dtype is not None else np.dtype(np.float64)
         self._auto_select(
             meta,
             planner.n_procs if isinstance(planner, Planner) else n_procs,
             dtype,
             storage,
-            memory_budget,
-            spill_codec,
+            algo,
         )
         procs = self._resolve_procs(planner, n_procs, meta)
         if (
@@ -1063,24 +1074,15 @@ class TuckerSession:
             # The count came from a machine default (cores - 1, say), not
             # a request: clamp it to a plannable P — a prime default
             # larger than every core dim admits no valid grid at all.
-            from repro.core.grids import feasible_procs
-
             procs = feasible_procs(meta, procs)
         if isinstance(planner, Planner):
             planner_key = f"{planner.tree_kind}:{planner.grid_kind}"
         else:
             planner_key = str(planner)
-        dtype = resolve_dtype(np.float64, dtype) if dtype is not None else np.dtype(np.float64)
         key = plan_cache_key(meta, procs, planner_key, dtype)
-        with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                self.metrics.counter("plan_cache_hits").inc()
-                return cached, True
-            self._misses += 1
-        self.metrics.counter("plan_cache_misses").inc()
+        cached = self._cache_get(key)
+        if cached is not None:
+            return cached, True
         logger.info(
             "compiling plan: dims=%s core=%s n_procs=%d planner=%s",
             meta.dims, meta.core, procs, planner_key,
@@ -1095,11 +1097,7 @@ class TuckerSession:
         else:
             plan = Planner(procs, tree=planner, grid="dynamic").plan(meta)
         compiled = compile_plan(plan, dtype=dtype, planner_key=planner_key)
-        with self._cache_lock:
-            self._cache[key] = compiled
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return compiled, False
+        return self._cache_put(key, compiled), False
 
     def compile(
         self,
@@ -1108,22 +1106,16 @@ class TuckerSession:
         *,
         planner: str | Planner = "portfolio",
         dtype=None,
-        storage: str | None = None,
     ) -> CompiledPlan:
         """Plan + lower ``meta`` (cached).
 
         ``planner`` is ``"portfolio"`` (model every configuration, keep the
         fastest), a tree kind (planned with dynamic grids), or a ready
         :class:`Planner`. ``n_procs`` defaults to the backend's natural
-        parallelism. ``storage`` is accepted (and validated) for API
-        symmetry with :meth:`run`: plans are metadata-only and identical
-        for every storage mode, so the same compiled plan serves resident
-        and spilled executions alike.
+        parallelism. Plans are metadata-only and identical for every
+        storage mode, so the same compiled plan serves resident and
+        spilled executions alike.
         """
-        if storage is not None and storage not in STORAGE_MODES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
         compiled, _ = self._compile(meta, n_procs, planner, dtype)
         return compiled
 
@@ -1137,101 +1129,92 @@ class TuckerSession:
         planner: str | Planner,
         n_procs: int | None,
         dtype,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_codec: str | None = None,
-    ) -> tuple[np.ndarray, CompiledPlan, bool]:
-        """Resolve dtype, validate shapes, compile-or-fetch the plan."""
+        storage: str | None,
+        memory_budget: int | str | None,
+        spill_codec: str | None,
+        algo: dict,
+    ) -> tuple[np.ndarray, CompiledPlan, bool, StorageSelection]:
+        """Resolve dtype and storage, validate shapes, compile-or-fetch.
+
+        The run's storage overrides are resolved here, once: the
+        :class:`StorageSelection` feeds backend selection and travels on.
+        """
         # Keep ndarray subclasses (np.memmap in particular): a lazily
         # opened .npy must reach distribute() as a mapping so spilled
         # runs can wrap the file in place instead of materializing it.
         arr = tensor if isinstance(tensor, np.ndarray) else np.asarray(tensor)
-        if isinstance(plan, Plan):
+        if isinstance(plan, CompiledPlan) and dtype is None:
+            work_dtype = plan.dtype
+        else:
             work_dtype = resolve_dtype(arr, dtype)
-            self._auto_select(
-                plan.meta, plan.n_procs, work_dtype, storage, memory_budget,
-                spill_codec,
-            )
-            if plan.meta.dims != arr.shape:
-                raise ValueError(
-                    f"tensor shape {arr.shape} != plan dims {plan.meta.dims}"
-                )
-            # Explicit plans are cached by object identity (Plan holds
-            # unhashable parts); the cached CompiledPlan retains the plan,
-            # so the id cannot be recycled while the entry lives.
-            key = ("explicit", id(plan), work_dtype.name)
-            with self._cache_lock:
-                cached = self._cache.get(key)
-                if cached is not None and cached.plan is plan:
-                    self._cache.move_to_end(key)
-                    self._hits += 1
-                    return _maybe_cast(arr, work_dtype), cached, True
-                self._misses += 1
-            compiled = compile_plan(
-                plan,
-                dtype=work_dtype,
-                planner_key=f"{plan.tree_kind}:{plan.grid_kind}",
-            )
-            with self._cache_lock:
-                self._cache[key] = compiled
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-            return _maybe_cast(arr, work_dtype), compiled, False
-        if isinstance(plan, CompiledPlan):
-            work_dtype = resolve_dtype(arr, dtype) if dtype is not None else plan.dtype
-            self._auto_select(
-                plan.meta, plan.n_procs, work_dtype, storage, memory_budget,
-                spill_codec,
-            )
-            if plan.meta.dims != arr.shape:
-                raise ValueError(
-                    f"tensor shape {arr.shape} != plan dims {plan.meta.dims}"
-                )
-            if work_dtype != plan.dtype:
-                plan = compile_plan(
-                    plan.plan, dtype=work_dtype, planner_key=plan.planner_key
-                )
-            return _maybe_cast(arr, work_dtype), plan, False
-        if core_dims is None:
-            raise ValueError("core_dims is required when no plan is given")
-        work_dtype = resolve_dtype(arr, dtype)
-        arr = _maybe_cast(arr, work_dtype)
-        core = check_core_dims(core_dims, arr.shape)
-        meta = TensorMeta(dims=arr.shape, core=core)
-        compiled, from_cache = self._compile(
-            meta, n_procs, planner, work_dtype, storage, memory_budget,
+        # Policy sees the *working* bytes: a float32 file run at float64
+        # occupies twice its on-disk size once cast.
+        selection = self._select_storage(
+            arr.size * work_dtype.itemsize, storage, memory_budget,
             spill_codec,
         )
-        return arr, compiled, from_cache
+        if isinstance(plan, (Plan, CompiledPlan)):
+            if plan.meta.dims != arr.shape:
+                raise ValueError(
+                    f"tensor shape {arr.shape} != plan dims {plan.meta.dims}"
+                )
+            self._auto_select(
+                plan.meta, plan.n_procs, work_dtype, selection, algo
+            )
+            if isinstance(plan, CompiledPlan):
+                compiled, from_cache = plan, False
+                if work_dtype != plan.dtype:
+                    compiled = compile_plan(
+                        plan.plan, dtype=work_dtype,
+                        planner_key=plan.planner_key,
+                    )
+            else:
+                # Explicit plans are cached by object identity (Plan holds
+                # unhashable parts); the cached CompiledPlan retains the
+                # plan, so the id cannot be recycled while the entry lives.
+                key = ("explicit", id(plan), work_dtype.name)
+                compiled = self._cache_get(key, plan)
+                from_cache = compiled is not None
+                if compiled is None:
+                    compiled = self._cache_put(
+                        key,
+                        compile_plan(
+                            plan,
+                            dtype=work_dtype,
+                            planner_key=f"{plan.tree_kind}:{plan.grid_kind}",
+                        ),
+                    )
+        else:
+            if core_dims is None:
+                raise ValueError("core_dims is required when no plan is given")
+            meta = TensorMeta(
+                dims=arr.shape, core=check_core_dims(core_dims, arr.shape)
+            )
+            compiled, from_cache = self._compile(
+                meta, n_procs, planner, work_dtype, selection, algo
+            )
+        return _maybe_cast(arr, work_dtype), compiled, from_cache, selection
 
     # -- algorithms ------------------------------------------------------- #
 
     def _hooi_loop(
         self,
-        arr: np.ndarray,
+        handle,
         factors: Sequence[np.ndarray],
         compiled: CompiledPlan,
         max_iters: int,
         tol: float,
-        store=None,
-        handle=None,
         t_norm_sq: float | None = None,
-    ) -> tuple["TuckerDecomposition", list[float], bool, str]:  # noqa: F821
-        from repro.hooi.decomposition import TuckerDecomposition
-
+    ) -> tuple[TuckerDecomposition, list[float], bool, str]:
+        """Iterate HOOI over the distributed input ``handle``."""
         backend = self.backend
         tr = self._tr()
         meta = compiled.meta
         factors = check_factors(factors, meta, dtype=compiled.dtype)
-        if handle is None:
-            with tr.span("distribute", kind="phase"):
-                handle = backend.distribute(
-                    arr, compiled.initial_grid, store=store
-                )
         if t_norm_sq is None:
-            # Callers that already reduced the input norm over this very
-            # handle pass it in — on an out-of-core handle this reduction
-            # is a complete pass over the spill files.
+            # An init pass that already reduced the input norm over this
+            # very handle passes it in — on an out-of-core handle this
+            # reduction is a complete pass over the spill files.
             t_norm_sq = backend.fro_norm_sq(handle, tag="norm:input")
         workspace = compiled.gram_workspace()
         errors: list[float] = []
@@ -1314,115 +1297,26 @@ class TuckerSession:
         ``spill_dir`` / ``spill_codec`` override the session's storage
         policy for this run.
         """
-        with self._run_lock:
-            tmark = self.tracer.mark()
-            try:
-                with self.tracer.span("run", kind="phase", method="hooi") as root:
-                    result = self._hooi_impl(
-                        tensor, init, plan=plan, planner=planner,
-                        n_procs=n_procs, dtype=dtype, max_iters=max_iters,
-                        tol=tol, storage=storage, memory_budget=memory_budget,
-                        spill_dir=spill_dir, spill_codec=spill_codec,
-                        root=root,
-                    )
-            except BaseException:
-                self._stash_error_trace(tmark)
-                raise
-            result.seconds = root.seconds
-            result.trace = self._finish_trace(root, tmark)
-            return result
-
-    def _hooi_impl(
-        self, tensor, init, *, plan, planner, n_procs, dtype, max_iters,
-        tol, storage, memory_budget, spill_dir, spill_codec, root,
-    ) -> TuckerResult:
-        factors = init if isinstance(init, (list, tuple)) else init.factors
-        core_dims = tuple(f.shape[1] for f in factors)
-        tr = self._tr()
-        with tr.span("compile", kind="phase"):
-            arr, compiled, from_cache = self._prepare(
-                tensor, core_dims, plan, planner, n_procs, dtype,
-                storage, memory_budget, spill_codec,
-            )
-        # Policy sees the *working* bytes: a float32 file run at float64
-        # occupies twice its on-disk size once cast.
-        selection = self._select_storage(
-            arr.size * compiled.dtype.itemsize, storage, memory_budget,
-            spill_codec,
-        )
-        tr.event(
-            "select:storage", mode=selection.mode, codec=selection.codec,
-            reason=selection.reason,
-        )
-        self._annotate_root(root, compiled, selection, from_cache)
-        mark = self.backend.mark_stats()
-        if max_iters <= 0:
-            # Legacy drivers returned the init untouched for max_iters=0.
-            if isinstance(init, (list, tuple)):
-                raise ValueError(
-                    "max_iters must be >= 1 when init is a bare factor list"
-                )
-            return TuckerResult(
-                decomposition=init,
-                plan=compiled.plan,
-                errors=[],
-                sthosvd_error=float("nan"),
-                n_iters=0,
-                from_cache=from_cache,
-                ledger=self.backend.ledger_since(mark),
-                # Nothing was placed, so nothing spilled — report what
-                # actually happened, not what the policy would have done.
-                storage="memory",
-                storage_reason="max_iters <= 0: input never placed",
-                **self._result_meta(),
-            )
-        run_store = self._open_store(selection, spill_dir)
-        try:
-            with self._observed(run_store):
-                arr = _cast_for_run(arr, compiled.dtype, run_store)
-                dec, errors, converged, stopped_reason = self._hooi_loop(
-                    arr, factors, compiled, max_iters, tol, store=run_store
-                )
-        finally:
-            if run_store is not None:
-                root.set(resident_peak=float(run_store.gauge.peak))
-                run_store.close()
-        return TuckerResult(
-            decomposition=dec,
-            plan=compiled.plan,
-            errors=errors,
-            sthosvd_error=float("nan"),
-            n_iters=len(errors),
-            converged=converged,
-            stopped_reason=stopped_reason,
-            from_cache=from_cache,
-            ledger=self.backend.ledger_since(mark),
-            storage=selection.mode,
-            storage_reason=selection.reason,
-            **(run_store.codec_stats() if run_store is not None else {}),
-            **self._result_meta(),
+        return self._run(
+            "hooi", tensor, None, init=init, plan=plan, planner=planner,
+            n_procs=n_procs, dtype=dtype, max_iters=max_iters, tol=tol,
+            storage=storage, memory_budget=memory_budget,
+            spill_dir=spill_dir, spill_codec=spill_codec,
         )
 
     def _sthosvd_pass(
-        self, arr: np.ndarray, compiled: CompiledPlan, store=None, handle=None
-    ) -> tuple["TuckerDecomposition", float, float]:  # noqa: F821
+        self, compiled: CompiledPlan, handle
+    ) -> tuple[TuckerDecomposition, float, float]:
         """One STHOSVD pass; ``(decomposition, error, input_norm_sq)``.
 
-        ``handle``, when given, is an already distributed input (callers
-        running several phases distribute once and share it — the input
-        handle is never mutated by the kernels). The input's squared
-        norm rides along so multi-phase callers don't re-reduce it.
+        ``handle`` is the already distributed input (the pipeline
+        distributes once and shares it across phases — the input handle
+        is never mutated by the kernels). The input's squared norm rides
+        along so the HOOI phase doesn't re-reduce it.
         """
-        from repro.hooi.decomposition import TuckerDecomposition
-
         backend = self.backend
         tr = self._tr()
         meta = compiled.meta
-        if handle is None:
-            with tr.span("distribute", kind="phase"):
-                handle = backend.distribute(
-                    arr, compiled.initial_grid, store=store
-                )
         with tr.span("sthosvd", kind="phase"):
             t_norm_sq = backend.fro_norm_sq(handle, tag="norm:input")
             workspace = compiled.gram_workspace()
@@ -1451,41 +1345,30 @@ class TuckerSession:
         )
 
     def _rand_pass(
-        self,
-        compiled: CompiledPlan,
-        handle,
-        *,
-        method: str,
-        oversample: int,
-        power_iters: int,
-        seed: int,
-    ) -> tuple["TuckerDecomposition", float, float]:  # noqa: F821
+        self, compiled: CompiledPlan, handle, algo: dict, seed: int
+    ) -> tuple[TuckerDecomposition, float, float]:
         """One randomized pass; ``(decomposition, error, input_norm_sq)``.
 
-        ``handle`` is the already distributed input. The input's squared
-        norm is a free by-product of the first sketch pass — no separate
-        norm reduction over the input ever runs. For ``rsthosvd`` the
-        final truncated handle *is* the core (a projection of the
-        input), so the norm identity gives the exact relative error; for
-        ``sp-rsthosvd`` the core is solved host-side from the sketches
-        and the identity only yields a clamped estimate.
+        ``handle`` is the already distributed input; ``algo`` holds the
+        run's ``method`` / ``oversample`` / ``power_iters``. The input's
+        squared norm is a free by-product of the first sketch pass — no
+        separate norm reduction over the input ever runs. For
+        ``rsthosvd`` the final truncated handle *is* the core (a
+        projection of the input), so the norm identity gives the exact
+        relative error; for ``sp-rsthosvd`` the core is solved host-side
+        from the sketches and the identity only yields a clamped
+        estimate.
         """
-        from repro.hooi.decomposition import TuckerDecomposition
-
         backend = self.backend
         tr = self._tr()
         meta = compiled.meta
+        method = algo["method"]
         rng = np.random.default_rng(seed)
-        steps = compile_rand_steps(
-            compiled.sthosvd_order,
-            meta,
-            method=method,
-            oversample=oversample,
-            power_iters=power_iters,
-        )
+        steps = compile_rand_steps(compiled.sthosvd_order, meta, **algo)
         with tr.span(
             method, kind="phase", seed=int(seed),
-            oversample=int(oversample), power_iters=int(power_iters),
+            oversample=int(algo["oversample"]),
+            power_iters=int(algo["power_iters"]),
         ):
             factors, current, t_norm_sq, core = run_rand_steps(
                 backend, handle, steps, meta,
@@ -1521,68 +1404,11 @@ class TuckerSession:
         spill_codec: str | None = None,
     ) -> TuckerResult:
         """One STHOSVD pass on the backend (static grid, optimal order)."""
-        with self._run_lock:
-            tmark = self.tracer.mark()
-            try:
-                with self.tracer.span("run", kind="phase", method="sthosvd") as root:
-                    result = self._sthosvd_impl(
-                        tensor, core_dims, plan=plan, planner=planner,
-                        n_procs=n_procs, dtype=dtype, storage=storage,
-                        memory_budget=memory_budget, spill_dir=spill_dir,
-                        spill_codec=spill_codec, root=root,
-                    )
-            except BaseException:
-                self._stash_error_trace(tmark)
-                raise
-            result.seconds = root.seconds
-            result.trace = self._finish_trace(root, tmark)
-            return result
-
-    def _sthosvd_impl(
-        self, tensor, core_dims, *, plan, planner, n_procs, dtype,
-        storage, memory_budget, spill_dir, spill_codec, root,
-    ) -> TuckerResult:
-        tr = self._tr()
-        with tr.span("compile", kind="phase"):
-            arr, compiled, from_cache = self._prepare(
-                tensor, core_dims, plan, planner, n_procs, dtype,
-                storage, memory_budget, spill_codec,
-            )
-        # Policy sees the *working* bytes: a float32 file run at float64
-        # occupies twice its on-disk size once cast.
-        selection = self._select_storage(
-            arr.size * compiled.dtype.itemsize, storage, memory_budget,
-            spill_codec,
-        )
-        tr.event(
-            "select:storage", mode=selection.mode, codec=selection.codec,
-            reason=selection.reason,
-        )
-        self._annotate_root(root, compiled, selection, from_cache)
-        mark = self.backend.mark_stats()
-        run_store = self._open_store(selection, spill_dir)
-        try:
-            with self._observed(run_store):
-                arr = _cast_for_run(arr, compiled.dtype, run_store)
-                dec, error, _ = self._sthosvd_pass(
-                    arr, compiled, store=run_store
-                )
-        finally:
-            if run_store is not None:
-                root.set(resident_peak=float(run_store.gauge.peak))
-                run_store.close()
-        return TuckerResult(
-            decomposition=dec,
-            plan=compiled.plan,
-            errors=[],
-            sthosvd_error=error,
-            n_iters=0,
-            from_cache=from_cache,
-            ledger=self.backend.ledger_since(mark),
-            storage=selection.mode,
-            storage_reason=selection.reason,
-            **(run_store.codec_stats() if run_store is not None else {}),
-            **self._result_meta(),
+        return self._run(
+            "sthosvd", tensor, core_dims, plan=plan, planner=planner,
+            n_procs=n_procs, dtype=dtype, skip_hooi=True, storage=storage,
+            memory_budget=memory_budget, spill_dir=spill_dir,
+            spill_codec=spill_codec,
         )
 
     def run(
@@ -1644,20 +1470,32 @@ class TuckerSession:
         the full span tree, a metrics snapshot and the plan's modeled
         per-step volumes.
         """
+        return self._run(
+            "run", tensor, core_dims, plan=plan, planner=planner,
+            n_procs=n_procs, dtype=dtype, max_iters=max_iters, tol=tol,
+            skip_hooi=skip_hooi, method=method, oversample=oversample,
+            power_iters=power_iters, seed=seed, storage=storage,
+            memory_budget=memory_budget, spill_dir=spill_dir,
+            spill_codec=spill_codec,
+        )
+
+    # -- the run pipeline -------------------------------------------------- #
+
+    def _run(self, entry: str, tensor, core_dims, **knobs) -> TuckerResult:
+        """The run envelope behind :meth:`run` / :meth:`sthosvd` / :meth:`hooi`.
+
+        ``entry`` names the public method (the root span's ``method``);
+        a failed run's partial spans are stashed before it propagates.
+        """
+        attrs = {"algorithm": knobs["method"]} if "method" in knobs else {}
         with self._run_lock:
             tmark = self.tracer.mark()
             try:
                 with self.tracer.span(
-                    "run", kind="phase", method="run", algorithm=method
+                    "run", kind="phase", method=entry, **attrs
                 ) as root:
                     result = self._run_impl(
-                        tensor, core_dims, plan=plan, planner=planner,
-                        n_procs=n_procs, dtype=dtype, max_iters=max_iters,
-                        tol=tol, skip_hooi=skip_hooi, method=method,
-                        oversample=oversample, power_iters=power_iters,
-                        seed=seed, storage=storage,
-                        memory_budget=memory_budget, spill_dir=spill_dir,
-                        spill_codec=spill_codec, root=root,
+                        entry, tensor, core_dims, root=root, **knobs
                     )
             except BaseException:
                 self._stash_error_trace(tmark)
@@ -1684,28 +1522,57 @@ class TuckerSession:
 
             root.set(modeled_volumes=modeled_step_volumes(compiled.plan))
 
-    def _run_impl(
-        self, tensor, core_dims, *, plan, planner, n_procs, dtype,
-        max_iters, tol, skip_hooi, method, oversample, power_iters, seed,
-        storage, memory_budget, spill_dir, spill_codec, root,
+    def _result(
+        self, compiled, from_cache, mark, selection, run_store, **produced
     ) -> TuckerResult:
+        """Assemble a run's result: what the algorithm ``produced``, plus
+        the plan / backend / storage bookkeeping every run reports alike."""
+        return TuckerResult(
+            plan=compiled.plan,
+            n_iters=len(produced["errors"]),
+            backend=self.backend.name,
+            from_cache=from_cache,
+            auto_selected=self._auto,
+            # only auto sessions ever record a selection
+            selection_reason=self._selection.reason if self._selection else "",
+            ledger=self.backend.ledger_since(mark),
+            storage=selection.mode,
+            storage_reason=selection.reason,
+            **(run_store.codec_stats() if run_store is not None else {}),
+            **produced,
+        )
+
+    def _run_impl(
+        self, entry, tensor, core_dims, *, root, plan, planner, n_procs,
+        dtype, storage, memory_budget, spill_dir, spill_codec, init=None,
+        max_iters=0, tol=0.0, skip_hooi=False, method="exact",
+        oversample=5, power_iters=0, seed=0,
+    ) -> TuckerResult:
+        """Compile, place, initialize, refine: the pipeline every entry runs.
+
+        The entries differ only in the init step — the caller's factors
+        (``hooi``), the host STHOSVD (exact ``run`` on simcluster), a
+        randomized pass or the backend STHOSVD (everything else) — and
+        in whether the HOOI loop follows.
+        """
         if method != "exact" and method not in RAND_METHODS:
             raise ValueError(
                 f"method must be 'exact' or one of {RAND_METHODS}, "
                 f"got {method!r}"
             )
+        factors = None
+        if entry == "hooi":
+            factors = init if isinstance(init, (list, tuple)) else init.factors
+            core_dims = tuple(f.shape[1] for f in factors)
+        algo = dict(
+            method=method, oversample=oversample, power_iters=power_iters
+        )
         tr = self._tr()
         with tr.span("compile", kind="phase"):
-            arr, compiled, from_cache = self._prepare(
+            arr, compiled, from_cache, selection = self._prepare(
                 tensor, core_dims, plan, planner, n_procs, dtype,
-                storage, memory_budget, spill_codec,
+                storage, memory_budget, spill_codec, algo,
             )
-        # Policy sees the *working* bytes: a float32 file run at float64
-        # occupies twice its on-disk size once cast.
-        selection = self._select_storage(
-            arr.size * compiled.dtype.itemsize, storage, memory_budget,
-            spill_codec,
-        )
         tr.event(
             "select:storage", mode=selection.mode, codec=selection.codec,
             reason=selection.reason,
@@ -1713,100 +1580,90 @@ class TuckerSession:
         if selection.spilled:
             logger.info("run spills to mmap store: %s", selection.reason)
         self._annotate_root(root, compiled, selection, from_cache)
-        mark = self.backend.mark_stats()
+        backend = self.backend
+        mark = backend.mark_stats()
+        loop = not skip_hooi and max_iters > 0
+        if factors is not None and not loop:
+            # hooi(max_iters=0) hands the init back untouched.
+            if factors is init:
+                raise ValueError(
+                    "max_iters must be >= 1 when init is a bare factor list"
+                )
+            # Nothing was placed, so nothing spilled — report what
+            # actually happened, not what the policy would have done.
+            never_placed = StorageSelection(
+                mode="memory", memory_budget=selection.memory_budget,
+                reason="max_iters <= 0: input never placed",
+            )
+            return self._result(
+                compiled, from_cache, mark, never_placed, None,
+                decomposition=init, errors=[], sthosvd_error=float("nan"),
+            )
+        if factors is not None:
+            # Reject a misshapen init before the tensor is placed.
+            factors = check_factors(factors, compiled.meta, compiled.dtype)
+        # Sequential init on the cluster backend: the paper does not
+        # charge the initial decomposition, and the HOOI initial grid need
+        # not be STHOSVD-feasible (a TTM requires K_n >= q_n). Capacity
+        # caveat: this init materializes working copies of the tensor in
+        # RAM even on a spilled run — the virtual cluster is a measurement
+        # instrument, not a capacity path; only its HOOI phase runs
+        # store-backed.
+        host_init = (
+            entry == "run"
+            and method == "exact"
+            and isinstance(backend, SimClusterBackend)
+        )
+        dec, init_error = None, float("nan")
+        errors, converged, stopped_reason = [], True, ""
+        handle = t_norm_sq = None
         run_store = self._open_store(selection, spill_dir)
         try:
             with self._observed(run_store):
                 arr = _cast_for_run(arr, compiled.dtype, run_store)
-                handle = None
-                t_norm_sq = None
-                if method in RAND_METHODS:
-                    # Randomized init runs through the backend on EVERY
-                    # backend — on simcluster that is the point: the
-                    # ledger charges the sketches' reduced volumes
-                    # instead of the exact path's Gram traffic.
-                    with tr.span("distribute", kind="phase"):
-                        handle = self.backend.distribute(
-                            arr, compiled.initial_grid, store=run_store
-                        )
-                    init, init_error, t_norm_sq = self._rand_pass(
-                        compiled, handle, method=method,
-                        oversample=oversample, power_iters=power_iters,
-                        seed=seed,
-                    )
-                elif isinstance(self.backend, SimClusterBackend):
-                    # Sequential init on the cluster backend: the paper
-                    # does not charge the initial decomposition, and the
-                    # HOOI initial grid need not be STHOSVD-feasible (a
-                    # TTM requires K_n >= q_n). Capacity caveat: this
-                    # init materializes working copies of the tensor in
-                    # RAM even on a spilled run — the virtual cluster is
-                    # a measurement instrument, not a capacity path; only
-                    # its HOOI phase runs store-backed.
-                    from repro.hooi.sthosvd import sthosvd as sthosvd_sequential
-
+                if host_init:
                     with tr.span("sthosvd", kind="phase", init="sequential"):
-                        init = sthosvd_sequential(
+                        dec = host_sthosvd(
                             arr,
                             compiled.meta.core,
                             mode_order=list(compiled.sthosvd_order),
                             dtype=compiled.dtype,
                         )
-                        init_error = init.error_vs(arr)
-                else:
+                        init_error = dec.error_vs(arr)
+                if loop or not host_init:
                     # Distribute exactly once for both phases: the input
                     # handle is read-only to every kernel, and re-placing
                     # it would double the spill (or shared-memory) copy
                     # I/O.
                     with tr.span("distribute", kind="phase"):
-                        handle = self.backend.distribute(
+                        handle = backend.distribute(
                             arr, compiled.initial_grid, store=run_store
                         )
-                    init, init_error, t_norm_sq = self._sthosvd_pass(
-                        arr, compiled, store=run_store, handle=handle
+                if method in RAND_METHODS:
+                    # Randomized init runs through the backend on EVERY
+                    # backend — on simcluster that is the point: the
+                    # ledger charges the sketches' reduced volumes instead
+                    # of the exact path's Gram traffic.
+                    dec, init_error, t_norm_sq = self._rand_pass(
+                        compiled, handle, algo, seed
                     )
-                if skip_hooi or max_iters <= 0:
-                    return TuckerResult(
-                        decomposition=init,
-                        plan=compiled.plan,
-                        errors=[],
-                        sthosvd_error=init_error,
-                        n_iters=0,
-                        method=method,
-                        from_cache=from_cache,
-                        ledger=self.backend.ledger_since(mark),
-                        storage=selection.mode,
-                        storage_reason=selection.reason,
-                        **(
-                            run_store.codec_stats()
-                            if run_store is not None
-                            else {}
-                        ),
-                        **self._result_meta(),
+                elif factors is None and not host_init:
+                    dec, init_error, t_norm_sq = self._sthosvd_pass(
+                        compiled, handle
                     )
-                dec, errors, converged, stopped_reason = self._hooi_loop(
-                    arr, init.factors, compiled, max_iters, tol,
-                    store=run_store, handle=handle, t_norm_sq=t_norm_sq,
-                )
+                if loop:
+                    dec, errors, converged, stopped_reason = self._hooi_loop(
+                        handle, factors if factors is not None else dec.factors,
+                        compiled, max_iters, tol, t_norm_sq,
+                    )
         finally:
             if run_store is not None:
                 root.set(resident_peak=float(run_store.gauge.peak))
                 run_store.close()
-        return TuckerResult(
-            decomposition=dec,
-            plan=compiled.plan,
-            errors=errors,
-            sthosvd_error=init_error,
-            n_iters=len(errors),
-            method=method,
-            converged=converged,
-            stopped_reason=stopped_reason,
-            from_cache=from_cache,
-            ledger=self.backend.ledger_since(mark),
-            storage=selection.mode,
-            storage_reason=selection.reason,
-            **(run_store.codec_stats() if run_store is not None else {}),
-            **self._result_meta(),
+        return self._result(
+            compiled, from_cache, mark, selection, run_store,
+            decomposition=dec, sthosvd_error=init_error, errors=errors,
+            method=method, converged=converged, stopped_reason=stopped_reason,
         )
 
     def run_many(
@@ -1885,14 +1742,10 @@ class TuckerSession:
         max_in_flight = check_positive_int(max_in_flight, "max_in_flight")
         if dtype is not None:
             resolve_dtype(np.float64, dtype)  # fail fast on a bad knob
-        if storage is not None and storage not in STORAGE_MODES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
-        if memory_budget is not None:
-            parse_bytes(memory_budget)  # fail fast on a bad budget string
-        if spill_codec is not None and spill_codec != "auto":
-            check_codec(spill_codec)  # fail fast on a bad codec name
+        _check_storage_knobs(
+            storage if storage is not None else self._storage,
+            memory_budget, spill_codec,
+        )
         info = self.cache_info()
         hits0, misses0 = info["hits"], info["misses"]
         self._run_lock.acquire()  # whole-batch scope: tmark..drain is positional
@@ -2032,14 +1885,12 @@ class TuckerSession:
                 root.set(items=len(items), failures=len(failures))
         except BaseException:
             try:
+                tail = self.tracer.drain(tmark)
                 if self._trace_enabled:
-                    tail = self.tracer.drain(tmark)
                     pieces = [tail] + item_traces
                     if self.last_error_trace is not None:
                         pieces.append(self.last_error_trace)
                     self.last_error_trace = Trace.merge(pieces)
-                else:
-                    self.tracer.drain(tmark)
             finally:
                 self._run_lock.release()
             raise
@@ -2052,15 +1903,13 @@ class TuckerSession:
             info = self.cache_info()
             self.metrics.counter("batches").inc()
             trace = None
+            tail = self.tracer.drain(tmark)
             if self._trace_enabled:
                 # Batch root first so its meta wins the first-wins merge.
-                tail = self.tracer.drain(tmark)
                 tail.meta.update(dict(root.attrs))
                 tail.meta["method"] = "batch"
                 trace = Trace.merge([tail] + item_traces)
                 trace.meta["metrics"] = self.metrics.snapshot()
-            else:
-                self.tracer.drain(tmark)
         finally:
             self._run_lock.release()
         return BatchResult(

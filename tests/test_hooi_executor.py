@@ -1,21 +1,47 @@
-"""Tests for plan execution (sequential and distributed tree walks)."""
+"""Tests for plan execution: compiled tree / core-chain schedules replayed
+on the sequential and simcluster backends."""
 
 import numpy as np
 import pytest
 
+from repro.backends import (
+    SequentialBackend,
+    SimClusterBackend,
+    compile_core_steps,
+    compile_tree_steps,
+    run_core_steps,
+    run_tree_steps,
+)
 from repro.core.meta import TensorMeta
+from repro.core.ordering import optimal_chain_ordering
 from repro.core.planner import Planner
 from repro.dist.dtensor import DistTensor
-from repro.hooi.executor import (
-    compute_core_distributed,
-    compute_core_sequential,
-    execute_tree_distributed,
-    execute_tree_sequential,
+from repro.hooi.hooi import (
+    hooi_reference_step,
+    hooi_step_distributed,
+    hooi_step_sequential,
 )
-from repro.hooi.hooi import hooi_reference_step
 from repro.hooi.sthosvd import sthosvd
 from repro.mpi.comm import SimCluster
 from repro.tensor.random import low_rank_tensor, random_tensor
+
+
+def tree_sequential(t, factors, plan):
+    """One invocation's TTM component + SVDs on the numpy backend."""
+    return run_tree_steps(
+        SequentialBackend(), t, factors, compile_tree_steps(plan.tree, plan.meta)
+    )
+
+
+def tree_distributed(dt, factors, plan, tag="hooi"):
+    """The same walk on the engine, regridding per the plan's scheme."""
+    return run_tree_steps(
+        SimClusterBackend(dt.cluster),
+        dt,
+        factors,
+        compile_tree_steps(plan.tree, plan.meta, scheme=plan.scheme),
+        tag=tag,
+    )
 
 
 @pytest.fixture
@@ -36,7 +62,7 @@ class TestSequentialExecution:
         # N-independent-chains implementation (commutativity, section 2.1)
         t, meta, init = problem
         plan = Planner(4, tree=tree_kind, grid="static").plan(meta)
-        new = execute_tree_sequential(t, init.factors, plan.tree, plan.meta)
+        new = tree_sequential(t, init.factors, plan)
         ref = hooi_reference_step(t, init.factors, meta.core)
         for mode in range(meta.ndim):
             np.testing.assert_allclose(
@@ -46,7 +72,7 @@ class TestSequentialExecution:
     def test_every_factor_produced(self, problem):
         t, meta, init = problem
         plan = Planner(4).plan(meta)
-        new = execute_tree_sequential(t, init.factors, plan.tree, plan.meta)
+        new = tree_sequential(t, init.factors, plan)
         assert sorted(new) == list(range(meta.ndim))
 
     def test_factor_shape_validation(self, problem):
@@ -55,12 +81,17 @@ class TestSequentialExecution:
         bad = list(init.factors)
         bad[0] = bad[0][:, :-1]
         with pytest.raises(ValueError, match="factor 0"):
-            execute_tree_sequential(t, bad, plan.tree, plan.meta)
+            hooi_step_sequential(t, bad, plan)
 
     def test_core_matches_reference(self, problem):
         t, meta, init = problem
         ref = hooi_reference_step(t, init.factors, meta.core)
-        core = compute_core_sequential(t, ref.factors, meta)
+        core = run_core_steps(
+            SequentialBackend(),
+            t,
+            ref.factors,
+            compile_core_steps(optimal_chain_ordering(meta)),
+        )
         np.testing.assert_allclose(core, ref.core, atol=1e-8)
 
 
@@ -71,8 +102,8 @@ class TestDistributedExecution:
         plan = Planner(8, tree="optimal", grid=grid_kind).plan(meta)
         cluster = SimCluster(8)
         dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        new = execute_tree_distributed(dt, init.factors, plan)
-        seq = execute_tree_sequential(t, init.factors, plan.tree, plan.meta)
+        new = tree_distributed(dt, init.factors, plan)
+        seq = tree_sequential(t, init.factors, plan)
         for mode in range(meta.ndim):
             np.testing.assert_allclose(new[mode], seq[mode], atol=1e-8)
 
@@ -87,7 +118,7 @@ class TestDistributedExecution:
         )[0]
         dt = DistTensor.from_global(cluster, t, other)
         with pytest.raises(ValueError, match="grid"):
-            execute_tree_distributed(dt, init.factors, plan)
+            hooi_step_distributed(dt, init.factors, plan)
 
     def test_wrong_shape_rejected(self, problem):
         _, meta, init = problem
@@ -96,8 +127,8 @@ class TestDistributedExecution:
         dt = DistTensor.from_global(
             cluster, random_tensor((12, 10, 8, 7), seed=1), (2, 2, 2, 1)
         )
-        with pytest.raises(ValueError):
-            execute_tree_distributed(dt, init.factors, plan)
+        with pytest.raises(ValueError, match="plan dims"):
+            hooi_step_distributed(dt, init.factors, plan)
 
     def test_core_chain_with_scheme(self, problem):
         t, meta, init = problem
@@ -105,12 +136,11 @@ class TestDistributedExecution:
         cluster = SimCluster(8)
         dt = DistTensor.from_global(cluster, t, plan.initial_grid)
         ref = hooi_reference_step(t, init.factors, meta.core)
-        core = compute_core_distributed(
+        core = run_core_steps(
+            SimClusterBackend(cluster),
             dt,
             ref.factors,
-            meta,
-            core_order=plan.core_order,
-            core_scheme=plan.core_scheme,
+            compile_core_steps(plan.core_order, plan.core_scheme),
         )
         np.testing.assert_allclose(core.to_global(), ref.core, atol=1e-8)
 
@@ -120,7 +150,7 @@ class TestDistributedExecution:
         plan = Planner(8, tree="optimal", grid="dynamic").plan(meta)
         cluster = SimCluster(8)
         dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        execute_tree_distributed(dt, init.factors, plan, tag="hooi")
+        tree_distributed(dt, init.factors, plan, tag="hooi")
         engine_regrid = cluster.stats.volume(
             op="alltoallv", tag_prefix="hooi:regrid"
         )
@@ -131,7 +161,7 @@ class TestDistributedExecution:
         plan = Planner(8, tree="optimal", grid="dynamic").plan(meta)
         cluster = SimCluster(8)
         dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        execute_tree_distributed(dt, init.factors, plan, tag="hooi")
+        tree_distributed(dt, init.factors, plan, tag="hooi")
         engine_rs = cluster.stats.volume(
             op="reduce_scatter", tag_prefix="hooi:ttm"
         )

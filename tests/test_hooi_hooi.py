@@ -1,19 +1,24 @@
-"""Tests for the HOOI drivers."""
+"""Tests for single HOOI invocations and the session's iterated HOOI."""
 
 import numpy as np
 import pytest
 
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
-from repro.hooi.hooi import (
-    hooi_distributed,
-    hooi_reference_step,
-    hooi_sequential,
-    hooi_step_sequential,
-)
+from repro.hooi.hooi import hooi_reference_step, hooi_step_sequential
 from repro.hooi.sthosvd import sthosvd
 from repro.mpi.comm import SimCluster
+from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor, random_tensor
+
+
+def hooi_sequential(t, init, **kw):
+    return TuckerSession(backend="sequential").hooi(t, init, **kw)
+
+
+def hooi_distributed(cluster, t, init, **kw):
+    session = TuckerSession(backend="simcluster", cluster=cluster)
+    return session.hooi(t, init, **kw)
 
 
 @pytest.fixture
@@ -63,23 +68,19 @@ class TestIteration:
     def test_tolerance_stops_early(self, problem):
         t, _, init = problem
         res = hooi_sequential(t, init, n_procs=4, max_iters=50, tol=1e-6)
-        assert res.iterations < 50
+        assert res.n_iters < 50
 
     def test_result_error_matches_explicit(self, problem):
         t, _, init = problem
         res = hooi_sequential(t, init, n_procs=4, max_iters=3)
-        assert res.final_error == pytest.approx(
+        assert res.error == pytest.approx(
             res.decomposition.error_vs(t), rel=1e-6
         )
 
-    def test_empty_history_nan(self):
-        from repro.hooi.hooi import HooiResult
-        from repro.hooi.decomposition import TuckerDecomposition
-        from repro.tensor.random import random_tucker
-
-        g, f = random_tucker((4, 4), (2, 2))
-        r = HooiResult(TuckerDecomposition(core=g, factors=f))
-        assert np.isnan(r.final_error)
+    def test_empty_history_nan(self, problem):
+        t, _, init = problem
+        res = hooi_sequential(t, init, n_procs=4, max_iters=0)
+        assert res.errors == [] and np.isnan(res.error)
 
 
 class TestDistributedDriver:
@@ -100,14 +101,14 @@ class TestDistributedDriver:
         cluster = SimCluster(4)
         res = hooi_distributed(cluster, t, init, max_iters=8)
         # error should be near the noise level, not far above
-        assert res.final_error < 1.5 * noise
+        assert res.error < 1.5 * noise
 
     def test_random_tensor_error_bounded_by_init(self):
         t = random_tensor((10, 9, 8), seed=4)
         init = sthosvd(t, (3, 3, 3))
         cluster = SimCluster(4)
         res = hooi_distributed(cluster, t, init, max_iters=4, tol=0.0)
-        assert res.final_error <= init.error_vs(t) + 1e-10
+        assert res.error <= init.error_vs(t) + 1e-10
 
     def test_stats_accumulate_per_iteration(self, problem):
         t, meta, init = problem

@@ -1,16 +1,14 @@
-"""Tests for the session API: CompiledPlan, the plan cache, and the shims."""
+"""Tests for the session API: CompiledPlan, the plan cache, run results."""
 
 import numpy as np
 import pytest
 
 from repro.core.meta import TensorMeta
 from repro.core.planner import Plan, Planner
-from repro.hooi.hooi import hooi_distributed, hooi_sequential
 from repro.hooi.sthosvd import sthosvd
 from repro.mpi.comm import SimCluster
 from repro.session import CompiledPlan, TuckerSession, compile_plan
 from repro.tensor.random import low_rank_tensor
-from repro.hooi.api import tucker
 
 
 @pytest.fixture
@@ -223,30 +221,48 @@ class TestRunResult:
         assert res.error <= init.error_vs(tensor) + 1e-12
 
 
-class TestDeprecationShims:
-    def test_tucker_warns_and_matches_session(self, tensor):
-        with pytest.warns(DeprecationWarning, match="tucker"):
-            legacy = tucker(
-                tensor, (4, 3, 3), n_procs=4, planner="optimal",
-                max_iters=3, tol=0.0,
-            )
-        fresh = TuckerSession().run(
-            tensor, (4, 3, 3), n_procs=4, planner="optimal",
-            max_iters=3, tol=0.0,
+class TestRunFrontDoor:
+    """``session.run`` as the one-call front door, sequential and clustered."""
+
+    def test_sequential_default(self, tensor):
+        res = TuckerSession().run(tensor, (4, 3, 3), max_iters=4)
+        assert res.error <= res.sthosvd_error + 1e-12
+        assert res.decomposition.core_dims == (4, 3, 3)
+        assert res.compression_ratio > 1
+        assert res.backend == "sequential"
+
+    def test_distributed_matches_sequential(self, tensor):
+        # pin the planner so both paths share the exact plan
+        planner = Planner(4, tree="optimal", grid="dynamic")
+        seq = TuckerSession().run(
+            tensor, (4, 3, 3), planner=planner, max_iters=3, tol=0.0
         )
-        assert legacy.errors == pytest.approx(fresh.errors, abs=1e-14)
-        assert legacy.backend == "sequential"
+        dist = TuckerSession(backend="simcluster", cluster=SimCluster(4)).run(
+            tensor, (4, 3, 3), planner=planner, max_iters=3, tol=0.0
+        )
+        np.testing.assert_allclose(dist.errors, seq.errors, atol=1e-9)
 
-    def test_hooi_sequential_warns(self, tensor):
-        init = sthosvd(tensor, (4, 3, 3))
-        with pytest.warns(DeprecationWarning, match="hooi_sequential"):
-            res = hooi_sequential(tensor, init, n_procs=2, max_iters=2)
-        assert res.iterations == len(res.errors) > 0
+    def test_named_planner(self, tensor):
+        res = TuckerSession().run(
+            tensor, (4, 3, 3), planner="balanced", max_iters=2
+        )
+        assert res.plan.tree_kind == "balanced"
+        assert res.plan.grid_kind == "dynamic"
 
-    def test_hooi_distributed_warns(self, tensor):
-        init = sthosvd(tensor, (4, 3, 3))
-        cluster = SimCluster(4)
-        with pytest.warns(DeprecationWarning, match="hooi_distributed"):
-            res = hooi_distributed(cluster, tensor, init, max_iters=2)
-        assert res.iterations == len(res.errors) > 0
+    def test_planner_instance(self, tensor):
+        res = TuckerSession().run(
+            tensor, (4, 3, 3),
+            planner=Planner(2, tree="chain-k", grid="static"), max_iters=2,
+        )
+        assert res.plan.tree_kind == "chain-k"
+
+    def test_core_dims_validated(self, tensor):
+        with pytest.raises(ValueError):
+            TuckerSession().run(tensor, (40, 3, 3))
+
+    def test_cluster_size_drives_planner(self, tensor):
+        cluster = SimCluster(8)
+        session = TuckerSession(backend="simcluster", cluster=cluster)
+        res = session.run(tensor, (4, 3, 3), max_iters=2)
+        assert res.plan.n_procs == 8
         assert cluster.stats.volume() > 0

@@ -9,12 +9,18 @@ by enumerating (N=3) / sampling (N=4) complete tree spaces and running them.
 import numpy as np
 import pytest
 
+from repro.backends import SequentialBackend, compile_tree_steps, run_tree_steps
 from repro.core.enumerate_trees import enumerate_trees
 from repro.core.meta import TensorMeta
-from repro.hooi.executor import execute_tree_sequential
 from repro.hooi.hooi import hooi_reference_step
 from repro.hooi.sthosvd import sthosvd
 from repro.tensor.random import low_rank_tensor
+
+
+def execute_tree(t, factors, tree, meta):
+    return run_tree_steps(
+        SequentialBackend(), t, factors, compile_tree_steps(tree, meta)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +46,7 @@ class TestEveryTreeN3:
         t, meta, init, ref = problem3
         count = 0
         for tree in enumerate_trees(3):
-            new = execute_tree_sequential(t, init.factors, tree, meta)
+            new = execute_tree(t, init.factors, tree, meta)
             for mode in range(3):
                 np.testing.assert_allclose(
                     new[mode], ref.factors[mode], atol=1e-8
@@ -55,7 +61,7 @@ class TestSampledTreesN4:
         trees = list(enumerate_trees(4, limit=400))
         # deterministic spread over the enumeration
         for tree in trees[:: max(1, len(trees) // 25)]:
-            new = execute_tree_sequential(t, init.factors, tree, meta)
+            new = execute_tree(t, init.factors, tree, meta)
             for mode in range(4):
                 np.testing.assert_allclose(
                     new[mode], ref.factors[mode], atol=1e-7
