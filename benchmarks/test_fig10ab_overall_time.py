@@ -14,7 +14,7 @@ under 1 — and the median gain lands in the paper's band.
 import numpy as np
 
 from repro.bench.algorithms import PAPER_HEURISTICS
-from repro.bench.percentiles import curve_summary, percentile_curve
+from repro.obs.percentiles import curve_summary, percentile_curve
 from repro.bench.report import format_curve
 from repro.bench.runner import normalize_against
 

@@ -8,7 +8,7 @@ TTM component's compute time; the paper reports 1.5-1.7x (5D) and 1.4-2.0x
 import numpy as np
 
 from repro.bench.algorithms import PAPER_HEURISTICS
-from repro.bench.percentiles import percentile_curve
+from repro.obs.percentiles import percentile_curve
 from repro.bench.report import format_curve
 from repro.bench.runner import normalize_against
 

@@ -9,7 +9,7 @@ and 3.6x (6D) over the best prior heuristic, with 6D gains exceeding 5D
 import numpy as np
 
 from repro.bench.algorithms import PAPER_HEURISTICS
-from repro.bench.percentiles import percentile_curve
+from repro.obs.percentiles import percentile_curve
 from repro.bench.report import format_curve
 from repro.bench.runner import normalize_against
 

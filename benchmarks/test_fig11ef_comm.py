@@ -9,7 +9,7 @@ TTM reduce-scatter (11e).
 
 import numpy as np
 
-from repro.bench.percentiles import percentile_curve
+from repro.obs.percentiles import percentile_curve
 from repro.bench.report import format_curve
 from repro.bench.runner import normalize_against
 

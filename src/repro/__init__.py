@@ -43,6 +43,7 @@ import logging as _logging
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
 from repro._version import __version__
+from repro.errors import ReproError
 from repro.core import (
     TensorMeta,
     TTMTree,
@@ -103,6 +104,7 @@ from repro.tensor import (
 
 __all__ = [
     "__version__",
+    "ReproError",
     "TensorMeta",
     "TTMTree",
     "chain_tree",

@@ -1,4 +1,4 @@
-"""R006 — exception-hygiene: no silent swallows of broad exceptions.
+"""R006 — exception-hygiene: no silent swallows, one error root.
 
 A ``bare except:`` or an ``except Exception:`` whose handler neither
 re-raises nor logs turns every future bug into a silent no-op — the
@@ -14,6 +14,10 @@ must always leave a trail. The rule flags:
 Handlers that *narrow* the catch (``except (OSError, ValueError):``) are
 out of scope — naming the expected failure set is exactly the fix this
 rule pushes toward.
+
+It also flags a class whose bases are only ``Exception`` /
+``BaseException``: :class:`repro.errors.ReproError` is the package's one
+error root, and a second root is an error no ``except ReproError`` sees.
 """
 
 from __future__ import annotations
@@ -27,10 +31,19 @@ from repro.analysis.names import dotted_name
 __all__ = ["ExceptionHygieneRule"]
 
 BROAD = frozenset({"Exception", "BaseException"})
+ERROR_ROOT = "ReproError"
 LOG_METHODS = frozenset({
     "debug", "info", "warning", "warn", "error", "exception", "critical",
     "log",
 })
+
+
+def _terminal_name(expr: ast.expr) -> str | None:
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
 
 
 def _broad_names(node: ast.expr | None) -> list[str]:
@@ -38,16 +51,8 @@ def _broad_names(node: ast.expr | None) -> list[str]:
     if node is None:
         return []
     exprs = node.elts if isinstance(node, ast.Tuple) else [node]
-    out: list[str] = []
-    for expr in exprs:
-        name: str | None = None
-        if isinstance(expr, ast.Name):
-            name = expr.id
-        elif isinstance(expr, ast.Attribute):
-            name = expr.attr
-        if name in BROAD:
-            out.append(name)  # type: ignore[arg-type]
-    return out
+    names = [_terminal_name(expr) for expr in exprs]
+    return [name for name in names if name is not None and name in BROAD]
 
 
 def _leaves_a_trail(handler: ast.ExceptHandler) -> bool:
@@ -70,13 +75,29 @@ class ExceptionHygieneRule(FileRule):
     name = "exception-hygiene"
     description = (
         "bare except / broad except Exception must re-raise or log; "
-        "silent swallows hide failures"
+        "silent swallows hide failures; new error classes derive from "
+        "ReproError"
     )
 
     def check_file(
         self, ctx: FileContext, project: Project
     ) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                if (
+                    node.name != ERROR_ROOT
+                    and node.bases
+                    and all(_terminal_name(b) in BROAD for b in node.bases)
+                ):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"class {node.name} starts a second error "
+                        f"hierarchy; derive it from {ERROR_ROOT} "
+                        "(repro.errors), adding a stdlib base only for "
+                        "compatibility",
+                    )
+                continue
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

@@ -10,13 +10,17 @@ configuration" from genuine argument errors and react: surface the
 offending config, fall back to another backend, or skip a test.
 
 The class subclasses :class:`ValueError` so existing ``except ValueError``
-call sites keep working while new code can catch the precise type.
+call sites keep working while new code can catch the precise type (or
+:class:`~repro.errors.ReproError`, the root it shares with the storage
+and serving errors).
 """
 
 from __future__ import annotations
 
+from repro.errors import ReproError
 
-class BackendUnavailableError(ValueError):
+
+class BackendUnavailableError(ReproError, ValueError):
     """A backend cannot execute the requested configuration.
 
     Parameters

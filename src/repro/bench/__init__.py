@@ -1,8 +1,11 @@
-"""Benchmark substrate: the paper's tensor suite, algorithm configs, sweeps.
+"""The paper's plan-level suite: tensors, algorithm portfolio, modelled sweeps.
 
-This subpackage is library code (importable, tested); the actual
-table/figure regeneration lives in ``benchmarks/`` at the repository root
-and calls into here.
+Everything here works from metadata — the benchmark tensors, the
+tree/grid configurations the paper compares, load/volume/modelled-time
+sweeps over them, and ASCII rendering — and never reads a wall clock.
+The table/figure regeneration in ``benchmarks/test_*.py`` calls into
+here; measured seconds are ``benchmarks/perf/``'s job
+(``BENCHMARK.json``).
 """
 
 from repro.bench.suite import (
@@ -13,22 +16,9 @@ from repro.bench.suite import (
 )
 from repro.bench.algorithms import ALGORITHMS, PAPER_HEURISTICS, make_planner
 from repro.bench.runner import evaluate_algorithms, sweep, normalize_against
-from repro.bench.percentiles import percentile_curve, curve_summary
 from repro.bench.report import ascii_table, format_curve
-from repro.bench.baseline import (
-    compare,
-    gemm_rate,
-    load_baseline,
-    measure_baseline,
-    save_baseline,
-)
 
 __all__ = [
-    "compare",
-    "gemm_rate",
-    "load_baseline",
-    "measure_baseline",
-    "save_baseline",
     "REAL_TENSORS",
     "benchmark_metas",
     "paper_subsample",
@@ -39,8 +29,6 @@ __all__ = [
     "evaluate_algorithms",
     "sweep",
     "normalize_against",
-    "percentile_curve",
-    "curve_summary",
     "ascii_table",
     "format_curve",
 ]

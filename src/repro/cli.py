@@ -6,10 +6,12 @@ Subcommands
 ``decompose``  actually decompose a tensor via the session API
 ``calibrate``  measure per-backend throughput; persist an auto-selection profile
 ``psi``        print the Table-1 grid counts for given P and N range
+``batch``      decompose a stream of ``.npy`` tensors through one warm session
+``serve``      serve decompositions over newline-delimited JSON
 ``trace``      inspect a saved run trace (``trace summarize out.json``)
-``bench``      measure the committed performance baseline; gate regressions
 ``model``      model one HOOI invocation for every algorithm configuration
 ``suite``      print benchmark-suite statistics
+``lint``       run the repo's static analyzer
 
 Examples::
 
@@ -19,7 +21,6 @@ Examples::
     python -m repro decompose --input huge.npy --core 8,6,5 --storage mmap
     python -m repro decompose --random 24,20,16 --core 6,5,4 --trace out.json
     python -m repro trace summarize out.json
-    python -m repro bench --compare BENCH_baseline.json
     python -m repro batch --glob 'data/*.npy' --core 8,6,5 --memory-budget 2G
     python -m repro calibrate --out profile.json
     python -m repro psi -p 32 --n-min 5 --n-max 10
@@ -94,6 +95,62 @@ def _add_storage_args(p) -> None:
     )
 
 
+def _add_run_args(
+    p,
+    *,
+    backend_default: str,
+    backend_help: str,
+    procs_default: int | None,
+    procs_help: str | None = None,
+    calibration_help: str | None = None,
+) -> None:
+    """The backend / processor / planner flags ``decompose``, ``batch``
+    and ``serve`` share.
+
+    ``calibration_help`` doubles as the switch for the per-run flags
+    (``--calibration``, ``--dtype``, ``--max-iters``, ``--tol``,
+    ``--skip-hooi``): ``serve`` passes none, because there each request
+    carries its own.
+    """
+    p.add_argument(
+        "--backend",
+        default=backend_default,
+        choices=BACKEND_NAMES + (AUTO_BACKEND,),
+        help=backend_help,
+    )
+    p.add_argument(
+        "-p", "--procs", type=int, default=procs_default, help=procs_help
+    )
+    p.add_argument(
+        "--planner", default="portfolio",
+        help="'portfolio' or a tree kind (optimal, chain-k, ...)",
+    )
+    if calibration_help is None:
+        return
+    p.add_argument("--calibration", help=calibration_help)
+    p.add_argument(
+        "--dtype", default=None, choices=["float32", "float64"],
+        help="working precision (default: keep float32/float64 inputs)",
+    )
+    p.add_argument("--max-iters", type=int, default=10)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--skip-hooi", action="store_true")
+
+
+def _session_from_args(args) -> TuckerSession:
+    """The session ``decompose`` / ``batch`` run on; bad flags exit cleanly."""
+    if args.calibration is not None and args.backend != AUTO_BACKEND:
+        raise SystemExit("--calibration requires --backend auto")
+    try:
+        return TuckerSession(
+            backend=args.backend, n_procs=args.procs,
+            calibration=args.calibration, spill_codec=args.spill_codec,
+            trace=bool(args.trace),
+        )
+    except ValueError as exc:  # bad profile path, bad codec, bad backend ...
+        raise SystemExit(str(exc)) from None
+
+
 def _meta_from_args(args) -> TensorMeta:
     if getattr(args, "tensor", None):
         return real_tensor_meta(args.tensor)
@@ -143,33 +200,26 @@ def cmd_decompose(args) -> int:
     if not args.core:
         raise SystemExit("provide --core K1,K2,...")
 
-    calibration = getattr(args, "calibration", None)
-    if calibration is not None and args.backend != AUTO_BACKEND:
-        raise SystemExit("--calibration requires --backend auto")
-    try:
-        session = TuckerSession(
-            backend=args.backend, n_procs=args.procs, calibration=calibration,
-            spill_codec=args.spill_codec, trace=bool(args.trace),
+    # ``with``: a pool backend's workers and shm are torn down here, not
+    # left to interpreter exit.
+    with _session_from_args(args) as session:
+        result = session.run(
+            tensor,
+            args.core,
+            planner=args.planner,
+            n_procs=args.procs,
+            dtype=args.dtype,
+            max_iters=args.max_iters,
+            tol=args.tol,
+            skip_hooi=args.skip_hooi,
+            method=args.method,
+            oversample=args.oversample,
+            power_iters=args.power_iters,
+            seed=args.seed,
+            storage=args.storage,
+            memory_budget=args.memory_budget,
+            spill_dir=args.spill_dir,
         )
-    except ValueError as exc:  # bad profile path, bad codec, bad backend ...
-        raise SystemExit(str(exc)) from None
-    result = session.run(
-        tensor,
-        args.core,
-        planner=args.planner,
-        n_procs=args.procs,
-        dtype=args.dtype,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        skip_hooi=args.skip_hooi,
-        method=args.method,
-        oversample=args.oversample,
-        power_iters=args.power_iters,
-        seed=args.seed,
-        storage=args.storage,
-        memory_budget=args.memory_budget,
-        spill_dir=args.spill_dir,
-    )
     stats = result.stats  # scoped to this run, even on a reused backend
     plan = result.plan
     if args.trace:
@@ -284,16 +334,7 @@ def cmd_batch(args) -> int:
     paths = _batch_paths(args)
     if not args.core:
         raise SystemExit("provide --core K1,K2,...")
-    calibration = getattr(args, "calibration", None)
-    if calibration is not None and args.backend != AUTO_BACKEND:
-        raise SystemExit("--calibration requires --backend auto")
-    try:
-        session = TuckerSession(
-            backend=args.backend, n_procs=args.procs, calibration=calibration,
-            spill_codec=args.spill_codec, trace=bool(args.trace),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    session = _session_from_args(args)
     try:
         batch = session.run_many(
             paths,
@@ -517,49 +558,6 @@ def cmd_trace_summarize(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import baseline as bl
-
-    doc = bl.measure_baseline(repeats=args.repeats)
-    if args.out:
-        bl.save_baseline(doc, args.out)
-    if args.compare:
-        try:
-            base = bl.load_baseline(args.compare)
-            ok, rows = bl.compare(doc, base, tolerance=args.tolerance)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"bench compare failed: {exc}") from None
-        if args.json:
-            print(json.dumps({"ok": ok, "rows": rows, "current": doc},
-                             indent=2, sort_keys=True))
-        else:
-            def fmt(x):
-                return "-" if x is None else f"{x:.3e}"
-
-            print(ascii_table(
-                ["case", "status", "baseline", "current", "ratio"],
-                [[r["case"], r["status"], fmt(r["baseline"]),
-                  fmt(r["current"]),
-                  "-" if r["ratio"] is None else f"{r['ratio']:.2f}x"]
-                 for r in rows],
-            ))
-            print("bench gate:", "ok" if ok else
-                  f"REGRESSION (>{args.tolerance:.0%} drop)")
-        return 0 if ok else 1
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(ascii_table(
-            ["case", "seconds", "normalized"],
-            [[name, f"{c['seconds']:.3f}", f"{c['normalized']:.3e}"]
-             for name, c in sorted(doc["cases"].items())],
-        ))
-        print(f"gemm rate: {doc['gemm_rate'] / 1e9:.2f}G madds/s")
-        if args.out:
-            print(f"baseline written to {args.out}")
-    return 0
-
-
 def cmd_psi(args) -> int:
     ns = list(range(args.n_min, args.n_max + 1))
     rows = [[f"P={args.procs}"] + [psi(args.procs, n) for n in ns]]
@@ -681,29 +679,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a random tensor with these dims (L1,L2,...)",
     )
     p_dec.add_argument("--core", type=_parse_ints, help="K1,K2,...")
-    p_dec.add_argument(
-        "--backend",
-        default="sequential",
-        choices=BACKEND_NAMES + (AUTO_BACKEND,),
-        help="execution backend, or 'auto' for input-adaptive selection",
-    )
-    p_dec.add_argument(
-        "--calibration",
-        help="calibration profile JSON for --backend auto "
+    _add_run_args(
+        p_dec,
+        backend_default="sequential",
+        backend_help="execution backend, or 'auto' for input-adaptive "
+        "selection",
+        procs_default=8,
+        calibration_help="calibration profile JSON for --backend auto "
         "(default: the persisted machine profile)",
     )
-    p_dec.add_argument(
-        "--planner", default="portfolio",
-        help="'portfolio' or a tree kind (optimal, chain-k, ...)",
-    )
-    p_dec.add_argument("-p", "--procs", type=int, default=8)
-    p_dec.add_argument(
-        "--dtype", default=None, choices=["float32", "float64"],
-        help="working precision (default: keep float32/float64 inputs)",
-    )
-    p_dec.add_argument("--max-iters", type=int, default=10)
-    p_dec.add_argument("--tol", type=float, default=1e-8)
-    p_dec.add_argument("--skip-hooi", action="store_true")
     p_dec.add_argument(
         "--method",
         choices=("exact", "rsthosvd", "sp-rsthosvd"),
@@ -748,28 +732,14 @@ def build_parser() -> argparse.ArgumentParser:
         "relative paths resolve against the manifest's directory)",
     )
     p_batch.add_argument("--core", type=_parse_ints, help="K1,K2,...")
-    p_batch.add_argument(
-        "--backend",
-        default=AUTO_BACKEND,
-        choices=BACKEND_NAMES + (AUTO_BACKEND,),
-        help="execution backend; 'auto' (default) re-selects per item",
+    _add_run_args(
+        p_batch,
+        backend_default=AUTO_BACKEND,
+        backend_help="execution backend; 'auto' (default) re-selects per "
+        "item",
+        procs_default=None,
+        calibration_help="calibration profile JSON for --backend auto",
     )
-    p_batch.add_argument(
-        "--calibration",
-        help="calibration profile JSON for --backend auto",
-    )
-    p_batch.add_argument(
-        "--planner", default="portfolio",
-        help="'portfolio' or a tree kind (optimal, chain-k, ...)",
-    )
-    p_batch.add_argument("-p", "--procs", type=int, default=None)
-    p_batch.add_argument(
-        "--dtype", default=None, choices=["float32", "float64"],
-        help="working precision (default: keep float32/float64 inputs)",
-    )
-    p_batch.add_argument("--max-iters", type=int, default=10)
-    p_batch.add_argument("--tol", type=float, default=1e-8)
-    p_batch.add_argument("--skip-hooi", action="store_true")
     p_batch.add_argument(
         "--max-in-flight", type=int, default=8, metavar="N",
         help="tensors loaded ahead of execution; bounds resident memory "
@@ -799,20 +769,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads, each owning a private session with its "
         "own plan cache and warm pools (default 2)",
     )
-    p_serve.add_argument(
-        "--backend",
-        default=AUTO_BACKEND,
-        choices=BACKEND_NAMES + (AUTO_BACKEND,),
-        help="execution backend per worker session (default auto)",
-    )
-    p_serve.add_argument(
-        "-p", "--procs", type=int, default=None,
-        help="processor count per worker session (total parallelism is "
-        "workers x procs; default: natural)",
-    )
-    p_serve.add_argument(
-        "--planner", default="portfolio",
-        help="'portfolio' or a tree kind (optimal, chain-k, ...)",
+    _add_run_args(
+        p_serve,
+        backend_default=AUTO_BACKEND,
+        backend_help="execution backend per worker session (default auto)",
+        procs_default=None,
+        procs_help="processor count per worker session (total parallelism "
+        "is workers x procs; default: natural)",
     )
     p_serve.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
@@ -880,27 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tsum.add_argument("path", help="trace file (Chrome or JSON-lines)")
     p_tsum.add_argument("--json", action="store_true")
     p_tsum.set_defaults(func=cmd_trace_summarize)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure the performance baseline cases; optionally gate "
-        "against a committed baseline",
-    )
-    p_bench.add_argument(
-        "--out", help="write the measured baseline JSON here"
-    )
-    p_bench.add_argument(
-        "--compare", metavar="BASELINE",
-        help="compare against this baseline file; exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=0.5,
-        help="allowed fractional drop in normalized throughput before "
-        "the gate fails (default 0.5)",
-    )
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_psi = sub.add_parser("psi", help="grid counts (Table 1)")
     p_psi.add_argument("-p", "--procs", type=int, default=32)

@@ -7,7 +7,7 @@ path when disabled:
   — nested spans with monotonic timings; ledger records become step
   spans via the :class:`~repro.mpi.stats.StatsLedger` observer hook.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
-  histograms (percentiles via :mod:`repro.bench.percentiles`).
+  histograms (percentiles via :mod:`repro.obs.percentiles`).
 * :mod:`~repro.obs.export` — Chrome trace-event (Perfetto-loadable) and
   JSON-lines writers with lossless round-trip loaders.
 * :mod:`~repro.obs.summarize` — the model-vs-measured per-step table

@@ -6,11 +6,12 @@ A :class:`MetricsRegistry` is a named bag of three instrument kinds:
   spill I/O bytes, runs executed);
 * :class:`Gauge` — last-written values with a retained high-water mark
   (:class:`~repro.storage.store.ResidentGauge` peak, pool utilization);
-* :class:`Histogram` — observed samples with percentile summaries
-  (per-step seconds), computed by the same
-  :func:`repro.bench.percentiles.percentile_curve` the benchmark layer
-  uses, so trace summaries and bench reports quote identical
-  percentile semantics.
+* :class:`Histogram` — exact count/total over every observed sample
+  and percentile summaries over a bounded window of the most recent
+  ones (per-step seconds), computed by the same
+  :func:`repro.obs.percentiles.percentile_curve` the paper's figure
+  reproductions use, so trace summaries and figure tables quote
+  identical percentile semantics.
 
 Instruments are created on first use (``registry.counter("x").inc()``)
 and are thread-safe: out-of-core helper threads bump spill counters
@@ -21,11 +22,19 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from typing import Any, Sequence
+
+from repro.obs.percentiles import percentile_curve
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "safe_rate"]
 
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
+
+#: samples a :class:`Histogram` retains for its percentiles; a serving
+#: process observes one per request forever, so the window is what keeps
+#: its memory flat.
+HISTOGRAM_WINDOW = 4096
 
 
 def safe_rate(count: float, seconds: float) -> float:
@@ -103,55 +112,58 @@ class Gauge:
 
 
 class Histogram:
-    """Observed samples with count/total/percentile summaries."""
+    """Observed samples with count/total/percentile summaries.
 
-    __slots__ = ("name", "_values", "_lock")
+    ``count``, ``total`` and the summary's ``mean`` are exact running
+    sums over every sample ever observed; the percentiles cover only
+    the most recent :data:`HISTOGRAM_WINDOW` samples, so a long-lived
+    process holds a bounded number of floats per histogram.
+    """
+
+    __slots__ = ("name", "_count", "_total", "_recent", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._values: list[float] = []
+        self._count = 0
+        self._total = 0.0
+        self._recent: deque[float] = deque(maxlen=HISTOGRAM_WINDOW)
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
+        value = float(value)
         with self._lock:
-            self._values.append(float(value))
+            self._count += 1
+            self._total += value
+            self._recent.append(value)
 
     @property
     def count(self) -> int:
-        return len(self._values)
+        return self._count
 
     @property
     def total(self) -> float:
-        return sum(self._values)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(self._values)
+        return self._total
 
     def percentiles(
         self, points: Sequence[float] = DEFAULT_PERCENTILES
     ) -> dict[float, float]:
-        """``{percentile: value}`` over the observed samples."""
-        # Imported lazily: repro.bench.__init__ pulls in the session
-        # layer, which imports repro.obs — a top-level import here would
-        # close that cycle.
-        from repro.bench.percentiles import percentile_curve
-
+        """``{percentile: value}`` over the retained (most recent) samples."""
         with self._lock:
-            if not self._values:
-                return {float(p): 0.0 for p in points}
-            curve = percentile_curve(self._values, points)
+            recent = list(self._recent)
+        if not recent:
+            return {float(p): 0.0 for p in points}
+        curve = percentile_curve(recent, points)
         return {float(p): float(v) for p, v in curve.items()}
 
     def summary(self) -> dict[str, float]:
         with self._lock:
-            values = list(self._values)
-        if not values:
+            count, total = self._count, self._total
+        if not count:
             return {"count": 0.0, "total": 0.0, "mean": 0.0}
         out = {
-            "count": float(len(values)),
-            "total": float(sum(values)),
-            "mean": float(sum(values) / len(values)),
+            "count": float(count),
+            "total": float(total),
+            "mean": float(total / count),
         }
         out.update(
             {f"p{p:g}": v for p, v in self.percentiles().items()}

@@ -2,7 +2,11 @@
 
 "Normalized time of t on percentile value k means that for k% of tensors
 the normalized execution time is less than t." — i.e. the empirical
-quantile function, which :func:`percentile_curve` computes.
+quantile function, which :func:`percentile_curve` computes. It lives in
+``repro.obs`` because :class:`~repro.obs.metrics.Histogram` summaries
+and the figure reproductions in ``benchmarks/`` must quote the same
+percentile semantics, and a metrics snapshot in a serving process must
+not load the ``repro.bench`` package to get them.
 """
 
 from __future__ import annotations
@@ -20,20 +24,16 @@ def percentile_curve(
     Infinities (communication-free baselines) are kept: they sort last, so
     low percentiles stay finite and informative.
     """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
+    srt = np.sort(np.asarray(list(values), dtype=np.float64))  # inf sorts last
+    if srt.size == 0:
         raise ValueError("values must be non-empty")
-    finite = arr[np.isfinite(arr)]
     out: dict[int, float] = {}
     for p in points:
         if not 0 <= p <= 100:
             raise ValueError(f"percentile {p} out of [0, 100]")
-        rank = p / 100 * (arr.size - 1)
-        idx = int(round(rank))
-        srt = np.sort(arr)  # inf sorts to the end
-        val = srt[min(idx, arr.size - 1)]
+        idx = int(round(p / 100 * (srt.size - 1)))
+        val = srt[min(idx, srt.size - 1)]
         out[p] = float(val) if np.isfinite(val) else float("inf")
-    del finite
     return out
 
 

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import threading
 
+from repro.errors import ReproError
 from repro.storage import ResidentGauge, parse_bytes
 
 __all__ = ["AdmissionController", "AdmissionError"]
 
 
-class AdmissionError(Exception):
+class AdmissionError(ReproError):
     """The server refused (or timed out) a request at the door.
 
     ``reason`` is machine-readable: ``"queue_full"``, ``"draining"`` or

@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.util.validation import check_core_dims, check_dims, check_positive_int
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
 _METHODS = ("run", "sthosvd", "rsthosvd", "sp-rsthosvd")
 
 
-class ServeError(Exception):
+class ServeError(ReproError):
     """Base class for serving-layer failures."""
 
 

@@ -2,9 +2,9 @@
 
 One :class:`ServerStats` per server, backed by a
 :class:`~repro.obs.metrics.MetricsRegistry` — the same instrument kinds
-(and the same percentile semantics) the session and bench layers use, so
-a serving dashboard and a ``repro bench`` report quote comparable
-numbers. :meth:`snapshot` is the JSON payload behind the protocol's
+(and the same percentile semantics) the session layer and trace
+summaries use, so a serving dashboard and a run's metrics quote
+comparable numbers. :meth:`snapshot` is the JSON payload behind the protocol's
 ``{"op": "stats"}`` and the CLI's shutdown report.
 """
 

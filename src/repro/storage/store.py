@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACER
 
 #: environment variable naming the spill root directory.
@@ -73,7 +74,7 @@ _BYTES_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([kKmMgGtT]?)[iI]?[bB]?\s*$")
 _SUFFIX = {"": 1, "k": 2**10, "m": 2**20, "g": 2**30, "t": 2**40}
 
 
-class StorageError(RuntimeError):
+class StorageError(ReproError, RuntimeError):
     """Base class for block-store failures."""
 
 

@@ -576,6 +576,31 @@ class TestExceptionHygiene:
         """)
         assert findings(ExceptionHygieneRule(), good) == []
 
+    def test_second_error_root_flagged(self):
+        bad = ctx("pkg/mod.py", """
+            class QuotaError(Exception):
+                pass
+            class Fatal(BaseException):
+                pass
+        """)
+        out = findings(ExceptionHygieneRule(), bad)
+        assert [f.rule for f in out] == ["R006", "R006"]
+        assert "QuotaError" in out[0].message
+        assert "ReproError" in out[0].message
+
+    def test_error_root_and_its_subclasses_clean(self):
+        good = ctx("pkg/errors.py", """
+            class ReproError(Exception):
+                pass
+            class QuotaError(ReproError):
+                pass
+            class BadConfig(ReproError, ValueError):
+                pass
+            class Narrow(KeyError):
+                pass
+        """)
+        assert findings(ExceptionHygieneRule(), good) == []
+
 
 # --------------------------------------------------------------------- #
 # pragmas / config / driver

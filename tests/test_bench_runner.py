@@ -5,17 +5,9 @@ import math
 import pytest
 
 from repro.bench.algorithms import ALGORITHMS, make_planner, paper_label
-from repro.bench.runner import (
-    evaluate_algorithms,
-    normalize_against,
-    run_backends,
-    run_batch,
-    run_serve,
-    sweep,
-)
+from repro.bench.runner import evaluate_algorithms, normalize_against, sweep
 from repro.bench.suite import paper_subsample
 from repro.core.meta import TensorMeta
-from repro.tensor.random import low_rank_tensor
 
 
 @pytest.fixture
@@ -89,142 +81,3 @@ class TestSweepAndNormalize:
         ]
         norm = normalize_against(recs, "x", "a")
         assert norm["b"] == [1.0, float("inf")]
-
-
-class TestRunBackends:
-    def test_executed_comparison_across_backends(self):
-        t = low_rank_tensor((12, 10, 8), (4, 3, 3), noise=0.1, seed=0)
-        out = run_backends(
-            t, (4, 3, 3),
-            backends=("sequential", "threaded", "procpool"),
-            n_procs=2, max_iters=1,
-        )
-        assert set(out) == {"sequential", "threaded", "procpool"}
-        for name, metrics in out.items():
-            assert "unavailable" not in metrics, name
-            assert metrics["seconds"] > 0
-            assert metrics["flops"] > 0
-            assert metrics["comm_volume"] == 0  # all shared-memory here
-            # the conformance bound, measured end to end
-            assert metrics["max_core_diff"] < 1e-10
-        assert out["sequential"]["max_core_diff"] == 0.0
-
-    def test_reference_always_included(self):
-        t = low_rank_tensor((10, 9, 8), (3, 3, 2), noise=0.1, seed=1)
-        out = run_backends(t, (3, 3, 2), backends=("threaded",), n_procs=2,
-                           max_iters=1)
-        assert set(out) == {"sequential", "threaded"}
-
-    def test_unavailable_backend_reported_not_dropped(self, monkeypatch):
-        import repro.bench.runner as runner_mod
-        from repro.backends import BackendUnavailableError
-
-        real = runner_mod.get_backend
-
-        def flaky(spec, **kwargs):
-            if spec == "procpool":
-                raise BackendUnavailableError("no shm here", backend=spec)
-            return real(spec, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "get_backend", flaky)
-        t = low_rank_tensor((10, 9, 8), (3, 3, 2), noise=0.1, seed=1)
-        # A backend the host cannot provide must surface as a record,
-        # not an exception or a silent drop.
-        out = run_backends(t, (3, 3, 2), backends=("procpool",), max_iters=1)
-        assert "unavailable" in out["procpool"]
-        assert "no shm" in out["procpool"]["unavailable"]
-        assert "max_core_diff" in out["sequential"]
-
-    def test_default_procs_shared_and_plannable(self):
-        # All-small core dims: the machine default (cores - 1) may be
-        # unplannable; run_backends must clamp to a feasible shared P.
-        t = low_rank_tensor((10, 9, 8), (5, 4, 3), noise=0.1, seed=2)
-        out = run_backends(t, (5, 4, 3), backends=("sequential", "threaded"))
-        assert out["threaded"]["max_core_diff"] < 1e-10
-
-
-class TestRunBatch:
-    def test_batched_throughput_tracked_per_backend(self):
-        tensors = [
-            low_rank_tensor((12, 10, 8), (4, 3, 3), noise=0.1, seed=s)
-            for s in range(4)
-        ]
-        out = run_batch(
-            tensors, (4, 3, 3),
-            backends=("sequential", "threaded"),
-            n_procs=2, max_iters=1,
-        )
-        assert set(out) == {"sequential", "threaded"}
-        for name, metrics in out.items():
-            assert "unavailable" not in metrics, name
-            assert metrics["n_items"] == 4.0
-            assert metrics["items_per_second"] > 0
-            assert metrics["seconds"] > 0
-            # one plan for the whole same-shape batch
-            assert metrics["plans_compiled"] == 1.0
-            assert metrics["cache_hits"] == 3.0
-            # per-item conformance bound across the whole batch
-            assert metrics["max_core_diff"] < 1e-10
-        assert out["sequential"]["max_core_diff"] == 0.0
-
-    def test_unavailable_backend_reported(self, monkeypatch):
-        import repro.bench.runner as runner_mod
-        from repro.backends import BackendUnavailableError
-
-        real = runner_mod.get_backend
-
-        def flaky(spec, **kwargs):
-            if spec == "procpool":
-                raise BackendUnavailableError("no shm here", backend=spec)
-            return real(spec, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "get_backend", flaky)
-        tensors = [
-            low_rank_tensor((10, 9, 8), (3, 3, 2), noise=0.1, seed=s)
-            for s in range(2)
-        ]
-        out = run_batch(tensors, (3, 3, 2), backends=("procpool",),
-                        max_iters=1)
-        assert "unavailable" in out["procpool"]
-        assert out["sequential"]["n_items"] == 2.0
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            run_batch([], (2, 2, 2))
-
-    def test_heterogeneous_shapes_share_feasible_procs(self):
-        tensors = [
-            low_rank_tensor((10, 9, 8), (5, 4, 3), noise=0.1, seed=0),
-            low_rank_tensor((12, 9, 8), (5, 4, 3), noise=0.1, seed=1),
-        ]
-        out = run_batch(tensors, (5, 4, 3), backends=("sequential", "threaded"))
-        assert out["threaded"]["max_core_diff"] < 1e-10
-        assert out["threaded"]["plans_compiled"] == 2.0
-
-
-class TestRunServe:
-    def test_serve_vs_serial_agree_and_report(self):
-        tensors = [
-            low_rank_tensor((12, 10, 8), (3, 3, 2), seed=i, noise=0.05)
-            for i in range(4)
-        ]
-        out = run_serve(
-            tensors, (3, 3, 2), workers=2, backend="sequential",
-            max_iters=2,
-        )
-        serial, serve = out["serial"], out["serve"]
-        assert serial["n_items"] == serve["n_items"] == 4.0
-        assert serial["items_per_second"] >= 0.0
-        assert serve["items_per_second"] >= 0.0
-        assert serve["workers"] == 2.0
-        assert serve["speedup"] > 0.0
-        # Same plans, same arithmetic: the serve arm must agree exactly
-        # with the warm-session serial stream.
-        assert serve["max_core_diff"] < 1e-10
-        # 4 equal-keyed requests on 2 workers: at least the repeats on
-        # the sticky owner hit.
-        assert serve["affinity_hit_rate"] > 0.0
-
-    def test_empty_workload_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            run_serve([], (2, 2, 2))

@@ -81,3 +81,12 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert "10312" in out
         assert "HCCI" in out
+
+
+class TestRetiredCommands:
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # Seconds are measured by benchmarks/perf/ (BENCHMARK.json) only.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for the ``repro decompose`` subcommand."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ class TestDecomposeRandom:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_iters"] == 0
         assert payload["error"] == payload["sthosvd_error"]
+
+
+class TestDecomposeTeardown:
+    def test_pool_backend_is_closed_before_returning(self, capsys):
+        """The session runs under ``with``: a started thread pool is
+        joined by the command, not left to interpreter exit."""
+        before = set(threading.enumerate())
+        rc = main(
+            [
+                "decompose",
+                "--random", "24,20,16",
+                "--core", "6,5,4",
+                "--backend", "threaded",
+                "-p", "2",
+            ]
+        )
+        assert rc == 0
+        assert set(threading.enumerate()) - before == set()
 
 
 class TestDecomposeFile:

@@ -1,5 +1,5 @@
-"""CLI tests for the observability surface: --trace, trace summarize,
-bench --compare and the --verbose logging flag."""
+"""CLI tests for the observability surface: --trace, trace summarize
+and the --verbose logging flag."""
 
 import json
 import logging
@@ -7,7 +7,6 @@ import logging
 import numpy as np
 import pytest
 
-from repro.bench import baseline as bl
 from repro.cli import main
 from repro.obs import load_trace
 
@@ -123,81 +122,6 @@ class TestBatchTrace:
         assert len(trace.find("batch")) == 1
         assert len(trace.find("run")) == 2
         assert trace.meta["items"] == 2
-
-
-class TestBenchCommand:
-    def test_measure_and_write(self, tmp_path, capsys, monkeypatch):
-        self._fast_cases(monkeypatch)
-        out = tmp_path / "base.json"
-        rc = main(["bench", "--repeats", "1", "--out", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["version"] == bl.BASELINE_VERSION
-        assert set(doc["cases"]) == {"case-a", "case-b"}
-
-    @staticmethod
-    def _fast_cases(monkeypatch):
-        """Benchmarks stubbed out: CLI plumbing, not timing, under test."""
-        import time
-
-        def timed_case(runs):
-            def run():
-                time.sleep(0.005)  # deterministic vs sub-us lambda noise
-                return runs
-
-            return run
-
-        monkeypatch.setattr(
-            bl, "_bench_cases",
-            lambda: {"case-a": timed_case(1), "case-b": timed_case(2)},
-        )
-        monkeypatch.setattr(bl, "gemm_rate", lambda repeats=5: 1e9)
-
-    def test_compare_ok_exit_zero(self, tmp_path, capsys, monkeypatch):
-        self._fast_cases(monkeypatch)
-        out = tmp_path / "base.json"
-        assert main(["bench", "--repeats", "1", "--out", str(out)]) == 0
-        capsys.readouterr()
-        rc = main(["bench", "--repeats", "1", "--compare", str(out)])
-        assert rc == 0
-        assert "bench gate: ok" in capsys.readouterr().out
-
-    def test_compare_regression_exits_nonzero(self, tmp_path, capsys,
-                                              monkeypatch):
-        self._fast_cases(monkeypatch)
-        doc = bl.measure_baseline(repeats=1)
-        # Fabricate a baseline 100x faster than this machine can go.
-        for case in doc["cases"].values():
-            case["normalized"] *= 100.0
-        base = tmp_path / "base.json"
-        bl.save_baseline(doc, base)
-        rc = main(["bench", "--repeats", "1", "--compare", str(base)])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "REGRESSION" in out
-
-    def test_compare_missing_case_fails(self, tmp_path, monkeypatch):
-        self._fast_cases(monkeypatch)
-        doc = bl.measure_baseline(repeats=1)
-        doc["cases"]["vanished"] = {"seconds": 1.0, "runs": 1.0,
-                                    "normalized": 1.0}
-        base = tmp_path / "base.json"
-        bl.save_baseline(doc, base)
-        rc = main(["bench", "--repeats", "1", "--compare", str(base)])
-        assert rc == 1
-
-    def test_compare_version_mismatch_is_an_error(self, tmp_path,
-                                                  monkeypatch):
-        self._fast_cases(monkeypatch)
-        base = tmp_path / "base.json"
-        bl.save_baseline({"version": -1, "cases": {}}, base)
-        with pytest.raises(SystemExit, match="bench compare failed"):
-            main(["bench", "--repeats", "1", "--compare", str(base)])
-
-    def test_committed_baseline_is_current_version(self):
-        doc = bl.load_baseline("BENCH_baseline.json")
-        assert doc["version"] == bl.BASELINE_VERSION
-        assert doc["cases"]
 
 
 class TestVerboseFlag:

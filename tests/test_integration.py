@@ -5,6 +5,9 @@ plan -> distribute -> HOOI -> error drops; engine statistics match planner
 predictions; the public API of ``repro`` stays importable and coherent.
 """
 
+import ast
+import importlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,42 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+class TestErrorRoot:
+    """Every typed error has one root, and keeps the stdlib base that
+    pre-existing ``except ValueError`` / ``except RuntimeError`` sites
+    rely on."""
+
+    @pytest.mark.parametrize(
+        "module, name, stdlib_base",
+        [
+            ("repro.backends", "BackendUnavailableError", ValueError),
+            ("repro.storage", "StorageError", RuntimeError),
+            ("repro.storage", "CorruptBlockError", RuntimeError),
+            ("repro.serve", "AdmissionError", Exception),
+            ("repro.serve", "ServeError", Exception),
+            ("repro.serve", "DeadlineExceeded", Exception),
+            ("repro.serve", "RequestCancelled", Exception),
+        ],
+    )
+    def test_typed_errors_share_one_root(self, module, name, stdlib_base):
+        cls = getattr(importlib.import_module(module), name)
+        assert issubclass(cls, repro.ReproError)
+        assert issubclass(cls, stdlib_base)
+
+    def test_root_is_a_leaf_module(self):
+        import repro.errors
+
+        assert repro.ReproError is repro.errors.ReproError
+        # storage, backends and serve all parent their errors here, so
+        # it may import none of them (nor anything else).
+        with open(repro.errors.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        assert not [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
 
 
 class TestFullPipeline:

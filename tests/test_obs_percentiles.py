@@ -1,8 +1,9 @@
 """Tests for percentile curves."""
 
+import numpy as np
 import pytest
 
-from repro.bench.percentiles import curve_summary, percentile_curve
+from repro.obs.percentiles import curve_summary, percentile_curve
 
 
 class TestPercentileCurve:
@@ -51,3 +52,33 @@ class TestCurveSummary:
     def test_ignores_inf_when_finite_exist(self):
         s = curve_summary([1.0, 3.0, float("inf")])
         assert s["max"] == 3.0
+
+
+def _per_point_reference(values, points):
+    """The pre-move implementation: one full sort per percentile point."""
+    arr = np.asarray(list(values), dtype=np.float64)
+    out = {}
+    for p in points:
+        idx = int(round(p / 100 * (arr.size - 1)))
+        val = np.sort(arr)[min(idx, arr.size - 1)]
+        out[p] = float(val) if np.isfinite(val) else float("inf")
+    return out
+
+
+class TestSortOnce:
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 1001])
+    def test_matches_per_point_sort(self, size):
+        rng = np.random.default_rng(size)
+        vals = rng.standard_normal(size)
+        vals[rng.random(size) < 0.1] = np.inf
+        points = (0, 3, 50, 90, 99, 100)
+        # bit-identical, inf included
+        assert percentile_curve(vals, points) == _per_point_reference(
+            vals, points
+        )
+
+    def test_all_inf(self):
+        vals = [float("inf")] * 3
+        assert percentile_curve(vals, (0, 100)) == _per_point_reference(
+            vals, (0, 100)
+        )

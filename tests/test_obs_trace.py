@@ -7,6 +7,9 @@ summarizer agreeing with the plan's own aggregate volumes.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.obs import (
     modeled_step_volumes,
     summarize,
 )
+from repro.obs.metrics import HISTOGRAM_WINDOW
 from repro.obs.export import (
     from_chrome,
     to_chrome,
@@ -335,6 +339,46 @@ class TestMetrics:
         s = h.summary()
         assert s["count"] == 100.0
         assert "p50" in s and "p99" in s
+
+    def test_histogram_is_a_bounded_window_with_exact_sums(self):
+        extra = 10
+        h = MetricsRegistry().histogram("latency")
+        # old samples are huge: any that leaked into the window would
+        # drag every percentile up.
+        for _ in range(extra):
+            h.observe(1e6)
+        for v in range(HISTOGRAM_WINDOW):
+            h.observe(float(v))
+        assert h.count == HISTOGRAM_WINDOW + extra
+        expected_total = extra * 1e6 + sum(range(HISTOGRAM_WINDOW))
+        assert h.total == expected_total  # integers: exact in float64
+        s = h.summary()
+        assert s["count"] == float(HISTOGRAM_WINDOW + extra)
+        assert s["mean"] == expected_total / (HISTOGRAM_WINDOW + extra)
+        assert h.percentiles((0.0, 100.0)) == {
+            0.0: 0.0, 100.0: float(HISTOGRAM_WINDOW - 1)
+        }
+        assert len(h._recent) == HISTOGRAM_WINDOW >= 4096
+
+    def test_metrics_never_load_the_bench_package(self):
+        """A serving process that runs and snapshots must not pay for
+        (or depend on) ``repro.bench``: percentiles live in ``obs``."""
+        code = (
+            "import sys, numpy as np\n"
+            "import repro, repro.serve\n"
+            "s = repro.TuckerSession('sequential')\n"
+            "s.run(np.ones((6, 5, 4)), (2, 2, 2), max_iters=1)\n"
+            "snap = s.metrics.snapshot()\n"
+            "assert snap['histograms']['run_seconds']['count'] == 1.0\n"
+            "print([m for m in sys.modules if m.startswith('repro.bench')])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_snapshot_is_json_serializable(self):
         reg = MetricsRegistry()

@@ -4,10 +4,10 @@ Covers the building blocks in :mod:`repro.backends.sketch`, the
 schedule compiler, seed-determinism and clamping through
 ``TuckerSession.run(method=...)`` on every backend, the HOOI
 early-stop semantics (``converged`` / ``stopped_reason``), the serving
-layer's seed handling, the method-aware cost model, and the
-``run_methods`` bench comparison. Cross-backend *numerical* agreement
-for the randomized methods lives in the conformance harness
-(``test_backend_conformance.py``); this file owns everything else.
+layer's seed handling and the method-aware cost model. Cross-backend
+*numerical* agreement for the randomized methods lives in the
+conformance harness (``test_backend_conformance.py``); this file owns
+everything else.
 """
 
 import json
@@ -584,34 +584,8 @@ class TestMethodAwareCostModel:
 
 
 # --------------------------------------------------------------------- #
-# bench comparison + CLI surface
+# CLI surface
 # --------------------------------------------------------------------- #
-
-
-class TestRunMethodsBench:
-    def test_compares_all_methods(self):
-        from repro.bench.runner import run_methods
-
-        t = fixture()
-        out = run_methods(t, CORE, power_iters=1, seed=10)
-        assert set(out) == {"exact", "rsthosvd", "sp-rsthosvd"}
-        assert out["exact"]["speedup"] == pytest.approx(1.0)
-        assert out["exact"]["error_ratio"] == pytest.approx(1.0)
-        for name in RAND_METHODS:
-            row = out[name]
-            assert row["seconds"] > 0
-            assert np.isfinite(row["true_error"])
-            assert row["error_ratio"] <= 1.5
-
-    def test_respects_method_subset(self):
-        from repro.bench.runner import run_methods
-
-        t = fixture(dims=(10, 8, 6), core=(3, 3, 2))
-        out = run_methods(
-            t, (3, 3, 2), methods=("rsthosvd",), seed=11
-        )
-        # the reference is pulled in even when not requested
-        assert set(out) == {"exact", "rsthosvd"}
 
 
 class TestDecomposeCliMethod:
