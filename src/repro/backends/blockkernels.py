@@ -27,7 +27,11 @@ for. To add a backend, supply a source and a map.
 
 Residency: a source built from a :class:`~repro.storage.StoredTensor`
 knows its store, and every block taken from it in-process is leased from
-the store's gauge at ``OC_LEASE_FACTOR`` x its bytes. The store does not
+the store's gauge at ``OC_LEASE_FACTOR`` x its bytes: the copy a mapped
+block is read into, the Gram's unfolding of it, and the output slab. A
+TTM block allocates nothing of that size — it multiplies the block where
+it lies straight into its slice of the sink (``out=``), whatever the sink
+is: ndarray, shm segment or mapped file. The store does not
 travel with a pickled source, so blocks run by worker processes cannot
 charge the gauge; their parent charges the worst case instead
 (:func:`block_bytes`).
@@ -53,11 +57,12 @@ from repro.backends.blockpar import (
     oc_block_slices,
     reduce_partials,
     split_mode,
+    workspace,
 )
 from repro.backends.sketch import add_block_contribution, out_shape
 from repro.storage import BlockStore, StoredTensor
 from repro.tensor.linalg import leading_eigvecs
-from repro.tensor.ttm import ttm
+from repro.tensor.ttm import ttm, ttm_out
 from repro.tensor.unfold import unfold
 
 try:  # gated: some platforms build Python without shared memory
@@ -71,15 +76,21 @@ except ImportError:  # pragma: no cover - absent only on exotic builds
 # --------------------------------------------------------------------- #
 
 
-def ttm_block(x: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
-    """``x x_mode matrix`` of one block (cut along any other mode)."""
-    return ttm(x, matrix, mode)
+def ttm_block(
+    x: np.ndarray, matrix: np.ndarray, mode: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x x_mode matrix`` of one block (cut along any other mode),
+    written into ``out`` — the block's slice of the sink — when given."""
+    return ttm(x, matrix, mode, out)
 
 
-def gram_block(x: np.ndarray, mode: int) -> np.ndarray:
-    """``U U^T`` of the block's mode unfolding."""
+def gram_block(
+    x: np.ndarray, mode: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``U U^T`` of the block's mode unfolding, into the workspace ``out``
+    when that fits (:func:`~repro.backends.blockpar.workspace`)."""
     u = unfold(x, mode)
-    return u @ u.T
+    return np.matmul(u, u.T, out=workspace(out, len(u), u.dtype))
 
 
 def xgram_block(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
@@ -236,7 +247,8 @@ def block_bytes(sources, split: int | None, lo: int, hi: int) -> int:
 
 
 def run_block(kernel: str, sources, sink, args, split, lo: int, hi: int):
-    """The one block task: open, cut, compute, write or return, release.
+    """The one block task: open, cut, compute into the sink or return,
+    release.
 
     Every map executes this — inline, on a pool thread, or unpickled in a
     worker process — so it is also the one place blocks are leased:
@@ -266,12 +278,12 @@ def _compute(kernel, sources, sink, args, split, lo, hi):
             if isinstance(view, np.memmap) else view[index]
             for view, _ in opened[: len(sources)]
         ]
-        result = KERNELS[kernel](*blocks, *args)
-        del blocks
         if sink is None:
-            return result
+            return KERNELS[kernel](*blocks, *args)
+        # the kernel writes its block of the sink itself: no result held
         target = opened[-1][0]
-        target[index] = result
+        KERNELS[kernel](*blocks, *args, out=target[index])
+        del blocks
         if sink.path is not None:
             target.flush()
         del target
@@ -312,15 +324,6 @@ def _cut(source: BlockSource, avoid: int | None, n_workers: int):
             n_workers,
         )
     return split, [(sl.start, sl.stop) for sl in slices]
-
-
-def ttm_out(shape, dtype, matrix: np.ndarray, mode: int):
-    """``(shape, dtype)`` of ``X x_mode matrix``."""
-    rows = (matrix.shape[0],)
-    return (
-        tuple(shape[:mode]) + rows + tuple(shape[mode + 1 :]),
-        np.result_type(dtype, matrix.dtype),
-    )
 
 
 def run_ttm(source, sink, matrix, mode: int, n_workers: int, map) -> None:

@@ -46,19 +46,25 @@ def block_slices(length: int, n_workers: int) -> list[slice]:
     return [slice(a, b) for a, b in block_ranges(length, n_blocks)]
 
 
-def reduce_partials(partials, length: int, out=None) -> np.ndarray:
-    """Sum ``L x L`` Gram partials in ascending block order (determinism).
+def workspace(out, length: int, dtype):
+    """``out`` if it can hold an ``L x L`` Gram of ``dtype``, else ``None``.
 
-    ``out``, when shape/dtype-compatible, is the preallocated workspace a
-    compiled plan carries; otherwise a fresh accumulator is used.
+    ``out`` is the preallocated workspace a compiled plan carries; a run
+    in another dtype, or a mode it was not sized for, gets a fresh array.
     """
-    if out is not None and out.shape == (length, length) and (
-        out.dtype == partials[0].dtype
-    ):
-        g = out
-        g[...] = partials[0]
-    else:
+    if out is not None and out.shape == (length, length) and out.dtype == dtype:
+        return out
+    return None
+
+
+def reduce_partials(partials, length: int, out=None) -> np.ndarray:
+    """Sum ``L x L`` Gram partials in ascending block order (determinism),
+    into the :func:`workspace` ``out`` when it fits."""
+    g = workspace(out, length, partials[0].dtype)
+    if g is None:
         g = partials[0].copy()
+    else:
+        g[...] = partials[0]
     for p in partials[1:]:
         g += p
     return g
@@ -107,8 +113,11 @@ def oc_block_slices(
 
 
 #: resident charge per in-flight out-of-core block, as a multiple of the
-#: block's bytes: the read copy, the kernel temporary (an unfold or gemm
-#: output), and the output slab. Sessions size ``max_block_bytes`` as
+#: block's bytes: the read copy, the kernel temporary (the Gram's unfold
+#: copy; a TTM holds none, it multiplies the read copy in place and its
+#: last mode's transposed product is no larger than its output), and the
+#: output slab (a TTM's dirty pages of the mapped sink). A residency
+#: guarantee, not a tuning value: sessions size ``max_block_bytes`` as
 #: ``memory_budget // OC_LEASE_FACTOR`` so the concurrent leases of a
 #: full worker fan-out stay within the budget.
 OC_LEASE_FACTOR = 3
@@ -154,4 +163,5 @@ __all__ = [
     "oc_block_slices",
     "reduce_partials",
     "split_mode",
+    "workspace",
 ]

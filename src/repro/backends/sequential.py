@@ -95,15 +95,8 @@ class SequentialBackend(BlockBackend):
             factor = leading_left_singular_vectors(
                 unfold(handle, mode), k, method=method
             )
-        elif (
-            out is not None
-            and out.shape == (length, length)
-            and out.dtype == handle.dtype
-        ):
-            u = unfold(handle, mode)
-            factor = gram_factor(np.matmul(u, u.T, out=out), k)
         else:
-            factor = gram_factor(gram_block(handle, mode), k)
+            factor = gram_factor(gram_block(handle, mode, out), k)
         self._record("syrk", tag, gram_evd_flops(length, handle.size), start)
         return factor
 

@@ -1,18 +1,32 @@
-"""Sequential tensor-times-matrix products.
+"""Sequential tensor-times-matrix products, without matricization.
 
-``Z = T x_n A`` applies the linear map ``A`` (shape ``K x L_n``) to every
-mode-n fiber: ``Z_(n) = A @ T_(n)`` (paper section 2.1). The cost is
+``Z = T x_n M`` applies the linear map ``M`` (shape ``K x L_n``) to every
+mode-n fiber: ``Z_(n) = M @ T_(n)`` (paper section 2.1). The cost is
 ``K * |T|`` multiply-adds; the output has the same shape as ``T`` except
 ``L_n -> K``.
 
-The implementation avoids an explicit unfolding copy exactly as the
-distributed engine does (paper section 5 credits Austin et al.'s blocking
-strategy): ``moveaxis`` produces a view and the single ``reshape`` of that
-view is the only data movement before the dgemm.
+The unfolding ``T_(n)`` is never formed. With ``A = prod(L_{<n})`` and
+``B = prod(L_{>n})`` a C-ordered tensor *is* the array ``(A, L_n, B)``
+and ``Z`` the array ``(A, K, B)``, so the product is the batched GEMM
+``Z[a] = M @ T[a]`` over the leading index — one ``np.matmul`` that reads
+the input where it lies and writes the output where it belongs (``out=``,
+the caller's sink, or a fresh array). Mode 0 is the batch of one. This is
+the matricization-free TTM of a-Tucker (Li, Xiao, Yang; see PAPERS.md).
+When nothing follows the mode (``B == 1``) the slabs would be vectors, so
+the product is taken as ``M @ T_(A x L)^T`` — the input is again a view
+— and stored transposed; that ``K x A`` product is the only temporary,
+and it is output-sized.
+
+Blocks of a larger array keep their views: leading axes that cannot merge
+into one ``A`` stay separate batch axes of the same ``matmul``. Only a
+tensor whose axes from the mode on are not C-ordered (a transposed or
+Fortran-ordered array, a block cut behind the mode) is first copied once
+to C order, and only an ``out`` like that is filled through a buffer.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -20,7 +34,73 @@ import numpy as np
 from repro.util.validation import check_mode
 
 
-def ttm(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
+def ttm_out(shape, dtype, matrix: np.ndarray, mode: int):
+    """``(shape, dtype)`` of ``X x_mode matrix``."""
+    rows = (matrix.shape[0],)
+    return (
+        tuple(shape[:mode]) + rows + tuple(shape[mode + 1 :]),
+        np.result_type(dtype, matrix.dtype),
+    )
+
+
+def _c_ordered_from(a: np.ndarray, axis: int) -> bool:
+    """Do axes ``axis..`` of ``a`` lie densely and in C order in memory?
+
+    Then, and only then, they reshape to one unit-stride axis as a view.
+    Decided from the strides (the rule ``reshape`` itself applies), since
+    ``reshape(copy=False)`` needs numpy 2.1.
+    """
+    expected = a.itemsize
+    for length, stride in zip(
+        reversed(a.shape[axis:]), reversed(a.strides[axis:])
+    ):
+        if length != 1:
+            if stride != expected:
+                return False
+            expected *= length
+    return True
+
+
+def _batch_shape(axes: int, *arrays: np.ndarray) -> tuple[int, ...]:
+    """Lengths of the fewest axes the first ``axes`` axes merge into.
+
+    Adjacent axes merge where the strides of every array allow it as a
+    view; the arrays agree on those axes' lengths.
+    """
+    lengths: list[int] = []
+    outer: list[int] = []
+    for axis, length in enumerate(arrays[0].shape[:axes]):
+        if length == 1:
+            continue
+        strides = [a.strides[axis] for a in arrays]
+        if lengths and outer == [length * s for s in strides]:
+            lengths[-1] *= length
+        else:
+            lengths.append(length)
+        outer = strides
+    return tuple(lengths)
+
+
+def _check_out(out, shape, dtype, tensor: np.ndarray) -> None:
+    if not isinstance(out, np.ndarray):
+        raise ValueError(f"out must be an ndarray, got {type(out).__name__}")
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(
+            f"out must have shape {shape} and dtype {dtype}, got "
+            f"{out.shape} and {out.dtype}"
+        )
+    if not out.flags.writeable:
+        raise ValueError("out is read-only")
+    if np.may_share_memory(out, tensor):
+        raise ValueError("out may overlap the input tensor")
+
+
+def ttm(
+    tensor: np.ndarray,
+    matrix: np.ndarray,
+    mode: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Multiply ``tensor`` by ``matrix`` along ``mode``.
 
     Parameters
@@ -28,28 +108,62 @@ def ttm(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
     tensor: ndarray of shape ``(L_0, ..., L_{N-1})``.
     matrix: ndarray of shape ``(K, L_mode)``.
     mode: 0-based mode index.
+    out: where to write the product: a writable array of exactly the
+        result's shape and dtype (``result_type`` of the two inputs) that
+        does not overlap ``tensor``; any strides. Default: a new
+        C-contiguous array.
 
     Returns
     -------
-    ndarray with ``L_mode`` replaced by ``K``, C-contiguous.
+    ``out``, or the new array: ``L_mode`` replaced by ``K``.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
     mode = check_mode(mode, tensor.ndim)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    if matrix.shape[1] != tensor.shape[mode]:
+    rows, length = matrix.shape
+    if length != tensor.shape[mode]:
         raise ValueError(
-            f"matrix columns ({matrix.shape[1]}) must equal tensor length "
+            f"matrix columns ({length}) must equal tensor length "
             f"along mode {mode} ({tensor.shape[mode]})"
         )
-    moved = np.moveaxis(tensor, mode, 0)
-    flat = moved.reshape(tensor.shape[mode], -1)
-    out_flat = matrix @ flat
-    out_shape = (matrix.shape[0],) + moved.shape[1:]
-    return np.ascontiguousarray(
-        np.moveaxis(out_flat.reshape(out_shape), 0, mode)
+    shape, dtype = ttm_out(tensor.shape, tensor.dtype, matrix, mode)
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    else:
+        _check_out(out, shape, dtype, tensor)
+    if tensor.size == 0:
+        out[...] = 0  # an empty sum, or nothing to write at all
+        return out
+
+    trail = math.prod(shape[mode + 1 :])
+    # The axes behind the mode must merge into one of unit stride — and
+    # the mode with them when nothing is behind it, or BLAS has no unit
+    # stride to run along. If not: one C-ordered copy of the input, one
+    # C-ordered buffer for the output.
+    dense_from = mode + 1 if trail > 1 else mode
+    x = tensor if _c_ordered_from(tensor, dense_from) else (
+        np.ascontiguousarray(tensor)
     )
+    z = out if _c_ordered_from(out, mode + 1) else np.empty(shape, dtype)
+    batch = _batch_shape(mode, x, z)
+    if trail > 1:
+        np.matmul(
+            matrix,
+            x.reshape(batch + (length, trail)),
+            out=z.reshape(batch + (rows, trail)),
+        )
+    else:
+        # the last batch axis is the GEMM's long side, not a batch
+        batch, lead = batch[:-1], math.prod(batch[-1:])
+        product = np.matmul(
+            matrix, x.reshape(batch + (lead, length)).swapaxes(-1, -2)
+        )
+        z.reshape(batch + (lead, rows))[...] = product.swapaxes(-1, -2)
+    if z is not out:
+        out[...] = z
+    return out
 
 
 def ttm_chain(

@@ -8,6 +8,10 @@ map ran them. Held here directly, below the backends:
   zlib block decoded to scratch) gives ``array_equal`` results on the
   serial, thread and process maps at one worker count, and agrees with
   the sequential in-memory reference to a tolerance fixed from the dtype;
+* the TTM, which writes each block straight into its slice of the sink,
+  does so for every block the geometry can cut — in front of the mode
+  (a view) and behind it (one copy of that block) — on every sink, and
+  allocates nothing tensor-sized while it does;
 * the task message survives a ``spawn`` pool, where nothing is inherited
   and everything a worker needs must arrive pickled.
 """
@@ -24,6 +28,8 @@ import repro.backends.procpool as procpool_mod
 from repro.backends.blockkernels import (
     KERNELS,
     BlockSource,
+    _cut,
+    run_block,
     run_cross_gram,
     run_gram,
     run_norm_sq,
@@ -38,6 +44,7 @@ from repro.backends.sketch import single_pass_specs
 from repro.backends.threaded import ThreadedBackend
 from repro.storage import MmapStore, StoredTensor, resident_gauge
 from repro.tensor.unfold import unfold
+from test_tensor_ttm import KIB, einsum_ttm, traced_peak  # one reference
 
 pytestmark = pytest.mark.skipif(
     sys.platform != "linux" or not os.path.isdir("/dev/shm"),
@@ -205,6 +212,96 @@ def test_kernel_is_bitwise_equal_across_maps(
     # every lease was returned, whoever took it
     assert gauge.current == 0
     assert list(tmp_path.iterdir()) == []
+
+
+#: TTM geometries: descending dims are cut in front of the mode (every
+#: block a view), rising dims behind it (every block copied once)
+TTM_SHAPES = {
+    "3d": ((12, 10, 8), np.float64),
+    "3d-rising": ((6, 8, 10), np.float32),
+    "4d": ((9, 8, 6, 5), np.float64),
+    "4d-rising": ((4, 5, 6, 7), np.float64),
+}
+
+
+@pytest.mark.parametrize("n_workers", (1, 2, 3))
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("shape", sorted(TTM_SHAPES))
+def test_ttm_writes_every_block_into_every_sink(
+    shape, source, n_workers, maps, tmp_path
+):
+    """Every ``(split, lo, hi)`` block ``_cut`` yields, for each mode."""
+    dims, dtype = TTM_SHAPES[shape]
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(dims).astype(dtype)
+    placed = Placed(source, tmp_path)
+    try:
+        a = placed.source(x)
+        for mode in range(len(dims)):
+            matrix = rng.standard_normal((3, dims[mode])).astype(dtype)
+            want = einsum_ttm(x, matrix, mode)
+            results = {}
+            for name, map in maps(n_workers).items():
+                if source == "ndarray" and name == "processes":
+                    continue
+                sink, read = placed.sink(*ttm_out(dims, dtype, matrix, mode))
+                run_ttm(a, sink, matrix, mode, n_workers, map)
+                results[name] = read()
+            for name, got in results.items():
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(
+                    got, results["serial"], err_msg=f"{name}, mode {mode}"
+                )
+            np.testing.assert_allclose(
+                results["serial"], want, rtol=0,
+                atol=RTOL[dtype] * max(1.0, float(np.abs(want).max())),
+                err_msg=f"mode {mode}",
+            )
+    finally:
+        placed.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_workers", (1, 2, 3))
+@pytest.mark.parametrize("mode", range(4))
+def test_ttm_block_task_allocates_no_block_sized_temporary(mode, n_workers):
+    """``run_block("ttm")`` multiplies the block where it lies, into the
+    sink: nothing is allocated but the last mode's transposed product."""
+    dims = (16, 12, 10, 8)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(dims)
+    matrix = rng.standard_normal((2, dims[mode]))
+    out = np.empty(ttm_out(dims, x.dtype, matrix, mode)[0])
+    source, sink = BlockSource.of(x), BlockSource.of(out)
+    split, spans = _cut(source, mode, n_workers)
+    # in front of the mode (x[lo:hi]), or x[:, lo:hi] under mode 0
+    assert split == (1 if mode == 0 else 0)
+    for lo, hi in spans:
+        task = ("ttm", (source,), sink, (matrix, mode), split, lo, hi)
+        block_in = x.nbytes // dims[split] * (hi - lo)
+        spare = out.nbytes // dims[split] * (hi - lo) if mode == 3 else 0
+        assert spare + 4 * KIB < block_in // 2  # the bound tells them apart
+        assert traced_peak(lambda: run_block(*task)) <= spare + 4 * KIB
+    np.testing.assert_allclose(out, einsum_ttm(x, matrix, mode), atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", range(4))
+def test_threaded_ttm_peaks_at_its_output(mode):
+    """End to end on the thread pool: the output, a constant per task, and
+    for the last mode the blocks' transposed products — never the input
+    again (the parent commit unfolded a copy of it in every thread)."""
+    dims = (24, 20, 18, 16)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(dims)
+    matrix = rng.standard_normal((3, dims[mode]))
+    per_task = 16 * KIB  # futures, task tuples, thread bookkeeping
+    with ThreadedBackend(2) as backend:
+        handle = backend.distribute(x, None)
+        out_bytes = backend.ttm(handle, matrix, mode).nbytes
+        assert 4 * out_bytes < x.nbytes
+        peak = traced_peak(lambda: backend.ttm(handle, matrix, mode))
+    allowed = out_bytes * (2 if mode == 3 else 1) + 2 * per_task
+    assert peak <= allowed
 
 
 def _spawn_context():

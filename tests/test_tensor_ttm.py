@@ -1,4 +1,15 @@
-"""Tests for sequential TTM and TTM-chains."""
+"""Tests for sequential TTM and TTM-chains.
+
+The kernel never unfolds: it views the tensor as ``(A, L, B)`` and runs one
+batched GEMM, into ``out=`` when given. Everything that view logic can get
+wrong is a matter of strides, so the differential tests below hold it
+against ``np.einsum`` over layouts, dtypes and sinks, and the memory tests
+hold it to "no tensor-sized temporary".
+"""
+
+import gc
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +18,286 @@ from hypothesis import strategies as st
 
 from repro.tensor.ttm import ttm, ttm_chain
 from repro.tensor.unfold import unfold
+
+LETTERS = "abcde"
+
+
+def einsum_ttm(x, matrix, mode):
+    """The reference: the mode product as a plain index contraction."""
+    sub = LETTERS[: x.ndim]
+    return np.einsum(
+        f"{sub},z{sub[mode]}->{sub.replace(sub[mode], 'z')}", x, matrix
+    )
+
+
+def tolerance(want: np.ndarray, length: int) -> float:
+    """Absolute bound on a ``length``-term dot product in ``want``'s dtype."""
+    eps = np.finfo(want.dtype).eps
+    return 4 * eps * max(1, length) * max(1.0, float(np.abs(want).max()))
+
+
+def lay_out(values: np.ndarray, layout: str, axis: int, workdir: str):
+    """``values`` (C-contiguous) again, element for element, in ``layout``."""
+    if layout == "c":
+        return values
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "transposed":
+        return np.ascontiguousarray(values.T).T
+    if layout == "reversed":  # a negative stride along ``axis``
+        return np.flip(np.ascontiguousarray(np.flip(values, axis)), axis)
+    if layout == "readonly":
+        frozen = values.copy()
+        frozen.setflags(write=False)
+        return frozen
+    if layout == "memmap":
+        mapped = np.memmap(
+            f"{workdir}/x.bin", dtype=values.dtype, mode="w+",
+            shape=values.shape,
+        )
+        mapped[...] = values
+        return mapped
+    # a view into a larger array, longer along ``axis``
+    grown = list(values.shape)
+    grown[axis] = 2 * grown[axis] + 1
+    big = np.full(grown, np.nan, dtype=values.dtype)
+    index = [slice(None)] * values.ndim
+    if layout == "block":  # a contiguous range: what a block cut makes
+        index[axis] = slice(1, 1 + values.shape[axis])
+    else:  # "step": every other element
+        index[axis] = slice(1, None, 2)
+    view = big[tuple(index)]
+    view[...] = values
+    return view
+
+
+LAYOUTS = (
+    "c", "fortran", "transposed", "reversed", "readonly", "memmap", "block",
+    "step",
+)
+SINKS = ("new", "fresh", "block", "step", "reversed")
+DTYPES = (
+    (np.float64, np.float64),
+    (np.float32, np.float32),
+    (np.float32, np.float64),
+    (np.float64, np.float32),
+)
+
+
+def check_against_einsum(dims, mode, k, layout, axis, sink, dtypes, seed):
+    rng = np.random.default_rng(seed)
+    x_dtype, m_dtype = dtypes
+    values = rng.standard_normal(dims).astype(x_dtype)
+    matrix = rng.standard_normal((k, dims[mode])).astype(m_dtype)
+    want = einsum_ttm(values, matrix, mode)
+    with tempfile.TemporaryDirectory() as workdir:
+        x = lay_out(values, layout, axis % len(dims), workdir)
+        if sink == "new":
+            got = ttm(x, matrix, mode)
+            assert got.flags["C_CONTIGUOUS"]
+        else:
+            out = lay_out(
+                np.zeros(want.shape, want.dtype),
+                "c" if sink == "fresh" else sink, axis % len(dims), workdir,
+            )
+            got = ttm(x, matrix, mode, out)
+            assert got is out
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=tolerance(want, dims[mode])
+        )
+        del x, got
+
+
+class TestAgainstEinsum:
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=2, max_size=5).map(tuple),
+        mode=st.integers(0, 4),
+        k=st.integers(1, 7),
+        layout=st.sampled_from(LAYOUTS),
+        axis=st.integers(0, 4),
+        sink=st.sampled_from(SINKS),
+        dtypes=st.sampled_from(DTYPES),
+        seed=st.integers(0, 999),
+    )
+    def test_any_shape_layout_dtype_and_sink(
+        self, dims, mode, k, layout, axis, sink, dtypes, seed
+    ):
+        check_against_einsum(
+            dims, mode % len(dims), k, layout, axis, sink, dtypes, seed
+        )
+
+    #: (dims, mode, k): the corners of the (A, L, B) view
+    TABLE = {
+        "vector": ((6,), 0, 3),
+        "matrix-first": ((5, 4), 0, 3),
+        "matrix-last": ((5, 4), 1, 3),
+        "A=1": ((5, 4, 3), 0, 2),
+        "middle": ((5, 4, 3), 1, 2),
+        "B=1": ((5, 4, 3), 2, 2),
+        "B=1-by-unit-modes": ((5, 4, 1, 1), 1, 2),
+        "A=1-by-unit-modes": ((1, 1, 4, 3), 2, 2),
+        "unit-mode-multiplied": ((4, 1, 3), 1, 5),
+        "unit-mode-between": ((4, 1, 3, 2), 2, 2),
+        "K=1": ((3, 4, 2, 5), 2, 1),
+        "K>L": ((3, 4, 2, 5), 1, 9),
+        "5d-middle": ((2, 3, 2, 3, 2), 2, 4),
+        "5d-last": ((2, 3, 2, 3, 2), 4, 4),
+    }
+
+    @pytest.mark.parametrize("row", sorted(TABLE))
+    def test_corner_table(self, row):
+        dims, mode, k = self.TABLE[row]
+        for layout in LAYOUTS:
+            for sink in SINKS:
+                for axis in range(len(dims)):
+                    for dtypes in DTYPES[:3]:
+                        check_against_einsum(
+                            dims, mode, k, layout, axis, sink, dtypes, seed=7
+                        )
+
+    def test_integer_tensors_still_work(self):
+        x = np.arange(24).reshape(2, 3, 4)
+        for mode in range(3):
+            ints = np.arange(2 * x.shape[mode]).reshape(2, -1)
+            got = ttm(x, ints, mode)
+            assert got.dtype == x.dtype
+            np.testing.assert_array_equal(got, einsum_ttm(x, ints, mode))
+            got = ttm(x, ints * 0.5, mode)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(
+                got, einsum_ttm(x, ints * 0.5, mode)
+            )
+
+    def test_broadcast_input(self):
+        # zero strides: every slab is the same memory
+        x = np.broadcast_to(np.arange(12.0).reshape(1, 4, 3), (5, 4, 3))
+        matrix = np.arange(8.0).reshape(2, 4)
+        for mode in range(3):
+            m = matrix if mode == 1 else np.ones((2, x.shape[mode]))
+            np.testing.assert_allclose(
+                ttm(x, m, mode), einsum_ttm(x, m, mode), atol=1e-12
+            )
+
+    def test_empty_tensors(self):
+        assert ttm(np.ones((3, 0, 4)), np.ones((2, 3)), 0).shape == (2, 0, 4)
+        # an empty sum is zero, also into a dirty out
+        out = np.full((3, 2, 4), np.nan)
+        ttm(np.ones((3, 0, 4)), np.ones((2, 0)), 1, out)
+        np.testing.assert_array_equal(out, np.zeros((3, 2, 4)))
+
+
+class TestOutIsChecked:
+    x = np.ones((3, 4, 5))
+    matrix = np.ones((2, 4))
+
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            ttm(self.x, self.matrix, 1, np.empty((3, 4, 5)))
+        with pytest.raises(ValueError, match="shape"):
+            ttm(self.x, self.matrix, 1, np.empty((3, 2, 5, 1)))
+
+    def test_no_silent_cast_into_out(self):
+        with pytest.raises(ValueError, match="dtype"):
+            ttm(self.x, self.matrix, 1, np.empty((3, 2, 5), np.float32))
+        # float32 x float64 is a float64 product: a float32 out would lose it
+        with pytest.raises(ValueError, match="dtype"):
+            ttm(
+                self.x.astype(np.float32), self.matrix, 1,
+                np.empty((3, 2, 5), np.float32),
+            )
+
+    def test_read_only(self):
+        out = np.empty((3, 2, 5))
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            ttm(self.x, self.matrix, 1, out)
+
+    def test_overlapping_the_input(self):
+        big = np.ones((3, 4, 5))
+        with pytest.raises(ValueError, match="overlap"):
+            ttm(big, np.ones((2, 4)), 1, big[:, :2])
+        with pytest.raises(ValueError, match="overlap"):
+            ttm(big[:, ::-1], np.ones((4, 4)), 1, big)
+
+    def test_not_an_array(self):
+        with pytest.raises(ValueError, match="ndarray"):
+            ttm(self.x, self.matrix, 1, [[0.0]])
+
+
+KIB = 1024
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated during ``call`` (numpy reports its buffers to
+    ``tracemalloc``), the result dropped before the next reading.
+
+    The least of three readings: the trace is process-wide, so a thread
+    some earlier test left running can only add to one, never take away.
+    """
+    call()  # lazy imports and caches are not the kernel's
+    peaks = []
+    for _ in range(3):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+class TestNoTensorSizedTemporary:
+    """The kernel allocates its output and nothing else of that order.
+
+    At the parent commit a middle mode peaked at 692 KB for a 69 KB result:
+    the unfolding copy of the input plus a second copy of the output.
+    """
+
+    x = np.random.default_rng(0).standard_normal((48, 40, 36))
+
+    def matrix(self, mode):
+        return np.random.default_rng(1).standard_normal((5, self.x.shape[mode]))
+
+    @pytest.mark.parametrize("mode", (0, 1))
+    def test_first_and_middle_modes(self, mode):
+        matrix = self.matrix(mode)
+        out = ttm(self.x, matrix, mode)
+        peak = traced_peak(lambda: ttm(self.x, matrix, mode))
+        assert peak <= out.nbytes + 4 * KIB
+        assert traced_peak(lambda: ttm(self.x, matrix, mode, out)) <= 4 * KIB
+
+    def test_last_mode_holds_one_transposed_product(self):
+        matrix = self.matrix(2)
+        out = ttm(self.x, matrix, 2)
+        assert 4 * out.nbytes < self.x.nbytes  # the bounds below tell them apart
+        peak = traced_peak(lambda: ttm(self.x, matrix, 2))
+        assert peak <= 2 * out.nbytes + 4 * KIB
+        peak = traced_peak(lambda: ttm(self.x, matrix, 2, out))
+        assert peak <= out.nbytes + 4 * KIB
+
+    @pytest.mark.parametrize("mode", (0, 1, 2))
+    def test_a_block_cut_in_front_of_the_mode_stays_a_view(self, mode):
+        # x[:, lo:hi] under mode 0, x[lo:hi] otherwise: what `_cut` yields
+        # on descending dims
+        index = (slice(None), slice(8, 24)) if mode == 0 else slice(8, 24)
+        block, matrix = self.x[index], self.matrix(mode)
+        sink = np.empty(
+            self.x.shape[:mode] + (5,) + self.x.shape[mode + 1 :]
+        )
+        spare = sink[index].nbytes if mode == 2 else 0
+        peak = traced_peak(lambda: ttm(block, matrix, mode, sink[index]))
+        assert peak <= spare + 4 * KIB
+
+    def test_only_a_cut_behind_the_mode_is_copied_and_only_that_block(self):
+        block, matrix = self.x[:, :, 4:16], self.matrix(0)
+        sink = np.empty((5, 40, 36))
+        peak = traced_peak(lambda: ttm(block, matrix, 0, sink[:, :, 4:16]))
+        assert peak <= block.nbytes + sink[:, :, 4:16].nbytes + 4 * KIB
+        np.testing.assert_allclose(
+            sink[:, :, 4:16], einsum_ttm(block, matrix, 0), atol=1e-12
+        )
 
 
 class TestTTM:
