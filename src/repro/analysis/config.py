@@ -10,7 +10,7 @@ Recognized keys::
     "src/repro/bench/*.py" = ["R001"]  # rules off for matching files
 
     [tool.repro.lint.rules.R005]
-    extra-tags = ["sthosvd:*"]         # rule-specific options
+    extra-tags = ["calibrate:*"]         # rule-specific options
 
 Globs match full relative paths or any path suffix (see
 :func:`repro.analysis.core.match_path`). Loading is tolerant of a missing

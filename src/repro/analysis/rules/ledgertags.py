@@ -18,12 +18,12 @@ This rule derives the canonical vocabulary *statically*:
   module (option ``base-glob``) — the kernel-family roots (``ttm``,
   ``svd``, ``norm``, ...), each allowed an optional ``:detail`` suffix;
 * fnmatch-style patterns from option ``extra-tags`` for vocabularies
-  that predate the Step compiler (the exact-STHOSVD phase tags).
+  no Step program emits (the calibration micro-bench's records).
 
 Checked call sites: literal ``tag=`` arguments to ``add_comm`` /
 ``add_compute`` and to the kernel methods. F-string tags that *start*
 with a literal part are checked with placeholders sampled as ``0``
-(``f"sthosvd:ttm{mode}"`` checks ``"sthosvd:ttm0"``); fully dynamic tags
+(``f"calibrate:ttm{mode}"`` checks ``"calibrate:ttm0"``); fully dynamic tags
 (``f"{tag}:gram"``) are the runtime conformance suite's job. The
 schedule module itself is the vocabulary's source and is exempt.
 """

@@ -27,9 +27,10 @@ from repro.backends.schedule import (
     Step,
     check_factors,
     compile_core_steps,
+    compile_sthosvd_steps,
     compile_tree_steps,
-    run_core_steps,
-    run_tree_steps,
+    run_steps,
+    run_sweep,
 )
 from repro.backends.select import (
     AUTO_CANDIDATES,
@@ -125,6 +126,7 @@ __all__ = [
     "check_factors",
     "compile_tree_steps",
     "compile_core_steps",
-    "run_tree_steps",
-    "run_core_steps",
+    "compile_sthosvd_steps",
+    "run_steps",
+    "run_sweep",
 ]

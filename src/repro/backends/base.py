@@ -13,11 +13,12 @@ cluster. Every
 backend also carries a :class:`~repro.mpi.stats.StatsLedger` so callers can
 read volumes/FLOPs/seconds uniformly via :meth:`ExecutionBackend.stats`.
 
-The schedule executor (:mod:`repro.backends.schedule`) is written purely
-against this interface; adding a backend means implementing these nine
-primitives, nothing more — and for a shared-memory machine most of that
-is already written: :mod:`repro.backends.blockkernels` holds the kernels,
-a new backend supplies a block source and a map.
+The one schedule interpreter (:func:`repro.backends.schedule.run_steps`,
+which replays every phase of a run as a compiled ``Step`` program) is
+written purely against this interface; adding a backend means implementing
+these nine primitives, nothing more — and for a shared-memory machine most
+of that is already written: :mod:`repro.backends.blockkernels` holds the
+kernels, a new backend supplies a block source and a map.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class ExecutionBackend(abc.ABC):
     ) -> Any:
         """Place a global ndarray per ``grid`` and return a handle.
 
-        ``store``, when given, is a :class:`~repro.storage.BlockStore`
+        ``store``, when given, is a :class:`~repro.storage.MmapStore`
         the run has spilled to: the backend must place the tensor
         *through the store* (out-of-core block handles) instead of
         materializing it in RAM, and every kernel must accept the
@@ -91,21 +92,13 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def leading_factor(
-        self,
-        handle: Any,
-        mode: int,
-        k: int,
-        *,
-        tag: str = "svd",
-        method: str = "gram",
-        out: np.ndarray | None = None,
+        self, handle: Any, mode: int, k: int, *, tag: str = "svd"
     ) -> np.ndarray:
         """Leading-``k`` left factor of the mode-``mode`` unfolding.
 
-        Always returns a replicated (plain ndarray) factor with the
-        deterministic sign convention. ``out``, when given and compatible,
-        is scratch for the Gram accumulation (a preallocated workspace from
-        a compiled plan); backends may ignore it.
+        The Gram + EVD route of the paper's engine. Always returns a
+        replicated (plain ndarray) factor with the deterministic sign
+        convention.
         """
 
     @abc.abstractmethod
@@ -180,9 +173,9 @@ class ExecutionBackend(abc.ABC):
     def close(self) -> None:
         """Release any workers/resources the backend holds.
 
-        A no-op by default; the pool backends override it. Closing must
-        leave the backend usable (pools reopen on next use), so callers
-        can close eagerly without tracking state.
+        A no-op by default; the block backends drop their Gram scratch
+        and pools. Closing must leave the backend usable (both come back
+        on next use), so callers can close eagerly without tracking state.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,9 +5,9 @@ way: pick the longest mode other than the one the kernel operates on,
 split it into near-even contiguous ranges (:func:`repro.dist.blocks
 .block_ranges`, the same partitioning the distributed engine uses), and
 fan the blocks out to workers. The partial-reduction discipline (ascending
-block order into an optional preallocated workspace) and the ledger FLOP
-formulas live here too. Keeping all of it in one place guarantees the two
-backends perform *identical* floating-point operations in *identical*
+block order, into the backend's Gram scratch when it has one) and the
+ledger FLOP formulas live here too. Keeping all of it in one place
+guarantees the two backends perform *identical* floating-point operations in *identical*
 reduction order — which is what lets the conformance harness hold every
 backend to the sequential reference at 1e-10 and the golden tests pin
 their FLOP tallies bit-for-bit.
@@ -46,28 +46,16 @@ def block_slices(length: int, n_workers: int) -> list[slice]:
     return [slice(a, b) for a, b in block_ranges(length, n_blocks)]
 
 
-def workspace(out, length: int, dtype):
-    """``out`` if it can hold an ``L x L`` Gram of ``dtype``, else ``None``.
-
-    ``out`` is the preallocated workspace a compiled plan carries; a run
-    in another dtype, or a mode it was not sized for, gets a fresh array.
-    """
-    if out is not None and out.shape == (length, length) and out.dtype == dtype:
-        return out
-    return None
-
-
-def reduce_partials(partials, length: int, out=None) -> np.ndarray:
+def reduce_partials(partials, out=None) -> np.ndarray:
     """Sum ``L x L`` Gram partials in ascending block order (determinism),
-    into the :func:`workspace` ``out`` when it fits."""
-    g = workspace(out, length, partials[0].dtype)
-    if g is None:
-        g = partials[0].copy()
+    into ``out`` — an ``L x L`` array of the partials' dtype — when given."""
+    if out is None:
+        out = partials[0].copy()
     else:
-        g[...] = partials[0]
+        out[...] = partials[0]
     for p in partials[1:]:
-        g += p
-    return g
+        out += p
+    return out
 
 
 def gram_evd_flops(length: int, size: int) -> int:
@@ -163,5 +151,4 @@ __all__ = [
     "oc_block_slices",
     "reduce_partials",
     "split_mode",
-    "workspace",
 ]

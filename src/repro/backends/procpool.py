@@ -379,22 +379,11 @@ class ProcessPoolBackend(PoolBackend):
         return out
 
     def leading_factor(
-        self,
-        handle,
-        mode: int,
-        k: int,
-        *,
-        tag: str = "svd",
-        method: str = "gram",
-        out: np.ndarray | None = None,
+        self, handle, mode: int, k: int, *, tag: str = "svd"
     ) -> np.ndarray:
-        if method != "gram":
-            raise ValueError(
-                f"ProcessPoolBackend only supports the Gram+EVD route, "
-                f"got method={method!r}"
-            )
         start = perf_counter()
         (source,), n_workers, map = self._sources(mode, handle)
+        out = self._gram_out(handle, mode)
         factor = gram_factor(run_gram(source, mode, n_workers, map, out), k)
         flops = gram_evd_flops(handle.shape[mode], handle.size)
         self._record("syrk", tag, flops, start)

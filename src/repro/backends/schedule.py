@@ -1,14 +1,16 @@
 """Backend-neutral execution schedules.
 
 Planning (TTM-tree + grid DP) and execution are decoupled in the paper; the
-schedule is the artifact that crosses the boundary. A tree or chain is
-*compiled once* into a flat tuple of :class:`Step` ops — regrid / ttm / svd
-/ free over named slots — and the two tiny interpreters here replay that
-program against any :class:`~repro.backends.base.ExecutionBackend`. The
-depth-first slot discipline keeps at most ``depth`` intermediates alive,
-the in-order bound of section 3.1; ledger tags are reconstructed as
-``{prefix}:{step.tag}`` so executed volumes aggregate exactly as before
-(``hooi:ttm:n3``, ``hooi:regrid:n7``, ``hooi:svd:m2``, ``core:ttm1``...).
+schedule is the artifact that crosses the boundary. Every phase of a run —
+HOOI tree, core chain, STHOSVD pass, randomized pass — is *compiled once*
+into a flat tuple of :class:`Step` ops (regrid / ttm / svd / sketch /
+spsketch / free over named slots), and the one interpreter here,
+:func:`run_steps`, replays any such program against any
+:class:`~repro.backends.base.ExecutionBackend`. The depth-first slot
+discipline keeps at most ``depth`` intermediates alive, the in-order bound
+of section 3.1; ledger tags are reconstructed as ``{prefix}:{step.tag}``
+so executed volumes aggregate on one vocabulary (``hooi:it0:ttm:n3``,
+``hooi:it0:svd:m2``, ``hooi:it0:core:ttm1``, ``sthosvd:svd0``...).
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class Step:
     (read src, emit the mode-``mode`` rank-``k`` factor), ``"sketch"``
     (randomized range-finder for ``mode`` with oversampling ``p`` and
     ``q`` power iterations), ``"spsketch"`` (every single-pass sketch in
-    one step) or ``"free"`` (drop src). ``tag`` is the ledger tag
-    suffix.
+    one step, to the core ``ranks``) or ``"free"`` (drop src). ``tag`` is
+    the ledger tag suffix.
     """
 
     op: str
@@ -54,6 +56,7 @@ class Step:
     tag: str = ""
     p: int = 0
     q: int = 0
+    ranks: tuple[int, ...] = ()
 
 
 def check_factors(
@@ -135,6 +138,45 @@ def compile_tree_steps(
     return tuple(steps)
 
 
+def _compile_chain(
+    order: Sequence[int], name: str, *, grids=None, extract=None
+) -> tuple[Step, ...]:
+    """One TTM chain over ``order``, the working tensor shrinking as it goes.
+
+    Per chain position: a regrid onto ``grids[i]`` when a grid scheme is
+    given; the step ``extract(slot, mode)`` when the chain finds its own
+    factors (from the working tensor, so later modes see ever smaller
+    ones); the ``ttm``. A step that makes a slot frees the one it replaces.
+    """
+    steps: list[Step] = []
+    slot = ROOT_SLOT
+
+    def advance(step: Step) -> None:
+        nonlocal slot
+        steps.append(step)
+        if slot != ROOT_SLOT:
+            steps.append(Step(op="free", src=slot))
+        slot = step.dst
+
+    for i, mode in enumerate(order):
+        if grids is not None:
+            advance(
+                Step(
+                    op="regrid", src=slot, dst=f"{name}:g{i}",
+                    grid=tuple(grids[i]), tag=f"regrid{i}",
+                )
+            )
+        if extract is not None:
+            steps.append(extract(slot, mode))
+        advance(
+            Step(
+                op="ttm", src=slot, dst=f"{name}:{i}", mode=mode,
+                tag=f"ttm{mode}",
+            )
+        )
+    return tuple(steps)
+
+
 def compile_core_steps(
     order: Sequence[int],
     core_scheme: Sequence[Sequence[int]] | None = None,
@@ -143,34 +185,25 @@ def compile_core_steps(
 
     With ``core_scheme`` (one grid per chain position) the tensor is
     regridded ahead of the steps that ask for it — the dynamic algorithm's
-    path-DP gridding. Tags follow the legacy layout (``regrid{i}``,
-    ``ttm{mode}``) so existing ledger aggregations keep working.
+    path-DP gridding. Tags are ``regrid{i}`` / ``ttm{mode}``.
     """
-    steps: list[Step] = []
-    slot = ROOT_SLOT
-    for i, mode in enumerate(order):
-        if core_scheme is not None:
-            dst = f"core:g{i}"
-            steps.append(
-                Step(
-                    op="regrid",
-                    src=slot,
-                    dst=dst,
-                    grid=tuple(core_scheme[i]),
-                    tag=f"regrid{i}",
-                )
-            )
-            if slot != ROOT_SLOT:
-                steps.append(Step(op="free", src=slot))
-            slot = dst
-        out = f"core:{i}"
-        steps.append(
-            Step(op="ttm", src=slot, dst=out, mode=mode, tag=f"ttm{mode}")
-        )
-        if slot != ROOT_SLOT:
-            steps.append(Step(op="free", src=slot))
-        slot = out
-    return tuple(steps)
+    return _compile_chain(order, "core", grids=core_scheme)
+
+
+def compile_sthosvd_steps(
+    order: Sequence[int], meta: TensorMeta
+) -> tuple[Step, ...]:
+    """Compile one STHOSVD pass: a TTM chain with an ``svd`` before each
+    step — the paper's "can be recast for STHOSVD as well", taken
+    literally. Tags are ``svd{mode}`` / ``ttm{mode}``."""
+    return _compile_chain(
+        order,
+        "sthosvd",
+        extract=lambda slot, mode: Step(
+            op="svd", src=slot, mode=mode, k=meta.core[mode],
+            tag=f"svd{mode}",
+        ),
+    )
 
 
 def compile_rand_steps(
@@ -183,13 +216,13 @@ def compile_rand_steps(
 ) -> tuple[Step, ...]:
     """Compile a randomized initialization into Step ops.
 
-    ``rsthosvd`` is sequentially truncated: per mode (in STHOSVD order)
-    one ``sketch`` step finds the range, then a ``ttm`` truncates the
-    working tensor before the next mode is sketched — so later sketches
-    run on already-shrunk data, the same win the exact path gets.
-    ``sp-rsthosvd`` is one ``spsketch`` step: every mode sketch plus the
-    core sketch accumulate in a single pass over the input, which is
-    never modified (HOSVD-style, no sequential truncation).
+    ``rsthosvd`` is the STHOSVD chain with a ``sketch`` where the ``svd``
+    was: per mode one randomized range finder, then the truncating
+    ``ttm`` — so later sketches run on already-shrunk data, the same win
+    the exact path gets. ``sp-rsthosvd`` is one ``spsketch`` step: every
+    mode sketch plus the core sketch accumulate in a single pass over the
+    input, which is never modified (HOSVD-style, no sequential
+    truncation).
     """
     if method not in RAND_METHODS:
         raise ValueError(
@@ -203,30 +236,19 @@ def compile_rand_steps(
         raise ValueError(f"power_iters must be >= 0, got {power_iters}")
     if method == "sp-rsthosvd":
         return (
-            Step(op="spsketch", src=ROOT_SLOT, p=oversample, tag="sketch"),
-        )
-    steps: list[Step] = []
-    slot = ROOT_SLOT
-    for i, mode in enumerate(order):
-        steps.append(
             Step(
-                op="sketch",
-                src=slot,
-                mode=mode,
-                k=meta.core[mode],
-                p=oversample,
-                q=power_iters,
-                tag=f"sketch:m{mode}",
-            )
+                op="spsketch", src=ROOT_SLOT, p=oversample,
+                ranks=tuple(meta.core), tag="sketch",
+            ),
         )
-        out = f"rand:{i}"
-        steps.append(
-            Step(op="ttm", src=slot, dst=out, mode=mode, tag=f"ttm{mode}")
-        )
-        if slot != ROOT_SLOT:
-            steps.append(Step(op="free", src=slot))
-        slot = out
-    return tuple(steps)
+    return _compile_chain(
+        order,
+        "rand",
+        extract=lambda slot, mode: Step(
+            op="sketch", src=slot, mode=mode, k=meta.core[mode],
+            p=oversample, q=power_iters, tag=f"sketch:m{mode}",
+        ),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -234,158 +256,123 @@ def compile_rand_steps(
 # --------------------------------------------------------------------- #
 
 
-def run_tree_steps(
+def run_steps(
     backend: ExecutionBackend,
     handle,
-    factors: Sequence[np.ndarray],
     steps: Sequence[Step],
+    factors,
+    new=None,
     *,
-    tag: str = "hooi",
-    method: str = "gram",
-    workspace: dict[int, np.ndarray] | None = None,
-) -> dict[int, np.ndarray]:
-    """Replay a tree schedule; returns ``{mode: new factor}``.
+    tag: str,
+    rng: np.random.Generator | None = None,
+    dtype=None,
+):
+    """Replay a compiled Step program against any backend.
 
-    ``factors`` are the *current* factor matrices (TTM steps multiply by
-    their transposes, as Figure 2 specifies). ``workspace`` optionally maps
-    modes to preallocated Gram buffers.
+    ``ttm`` steps multiply by the transpose of ``factors[mode]``; ``svd``
+    / ``sketch`` / ``spsketch`` steps store the factor they extract in
+    ``new[mode]``. Which mappings those are is a program's only semantic
+    switch: the Jacobi tree passes two (every chain reads the *current*
+    factors, as Figure 2 specifies — tree reuse requires it), the
+    sequentially truncating programs (STHOSVD, ``rsthosvd``, the core
+    chain) pass one, so each ``ttm`` truncates by the factor just found.
+
+    Returns ``(final, norm_sq, core)``: the handle the last ``ttm`` /
+    ``regrid`` produced (``None`` for a tree, which frees all it makes),
+    and — ``None`` unless a sketch op ran — the input's squared norm, a
+    free by-product of the sketch pass, and an ``spsketch``'s host-solved
+    core. Sketch ops draw their test matrices from ``rng`` host-side, in
+    ``dtype``, at each step's then-current dims, so every backend
+    contracts identical Gaussians and seed-determinism holds per backend.
     """
+    if new is None:
+        new = factors
     slots = {ROOT_SLOT: handle}
-    new_factors: dict[int, np.ndarray] = {}
+    last = ROOT_SLOT
+    norm_sq = core = None
     for step in steps:
         full_tag = f"{tag}:{step.tag}" if step.tag else tag
-        if step.op == "regrid":
-            slots[step.dst] = backend.regrid(
-                slots[step.src], step.grid, tag=full_tag
-            )
-        elif step.op == "ttm":
+        if step.op == "ttm":
             slots[step.dst] = backend.ttm(
                 slots[step.src], factors[step.mode].T, step.mode, tag=full_tag
             )
+            last = step.dst
         elif step.op == "svd":
-            out = workspace.get(step.mode) if workspace else None
-            new_factors[step.mode] = backend.leading_factor(
-                slots[step.src],
-                step.mode,
-                step.k,
-                tag=full_tag,
-                method=method,
-                out=out,
+            new[step.mode] = backend.leading_factor(
+                slots[step.src], step.mode, step.k, tag=full_tag
             )
         elif step.op == "free":
             slots.pop(step.src, None)
-        else:  # pragma: no cover - compile emits only the four ops
-            raise AssertionError(f"unknown step op {step.op!r}")
-    return new_factors
-
-
-def run_rand_steps(
-    backend: ExecutionBackend,
-    handle,
-    steps: Sequence[Step],
-    meta: TensorMeta,
-    *,
-    rng: np.random.Generator,
-    dtype,
-    tag: str = "sketch",
-):
-    """Replay a randomized schedule against any backend.
-
-    Returns ``(factors, final_handle, t_norm_sq, core)`` where
-    ``factors`` maps modes to extracted factor matrices, ``final_handle``
-    is the working tensor after all truncations (for ``rsthosvd`` it
-    *is* the core), ``t_norm_sq`` is the input's squared Frobenius norm
-    (a free by-product of the first sketch pass), and ``core`` is the
-    host-side solved core for ``sp-rsthosvd`` (``None`` otherwise).
-
-    Test matrices are drawn from ``rng`` host-side at each step's
-    then-current dims, so every backend contracts identical Gaussians
-    and seed-determinism holds per backend.
-    """
-    slots = {ROOT_SLOT: handle}
-    factors: dict[int, np.ndarray] = {}
-    t_norm_sq: float | None = None
-    current = handle
-    core: np.ndarray | None = None
-    for step in steps:
-        full_tag = f"{tag}:{step.tag}" if step.tag else tag
-        if step.op == "sketch":
-            src = slots[step.src]
-            dims = backend.shape(src)
-            spec = rsk.mode_sketch_spec(
-                rng, dims, step.mode, step.k, step.p, dtype
+        elif step.op == "regrid":
+            slots[step.dst] = backend.regrid(
+                slots[step.src], step.grid, tag=full_tag
             )
-            (w,), norm_sq = backend.sketch(src, [spec], tag=full_tag)
-            if t_norm_sq is None:
-                t_norm_sq = norm_sq
-            w_mat = unfold(w, step.mode)
-            for j in range(step.q):
-                q_mat = rsk.orthonormal_cols(w_mat)
-                z = backend.ttm(
-                    src,
-                    np.ascontiguousarray(q_mat.T),
-                    step.mode,
-                    tag=f"{full_tag}:power{j}",
-                )
-                w_mat = backend.cross_gram(
-                    src, z, step.mode, tag=f"{full_tag}:power{j}:xgram"
-                )
-                del z
-            factors[step.mode] = rsk.factor_from_matrix(w_mat, step.k)
+            last = step.dst
+        elif step.op == "sketch":
+            new[step.mode], part = _range_finder(
+                backend, slots[step.src], step, full_tag, rng, dtype
+            )
+            if norm_sq is None:
+                norm_sq = part
         elif step.op == "spsketch":
             src = slots[step.src]
             dims = backend.shape(src)
-            specs = rsk.single_pass_specs(rng, dims, meta.core, step.p, dtype)
-            sketches, t_norm_sq = backend.sketch(src, specs, tag=full_tag)
-            for n in range(len(dims)):
-                factors[n] = rsk.factor_from_matrix(
-                    unfold(sketches[n], n), meta.core[n]
-                )
+            specs = rsk.single_pass_specs(rng, dims, step.ranks, step.p, dtype)
+            sketches, norm_sq = backend.sketch(src, specs, tag=full_tag)
+            for n, k in enumerate(step.ranks):
+                new[n] = rsk.factor_from_matrix(unfold(sketches[n], n), k)
             core = rsk.solve_core(
-                sketches[-1],
-                specs[-1],
-                [factors[n] for n in range(len(dims))],
+                sketches[-1], specs[-1], [new[n] for n in range(len(specs) - 1)]
             )
-        elif step.op == "ttm":
-            current = backend.ttm(
-                slots[step.src], factors[step.mode].T, step.mode, tag=full_tag
-            )
-            slots[step.dst] = current
-        elif step.op == "free":
-            slots.pop(step.src, None)
-        else:  # pragma: no cover - compile emits only these ops
-            raise AssertionError(
-                f"unexpected step op {step.op!r} in randomized schedule"
-            )
-    return factors, current, float(t_norm_sq), core
+        else:  # pragma: no cover - compile emits only the six ops
+            raise AssertionError(f"unknown step op {step.op!r}")
+    return slots.get(last), norm_sq, core
 
 
-def run_core_steps(
+def _range_finder(backend, src, step: Step, tag: str, rng, dtype):
+    """One ``sketch`` step: the randomized range of ``src``'s mode
+    unfolding, sharpened by ``step.q`` power iterations; returns the
+    factor and the squared norm the sketch pass accumulated."""
+    spec = rsk.mode_sketch_spec(
+        rng, backend.shape(src), step.mode, step.k, step.p, dtype
+    )
+    (w,), norm_sq = backend.sketch(src, [spec], tag=tag)
+    w_mat = unfold(w, step.mode)
+    for j in range(step.q):
+        q_mat = rsk.orthonormal_cols(w_mat)
+        z = backend.ttm(
+            src,
+            np.ascontiguousarray(q_mat.T),
+            step.mode,
+            tag=f"{tag}:power{j}",
+        )
+        w_mat = backend.cross_gram(
+            src, z, step.mode, tag=f"{tag}:power{j}:xgram"
+        )
+        del z
+    return rsk.factor_from_matrix(w_mat, step.k), norm_sq
+
+
+def run_sweep(
     backend: ExecutionBackend,
     handle,
     factors: Sequence[np.ndarray],
-    steps: Sequence[Step],
+    tree_steps: Sequence[Step],
+    core_steps: Sequence[Step],
     *,
-    tag: str = "core",
+    tag: str = "hooi",
 ):
-    """Replay a core-chain schedule; returns the final (core) handle.
+    """One HOOI invocation (Figure 2): the tree program, then the core chain.
 
-    ``factors`` are the *new* factor matrices indexed by mode.
+    Returns ``(new factors ordered by mode, core handle)``; the core
+    chain's records carry the tag ``{tag}:core``.
     """
-    slots = {ROOT_SLOT: handle}
-    current = handle
-    for step in steps:
-        full_tag = f"{tag}:{step.tag}" if step.tag else tag
-        if step.op == "regrid":
-            current = backend.regrid(slots[step.src], step.grid, tag=full_tag)
-            slots[step.dst] = current
-        elif step.op == "ttm":
-            current = backend.ttm(
-                slots[step.src], factors[step.mode].T, step.mode, tag=full_tag
-            )
-            slots[step.dst] = current
-        elif step.op == "free":
-            slots.pop(step.src, None)
-        else:  # pragma: no cover - core schedules hold regrid/ttm/free only
-            raise AssertionError(f"unexpected step op {step.op!r} in core chain")
-    return current
+    new: dict[int, np.ndarray] = {}
+    run_steps(backend, handle, tree_steps, factors, new, tag=tag)
+    if sorted(new) != list(range(len(factors))):
+        raise AssertionError("tree execution did not produce every factor")
+    ordered = [new[m] for m in range(len(factors))]
+    core, _, _ = run_steps(
+        backend, handle, core_steps, ordered, tag=f"{tag}:core"
+    )
+    return ordered, core

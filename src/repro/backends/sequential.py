@@ -36,9 +36,7 @@ from repro.backends.blockkernels import (
 from repro.backends.blockpar import gram_evd_flops
 from repro.backends.sketch import sketch_arrays, sketch_flops
 from repro.storage import StoredTensor
-from repro.tensor.linalg import leading_left_singular_vectors
 from repro.tensor.ttm import ttm
-from repro.tensor.unfold import unfold
 
 
 class SequentialBackend(BlockBackend):
@@ -72,32 +70,17 @@ class SequentialBackend(BlockBackend):
         return out
 
     def leading_factor(
-        self,
-        handle,
-        mode: int,
-        k: int,
-        *,
-        tag: str = "svd",
-        method: str = "gram",
-        out: np.ndarray | None = None,
+        self, handle, mode: int, k: int, *, tag: str = "svd"
     ) -> np.ndarray:
         start = perf_counter()
-        length = handle.shape[mode]
+        out = self._gram_out(handle, mode)
         if isinstance(handle, StoredTensor):
-            if method != "gram":
-                raise ValueError(
-                    f"out-of-core handles only support the Gram+EVD "
-                    f"route, got method={method!r}"
-                )
             g = run_gram(BlockSource.of(handle), mode, 1, serial_map, out)
-            factor = gram_factor(g, k)
-        elif method != "gram":
-            factor = leading_left_singular_vectors(
-                unfold(handle, mode), k, method=method
-            )
         else:
-            factor = gram_factor(gram_block(handle, mode, out), k)
-        self._record("syrk", tag, gram_evd_flops(length, handle.size), start)
+            g = gram_block(handle, mode, out)
+        factor = gram_factor(g, k)
+        flops = gram_evd_flops(handle.shape[mode], handle.size)
+        self._record("syrk", tag, flops, start)
         return factor
 
     def sketch(self, handle, specs, *, tag="sketch"):

@@ -95,20 +95,8 @@ class SimClusterBackend(ExecutionBackend):
         return dist_ttm(handle, matrix, mode, tag=tag)
 
     def leading_factor(
-        self,
-        handle: DistTensor,
-        mode: int,
-        k: int,
-        *,
-        tag: str = "svd",
-        method: str = "gram",
-        out: np.ndarray | None = None,
+        self, handle: DistTensor, mode: int, k: int, *, tag: str = "svd"
     ) -> np.ndarray:
-        if method != "gram":
-            raise ValueError(
-                f"SimClusterBackend only supports the Gram+EVD route, "
-                f"got method={method!r}"
-            )
         return dist_leading_factor(handle, mode, k, tag=tag)
 
     def sketch(self, handle: DistTensor, specs, *, tag="sketch"):

@@ -37,7 +37,6 @@ from repro.tensor.linalg import (
     leading_left_singular_vectors,
 )
 from repro.tensor.ttm import ttm_chain
-from repro.tensor.unfold import unfold
 
 __all__ = [
     "SketchSpec",
@@ -66,9 +65,6 @@ class SketchSpec:
 
     mode: int
     omegas: dict[int, np.ndarray] = field(repr=False)
-
-    def out_dims(self, dims: tuple[int, ...]) -> tuple[int, ...]:
-        return out_shape(dims, self)
 
 
 def sketch_width(k: int, p: int, dim: int) -> int:
@@ -245,8 +241,3 @@ def solve_core(
     return ttm_chain(h, matrices, list(range(h.ndim))).astype(
         h.dtype, copy=False
     )
-
-
-def unfold_sketch(w: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` unfolding of a sketch tensor (thin re-export)."""
-    return unfold(w, mode)

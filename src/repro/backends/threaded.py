@@ -79,23 +79,12 @@ class ThreadedBackend(PoolBackend):
         return out
 
     def leading_factor(
-        self,
-        handle,
-        mode: int,
-        k: int,
-        *,
-        tag: str = "svd",
-        method: str = "gram",
-        out: np.ndarray | None = None,
+        self, handle, mode: int, k: int, *, tag: str = "svd"
     ) -> np.ndarray:
-        if method != "gram":
-            raise ValueError(
-                f"ThreadedBackend only supports the Gram+EVD route, "
-                f"got method={method!r}"
-            )
         start = perf_counter()
         g = run_gram(
-            BlockSource.of(handle), mode, self.n_workers, self._map, out
+            BlockSource.of(handle), mode, self.n_workers, self._map,
+            self._gram_out(handle, mode),
         )
         factor = gram_factor(g, k)
         flops = gram_evd_flops(handle.shape[mode], handle.size)

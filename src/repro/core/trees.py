@@ -56,12 +56,6 @@ class Node:
         if self.kind == LEAF and self.children:
             raise ValueError("leaf nodes cannot have children")
 
-    def is_leaf(self) -> bool:
-        return self.kind == LEAF
-
-    def is_internal(self) -> bool:
-        return self.kind == TTM
-
 
 class TTMTree:
     """A validated TTM-tree over ``n_modes`` modes."""

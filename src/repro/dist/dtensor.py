@@ -71,7 +71,7 @@ class DistTensor:
         self.global_shape = global_shape
         self._ranges = ranges
         self._blocks = {r: blocks[r] for r in range(grid.n_procs)}
-        #: the BlockStore backing the bricks, if this tensor was spilled
+        #: the MmapStore backing the bricks, if this tensor was spilled
         #: (set by :meth:`from_global`; None for in-memory tensors).
         self.store = None
 
@@ -94,7 +94,7 @@ class DistTensor:
         does the engine. Floating dtypes are preserved (float32 stays
         float32); everything else promotes to float64.
 
-        ``store``, when given, is a :class:`~repro.storage.BlockStore`
+        ``store``, when given, is a :class:`~repro.storage.MmapStore`
         the per-rank bricks are spilled through instead of living in RAM:
         each brick is written write-through (chunked, so only one chunk of
         one brick is resident while cutting a lazily mapped global
@@ -182,10 +182,6 @@ class DistTensor:
 
     def block_shape(self, rank: int) -> tuple[int, ...]:
         return tuple(b - a for a, b in self.block_ranges_of(rank))
-
-    def mode_ranges(self, mode: int) -> list[tuple[int, int]]:
-        """The near-even block ranges along one mode."""
-        return list(self._ranges[mode])
 
     # ------------------------------------------------------------------ #
     # distributed reductions

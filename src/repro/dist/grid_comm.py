@@ -2,15 +2,11 @@
 
 A :class:`ProcessorGrid` imposes grid coordinates on the cluster's ranks in
 C (row-major) order — the analogue of ``MPI_Cart_create`` — and derives the
-two sub-communicator families the paper's engine needs (section 3):
-
-* **mode-fiber groups** for mode ``n``: ranks that agree on every coordinate
-  except the ``n``-th. The distributed TTM reduce-scatters partial products
-  within each fiber group; the SVD's allgather fallback assembles full-length
-  fibers within them.
-* **mode-slice groups** for mode ``n``: ranks sharing the same ``n``-th
-  coordinate (one slice per coordinate value). These are the complements of
-  the fiber groups and the natural groups for slice-wise reductions.
+sub-communicator family the paper's engine needs (section 3): the
+**mode-fiber groups** for mode ``n``, ranks that agree on every coordinate
+except the ``n``-th. The distributed TTM reduce-scatters partial products
+within each fiber group; the SVD's allgather fallback assembles full-length
+fibers within them.
 """
 
 from __future__ import annotations
@@ -118,25 +114,6 @@ class ProcessorGrid:
         # ranks ascend with the mode coordinate inside each group (C order),
         # and dict insertion order is C order of the fixed coordinates.
         return list(seen.values())
-
-    def slice_group(self, mode: int, coord: int) -> list[int]:
-        """Ranks whose mode-``mode`` coordinate equals ``coord``, ascending."""
-        mode = check_mode(mode, self.ndim)
-        if not 0 <= coord < self.shape[mode]:
-            raise ValueError(
-                f"coordinate {coord} out of range [0, {self.shape[mode]}) "
-                f"for mode {mode}"
-            )
-        return [
-            rank
-            for rank in range(self.n_procs)
-            if self.coords(rank)[mode] == coord
-        ]
-
-    def slice_groups(self, mode: int) -> list[list[int]]:
-        """All mode-``mode`` slice groups, by ascending coordinate."""
-        mode = check_mode(mode, self.ndim)
-        return [self.slice_group(mode, c) for c in range(self.shape[mode])]
 
     # ------------------------------------------------------------------ #
 

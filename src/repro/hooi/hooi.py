@@ -10,15 +10,14 @@ A single invocation maps ``{G; F_1..F_N} -> {G~; F~_1..F~_N}``:
 
 ``hooi_step_sequential`` / ``hooi_step_distributed`` are the
 single-invocation engine entry points: they compile the plan's tree and
-core chain with :mod:`repro.backends.schedule` and replay them on a
-sequential or simcluster backend. Iterating to convergence is
-:meth:`repro.session.TuckerSession.hooi` (the iterated-driver shims that
-used to live here were removed in PR 14).
-``hooi_reference_step`` is the tree-free naive implementation
-(N independent chains) used as the test oracle; it also offers the classic
-Gauss-Seidel update (immediately reusing freshly computed factors), which
-trees cannot express — comparing the two is one of the repo's extension
-experiments.
+core chain with :mod:`repro.backends.schedule` and replay them — one
+:func:`~repro.backends.schedule.run_sweep`, the very sweep
+:meth:`repro.session.TuckerSession.hooi` iterates to convergence — on a
+sequential or simcluster backend. ``hooi_reference_step`` is the tree-free
+naive implementation (N independent chains) used as the test oracle; it
+also offers the classic Gauss-Seidel update (immediately reusing freshly
+computed factors), which trees cannot express — comparing the two is one
+of the repo's extension experiments.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from repro.backends import (
     check_factors,
     compile_core_steps,
     compile_tree_steps,
-    run_core_steps,
-    run_tree_steps,
+    run_sweep,
 )
 from repro.core.ordering import optimal_chain_ordering
 from repro.core.planner import Plan
@@ -59,21 +57,14 @@ def hooi_step_sequential(
     """One HOOI invocation (Figure 2), sequentially, per ``plan``'s tree."""
     meta = plan.meta
     tensor = as_float(tensor)
-    backend = SequentialBackend()
-    new_factors = run_tree_steps(
-        backend,
+    new_factors, core = run_sweep(
+        SequentialBackend(),
         tensor,
         check_factors(factors, meta, dtype=tensor.dtype),
         compile_tree_steps(plan.tree, meta),
-    )
-    ordered = [new_factors[m] for m in range(meta.ndim)]
-    core = run_core_steps(
-        backend,
-        tensor,
-        ordered,
         compile_core_steps(optimal_chain_ordering(meta)),
     )
-    return TuckerDecomposition(core=core, factors=ordered)
+    return TuckerDecomposition(core=core, factors=new_factors)
 
 
 def hooi_step_distributed(
@@ -105,26 +96,20 @@ def hooi_step_distributed(
             f"tensor grid {dtensor.grid.shape} != plan initial grid "
             f"{plan.initial_grid}; distribute (or regrid) first"
         )
-    backend = SimClusterBackend(dtensor.cluster)
-    new_factors = run_tree_steps(
-        backend,
+    new_factors, core_dist = run_sweep(
+        SimClusterBackend(dtensor.cluster),
         dtensor,
         factors,
         compile_tree_steps(plan.tree, meta, scheme=plan.scheme),
-        tag=tag,
-    )
-    ordered = [new_factors[m] for m in range(meta.ndim)]
-    core_dist = run_core_steps(
-        backend,
-        dtensor,
-        ordered,
         compile_core_steps(
             list(plan.core_order) or optimal_chain_ordering(meta),
             plan.core_scheme or None,
         ),
-        tag=f"{tag}:core",
+        tag=tag,
     )
-    dec = TuckerDecomposition(core=core_dist.to_global(), factors=ordered)
+    dec = TuckerDecomposition(
+        core=core_dist.to_global(), factors=new_factors
+    )
     return dec, core_dist
 
 

@@ -5,9 +5,10 @@ consumes only metadata and is decoupled from execution; this module makes
 that the shape of the public API:
 
 * :func:`compile_plan` turns a :class:`~repro.core.planner.Plan` into a
-  :class:`CompiledPlan` — a validated, backend-neutral schedule (tree +
-  core-chain :class:`~repro.backends.schedule.Step` programs), a working
-  dtype, and preallocated Gram workspaces;
+  :class:`CompiledPlan` — a validated, backend-neutral schedule (tree,
+  core-chain and STHOSVD :class:`~repro.backends.schedule.Step` programs)
+  and a working dtype: immutable metadata any number of sessions may
+  replay at once;
 * :class:`TuckerSession` owns an :class:`~repro.backends.ExecutionBackend`
   and an LRU plan cache keyed on ``(dims, core, procs, planner, dtype)``;
   ``session.run`` / ``session.sthosvd`` / ``session.hooi`` execute compiled
@@ -21,9 +22,6 @@ Quickstart::
     res = session.run(tensor, (8, 6, 5))        # compiles + caches the plan
     res2 = session.run(other_tensor, (8, 6, 5)) # plan-cache hit
     print(res.error, res2.from_cache, session.backend.stats())
-
-The legacy one-shot deprecation shims were removed in PR 14;
-``TuckerSession.run`` / ``.hooi`` replace them.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import threading
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,23 +48,19 @@ from repro.backends import (
     StorageSelection,
     check_factors,
     compile_core_steps,
+    compile_sthosvd_steps,
     compile_tree_steps,
     get_backend,
     load_profile,
     merge_profile,
-    run_core_steps,
-    run_tree_steps,
+    run_steps,
+    run_sweep,
     select_backend,
     select_storage,
 )
 from repro.backends.blockpar import OC_LEASE_FACTOR
 from repro.backends.select import resolve_auto_procs
-from repro.backends.schedule import (
-    RAND_METHODS,
-    Step,
-    compile_rand_steps,
-    run_rand_steps,
-)
+from repro.backends.schedule import RAND_METHODS, Step, compile_rand_steps
 from repro.storage import (
     DEFAULT_CHUNK_BYTES,
     MmapStore,
@@ -444,9 +438,10 @@ class Prefetcher:
 class CompiledPlan:
     """A plan lowered to a backend-neutral schedule, ready to execute.
 
-    Immutable except for the lazily-built Gram workspace (preallocated
-    ``L_n x L_n`` buffers the shared-memory backends accumulate into;
-    reused across every run of this compiled plan).
+    Metadata only, and immutable: one program per phase (the HOOI tree,
+    the core chain, the STHOSVD pass) plus the working dtype. Running it
+    changes nothing in it, so sessions on any number of threads may share
+    one compiled plan.
     """
 
     plan: Plan
@@ -455,9 +450,7 @@ class CompiledPlan:
     tree_steps: tuple[Step, ...]
     core_steps: tuple[Step, ...]
     sthosvd_order: tuple[int, ...]
-    _workspace: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
+    sthosvd_steps: tuple[Step, ...]
 
     # -- delegated metadata ---------------------------------------------- #
 
@@ -472,23 +465,6 @@ class CompiledPlan:
     @property
     def initial_grid(self) -> tuple[int, ...]:
         return self.plan.initial_grid
-
-    @property
-    def cache_key(self) -> tuple:
-        return plan_cache_key(
-            self.meta, self.n_procs, self.planner_key, self.dtype
-        )
-
-    # -- workspaces ------------------------------------------------------- #
-
-    def gram_workspace(self) -> dict[int, np.ndarray]:
-        """Preallocated per-mode Gram buffers (built on first use)."""
-        if not self._workspace:
-            for mode, length in enumerate(self.meta.dims):
-                self._workspace[mode] = np.empty(
-                    (length, length), dtype=self.dtype
-                )
-        return self._workspace
 
     # -- serialization ---------------------------------------------------- #
 
@@ -516,6 +492,15 @@ class CompiledPlan:
         )
 
 
+def _norm_identity_error(t_norm_sq: float, g_norm_sq: float) -> float:
+    """Relative error of an orthogonal projection from the two squared
+    norms, ``sqrt(max(|T|^2 - |G|^2, 0) / |T|^2)`` (0 for a zero input) —
+    so no rank ever holds the full tensor to measure it."""
+    if t_norm_sq == 0:
+        return 0.0
+    return float(math.sqrt(max(t_norm_sq - g_norm_sq, 0.0) / t_norm_sq))
+
+
 def plan_cache_key(
     meta: TensorMeta, n_procs: int, planner_key: str, dtype
 ) -> tuple:
@@ -529,7 +514,8 @@ def compile_plan(
     """Lower a planner :class:`Plan` into a :class:`CompiledPlan`."""
     dtype = resolve_dtype(np.float64, dtype)
     meta = plan.meta
-    core_order = tuple(plan.core_order) or tuple(optimal_chain_ordering(meta))
+    sthosvd_order = tuple(optimal_chain_ordering(meta))
+    core_order = tuple(plan.core_order) or sthosvd_order
     core_scheme = plan.core_scheme or None
     return CompiledPlan(
         plan=plan,
@@ -537,7 +523,8 @@ def compile_plan(
         planner_key=planner_key,
         tree_steps=compile_tree_steps(plan.tree, meta, scheme=plan.scheme),
         core_steps=compile_core_steps(core_order, core_scheme),
-        sthosvd_order=tuple(optimal_chain_ordering(meta)),
+        sthosvd_order=sthosvd_order,
+        sthosvd_steps=compile_sthosvd_steps(sthosvd_order, meta),
     )
 
 
@@ -1209,14 +1196,12 @@ class TuckerSession:
         """Iterate HOOI over the distributed input ``handle``."""
         backend = self.backend
         tr = self._tr()
-        meta = compiled.meta
-        factors = check_factors(factors, meta, dtype=compiled.dtype)
+        factors = check_factors(factors, compiled.meta, dtype=compiled.dtype)
         if t_norm_sq is None:
             # An init pass that already reduced the input norm over this
             # very handle passes it in — on an out-of-core handle this
             # reduction is a complete pass over the spill files.
             t_norm_sq = backend.fro_norm_sq(handle, tag="norm:input")
-        workspace = compiled.gram_workspace()
         errors: list[float] = []
         core_handle = None
         converged = False
@@ -1225,30 +1210,14 @@ class TuckerSession:
             for it in range(max_iters):
                 tag = f"hooi:it{it}"
                 with tr.span(tag, kind="phase", iteration=it):
-                    new = run_tree_steps(
-                        backend,
-                        handle,
-                        factors,
-                        compiled.tree_steps,
-                        tag=tag,
-                        workspace=workspace,
-                    )
-                    if sorted(new) != list(range(meta.ndim)):
-                        raise AssertionError(
-                            "tree execution did not produce every factor"
-                        )
-                    factors = [new[m] for m in range(meta.ndim)]
-                    core_handle = run_core_steps(
-                        backend, handle, factors, compiled.core_steps,
-                        tag=f"{tag}:core",
+                    factors, core_handle = run_sweep(
+                        backend, handle, factors,
+                        compiled.tree_steps, compiled.core_steps, tag=tag,
                     )
                     g_norm_sq = backend.fro_norm_sq(
                         core_handle, tag="norm:core"
                     )
-                err_sq = max(t_norm_sq - g_norm_sq, 0.0)
-                errors.append(
-                    0.0 if t_norm_sq == 0 else float(math.sqrt(err_sq / t_norm_sq))
-                )
+                errors.append(_norm_identity_error(t_norm_sq, g_norm_sq))
                 if it > 0:
                     delta = errors[-2] - errors[-1]
                     # ``delta < tol`` also fires on *rising* error (delta
@@ -1265,12 +1234,16 @@ class TuckerSession:
                         else:
                             stopped_reason = "non-monotone"
                         break
-        # Copy: shared-memory cores may alias reusable workspace/output
-        # buffers that the next run would overwrite.
-        with tr.span("gather", kind="phase"):
-            core = np.array(backend.gather(core_handle), copy=True)
-        dec = TuckerDecomposition(core=core, factors=list(factors))
+        dec = TuckerDecomposition(
+            core=self._gather(core_handle), factors=list(factors)
+        )
         return dec, errors, converged, stopped_reason
+
+    def _gather(self, handle) -> np.ndarray:
+        """The host copy of a core handle. Copy: shared-memory cores may
+        alias reusable output buffers that the next run would overwrite."""
+        with self._tr().span("gather", kind="phase"):
+            return np.array(self.backend.gather(handle), copy=True)
 
     def hooi(
         self,
@@ -1304,90 +1277,56 @@ class TuckerSession:
             spill_dir=spill_dir, spill_codec=spill_codec,
         )
 
-    def _sthosvd_pass(
-        self, compiled: CompiledPlan, handle
-    ) -> tuple[TuckerDecomposition, float, float]:
-        """One STHOSVD pass; ``(decomposition, error, input_norm_sq)``.
-
-        ``handle`` is the already distributed input (the pipeline
-        distributes once and shares it across phases — the input handle
-        is never mutated by the kernels). The input's squared norm rides
-        along so the HOOI phase doesn't re-reduce it.
-        """
-        backend = self.backend
-        tr = self._tr()
-        meta = compiled.meta
-        with tr.span("sthosvd", kind="phase"):
-            t_norm_sq = backend.fro_norm_sq(handle, tag="norm:input")
-            workspace = compiled.gram_workspace()
-            factors: list[np.ndarray | None] = [None] * meta.ndim
-            for mode in compiled.sthosvd_order:
-                f = backend.leading_factor(
-                    handle,
-                    mode,
-                    meta.core[mode],
-                    tag=f"sthosvd:svd{mode}",
-                    out=workspace.get(mode),
-                )
-                factors[mode] = f
-                handle = backend.ttm(
-                    handle, f.T, mode, tag=f"sthosvd:ttm{mode}"
-                )
-            g_norm_sq = backend.fro_norm_sq(handle, tag="norm:core")
-        err_sq = max(t_norm_sq - g_norm_sq, 0.0)
-        error = 0.0 if t_norm_sq == 0 else float(math.sqrt(err_sq / t_norm_sq))
-        with tr.span("gather", kind="phase"):
-            core = np.array(backend.gather(handle), copy=True)
-        return (
-            TuckerDecomposition(core=core, factors=list(factors)),
-            error,
-            t_norm_sq,
-        )
-
-    def _rand_pass(
+    def _init_pass(
         self, compiled: CompiledPlan, handle, algo: dict, seed: int
     ) -> tuple[TuckerDecomposition, float, float]:
-        """One randomized pass; ``(decomposition, error, input_norm_sq)``.
+        """The initialization pass; ``(decomposition, error, input_norm_sq)``.
 
-        ``handle`` is the already distributed input; ``algo`` holds the
-        run's ``method`` / ``oversample`` / ``power_iters``. The input's
-        squared norm is a free by-product of the first sketch pass — no
-        separate norm reduction over the input ever runs. For
-        ``rsthosvd`` the final truncated handle *is* the core (a
-        projection of the input), so the norm identity gives the exact
-        relative error; for ``sp-rsthosvd`` the core is solved host-side
-        from the sketches and the identity only yields a clamped
-        estimate.
+        ``algo`` holds the run's ``method`` / ``oversample`` /
+        ``power_iters``: the exact STHOSVD replays the plan's
+        ``sthosvd_steps``, a randomized method compiles its own program.
+        ``handle`` is the already distributed input (placed once, shared
+        across phases, never mutated by the kernels); its squared norm
+        rides along so the HOOI phase doesn't re-reduce it — the exact
+        pass reduces it, a sketch pass gets it as a free by-product. The
+        final truncated handle *is* the core (a projection of the input),
+        so the norm identity gives the exact relative error; only
+        ``sp-rsthosvd``'s core is solved host-side from the sketches, and
+        for it the identity yields a clamped estimate.
         """
         backend = self.backend
-        tr = self._tr()
         meta = compiled.meta
         method = algo["method"]
-        rng = np.random.default_rng(seed)
-        steps = compile_rand_steps(compiled.sthosvd_order, meta, **algo)
-        with tr.span(
-            method, kind="phase", seed=int(seed),
-            oversample=int(algo["oversample"]),
-            power_iters=int(algo["power_iters"]),
-        ):
-            factors, current, t_norm_sq, core = run_rand_steps(
-                backend, handle, steps, meta,
-                rng=rng, dtype=compiled.dtype, tag=method,
+        if method == "exact":
+            name, attrs, rng = "sthosvd", {}, None
+            steps = compiled.sthosvd_steps
+        else:
+            name, rng = method, np.random.default_rng(seed)
+            attrs = dict(
+                seed=int(seed), oversample=int(algo["oversample"]),
+                power_iters=int(algo["power_iters"]),
             )
+            steps = compile_rand_steps(compiled.sthosvd_order, meta, **algo)
+        factors: dict[int, np.ndarray] = {}
+        with self._tr().span(name, kind="phase", **attrs):
+            if rng is None:
+                t_norm_sq = backend.fro_norm_sq(handle, tag="norm:input")
+            current, sketched_norm_sq, core = run_steps(
+                backend, handle, steps, factors,
+                tag=name, rng=rng, dtype=compiled.dtype,
+            )
+            if rng is not None:
+                t_norm_sq = float(sketched_norm_sq)
             if core is None:
                 g_norm_sq = backend.fro_norm_sq(current, tag="norm:core")
-                with tr.span("gather", kind="phase"):
-                    # Copy: shared-memory cores may alias reusable
-                    # buffers the next run would overwrite.
-                    core = np.array(backend.gather(current), copy=True)
             else:
                 g_norm_sq = float(np.dot(core.ravel(), core.ravel()))
-        err_sq = max(t_norm_sq - g_norm_sq, 0.0)
-        error = 0.0 if t_norm_sq == 0 else float(math.sqrt(err_sq / t_norm_sq))
+        if core is None:
+            core = self._gather(current)
         dec = TuckerDecomposition(
             core=core, factors=[factors[m] for m in range(meta.ndim)]
         )
-        return dec, error, float(t_norm_sq)
+        return dec, _norm_identity_error(t_norm_sq, g_norm_sq), t_norm_sq
 
     def sthosvd(
         self,
@@ -1639,17 +1578,13 @@ class TuckerSession:
                         handle = backend.distribute(
                             arr, compiled.initial_grid, store=run_store
                         )
-                if method in RAND_METHODS:
-                    # Randomized init runs through the backend on EVERY
+                if factors is None and not host_init:
+                    # A randomized init runs through the backend on EVERY
                     # backend — on simcluster that is the point: the
                     # ledger charges the sketches' reduced volumes instead
                     # of the exact path's Gram traffic.
-                    dec, init_error, t_norm_sq = self._rand_pass(
+                    dec, init_error, t_norm_sq = self._init_pass(
                         compiled, handle, algo, seed
-                    )
-                elif factors is None and not host_init:
-                    dec, init_error, t_norm_sq = self._sthosvd_pass(
-                        compiled, handle
                     )
                 if loop:
                     dec, errors, converged, stopped_reason = self._hooi_loop(

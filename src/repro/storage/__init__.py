@@ -2,12 +2,11 @@
 
 The distributed design the paper argues for exists because dense tensors
 outgrow a single node's memory; this package gives the reproduction the
-same escape hatch on one machine. A :class:`BlockStore` holds named
-tensor blocks either in RAM (:class:`InMemoryStore`, the historical
-behavior) or as memory-mapped files under a managed spill directory
-(:class:`MmapStore`: per-block raw files + JSON manifests, chunked
-write-through so a block is never fully resident while being spilled,
-weakref-finalized cleanup so no orphaned files survive the store).
+same escape hatch on one machine. An :class:`MmapStore` holds named
+tensor blocks as memory-mapped files under a managed spill directory
+(per-block raw files + JSON manifests, chunked write-through so a block
+is never fully resident while being spilled, weakref-finalized cleanup
+so no orphaned files survive the store).
 
 :class:`StoredTensor` is the handle the shared-memory backends pass
 around when a tensor lives in a store instead of RAM: a (path, offset,
@@ -31,9 +30,7 @@ from repro.storage.store import (
     SPILL_CODECS,
     SPILL_DIR_ENV,
     BlockMeta,
-    BlockStore,
     CorruptBlockError,
-    InMemoryStore,
     MmapStore,
     ResidentGauge,
     StorageError,
@@ -49,12 +46,10 @@ from repro.storage.store import (
 
 __all__ = [
     "BlockMeta",
-    "BlockStore",
     "CorruptBlockError",
     "DEFAULT_CHUNK_BYTES",
     "DEFAULT_MAX_BLOCK_BYTES",
     "DEFAULT_ZLIB_LEVEL",
-    "InMemoryStore",
     "MEMORY_BUDGET_ENV",
     "MmapStore",
     "ResidentGauge",

@@ -1,4 +1,4 @@
-"""Block stores: in-memory and memory-mapped spill-file backed.
+"""The block store: tensor blocks in memory-mapped spill files.
 
 Layout of an :class:`MmapStore` spill directory::
 
@@ -20,7 +20,7 @@ without a ``.json`` — which :meth:`MmapStore.get` reports as a typed
 resized data files are caught by an exact byte-size check against the
 manifest.
 
-Every store removes its own files: explicitly via :meth:`BlockStore.close`
+Every store removes its own files: explicitly via :meth:`MmapStore.close`
 (idempotent), or at interpreter exit through a ``weakref.finalize`` — the
 same no-orphans discipline the procpool backend applies to ``/dev/shm``
 segments.
@@ -28,7 +28,6 @@ segments.
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import re
@@ -235,197 +234,6 @@ def resident_gauge() -> ResidentGauge:
 
 
 # --------------------------------------------------------------------- #
-# the store protocol
-# --------------------------------------------------------------------- #
-
-
-class BlockStore(abc.ABC):
-    """Named tensor blocks with put/get/writer semantics.
-
-    Keys are caller-chosen identifiers (``[A-Za-z0-9._-]``, not starting
-    with a separator); :meth:`next_key` hands out collision-free ones.
-    ``get`` views are read-only where the medium allows it; ``writer``
-    views are mutable and shared (the procpool workers write disjoint
-    slices of one output block through them).
-    """
-
-    #: short identifier ("memory", "mmap") mirrored in reasons/repr.
-    kind: str = "abstract"
-
-    def __init__(self, *, max_block_bytes: int | None = None,
-                 gauge: ResidentGauge | None = None) -> None:
-        self.max_block_bytes = int(
-            DEFAULT_MAX_BLOCK_BYTES
-            if max_block_bytes is None
-            else max_block_bytes
-        )
-        if self.max_block_bytes < 1:
-            raise ValueError(
-                f"max_block_bytes must be >= 1, got {self.max_block_bytes}"
-            )
-        self.gauge = gauge if gauge is not None else resident_gauge()
-        #: spill I/O reporting target (:mod:`repro.obs`); the session
-        #: repoints this at its live tracer for traced runs. The default
-        #: no-op tracer keeps untraced spills branch-free.
-        self.tracer = NULL_TRACER
-        self._counter = 0
-        self._closed = False
-
-    # -- key management --------------------------------------------------- #
-
-    @staticmethod
-    def check_key(key: str) -> str:
-        if not isinstance(key, str) or not _KEY_RE.match(key):
-            raise ValueError(
-                f"block keys must match [A-Za-z0-9][A-Za-z0-9._-]*, "
-                f"got {key!r}"
-            )
-        return key
-
-    def next_key(self, prefix: str = "t") -> str:
-        """A fresh key, unique within this store."""
-        self.check_key(prefix)
-        self._counter += 1
-        return f"{prefix}.{self._counter}"
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageError(f"{type(self).__name__} is closed")
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def per_block_bytes(self, n_workers: int = 1) -> int:
-        """Per-block byte ceiling when ``n_workers`` blocks fly at once."""
-        return max(1, self.max_block_bytes // max(1, int(n_workers)))
-
-    # -- the protocol ------------------------------------------------------ #
-
-    @abc.abstractmethod
-    def put(self, key: str, array: np.ndarray, *, dtype=None, codec=None) -> None:
-        """Store a block (write-through; chunked on spill media).
-
-        ``dtype``, when given, converts while writing — chunk by chunk
-        on spill media, so a dtype change never materializes a full
-        converted copy of the source. ``codec`` overrides the store's
-        default block encoding for this block (``"raw"`` forces a
-        directly mappable — and therefore writable — block on an
-        encoding store; RAM stores ignore it).
-        """
-
-    @abc.abstractmethod
-    def get(self, key: str) -> np.ndarray:
-        """The stored block (read-only mapping on spill media)."""
-
-    @abc.abstractmethod
-    def writer(self, key: str) -> np.ndarray:
-        """A mutable view of the stored block."""
-
-    @abc.abstractmethod
-    def create(self, key: str, shape, dtype) -> None:
-        """Allocate an uninitialized block (write via :meth:`writer`)."""
-
-    @abc.abstractmethod
-    def delete(self, key: str) -> None:
-        """Remove a block (missing keys are ignored)."""
-
-    @abc.abstractmethod
-    def keys(self) -> list[str]:
-        """Keys of every committed block."""
-
-    @abc.abstractmethod
-    def path_of(self, key: str) -> str | None:
-        """Filesystem path of the block's bytes, or ``None`` in RAM."""
-
-    @abc.abstractmethod
-    def meta_of(self, key: str) -> tuple[tuple[int, ...], np.dtype]:
-        """``(shape, dtype)`` of a stored block."""
-
-    @property
-    @abc.abstractmethod
-    def nbytes(self) -> int:
-        """Total bytes of every committed block."""
-
-    def close(self) -> None:
-        """Release every block (idempotent)."""
-        self._closed = True
-
-    def __enter__(self) -> "BlockStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(kind={self.kind!r}, "
-            f"blocks={len(self.keys()) if not self._closed else 0})"
-        )
-
-
-# --------------------------------------------------------------------- #
-# in-memory store (the historical behavior, behind the protocol)
-# --------------------------------------------------------------------- #
-
-
-class InMemoryStore(BlockStore):
-    """Blocks as plain ndarrays in a dict — current-behavior storage."""
-
-    kind = "memory"
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._blocks: dict[str, np.ndarray] = {}
-
-    def put(self, key: str, array: np.ndarray, *, dtype=None, codec=None) -> None:
-        self._check_open()
-        self.check_key(key)
-        self._blocks[key] = np.array(
-            array, copy=True, order="C", dtype=dtype
-        )
-
-    def get(self, key: str) -> np.ndarray:
-        self._check_open()
-        return self._blocks[key]
-
-    def writer(self, key: str) -> np.ndarray:
-        self._check_open()
-        return self._blocks[key]
-
-    def create(self, key: str, shape, dtype) -> None:
-        self._check_open()
-        self.check_key(key)
-        self._blocks[key] = np.empty(
-            tuple(int(s) for s in shape), dtype=np.dtype(dtype)
-        )
-
-    def delete(self, key: str) -> None:
-        self._blocks.pop(key, None)
-
-    def keys(self) -> list[str]:
-        return sorted(self._blocks)
-
-    def path_of(self, key: str) -> str | None:
-        self._check_open()
-        if key not in self._blocks:
-            raise KeyError(key)
-        return None
-
-    def meta_of(self, key: str) -> tuple[tuple[int, ...], np.dtype]:
-        block = self.get(key)
-        return tuple(block.shape), block.dtype
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._blocks.values())
-
-    def close(self) -> None:
-        self._blocks.clear()
-        super().close()
-
-
-# --------------------------------------------------------------------- #
 # mmap spill store
 # --------------------------------------------------------------------- #
 
@@ -440,8 +248,15 @@ def _remove_tree(path: str) -> None:
     shutil.rmtree(path, ignore_errors=True)
 
 
-class MmapStore(BlockStore):
-    """np.memmap-backed per-block spill files under a managed directory.
+class MmapStore:
+    """Named tensor blocks as np.memmap-backed spill files under a managed
+    directory, with put/get/writer semantics.
+
+    Keys are caller-chosen identifiers (``[A-Za-z0-9._-]``, not starting
+    with a separator); :meth:`next_key` hands out collision-free ones.
+    ``get`` views are read-only; ``writer`` views are mutable and shared
+    (the procpool workers write disjoint slices of one output block
+    through them).
 
     Parameters
     ----------
@@ -469,8 +284,6 @@ class MmapStore(BlockStore):
         raw.
     """
 
-    kind = "mmap"
-
     def __init__(
         self,
         root: str | None = None,
@@ -480,7 +293,22 @@ class MmapStore(BlockStore):
         gauge: ResidentGauge | None = None,
         codec: str = "raw",
     ) -> None:
-        super().__init__(max_block_bytes=max_block_bytes, gauge=gauge)
+        self.max_block_bytes = int(
+            DEFAULT_MAX_BLOCK_BYTES
+            if max_block_bytes is None
+            else max_block_bytes
+        )
+        if self.max_block_bytes < 1:
+            raise ValueError(
+                f"max_block_bytes must be >= 1, got {self.max_block_bytes}"
+            )
+        self.gauge = gauge if gauge is not None else resident_gauge()
+        #: spill I/O reporting target (:mod:`repro.obs`); the session
+        #: repoints this at its live tracer for traced runs. The default
+        #: no-op tracer keeps untraced spills branch-free.
+        self.tracer = NULL_TRACER
+        self._counter = 0
+        self._closed = False
         self.chunk_bytes = max(1, int(chunk_bytes))
         self.codec = check_codec(codec)
         #: put() accounting: bytes actually written vs logical bytes, and
@@ -507,9 +335,35 @@ class MmapStore(BlockStore):
             "spill_error_bound": float(self.spill_rel_error),
         }
 
+    # -- key management --------------------------------------------------- #
+
+    @staticmethod
+    def check_key(key: str) -> str:
+        if not isinstance(key, str) or not _KEY_RE.match(key):
+            raise ValueError(
+                f"block keys must match [A-Za-z0-9][A-Za-z0-9._-]*, "
+                f"got {key!r}"
+            )
+        return key
+
+    def next_key(self, prefix: str = "t") -> str:
+        """A fresh key, unique within this store."""
+        self.check_key(prefix)
+        self._counter += 1
+        return f"{prefix}.{self._counter}"
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageError(f"{type(self).__name__} is closed")
+
+    def per_block_bytes(self, n_workers: int = 1) -> int:
+        """Per-block byte ceiling when ``n_workers`` blocks fly at once."""
+        return max(1, self.max_block_bytes // max(1, int(n_workers)))
+
     # -- paths / manifests ------------------------------------------------- #
 
     def path_of(self, key: str) -> str:
+        """Filesystem path of the block's bytes."""
         self.check_key(key)
         return os.path.join(self.directory, f"{key}.blk")
 
@@ -544,6 +398,7 @@ class MmapStore(BlockStore):
         os.replace(tmp, path)  # committed atomically, data file first
 
     def meta_of(self, key: str) -> tuple[tuple[int, ...], np.dtype]:
+        """``(shape, dtype)`` of a stored block."""
         meta = self._load_manifest(key)
         return meta.shape, meta.dtype
 
@@ -665,7 +520,7 @@ class MmapStore(BlockStore):
             )
         return path, meta
 
-    # -- the protocol ------------------------------------------------------ #
+    # -- blocks ------------------------------------------------------------ #
 
     def put(
         self, key: str, array: np.ndarray, *, dtype=None, codec=None
@@ -679,9 +534,11 @@ class MmapStore(BlockStore):
         ``dtype`` converts per chunk while writing — a working-precision
         change never materializes a full converted copy.
 
-        ``codec`` overrides the store default for this block. ``narrow``
-        only applies to float64 blocks (anything else falls back to
-        ``raw``); zero-byte blocks are always committed raw.
+        ``codec`` overrides the store default for this block (``"raw"``
+        forces a directly mappable — and therefore writable — block on an
+        encoding store). ``narrow`` only applies to float64 blocks
+        (anything else falls back to ``raw``); zero-byte blocks are always
+        committed raw.
         """
         self._check_open()
         self.check_key(key)
@@ -1005,6 +862,7 @@ class MmapStore(BlockStore):
             del src_mm, dst_mm
 
     def get(self, key: str) -> np.ndarray:
+        """The stored block, as a read-only mapping."""
         # The span covers manifest validation + the mmap syscall; the
         # pages themselves fault in lazily inside the consuming kernel,
         # so `bytes` reports the block's size, not bytes read here.
@@ -1014,9 +872,11 @@ class MmapStore(BlockStore):
         return out
 
     def writer(self, key: str) -> np.ndarray:
+        """A mutable view of the stored block."""
         return self._map(key, "r+")
 
     def create(self, key: str, shape, dtype) -> None:
+        """Allocate an uninitialized block (write via :meth:`writer`)."""
         self._check_open()
         self.check_key(key)
         shape = tuple(int(s) for s in shape)
@@ -1028,6 +888,7 @@ class MmapStore(BlockStore):
         self._write_manifest(key, shape, dtype, nbytes)
 
     def delete(self, key: str) -> None:
+        """Remove a block (missing keys are ignored)."""
         if self._closed:
             return
         self.check_key(key)
@@ -1042,6 +903,7 @@ class MmapStore(BlockStore):
                 pass
 
     def keys(self) -> list[str]:
+        """Keys of every committed block."""
         self._check_open()
         return sorted(
             name[: -len(".json")]
@@ -1051,6 +913,7 @@ class MmapStore(BlockStore):
 
     @property
     def nbytes(self) -> int:
+        """Total bytes of every committed block."""
         self._check_open()
         total = 0
         for key in self.keys():
@@ -1061,7 +924,19 @@ class MmapStore(BlockStore):
         """Remove every spill file and the store directory (idempotent)."""
         if not self._closed:
             self._finalizer()  # runs _remove_tree exactly once
-        super().close()
+        self._closed = True
+
+    def __enter__(self) -> "MmapStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}("
+            f"blocks={len(self.keys()) if not self._closed else 0})"
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -1070,7 +945,7 @@ class MmapStore(BlockStore):
 
 
 class StoredTensor:
-    """A tensor resident in a :class:`BlockStore` — the spilled handle.
+    """A tensor resident in a :class:`MmapStore` — the spilled handle.
 
     Shared-memory backends pass these instead of ndarrays when a run has
     spilled. The description is process-portable: any worker can map
@@ -1086,7 +961,7 @@ class StoredTensor:
 
     def __init__(
         self,
-        store: BlockStore,
+        store: MmapStore,
         shape: tuple[int, ...],
         dtype,
         *,
@@ -1115,7 +990,7 @@ class StoredTensor:
 
     @classmethod
     def spill(
-        cls, store: BlockStore, array: np.ndarray, *, key: str | None = None
+        cls, store: MmapStore, array: np.ndarray, *, key: str | None = None
     ) -> "StoredTensor":
         """Write ``array`` through the store and hand back its handle.
 
@@ -1126,17 +1001,15 @@ class StoredTensor:
         key = key if key is not None else store.next_key("t")
         store.put(key, array)
         path = store.path_of(key)
-        codec_of = getattr(store, "block_codec", None)
-        if path is not None and codec_of is not None:
-            if codec_of(key) != "raw":
-                path = None
+        if store.block_codec(key) != "raw":
+            path = None
         return cls(
             store, array.shape, array.dtype, key=key, path=path, owned=True,
         )
 
     @classmethod
     def allocate(
-        cls, store: BlockStore, shape, dtype, *, key: str | None = None
+        cls, store: MmapStore, shape, dtype, *, key: str | None = None
     ) -> "StoredTensor":
         """Allocate an uninitialized output block (write via writer())."""
         key = key if key is not None else store.next_key("o")
@@ -1147,7 +1020,7 @@ class StoredTensor:
 
     @classmethod
     def external(
-        cls, store: BlockStore, mapped: np.memmap
+        cls, store: MmapStore, mapped: np.memmap
     ) -> "StoredTensor":
         """Wrap an already memory-mapped file (no copy, never deleted).
 
@@ -1226,10 +1099,7 @@ class StoredTensor:
             return self.path, self.offset
         if self.key is None:
             return None
-        resolve = getattr(self.store, "mappable_path", None)
-        if resolve is None:
-            return None
-        path = resolve(self.key)
+        path = self.store.mappable_path(self.key)
         return (path, 0) if path is not None else None
 
     def writer(self) -> np.ndarray:
@@ -1251,7 +1121,7 @@ class StoredTensor:
         )
 
 
-def _delete_block(store: BlockStore, key: str) -> None:
+def _delete_block(store: MmapStore, key: str) -> None:
     """Finalizer: reclaim an owned block (quiet after store close)."""
     try:
         store.delete(key)

@@ -6,6 +6,8 @@ tensors — sequential numpy is the reference, the virtual cluster and the
 thread pool must agree with it.
 """
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from repro.backends import (
     ThreadedBackend,
     get_backend,
 )
+from repro.backends.blockkernels import GRAM_SCRATCH_SLOTS
 from repro.mpi.comm import SimCluster
 from repro.session import TuckerSession
-from repro.tensor.random import low_rank_tensor
+from repro.tensor.random import low_rank_tensor, random_tensor
 
 
 def make_backend(name: str, n_procs: int) -> ExecutionBackend:
@@ -158,16 +161,43 @@ class TestRegistry:
             session.run(t, (3, 3, 2), planner="optimal", n_procs=8)
 
 
-class TestMethodValidation:
-    def test_simcluster_rejects_direct_svd(self):
-        backend = SimClusterBackend(n_procs=2)
-        t = low_rank_tensor((8, 6, 4), (2, 2, 2), noise=0.1, seed=0)
-        handle = backend.distribute(t, (2, 1, 1))
-        with pytest.raises(ValueError, match="Gram"):
-            backend.leading_factor(handle, 0, 2, method="svd")
+class TestGramScratch:
+    """The ``L x L`` Gram accumulator belongs to the backend instance."""
 
-    def test_threaded_rejects_direct_svd(self):
-        backend = ThreadedBackend(n_workers=2)
-        t = low_rank_tensor((8, 6, 4), (2, 2, 2), noise=0.1, seed=0)
-        with pytest.raises(ValueError, match="Gram"):
-            backend.leading_factor(backend.distribute(t, ()), 0, 2, method="svd")
+    @pytest.mark.parametrize("name", ["sequential", "threaded", "procpool"])
+    def test_reused_across_calls_and_freed_on_close(self, name):
+        x = random_tensor((10, 8, 6), seed=0)
+        y = random_tensor((10, 7, 5), seed=1)
+        with closing(get_backend(name, n_procs=2)) as backend:
+            hx, hy = backend.distribute(x, ()), backend.distribute(y, ())
+            first = backend.leading_factor(hx, 0, 3)
+            (scratch,) = backend._gram_scratch.values()
+            assert scratch.shape == (10, 10) and scratch.dtype == x.dtype
+            # another tensor through the same scratch, then the first again
+            other = backend.leading_factor(hy, 0, 3)
+            again = backend.leading_factor(hx, 0, 3)
+            assert len(backend._gram_scratch) == 1
+            assert next(iter(backend._gram_scratch.values())) is scratch
+            np.testing.assert_array_equal(again, first)
+            assert not np.allclose(other, first)
+            # one scratch per (length, dtype)
+            backend.leading_factor(hx, 1, 3)
+            backend.leading_factor(
+                backend.distribute(x.astype(np.float32), ()), 0, 3
+            )
+            assert sorted(
+                (length, dtype.name) for length, dtype in backend._gram_scratch
+            ) == [(8, "float64"), (10, "float32"), (10, "float64")]
+            backend.close()
+            assert not backend._gram_scratch
+            # closing leaves the backend usable
+            np.testing.assert_array_equal(
+                backend.leading_factor(hx, 0, 3), first
+            )
+
+    def test_scratch_is_bounded(self):
+        backend = SequentialBackend()
+        for length in range(2, GRAM_SCRATCH_SLOTS + 12):
+            backend.leading_factor(np.ones((length, 2)), 0, 1)
+            assert len(backend._gram_scratch) <= GRAM_SCRATCH_SLOTS
+        assert (length, np.dtype(np.float64)) in backend._gram_scratch

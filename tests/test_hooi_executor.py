@@ -9,8 +9,8 @@ from repro.backends import (
     SimClusterBackend,
     compile_core_steps,
     compile_tree_steps,
-    run_core_steps,
-    run_tree_steps,
+    run_steps,
+    run_sweep,
 )
 from repro.core.meta import TensorMeta
 from repro.core.ordering import optimal_chain_ordering
@@ -28,20 +28,26 @@ from repro.tensor.random import low_rank_tensor, random_tensor
 
 def tree_sequential(t, factors, plan):
     """One invocation's TTM component + SVDs on the numpy backend."""
-    return run_tree_steps(
-        SequentialBackend(), t, factors, compile_tree_steps(plan.tree, plan.meta)
+    new = {}
+    run_steps(
+        SequentialBackend(), t, compile_tree_steps(plan.tree, plan.meta),
+        factors, new, tag="hooi",
     )
+    return new
 
 
 def tree_distributed(dt, factors, plan, tag="hooi"):
     """The same walk on the engine, regridding per the plan's scheme."""
-    return run_tree_steps(
+    new = {}
+    run_steps(
         SimClusterBackend(dt.cluster),
         dt,
-        factors,
         compile_tree_steps(plan.tree, plan.meta, scheme=plan.scheme),
+        factors,
+        new,
         tag=tag,
     )
+    return new
 
 
 @pytest.fixture
@@ -75,6 +81,13 @@ class TestSequentialExecution:
         new = tree_sequential(t, init.factors, plan)
         assert sorted(new) == list(range(meta.ndim))
 
+    def test_sweep_rejects_a_tree_program_missing_a_factor(self, problem):
+        t, meta, init = problem
+        steps = compile_tree_steps(Planner(4).plan(meta).tree, meta)
+        partial = tuple(s for s in steps if not (s.op == "svd" and s.mode == 2))
+        with pytest.raises(AssertionError, match="every factor"):
+            run_sweep(SequentialBackend(), t, init.factors, partial, ())
+
     def test_factor_shape_validation(self, problem):
         t, meta, init = problem
         plan = Planner(4).plan(meta)
@@ -86,11 +99,12 @@ class TestSequentialExecution:
     def test_core_matches_reference(self, problem):
         t, meta, init = problem
         ref = hooi_reference_step(t, init.factors, meta.core)
-        core = run_core_steps(
+        core, _, _ = run_steps(
             SequentialBackend(),
             t,
-            ref.factors,
             compile_core_steps(optimal_chain_ordering(meta)),
+            ref.factors,
+            tag="core",
         )
         np.testing.assert_allclose(core, ref.core, atol=1e-8)
 
@@ -136,11 +150,12 @@ class TestDistributedExecution:
         cluster = SimCluster(8)
         dt = DistTensor.from_global(cluster, t, plan.initial_grid)
         ref = hooi_reference_step(t, init.factors, meta.core)
-        core = run_core_steps(
+        core, _, _ = run_steps(
             SimClusterBackend(cluster),
             dt,
-            ref.factors,
             compile_core_steps(plan.core_order, plan.core_scheme),
+            ref.factors,
+            tag="core",
         )
         np.testing.assert_allclose(core.to_global(), ref.core, atol=1e-8)
 

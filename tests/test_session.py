@@ -29,12 +29,21 @@ class TestCompile:
         assert svd_modes == [0, 1, 2]
         assert sum(1 for s in cp.core_steps if s.op == "ttm") == 3
 
-    def test_gram_workspace_preallocated_and_reused(self):
-        meta = TensorMeta(dims=(12, 10, 8), core=(4, 3, 3))
-        cp = TuckerSession().compile(meta, n_procs=2, planner="optimal")
-        ws = cp.gram_workspace()
-        assert ws[0].shape == (12, 12) and ws[0].dtype == np.float64
-        assert cp.gram_workspace() is ws  # built once, reused
+    def test_gram_scratch_reused_across_runs_and_freed_on_close(self, tensor):
+        # the L x L Gram buffers live on the backend, not on the plan: one
+        # per mode length, the same arrays run after run, gone on close()
+        session = TuckerSession()
+        session.run(tensor, (4, 3, 3), max_iters=1)
+        scratch = dict(session.backend._gram_scratch)
+        assert sorted(scratch) == [
+            (length, np.dtype(np.float64)) for length in (10, 12, 14)
+        ]
+        session.run(tensor + 0.5, (4, 3, 3), max_iters=2)
+        assert session.backend._gram_scratch.keys() == scratch.keys()
+        for key, buffer in scratch.items():
+            assert session.backend._gram_scratch[key] is buffer
+        session.close()
+        assert not session.backend._gram_scratch
 
     def test_portfolio_is_default_planner(self, tensor):
         session = TuckerSession()

@@ -7,15 +7,17 @@ one session — concurrency across sessions, correctness within one.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core.meta import TensorMeta
 from repro.mpi.stats import StatsLedger
 from repro.obs import safe_rate
-from repro.session import Prefetcher, TuckerSession
-from repro.tensor.random import random_tensor
+from repro.session import CompiledPlan, Prefetcher, TuckerSession
+from repro.tensor.random import low_rank_tensor, random_tensor
 
 
 class TestSharedSessionThreads:
@@ -119,6 +121,79 @@ class TestSharedSessionThreads:
             info = session.cache_info()
         assert not errors
         assert info["size"] <= 1  # cache_size respected through the races
+
+
+class TestSharedCompiledPlan:
+    """A compiled plan is metadata: any number of sessions, on any number
+    of threads, may replay one ``CompiledPlan`` object at once. (It used
+    to own the Gram buffers its runs accumulated into, and two runs on
+    two threads silently corrupted each other's factors.)"""
+
+    DIMS, CORE = (160, 150, 140), (8, 8, 8)
+    RUNS = 10
+
+    def test_two_sessions_two_threads_one_plan(self):
+        tensors = [
+            low_rank_tensor(self.DIMS, self.CORE, noise=0.1, seed=seed)
+            for seed in (0, 1)
+        ]
+        with TuckerSession("sequential") as session:
+            compiled = session.compile(
+                TensorMeta(dims=self.DIMS, core=self.CORE)
+            )
+            expected = [
+                session.run(t, plan=compiled, max_iters=2) for t in tensors
+            ]
+        results: list[list] = [[] for _ in tensors]
+        errors: list = []
+        barrier = threading.Barrier(len(tensors))
+
+        def work(i):
+            try:
+                with TuckerSession("sequential") as session:
+                    barrier.wait(30)
+                    for _ in range(self.RUNS):
+                        results[i].append(
+                            session.run(
+                                tensors[i], plan=compiled, max_iters=2
+                            )
+                        )
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(i,))
+            for i in range(len(tensors))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(300)
+        assert not errors
+        for runs, ref in zip(results, expected):
+            assert len(runs) == self.RUNS
+            for got in runs:
+                assert got.error == pytest.approx(ref.error, abs=1e-10)
+                np.testing.assert_allclose(
+                    got.decomposition.core,
+                    ref.decomposition.core,
+                    atol=1e-10,
+                )
+
+    def test_compiled_plan_holds_no_mutable_state(self):
+        t = low_rank_tensor((12, 10, 8), (4, 3, 3), noise=0.1, seed=0)
+        with TuckerSession("sequential") as session:
+            compiled = session.compile(
+                TensorMeta(dims=t.shape, core=(4, 3, 3))
+            )
+            for f in dataclasses.fields(CompiledPlan):
+                assert not isinstance(
+                    getattr(compiled, f.name), (dict, list, set, np.ndarray)
+                ), f.name
+            before = {k: id(v) for k, v in compiled.__dict__.items()}
+            session.run(t, plan=compiled, max_iters=2)
+            session.sthosvd(t, plan=compiled)
+        assert {k: id(v) for k, v in compiled.__dict__.items()} == before
 
 
 class TestLedgerThreadSafety:

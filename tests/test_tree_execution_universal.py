@@ -9,7 +9,7 @@ by enumerating (N=3) / sampling (N=4) complete tree spaces and running them.
 import numpy as np
 import pytest
 
-from repro.backends import SequentialBackend, compile_tree_steps, run_tree_steps
+from repro.backends import SequentialBackend, compile_tree_steps, run_steps
 from repro.core.enumerate_trees import enumerate_trees
 from repro.core.meta import TensorMeta
 from repro.hooi.hooi import hooi_reference_step
@@ -18,9 +18,12 @@ from repro.tensor.random import low_rank_tensor
 
 
 def execute_tree(t, factors, tree, meta):
-    return run_tree_steps(
-        SequentialBackend(), t, factors, compile_tree_steps(tree, meta)
+    new = {}
+    run_steps(
+        SequentialBackend(), t, compile_tree_steps(tree, meta), factors, new,
+        tag="hooi",
     )
+    return new
 
 
 @pytest.fixture(scope="module")
