@@ -43,6 +43,12 @@ class ExecutionBackend(abc.ABC):
     #: short identifier ("sequential", "simcluster", "threaded", ...)
     name: str = "abstract"
 
+    #: whether :meth:`regrid` hands its input back untouched (one address
+    #: space). Only then can a chain's outputs stand in for the tree's —
+    #: the cross-phase reuse of :class:`repro.backends.schedule.Handoff`;
+    #: with real grids every program regrids for itself.
+    regrid_is_identity: bool = False
+
     def __init__(self) -> None:
         self.ledger = StatsLedger()
         #: where span-producing backends report (procpool worker

@@ -447,6 +447,8 @@ class BlockBackend(ExecutionBackend):
     to it); concurrent runs take a backend each.
     """
 
+    regrid_is_identity = True
+
     def __init__(self) -> None:
         super().__init__()
         self._gram_scratch: dict[tuple[int, np.dtype], np.ndarray] = {}

@@ -11,17 +11,36 @@ discipline keeps at most ``depth`` intermediates alive, the in-order bound
 of section 3.1; ledger tags are reconstructed as ``{prefix}:{step.tag}``
 so executed volumes aggregate on one vocabulary (``hooi:it0:ttm:n3``,
 ``hooi:it0:svd:m2``, ``hooi:it0:core:ttm1``, ``sthosvd:svd0``...).
+
+Reuse does not stop at the invocation boundary. A sequentially
+truncating chain (STHOSVD, ``rsthosvd``, the core chain) multiplies the
+input by the very factors the next sweep's tree reads; where its leading
+modes are a root path of that tree, the tree's outputs on the path *are*
+the chain's. A :class:`Handoff` compiles the pair: the chain with
+``keep`` (path outputs the tree still reads go to the tree's own slots
+and are not freed) and the warm tree (``compile_tree_steps(carried=...)``:
+no ``regrid``/``ttm`` on the path, carried subtree first). The slots
+travel between the two programs in the caller's run-local ``carry`` dict
+(:func:`run_steps`); nothing here holds state. :func:`handoff_core_order`
+picks the root-to-leaf path a core chain follows so that every sweep but
+the last permitted one has a prefix to hand over. Handoffs are grid-free
+and run only where ``regrid`` is the identity — on the virtual cluster
+each program regrids its own copy and the paper's per-invocation volumes
+stay exactly as modelled.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from repro.backends import sketch as rsk
 from repro.backends.base import ExecutionBackend
+from repro.core.cost import node_costs
+from repro.core.memory import carried_nodes, traversal_peak_cards
 from repro.core.meta import TensorMeta
 from repro.core.trees import Node, TTMTree
 from repro.tensor.unfold import unfold
@@ -83,7 +102,7 @@ def check_factors(
 
 
 def compile_tree_steps(
-    tree: TTMTree, meta: TensorMeta, scheme=None
+    tree: TTMTree, meta: TensorMeta, scheme=None, carried: Sequence[Node] = ()
 ) -> tuple[Step, ...]:
     """Compile one HOOI invocation's TTM component + SVDs.
 
@@ -91,36 +110,52 @@ def compile_tree_steps(
     assigned grid (each child regrids its own copy of the parent's output,
     matching the model's per-child ``|In(u)|`` charge); without one the
     schedule is grid-free and runs on any backend's native layout.
+
+    ``carried`` makes the program *warm*: a root path (see
+    :meth:`TTMTree.root_path`) whose outputs the chain that ran just
+    before already computed. Its nodes get no ``regrid`` / ``ttm``; the
+    ones :func:`carried_nodes` names are read from slots the caller
+    supplies (``run_steps(carry=...)``) and freed once their subtree is
+    done, the others are never touched. The carried subtree goes first at
+    every level, so the carry never stacks on another subtree's
+    intermediates.
     """
     steps: list[Step] = []
+    on_path = {node.uid for node in carried}
+    unread = on_path - {node.uid for node in carried_nodes(carried)}
 
     def visit(node: Node, slot: str) -> None:
-        for child in node.children:
+        for child in sorted(node.children, key=lambda c: c.uid not in on_path):
             if child.kind == "ttm":
-                src = slot
-                if scheme is not None:
-                    src = f"n{child.uid}:in"
+                out = f"n{child.uid}"
+                if child.uid in unread:
+                    # its one child is carried too: no slot to read or free
+                    visit(child, "")
+                    continue
+                if child.uid not in on_path:
+                    src = slot
+                    if scheme is not None:
+                        src = f"n{child.uid}:in"
+                        steps.append(
+                            Step(
+                                op="regrid",
+                                src=slot,
+                                dst=src,
+                                grid=tuple(scheme.grid_of(child.uid)),
+                                tag=f"regrid:n{child.uid}",
+                            )
+                        )
                     steps.append(
                         Step(
-                            op="regrid",
-                            src=slot,
-                            dst=src,
-                            grid=tuple(scheme.grid_of(child.uid)),
-                            tag=f"regrid:n{child.uid}",
+                            op="ttm",
+                            src=src,
+                            dst=out,
+                            mode=child.mode,
+                            tag=f"ttm:n{child.uid}",
                         )
                     )
-                out = f"n{child.uid}"
-                steps.append(
-                    Step(
-                        op="ttm",
-                        src=src,
-                        dst=out,
-                        mode=child.mode,
-                        tag=f"ttm:n{child.uid}",
-                    )
-                )
-                if src != slot:
-                    steps.append(Step(op="free", src=src))
+                    if src != slot:
+                        steps.append(Step(op="free", src=src))
                 visit(child, out)
                 steps.append(Step(op="free", src=out))
             else:
@@ -139,14 +174,18 @@ def compile_tree_steps(
 
 
 def _compile_chain(
-    order: Sequence[int], name: str, *, grids=None, extract=None
+    order: Sequence[int], name: str, *, grids=None, extract=None,
+    keep: Sequence[str] = (),
 ) -> tuple[Step, ...]:
     """One TTM chain over ``order``, the working tensor shrinking as it goes.
 
     Per chain position: a regrid onto ``grids[i]`` when a grid scheme is
     given; the step ``extract(slot, mode)`` when the chain finds its own
     factors (from the working tensor, so later modes see ever smaller
-    ones); the ``ttm``. A step that makes a slot frees the one it replaces.
+    ones); the ``ttm``. A step that makes a slot frees the one it replaces
+    — unless ``keep`` names it: position ``i``'s output goes to the slot
+    ``keep[i]`` (when non-empty) and stays live after the program, for the
+    next sweep's warm tree (a :class:`Handoff`).
     """
     steps: list[Step] = []
     slot = ROOT_SLOT
@@ -154,11 +193,11 @@ def _compile_chain(
     def advance(step: Step) -> None:
         nonlocal slot
         steps.append(step)
-        if slot != ROOT_SLOT:
+        if slot != ROOT_SLOT and slot not in keep:
             steps.append(Step(op="free", src=slot))
         slot = step.dst
 
-    for i, mode in enumerate(order):
+    for i, (mode, kept) in enumerate(zip_longest(order, keep, fillvalue="")):
         if grids is not None:
             advance(
                 Step(
@@ -170,7 +209,7 @@ def _compile_chain(
             steps.append(extract(slot, mode))
         advance(
             Step(
-                op="ttm", src=slot, dst=f"{name}:{i}", mode=mode,
+                op="ttm", src=slot, dst=kept or f"{name}:{i}", mode=mode,
                 tag=f"ttm{mode}",
             )
         )
@@ -180,6 +219,7 @@ def _compile_chain(
 def compile_core_steps(
     order: Sequence[int],
     core_scheme: Sequence[Sequence[int]] | None = None,
+    keep: Sequence[str] = (),
 ) -> tuple[Step, ...]:
     """Compile the new-core chain ``G~ = T x F~^T ...`` in ``order``.
 
@@ -187,11 +227,11 @@ def compile_core_steps(
     regridded ahead of the steps that ask for it — the dynamic algorithm's
     path-DP gridding. Tags are ``regrid{i}`` / ``ttm{mode}``.
     """
-    return _compile_chain(order, "core", grids=core_scheme)
+    return _compile_chain(order, "core", grids=core_scheme, keep=keep)
 
 
 def compile_sthosvd_steps(
-    order: Sequence[int], meta: TensorMeta
+    order: Sequence[int], meta: TensorMeta, keep: Sequence[str] = ()
 ) -> tuple[Step, ...]:
     """Compile one STHOSVD pass: a TTM chain with an ``svd`` before each
     step — the paper's "can be recast for STHOSVD as well", taken
@@ -203,6 +243,7 @@ def compile_sthosvd_steps(
             op="svd", src=slot, mode=mode, k=meta.core[mode],
             tag=f"svd{mode}",
         ),
+        keep=keep,
     )
 
 
@@ -213,6 +254,7 @@ def compile_rand_steps(
     method: str,
     oversample: int = 5,
     power_iters: int = 0,
+    keep: Sequence[str] = (),
 ) -> tuple[Step, ...]:
     """Compile a randomized initialization into Step ops.
 
@@ -248,7 +290,87 @@ def compile_rand_steps(
             op="sketch", src=slot, mode=mode, k=meta.core[mode],
             p=oversample, q=power_iters, tag=f"sketch:m{mode}",
         ),
+        keep=keep,
     )
+
+
+# --------------------------------------------------------------------- #
+# cross-phase reuse
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class Handoff:
+    """What a chain over ``order`` hands the tree program that follows it.
+
+    The chain's first outputs are the outputs of the tree's root path with
+    the same modes — same tensor, same factors, same kernel — so the
+    chain keeps the ones the tree reads (``keep``: per chain position the
+    tree slot the output goes to, ``""`` where it is freed as usual) and
+    the *warm* ``tree_steps`` skip the path's TTMs. ``chain_steps`` is the
+    keeping chain; ``reused`` lists the tags of the skipped ``ttm`` steps
+    and ``flops_reused`` their multiply-adds, which no ledger record
+    carries any more. Both programs are grid-free: a handoff only runs
+    where ``regrid`` is the identity.
+    """
+
+    order: tuple[int, ...]
+    keep: tuple[str, ...]
+    chain_steps: tuple[Step, ...]
+    tree_steps: tuple[Step, ...]
+    reused: tuple[str, ...]
+    flops_reused: int
+
+
+def compile_handoff(
+    tree: TTMTree, meta: TensorMeta, order: Sequence[int], chain
+) -> Handoff | None:
+    """Compile the handoff from ``chain(order, keep=...)`` to ``tree``;
+    ``None`` when no root path shares the chain's leading modes."""
+    path = tree.root_path(order)
+    if not path:
+        return None
+    kept = {node.uid for node in carried_nodes(path)}
+    keep = tuple(f"n{n.uid}" if n.uid in kept else "" for n in path)
+    costs = node_costs(tree, meta)
+    return Handoff(
+        order=tuple(order),
+        keep=keep,
+        chain_steps=chain(order, keep=keep),
+        tree_steps=compile_tree_steps(tree, meta, carried=path),
+        reused=tuple(f"ttm:n{node.uid}" for node in path),
+        flops_reused=sum(costs[node.uid]["flops"] for node in path),
+    )
+
+
+def handoff_core_order(tree: TTMTree, meta: TensorMeta) -> tuple[int, ...]:
+    """Core-chain order for a sweep that another may follow.
+
+    The modes of a root-to-leaf path, then the leaf's own: every TTM of
+    the chain but the last is then a TTM the next tree would have issued,
+    so the pair costs the tree plus that one last step, ``K_leaf`` times
+    the leaf's input cardinality — the price compared here. Ties go to
+    the smaller modeled peak (:func:`traversal_peak_cards`), then to
+    preorder.
+    """
+    costs = node_costs(tree, meta)
+
+    def chain_order(leaf: Node) -> tuple[int, ...]:
+        modes = [leaf.mode]
+        node = tree.parent(leaf)
+        while node.kind == "ttm":
+            modes.append(node.mode)
+            node = tree.parent(node)
+        return tuple(reversed(modes))
+
+    def price(leaf: Node):
+        return (
+            meta.core[leaf.mode] * costs[leaf.uid]["in_card"],
+            traversal_peak_cards(tree, meta, chain_order(leaf)),
+            leaf.uid,
+        )
+
+    return chain_order(min(tree.leaves(), key=price))
 
 
 # --------------------------------------------------------------------- #
@@ -266,6 +388,7 @@ def run_steps(
     tag: str,
     rng: np.random.Generator | None = None,
     dtype=None,
+    carry: dict | None = None,
 ):
     """Replay a compiled Step program against any backend.
 
@@ -284,10 +407,18 @@ def run_steps(
     core. Sketch ops draw their test matrices from ``rng`` host-side, in
     ``dtype``, at each step's then-current dims, so every backend
     contracts identical Gaussians and seed-determinism holds per backend.
+
+    ``carry`` is the run-local half of a :class:`Handoff`: the named slots
+    one program leaves for the next. Its entries seed this program's slots
+    (a warm tree reads and frees them) and, on return, it holds exactly
+    what this program kept (a keeping chain's outputs). The interpreter
+    works *in* that dict, so whoever owns it releases every intermediate
+    by clearing it — also after a kernel raised mid-program.
     """
     if new is None:
         new = factors
-    slots = {ROOT_SLOT: handle}
+    slots = carry if carry is not None else {}
+    slots[ROOT_SLOT] = handle
     last = ROOT_SLOT
     norm_sq = core = None
     for step in steps:
@@ -326,7 +457,9 @@ def run_steps(
             )
         else:  # pragma: no cover - compile emits only the six ops
             raise AssertionError(f"unknown step op {step.op!r}")
-    return slots.get(last), norm_sq, core
+    final = slots.pop(last, None)
+    slots.pop(ROOT_SLOT, None)
+    return final, norm_sq, core
 
 
 def _range_finder(backend, src, step: Step, tag: str, rng, dtype):
@@ -361,18 +494,21 @@ def run_sweep(
     core_steps: Sequence[Step],
     *,
     tag: str = "hooi",
+    carry: dict | None = None,
 ):
     """One HOOI invocation (Figure 2): the tree program, then the core chain.
 
     Returns ``(new factors ordered by mode, core handle)``; the core
-    chain's records carry the tag ``{tag}:core``.
+    chain's records carry the tag ``{tag}:core``. With a ``carry`` (see
+    :func:`run_steps`) the tree program consumes what the previous chain
+    kept in it and the core chain refills it.
     """
     new: dict[int, np.ndarray] = {}
-    run_steps(backend, handle, tree_steps, factors, new, tag=tag)
+    run_steps(backend, handle, tree_steps, factors, new, tag=tag, carry=carry)
     if sorted(new) != list(range(len(factors))):
         raise AssertionError("tree execution did not produce every factor")
     ordered = [new[m] for m in range(len(factors))]
     core, _, _ = run_steps(
-        backend, handle, core_steps, ordered, tag=f"{tag}:core"
+        backend, handle, core_steps, ordered, tag=f"{tag}:core", carry=carry
     )
     return ordered, core

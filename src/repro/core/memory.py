@@ -19,36 +19,85 @@ first-class, exact quantity:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.cost import node_costs
 from repro.core.meta import TensorMeta
 from repro.core.planner import Plan
 from repro.core.trees import Node, TTMTree
 
 
-def traversal_peak_cards(tree: TTMTree, meta: TensorMeta) -> int:
+def carried_nodes(path: Sequence[Node]) -> tuple[Node, ...]:
+    """The nodes of a root ``path`` whose outputs a warm tree program reads.
+
+    A chain that has already computed every output on ``path`` (see
+    :meth:`TTMTree.root_path`) spares the next tree program those TTMs;
+    what that program still *reads* are the outputs with a child off the
+    path — a sibling subtree or a leaf's SVD. The deepest node always
+    qualifies; a node whose only child is the next node of the path never
+    does, and its output need not outlive the chain step that consumes it.
+    """
+    return tuple(
+        node
+        for node, below in zip(path, (*path[1:], None))
+        if any(child is not below for child in node.children)
+    )
+
+
+def traversal_peak_cards(
+    tree: TTMTree, meta: TensorMeta, chain: Sequence[int] = ()
+) -> int:
     """Peak sum of live cardinalities (elements) during DFS execution.
 
     Counts the input tensor plus every intermediate alive at the deepest
     moment: when executing node ``u``, the outputs of all its ancestors are
     still live (each is reused by later siblings).
+
+    With ``chain`` — the mode order of a sequentially truncating chain
+    (STHOSVD, the core chain) run just before the tree — this prices the
+    *warm* sweep that chain hands its prefix to: the outputs
+    :func:`carried_nodes` keeps are live from the chain step that makes
+    them, through the rest of the chain, until the tree has executed their
+    subtree — which it does first, so they never stack on another
+    subtree's intermediates.
     """
     costs = node_costs(tree, meta)
-    peak = 0
+    path = tree.root_path(chain)
+    on_path = {node.uid for node in path}
+    kept = {node.uid for node in carried_nodes(path)}
+    total = meta.cardinality
+    peak = total
+    held = 0  # carried outputs currently live
 
-    def visit(node: Node, live: int) -> None:
-        nonlocal peak
-        out = costs[node.uid]["out_card"] if node.kind != "root" else 0
-        if node.kind == "leaf":
-            # the SVD consumes the parent's output; nothing new is stored
-            # beyond the (small) Gram matrix, which we neglect here
-            peak = max(peak, live)
-            return
-        now = live + out
-        peak = max(peak, now)
-        for child in node.children:
-            visit(child, now)
+    # the chain: a step holds its source and its output; a kept source is
+    # already counted in ``held``
+    working = mask = 0
+    for i, mode in enumerate(chain):
+        mask |= 1 << mode
+        out = meta.card_after(mask)
+        peak = max(peak, total + held + working + out)
+        if i < len(path) and path[i].uid in kept:
+            held += out
+            working = 0
+        else:
+            working = out
 
-    visit(tree.root, meta.cardinality)
+    def visit(node: Node, extra: int) -> None:
+        nonlocal peak, held
+        # a leaf's SVD consumes the parent's output; nothing new is stored
+        # beyond the (small) Gram matrix, which we neglect here
+        peak = max(peak, total + held + extra)
+        for child in sorted(node.children, key=lambda c: c.uid not in on_path):
+            if child.uid in on_path:
+                visit(child, extra)
+                if child.uid in kept:
+                    held -= costs[child.uid]["out_card"]
+            elif child.kind == "ttm":
+                visit(child, extra + costs[child.uid]["out_card"])
+            else:
+                visit(child, extra)
+
+    visit(tree.root, 0)
     return peak
 
 

@@ -116,6 +116,24 @@ class TTMTree:
 
         return d(self.root)
 
+    def root_path(self, order: Sequence[int]) -> tuple[Node, ...]:
+        """The TTM nodes, root down, whose modes are ``order``'s leading
+        modes: node ``i`` of the result outputs ``T x order[0] ... x
+        order[i]``, exactly what a chain over ``order`` holds after step
+        ``i``. Empty when no root child multiplies ``order[0]``; among
+        same-mode siblings (chain trees) the first in list order."""
+        path: list[Node] = []
+        node = self.root
+        for mode in order:
+            node = next(
+                (c for c in node.children if c.kind == TTM and c.mode == mode),
+                None,
+            )
+            if node is None:
+                break
+            path.append(node)
+        return tuple(path)
+
     def premultiplied_mask(self, node: Node) -> int:
         """Bitmask of modes applied on the path from the root *through* node.
 

@@ -34,7 +34,8 @@ import threading
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +61,14 @@ from repro.backends import (
 )
 from repro.backends.blockpar import OC_LEASE_FACTOR
 from repro.backends.select import resolve_auto_procs
-from repro.backends.schedule import RAND_METHODS, Step, compile_rand_steps
+from repro.backends.schedule import (
+    RAND_METHODS,
+    Handoff,
+    Step,
+    compile_handoff,
+    compile_rand_steps,
+    handoff_core_order,
+)
 from repro.storage import (
     DEFAULT_CHUNK_BYTES,
     MmapStore,
@@ -135,6 +143,12 @@ class TuckerResult:
     *increased* by more than the tolerance — the sweep is reported, not
     silently treated as converged). Runs without a HOOI phase keep the
     defaults.
+
+    ``flops_reused`` counts the multiply-adds of the tree TTMs this run
+    did not issue because a chain had just computed the same product
+    (cross-phase reuse on the shared-memory backends). Such a product
+    has no ledger record — nothing ran — so ``ledger.flops("hooi") +
+    flops_reused`` is what the paper's per-invocation model charges.
     """
 
     decomposition: TuckerDecomposition
@@ -158,6 +172,7 @@ class TuckerResult:
     spill_error_bound: float = 0.0
     seconds: float = 0.0
     trace: Trace | None = None
+    flops_reused: float = 0.0
 
     @property
     def error(self) -> float:
@@ -442,6 +457,13 @@ class CompiledPlan:
     the core chain, the STHOSVD pass) plus the working dtype. Running it
     changes nothing in it, so sessions on any number of threads may share
     one compiled plan.
+
+    The two :class:`~repro.backends.schedule.Handoff` fields are the same
+    phases compiled for cross-phase reuse, run where ``regrid`` is the
+    identity: ``sthosvd_handoff`` when the STHOSVD order shares its
+    leading modes with a root path of the tree (``None`` otherwise),
+    ``core_handoff`` for the core chain of every sweep another may follow
+    (``None`` only for one-mode tensors).
     """
 
     plan: Plan
@@ -451,6 +473,8 @@ class CompiledPlan:
     core_steps: tuple[Step, ...]
     sthosvd_order: tuple[int, ...]
     sthosvd_steps: tuple[Step, ...]
+    sthosvd_handoff: Handoff | None
+    core_handoff: Handoff | None
 
     # -- delegated metadata ---------------------------------------------- #
 
@@ -492,6 +516,24 @@ class CompiledPlan:
         )
 
 
+@dataclass
+class _Reuse:
+    """One run's cross-phase reuse state, local to that run.
+
+    ``slots`` is the carry the Step programs work in (see
+    :func:`~repro.backends.schedule.run_steps`): between two programs it
+    holds what the last chain kept for the next tree. ``handoff`` is the
+    compiled :class:`Handoff` those slots belong to — ``None`` while
+    there are none, so the next tree runs cold — and ``flops`` sums what
+    the warm trees skipped. Never stored on a plan, a backend or the
+    session: the run that made it clears it, however it ends.
+    """
+
+    slots: dict = field(default_factory=dict)
+    handoff: Handoff | None = None
+    flops: int = 0
+
+
 def _norm_identity_error(t_norm_sq: float, g_norm_sq: float) -> float:
     """Relative error of an orthogonal projection from the two squared
     norms, ``sqrt(max(|T|^2 - |G|^2, 0) / |T|^2)`` (0 for a zero input) —
@@ -525,6 +567,14 @@ def compile_plan(
         core_steps=compile_core_steps(core_order, core_scheme),
         sthosvd_order=sthosvd_order,
         sthosvd_steps=compile_sthosvd_steps(sthosvd_order, meta),
+        sthosvd_handoff=compile_handoff(
+            plan.tree, meta, sthosvd_order,
+            partial(compile_sthosvd_steps, meta=meta),
+        ),
+        core_handoff=compile_handoff(
+            plan.tree, meta, handoff_core_order(plan.tree, meta),
+            compile_core_steps,
+        ),
     )
 
 
@@ -1192,8 +1242,16 @@ class TuckerSession:
         max_iters: int,
         tol: float,
         t_norm_sq: float | None = None,
+        reuse: _Reuse | None = None,
     ) -> tuple[TuckerDecomposition, list[float], bool, str]:
-        """Iterate HOOI over the distributed input ``handle``."""
+        """Iterate HOOI over the distributed input ``handle``.
+
+        With ``reuse``, a sweep whose predecessor (the init pass, or the
+        previous sweep's core chain) handed its prefix over runs the warm
+        tree program; and every sweep another may follow runs its core
+        chain along a root path of the tree, so there is a prefix to hand
+        over. The last permitted sweep keeps the plan's own core order.
+        """
         backend = self.backend
         tr = self._tr()
         factors = check_factors(factors, compiled.meta, dtype=compiled.dtype)
@@ -1209,11 +1267,27 @@ class TuckerSession:
         with tr.span("hooi", kind="phase"):
             for it in range(max_iters):
                 tag = f"hooi:it{it}"
-                with tr.span(tag, kind="phase", iteration=it):
+                warm = reuse.handoff if reuse else None
+                following = (
+                    compiled.core_handoff
+                    if reuse and it < max_iters - 1
+                    else None
+                )
+                with tr.span(
+                    tag, kind="phase", iteration=it,
+                    reused=[f"{tag}:{t}" for t in warm.reused] if warm else [],
+                ):
                     factors, core_handle = run_sweep(
                         backend, handle, factors,
-                        compiled.tree_steps, compiled.core_steps, tag=tag,
+                        warm.tree_steps if warm else compiled.tree_steps,
+                        following.chain_steps
+                        if following
+                        else compiled.core_steps,
+                        tag=tag, carry=reuse.slots if reuse else None,
                     )
+                    if reuse:
+                        reuse.flops += warm.flops_reused if warm else 0
+                        reuse.handoff = following
                     g_norm_sq = backend.fro_norm_sq(
                         core_handle, tag="norm:core"
                     )
@@ -1278,7 +1352,8 @@ class TuckerSession:
         )
 
     def _init_pass(
-        self, compiled: CompiledPlan, handle, algo: dict, seed: int
+        self, compiled: CompiledPlan, handle, algo: dict, seed: int,
+        reuse: _Reuse | None = None,
     ) -> tuple[TuckerDecomposition, float, float]:
         """The initialization pass; ``(decomposition, error, input_norm_sq)``.
 
@@ -1293,20 +1368,33 @@ class TuckerSession:
         so the norm identity gives the exact relative error; only
         ``sp-rsthosvd``'s core is solved host-side from the sketches, and
         for it the identity yields a clamped estimate.
+
+        With ``reuse`` the two sequentially truncating passes (exact,
+        ``rsthosvd``) run as the keeping chain of the plan's
+        ``sthosvd_handoff``, when it has one, and leave the first sweep
+        its prefix; ``sp-rsthosvd`` never truncates, so it has none.
         """
         backend = self.backend
         meta = compiled.meta
         method = algo["method"]
+        handoff = (
+            compiled.sthosvd_handoff
+            if reuse and method != "sp-rsthosvd"
+            else None
+        )
         if method == "exact":
             name, attrs, rng = "sthosvd", {}, None
-            steps = compiled.sthosvd_steps
+            steps = handoff.chain_steps if handoff else compiled.sthosvd_steps
         else:
             name, rng = method, np.random.default_rng(seed)
             attrs = dict(
                 seed=int(seed), oversample=int(algo["oversample"]),
                 power_iters=int(algo["power_iters"]),
             )
-            steps = compile_rand_steps(compiled.sthosvd_order, meta, **algo)
+            steps = compile_rand_steps(
+                compiled.sthosvd_order, meta,
+                keep=handoff.keep if handoff else (), **algo,
+            )
         factors: dict[int, np.ndarray] = {}
         with self._tr().span(name, kind="phase", **attrs):
             if rng is None:
@@ -1314,7 +1402,10 @@ class TuckerSession:
             current, sketched_norm_sq, core = run_steps(
                 backend, handle, steps, factors,
                 tag=name, rng=rng, dtype=compiled.dtype,
+                carry=reuse.slots if handoff else None,
             )
+            if handoff:
+                reuse.handoff = handoff
             if rng is not None:
                 t_norm_sq = float(sketched_norm_sq)
             if core is None:
@@ -1556,6 +1647,9 @@ class TuckerSession:
         dec, init_error = None, float("nan")
         errors, converged, stopped_reason = [], True, ""
         handle = t_norm_sq = None
+        # A chain's outputs can stand in for the tree's only where no
+        # program regrids for itself (one address space).
+        reuse = _Reuse() if loop and backend.regrid_is_identity else None
         run_store = self._open_store(selection, spill_dir)
         try:
             with self._observed(run_store):
@@ -1584,14 +1678,17 @@ class TuckerSession:
                     # ledger charges the sketches' reduced volumes instead
                     # of the exact path's Gram traffic.
                     dec, init_error, t_norm_sq = self._init_pass(
-                        compiled, handle, algo, seed
+                        compiled, handle, algo, seed, reuse
                     )
                 if loop:
                     dec, errors, converged, stopped_reason = self._hooi_loop(
                         handle, factors if factors is not None else dec.factors,
-                        compiled, max_iters, tol, t_norm_sq,
+                        compiled, max_iters, tol, t_norm_sq, reuse,
                     )
         finally:
+            if reuse:
+                # early stop, max_iters or a raising kernel alike
+                reuse.slots.clear()
             if run_store is not None:
                 root.set(resident_peak=float(run_store.gauge.peak))
                 run_store.close()
@@ -1599,6 +1696,7 @@ class TuckerSession:
             compiled, from_cache, mark, selection, run_store,
             decomposition=dec, sthosvd_error=init_error, errors=errors,
             method=method, converged=converged, stopped_reason=stopped_reason,
+            flops_reused=float(reuse.flops) if reuse else 0.0,
         )
 
     def run_many(
