@@ -40,7 +40,6 @@ from repro.backends import AUTO_BACKEND, BACKEND_NAMES, STORAGE_MODES
 from repro.backends import select as backend_select
 from repro.storage import parse_bytes
 from repro.bench.algorithms import ALGORITHMS, make_planner, paper_label
-from repro.bench.report import ascii_table
 from repro.bench.suite import REAL_TENSORS, benchmark_metas, real_tensor_meta
 from repro.core.grids import psi
 from repro.core.memory import plan_peak_bytes_per_rank
@@ -49,6 +48,7 @@ from repro.core.planner import Planner
 from repro.hooi.model import predict
 from repro.mpi.machine import MachineModel
 from repro.session import TuckerSession
+from repro.util.table import ascii_table
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

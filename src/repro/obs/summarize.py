@@ -19,6 +19,7 @@ import re
 from typing import Any
 
 from repro.core.planner import Plan
+from repro.util.table import ascii_table
 
 __all__ = [
     "canonical_tag",
@@ -140,8 +141,6 @@ def format_summary(rows: list[dict[str, Any]], *, title: str | None = None) -> s
     elements per occurrence, for direct comparison. A ``-`` marks tags
     the volume model does not cover.
     """
-    from repro.bench.report import ascii_table
-
     headers = [
         "step tag",
         "n",

@@ -13,15 +13,26 @@ the input where it lies and writes the output where it belongs (``out=``,
 the caller's sink, or a fresh array). Mode 0 is the batch of one. This is
 the matricization-free TTM of a-Tucker (Li, Xiao, Yang; see PAPERS.md).
 When nothing follows the mode (``B == 1``) the slabs would be vectors, so
-the product is taken as ``M @ T_(A x L)^T`` — the input is again a view
-— and stored transposed; that ``K x A`` product is the only temporary,
-and it is output-sized.
+the same product is taken the other way round: ``T`` is the matrix
+``(A, L)`` and ``Z`` the matrix ``(A, K)``, and ``Z = T @ M^T`` is
+written straight into the sink in row panels of at most
+:data:`PANEL_BYTES` of input each, one ``np.matmul(..., out=)`` per
+panel. Apart from one ``L x K`` copy of ``M^T`` (none when ``M`` is the
+transpose of a C-ordered factor, the usual call) nothing is allocated; a
+mixed-dtype product casts one panel at a time.
 
 Blocks of a larger array keep their views: leading axes that cannot merge
-into one ``A`` stay separate batch axes of the same ``matmul``. Only a
-tensor whose axes from the mode on are not C-ordered (a transposed or
-Fortran-ordered array, a block cut behind the mode) is first copied once
-to C order, and only an ``out`` like that is filled through a buffer.
+into one ``A`` stay separate batch axes of the same ``matmul`` (for the
+last mode: a loop over them, each row range panelled). Only a tensor whose
+axes from the mode on are not C-ordered (a transposed or Fortran-ordered
+array, a block cut behind the mode) is first copied once to C order, and
+only an ``out`` like that is filled through a buffer.
+
+Numerics: BLAS does not keep panel seams bit-stable — a row may round
+differently in a panel of another height — so results are a pure function
+of the block's shape, dtype and cut, not of how the block was reached:
+equal worker counts give equal bits on every map, and backends agree to
+rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +43,32 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.util.validation import check_mode
+
+#: input bytes of one last-mode row panel (at the result's dtype): small
+#: enough that the panel and BLAS's packing of it stay in L2, large enough
+#: that the per-call overhead vanishes. Chosen by a sweep over the
+#: workloads' shapes, in ms (min of 11, f64, one BLAS thread, warm pages,
+#: 2-vCPU Xeon with 2 MiB L2 per core; "before" is the ``K x A``
+#: product plus transposed copy it replaced):
+#:
+#: =========================  ======  ====  ====  ====  ====  ====
+#: shape, mode, K             before  256K  384K  512K  768K  2M
+#: =========================  ======  ====  ====  ====  ====  ====
+#: 72x64x60x56, 3, 7          30.6    18.1  17.6  17.6  17.4  30.2
+#: 36x64x60x56, 3, 7          13.6    8.3   8.2   8.1   8.2   13.4
+#: 224x208x192, 2, 24         22.2    15.4  19.1  19.5  17.5  19.2
+#: 256x256x256, 2, 32         42.6    45.1  41.9  41.3  40.3  42.6
+#: 40x36x32x28, 3, 4          1.91    0.85  0.77  0.74  0.72  1.15
+#: 128x96x48, 2, 6            0.67    0.38  0.35  0.33  0.33  0.57
+#: 64x64x96, 2, 12            0.57    0.40  0.37  0.40  0.56  0.52
+#: =========================  ======  ====  ====  ====  ====  ====
+#:
+#: At 2 MiB the panel no longer fits and the gain is gone; 768 KiB
+#: already loses it on 64x64x96. Only the long fibers of 224x208x192
+#: prefer 256 KiB (by 1-4 ms of 15-20 across three sweeps); 512 KiB is
+#: the best single size. The middle modes of 72x64x60x56 (K = 8), which
+#: this constant does not touch, took 16.0-16.2 ms.
+PANEL_BYTES = 512 * 1024
 
 
 def ttm_out(shape, dtype, matrix: np.ndarray, mode: int):
@@ -146,7 +183,7 @@ def ttm(
     x = tensor if _c_ordered_from(tensor, dense_from) else (
         np.ascontiguousarray(tensor)
     )
-    z = out if _c_ordered_from(out, mode + 1) else np.empty(shape, dtype)
+    z = out if _c_ordered_from(out, dense_from) else np.empty(shape, dtype)
     batch = _batch_shape(mode, x, z)
     if trail > 1:
         np.matmul(
@@ -155,12 +192,18 @@ def ttm(
             out=z.reshape(batch + (rows, trail)),
         )
     else:
-        # the last batch axis is the GEMM's long side, not a batch
+        # the last batch axis is the GEMM's long side: cut it into panels
         batch, lead = batch[:-1], math.prod(batch[-1:])
-        product = np.matmul(
-            matrix, x.reshape(batch + (lead, length)).swapaxes(-1, -2)
-        )
-        z.reshape(batch + (lead, rows))[...] = product.swapaxes(-1, -2)
+        xs = x.reshape(batch + (lead, length))
+        zs = z.reshape(batch + (lead, rows))
+        right = np.ascontiguousarray(matrix.T, dtype=dtype)
+        step = max(1, PANEL_BYTES // (length * dtype.itemsize))
+        for index in np.ndindex(batch):
+            x_rows, z_rows = xs[index], zs[index]
+            for lo in range(0, lead, step):
+                np.matmul(
+                    x_rows[lo : lo + step], right, out=z_rows[lo : lo + step]
+                )
     if z is not out:
         out[...] = z
     return out

@@ -7,17 +7,23 @@ against ``np.einsum`` over layouts, dtypes and sinks, and the memory tests
 hold it to "no tensor-sized temporary".
 """
 
+import contextlib
 import gc
+import importlib
+import math
 import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.tensor.ttm import ttm, ttm_chain
 from repro.tensor.unfold import unfold
+
+#: the module, not the function ``repro.tensor`` re-exports under its name
+ttm_module = importlib.import_module("repro.tensor.ttm")
 
 LETTERS = "abcde"
 
@@ -277,6 +283,29 @@ class TestNoTensorSizedTemporary:
         peak = traced_peak(lambda: ttm(self.x, matrix, 2, out))
         assert peak <= out.nbytes + 4 * KIB
 
+    def test_last_mode_allocates_no_product(self):
+        """Row panels of ``X @ M^T`` go straight into the sink: the only
+        allocation is the ``L x K`` copy of ``M^T``. The ``M @ X^T`` form
+        this replaced held a ``K x A`` product (``out.nbytes``) and failed
+        both bounds."""
+        matrix = self.matrix(2)  # C-ordered, so M^T is copied once
+        out = ttm(self.x, matrix, 2)
+        assert 4 * KIB < out.nbytes  # the bounds below tell them apart
+        peak = traced_peak(lambda: ttm(self.x, matrix, 2, out))
+        assert peak <= matrix.nbytes + 4 * KIB
+        peak = traced_peak(lambda: ttm(self.x, matrix, 2))
+        assert peak <= out.nbytes + 4 * KIB
+        # float32 tensor x float64 matrix: matmul casts its input, one
+        # panel at a time, never the whole tensor
+        x32 = self.x.astype(np.float32)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ttm_module, "PANEL_BYTES", 16 * KIB)
+            assert x32.nbytes >= 10 * ttm_module.PANEL_BYTES
+            out = ttm(x32, matrix, 2)
+            assert out.dtype == np.float64
+            peak = traced_peak(lambda: ttm(x32, matrix, 2, out))
+        assert peak <= 16 * KIB + matrix.nbytes + 4 * KIB
+
     @pytest.mark.parametrize("mode", (0, 1, 2))
     def test_a_block_cut_in_front_of_the_mode_stays_a_view(self, mode):
         # x[:, lo:hi] under mode 0, x[lo:hi] otherwise: what `_cut` yields
@@ -298,6 +327,170 @@ class TestNoTensorSizedTemporary:
         np.testing.assert_allclose(
             sink[:, :, 4:16], einsum_ttm(block, matrix, 0), atol=1e-12
         )
+
+
+@contextlib.contextmanager
+def panels_of(rows: int, length: int, dtype):
+    """Last-mode panels of ``rows`` rows of ``length`` elements of ``dtype``
+    (the module's byte constant patched down to that)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            ttm_module, "PANEL_BYTES", rows * length * np.dtype(dtype).itemsize
+        )
+        yield
+
+
+def count_matmuls(call) -> int:
+    """How many ``np.matmul`` calls ``call`` makes."""
+    calls = []
+    real = np.matmul
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "matmul", spy)
+        call()
+    return len(calls)
+
+
+SEAM_SINKS = SINKS + ("memmap",)
+
+
+def check_across_seams(dims, k, layout, axis, sink, dtypes, seed, rows):
+    """The last mode of ``dims`` in panels of ``rows`` rows, against einsum,
+    from any input layout into any sink (a mapped file included)."""
+    rng = np.random.default_rng(seed)
+    x_dtype, m_dtype = dtypes
+    mode, axis = len(dims) - 1, axis % len(dims)
+    values = rng.standard_normal(dims).astype(x_dtype)
+    matrix = rng.standard_normal((k, dims[mode])).astype(m_dtype)
+    want = einsum_ttm(values, matrix, mode)
+    with tempfile.TemporaryDirectory() as x_dir, (
+        tempfile.TemporaryDirectory()
+    ) as out_dir, panels_of(rows, dims[mode], want.dtype):
+        x = lay_out(values, layout, axis, x_dir)
+        out = None
+        if sink != "new":
+            out = lay_out(
+                np.zeros(want.shape, want.dtype),
+                "c" if sink == "fresh" else sink, axis, out_dir,
+            )
+        got = ttm(x, matrix, mode, out)
+        assert out is None or got is out
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=tolerance(want, dims[mode])
+        )
+        del x, got, out
+
+
+class TestLastModePanels:
+    """The last mode runs as row panels of ``X @ M^T`` written into the
+    sink. With the panel constant patched down to a few rows, every case
+    below crosses at least two seams, and each is held against einsum."""
+
+    #: the corners of the (A, L, B) view that reach the panel loop (B == 1),
+    #: and the last-mode cases TestAgainstEinsum.TABLE has only for others
+    CORNERS = {
+        **{
+            name: row
+            for name, row in TestAgainstEinsum.TABLE.items()
+            if math.prod(row[0][row[1] + 1 :]) == 1
+        },
+        "last-K=1": ((3, 4, 5), 2, 1),
+        "last-K>L": ((3, 4, 5), 2, 9),
+        "4d-last": ((3, 4, 2, 5), 3, 3),
+    }
+
+    @pytest.mark.parametrize("row", sorted(CORNERS))
+    def test_corners_across_seams(self, row):
+        dims, mode, k = self.CORNERS[row]
+        lead = math.prod(dims[:mode])
+        x, matrix = np.ones(dims), np.ones((k, dims[mode]))
+        with panels_of(2, dims[mode], np.float64):
+            panels = count_matmuls(lambda: ttm(x, matrix, mode))
+        assert panels == -(-lead // 2)
+        assert panels >= 3 or lead == 1  # two seams, unless a single row
+        for layout in LAYOUTS:
+            for sink in SEAM_SINKS:
+                for axis in range(len(dims)):
+                    for dtypes in DTYPES:
+                        check_across_seams(
+                            dims, k, layout, axis, sink, dtypes, 7, rows=2
+                        )
+
+    def test_lead_not_a_multiple_of_the_panel(self):
+        # 20 rows in panels of 3: six full panels and a ragged one
+        x, matrix = np.ones((5, 4, 3)), np.ones((2, 3))
+        with panels_of(3, 3, np.float64):
+            assert count_matmuls(lambda: ttm(x, matrix, 2)) == 7
+        for layout in LAYOUTS:
+            for sink in SEAM_SINKS:
+                for axis in range(3):
+                    check_across_seams(
+                        (5, 4, 3), 2, layout, axis, sink, DTYPES[0], 3, rows=3
+                    )
+
+    def test_leading_axes_that_do_not_merge(self):
+        # a block cut in front of the mode: each leading row range is
+        # panelled on its own, 5 x ceil(4 / 3) panels
+        big = np.random.default_rng(0).standard_normal((5, 9, 3))
+        block, matrix = big[:, 2:6], np.ones((2, 3))
+        with panels_of(3, 3, np.float64):
+            assert count_matmuls(lambda: ttm(block, matrix, 2)) == 10
+            got = ttm(block, matrix, 2)
+        np.testing.assert_allclose(
+            got, einsum_ttm(block, matrix, 2), rtol=0, atol=1e-12
+        )
+
+    @given(
+        lead=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+        length=st.integers(1, 6),
+        k=st.integers(1, 9),
+        layout=st.sampled_from(LAYOUTS),
+        axis=st.integers(0, 4),
+        sink=st.sampled_from(SEAM_SINKS),
+        dtypes=st.sampled_from(DTYPES),
+        seed=st.integers(0, 999),
+        rows=st.integers(1, 3),
+    )
+    def test_any_case_across_seams(
+        self, lead, length, k, layout, axis, sink, dtypes, seed, rows
+    ):
+        assume(math.prod(lead) > 2 * rows)  # at least three panels
+        check_across_seams(
+            lead + (length,), k, layout, axis, sink, dtypes, seed, rows
+        )
+
+    @pytest.mark.parametrize("rows", (1, 2, 3))
+    def test_integer_tensors_still_match_exactly(self, rows):
+        x = np.arange(5 * 4 * 7).reshape(5, 4, 7) - 60
+        ints = np.arange(3 * 7).reshape(3, 7) - 10
+        for matrix in (ints, ints * 0.5):
+            dtype = np.result_type(x, matrix)
+            for block in (x, x[:, 1:3]):
+                with panels_of(rows, 7, dtype):
+                    got = ttm(block, matrix, 2)
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(
+                    got, einsum_ttm(block, matrix, 2)
+                )
+
+    @pytest.mark.parametrize("dtypes", DTYPES, ids=str)
+    def test_same_call_same_bits(self, dtypes):
+        # at the shipped panel size: 6144 rows of 40, ragged last panel
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((128, 48, 40)).astype(dtypes[0])
+        matrix = rng.standard_normal((7, 40)).astype(dtypes[1])
+        assert count_matmuls(lambda: ttm(x, matrix, 2)) >= 2
+        first = ttm(x, matrix, 2)
+        np.testing.assert_array_equal(ttm(x, matrix, 2), first)
+        # a sink BLAS cannot write into is filled through a buffer, and
+        # gets the same bits
+        wide = np.empty(first.shape[:-1] + (2 * first.shape[-1],), first.dtype)
+        np.testing.assert_array_equal(ttm(x, matrix, 2, wide[..., ::2]), first)
 
 
 class TestTTM:
