@@ -17,8 +17,9 @@ The one schedule interpreter (:func:`repro.backends.schedule.run_steps`,
 which replays every phase of a run as a compiled ``Step`` program) is
 written purely against this interface; adding a backend means implementing
 these nine primitives, nothing more — and for a shared-memory machine most
-of that is already written: :mod:`repro.backends.blockkernels` holds the
-kernels, a new backend supplies a block source and a map.
+of that is already written: :mod:`repro.tensor.kernels` holds the kernels
+and :mod:`repro.backends.blockkernels` the drivers, so a new backend
+supplies a block source and a map.
 """
 
 from __future__ import annotations

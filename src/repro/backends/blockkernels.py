@@ -1,15 +1,17 @@
-"""The block-kernel core: each kernel written once, for every backend.
+"""The block-kernel core: one way to cut, map and reduce, for every backend.
 
 The paper's execution layer is two kernels (the TTM and the Gram+EVD
 "SVD" step) replayed along a planned tree; the randomized methods add a
-sketch, a cross-Gram and the norm. The shared-memory backends all run
-them the same way — cut the tensor along its longest free mode, compute
-one partial per block, combine in ascending block order — and differ
-only in where the blocks live and who runs them. This module holds that
+sketch, a cross-Gram and the norm. Their arithmetic lives in the leaf
+module :mod:`repro.tensor.kernels`, which the virtual cluster runs on
+its bricks too. The shared-memory backends all run those kernels the
+same way — cut the tensor along its longest free mode, compute one
+partial per block, combine in ascending block order — and differ only
+in where the blocks live and who runs them. This module holds that
 common part, in three layers:
 
-* **block functions** (:data:`KERNELS`): five pure ``block(s) ->
-  partial`` functions, the only place each kernel's arithmetic lives;
+* :data:`KERNELS`: kernel name -> the leaf's ``block(s) -> partial``
+  function, the table every block task dispatches through;
 * :class:`BlockSource`: a picklable description of a tensor's backing —
   a live ndarray, a named ``shared_memory`` segment, or a mapped file
   (``path, offset, shape, dtype``: a raw spill block, a decoded ``.dec``
@@ -58,66 +60,20 @@ from repro.backends.blockpar import (
     reduce_partials,
     split_mode,
 )
-from repro.backends.sketch import add_block_contribution, out_shape
 from repro.storage import MmapStore, StoredTensor
-from repro.tensor.linalg import leading_eigvecs
-from repro.tensor.ttm import ttm, ttm_out
-from repro.tensor.unfold import unfold
+from repro.tensor.kernels import (
+    gram_block,
+    norm_block,
+    sketch_block,
+    ttm_block,
+    xgram_block,
+)
+from repro.tensor.ttm import ttm_out
 
 try:  # gated: some platforms build Python without shared memory
     from multiprocessing import shared_memory
 except ImportError:  # pragma: no cover - absent only on exotic builds
     shared_memory = None
-
-
-# --------------------------------------------------------------------- #
-# (a) block functions: block(s) -> partial
-# --------------------------------------------------------------------- #
-
-
-def ttm_block(
-    x: np.ndarray, matrix: np.ndarray, mode: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``x x_mode matrix`` of one block (cut along any other mode),
-    written into ``out`` — the block's slice of the sink — when given."""
-    return ttm(x, matrix, mode, out)
-
-
-def gram_block(
-    x: np.ndarray, mode: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``U U^T`` of the block's mode unfolding, into ``out`` (``L x L``,
-    the block's dtype) when given."""
-    u = unfold(x, mode)
-    return np.matmul(u, u.T, out=out)
-
-
-def xgram_block(a: np.ndarray, b: np.ndarray, mode: int) -> np.ndarray:
-    """``unfold(a) @ unfold(b).T`` of two blocks cut along the same axis."""
-    ua = unfold(a, mode)
-    ub = unfold(b, mode)
-    return ua @ ub.T
-
-
-def norm_block(piece: np.ndarray) -> float:
-    """Squared norm of a flat piece."""
-    return float(np.dot(piece, piece))
-
-
-def sketch_block(x: np.ndarray, specs, dims, ranges):
-    """One block's full-size partial of every sketch, plus its norm partial.
-
-    ``ranges`` is the block's global ``(lo, hi)`` per mode of the
-    ``dims``-shaped tensor; computing every spec from the block while it
-    is resident is what makes a sketch a single read pass.
-    """
-    x = np.ascontiguousarray(x)
-    contribs = []
-    for spec in specs:
-        out = np.zeros(out_shape(dims, spec), dtype=x.dtype)
-        add_block_contribution(out, x, spec, ranges)
-        contribs.append(out)
-    return contribs, norm_block(x.reshape(-1))
 
 
 #: kernel name -> block function. The name doubles as the ``worker:<name>``
@@ -129,11 +85,6 @@ KERNELS = {
     "sketch": sketch_block,
     "norm": norm_block,
 }
-
-
-def gram_factor(g: np.ndarray, k: int) -> np.ndarray:
-    """Leading-``k`` eigenvectors of an accumulated Gram, symmetrized first."""
-    return leading_eigvecs((g + g.T) * 0.5, k)
 
 
 # --------------------------------------------------------------------- #
@@ -535,9 +486,6 @@ __all__ = [
     "BlockSource",
     "PoolBackend",
     "block_bytes",
-    "gram_block",
-    "gram_factor",
-    "norm_block",
     "oc_distribute",
     "run_block",
     "run_cross_gram",
@@ -546,9 +494,6 @@ __all__ = [
     "run_sketch",
     "run_ttm",
     "serial_map",
-    "sketch_block",
-    "ttm_block",
     "ttm_in_process",
     "ttm_out",
-    "xgram_block",
 ]

@@ -58,7 +58,6 @@ from repro.backends.blockkernels import (
     BlockSource,
     PoolBackend,
     block_bytes,
-    gram_factor,
     oc_distribute,
     run_block,
     run_cross_gram,
@@ -76,8 +75,9 @@ from repro.backends.blockpar import (
     split_mode,
 )
 from repro.backends.errors import BackendUnavailableError
-from repro.backends.sketch import sketch_flops
 from repro.storage import CorruptBlockError, StorageError, StoredTensor
+from repro.tensor.kernels import sketch_flops
+from repro.tensor.linalg import gram_factor
 
 
 def _pool_context():

@@ -43,6 +43,8 @@ from repro.core.cost import node_costs
 from repro.core.memory import carried_nodes, traversal_peak_cards
 from repro.core.meta import TensorMeta
 from repro.core.trees import Node, TTMTree
+from repro.tensor.kernels import gram_block
+from repro.tensor.linalg import gram_factor
 from repro.tensor.unfold import unfold
 from repro.util.dtypes import as_float
 
@@ -451,7 +453,7 @@ def run_steps(
             specs = rsk.single_pass_specs(rng, dims, step.ranks, step.p, dtype)
             sketches, norm_sq = backend.sketch(src, specs, tag=full_tag)
             for n, k in enumerate(step.ranks):
-                new[n] = rsk.factor_from_matrix(unfold(sketches[n], n), k)
+                new[n] = gram_factor(gram_block(sketches[n], n), k)
             core = rsk.solve_core(
                 sketches[-1], specs[-1], [new[n] for n in range(len(specs) - 1)]
             )
@@ -483,7 +485,7 @@ def _range_finder(backend, src, step: Step, tag: str, rng, dtype):
             src, z, step.mode, tag=f"{tag}:power{j}:xgram"
         )
         del z
-    return rsk.factor_from_matrix(w_mat, step.k), norm_sq
+    return gram_factor(w_mat @ w_mat.T, step.k), norm_sq
 
 
 def run_sweep(

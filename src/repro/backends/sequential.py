@@ -22,8 +22,6 @@ import numpy as np
 from repro.backends.blockkernels import (
     BlockBackend,
     BlockSource,
-    gram_block,
-    gram_factor,
     oc_distribute,
     run_cross_gram,
     run_gram,
@@ -31,11 +29,12 @@ from repro.backends.blockkernels import (
     run_sketch,
     serial_map,
     ttm_in_process,
-    xgram_block,
 )
 from repro.backends.blockpar import gram_evd_flops
-from repro.backends.sketch import sketch_arrays, sketch_flops
+from repro.backends.sketch import sketch_arrays
 from repro.storage import StoredTensor
+from repro.tensor.kernels import gram_block, sketch_flops, xgram_block
+from repro.tensor.linalg import gram_factor
 from repro.tensor.ttm import ttm
 
 

@@ -5,6 +5,12 @@ is the wrapped :class:`~repro.mpi.comm.SimCluster`'s own
 :class:`~repro.mpi.stats.StatsLedger` (shared, not copied), so exact
 communication volumes keep landing where the benchmark harness and the
 engine-vs-model reconciliation expect them.
+
+This class only forwards: ``repro.dist`` chooses layouts, runs the
+collectives and charges the ledger, and every rank's local work is the
+same :mod:`repro.tensor.kernels` block function and
+:func:`~repro.tensor.linalg.gram_factor` the local backends run — only
+the map (ranks of a grid, not blocks of a pool) differs.
 """
 
 from __future__ import annotations

@@ -9,15 +9,16 @@ Randomized Tucker Decomposition Algorithms", PAPERS.md):
   mode. Contracting the input with all the test matrices yields a small
   tensor ``W = Y x_{m != n} Omega_m`` whose mode-``n`` unfolding spans
   (approximately) the top left-singular subspace of ``Y_(n)``;
-* :func:`add_block_contribution` is the one kernel every backend blocks
-  over: a *block's* contribution to a sketch is the same TTM chain with
-  the test matrices column-restricted to the block's global ranges, and
-  block contributions simply **add** — which is what makes a sketch a
-  single read pass over spilled blocks and a single reduced-volume
-  allreduce on the virtual cluster;
-* factor extraction, sign-fixed orthonormalization for power
-  iterations, and the small least-squares core solve of the single-pass
-  variant.
+* the spec builders, which draw the test matrices;
+* sign-fixed orthonormalization for power iterations, and the small
+  least-squares core solve of the single-pass variant.
+
+What a spec makes of a tensor — its shape, a block's contribution (the
+same TTM chain with the test matrices column-restricted to the block's
+global ranges; block contributions simply **add**) and its cost — is
+kernel arithmetic and lives in :mod:`repro.tensor.kernels`, where every
+backend and the virtual cluster reach it. Factors come from
+:func:`repro.tensor.linalg.gram_factor`, the exact path's routine.
 
 Determinism contract: all test matrices are drawn host-side from one
 ``numpy.random.default_rng(seed)`` in a documented fixed order (the
@@ -32,23 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.tensor.linalg import (
-    deterministic_sign,
-    leading_left_singular_vectors,
-)
+from repro.tensor.kernels import sketch_block
+from repro.tensor.linalg import deterministic_sign
 from repro.tensor.ttm import ttm_chain
 
 __all__ = [
     "SketchSpec",
-    "add_block_contribution",
     "core_sketch_spec",
-    "factor_from_matrix",
     "mode_sketch_spec",
     "orthonormal_cols",
-    "out_shape",
     "single_pass_specs",
     "sketch_arrays",
-    "sketch_flops",
     "sketch_width",
     "solve_core",
 ]
@@ -74,14 +69,6 @@ def sketch_width(k: int, p: int, dim: int) -> int:
     exact), so ``rank + p > dim`` clamps instead of crashing.
     """
     return max(1, min(int(k) + int(p), int(dim)))
-
-
-def out_shape(dims, spec: SketchSpec) -> tuple[int, ...]:
-    """The sketch tensor's shape: ``s_m`` on compressed modes."""
-    return tuple(
-        spec.omegas[m].shape[0] if m in spec.omegas else int(d)
-        for m, d in enumerate(dims)
-    )
 
 
 def _draw(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
@@ -153,68 +140,12 @@ def single_pass_specs(
     return specs
 
 
-def add_block_contribution(
-    out: np.ndarray,
-    block: np.ndarray,
-    spec: SketchSpec,
-    ranges,
-) -> np.ndarray:
-    """Accumulate one block's sketch contribution into ``out``.
-
-    ``ranges`` gives the block's global ``(lo, hi)`` per mode; each test
-    matrix is column-restricted to its mode's range, and the result adds
-    into ``out`` at the kept mode's slice (everywhere, for a core
-    sketch). Accumulation order is the caller's responsibility — every
-    backend adds blocks in ascending block order so blocked results are
-    bitwise reproducible for a fixed worker count.
-    """
-    matrices, modes = [], []
-    for m in sorted(spec.omegas):
-        lo, hi = ranges[m]
-        matrices.append(spec.omegas[m][:, lo:hi])
-        modes.append(m)
-    contribution = ttm_chain(block, matrices, modes)
-    if spec.mode >= 0:
-        lo, hi = ranges[spec.mode]
-        index = [slice(None)] * out.ndim
-        index[spec.mode] = slice(lo, hi)
-        out[tuple(index)] += contribution
-    else:
-        out += contribution
-    return out
-
-
 def sketch_arrays(tensor: np.ndarray, specs) -> tuple[list[np.ndarray], float]:
-    """Dense reference: all sketches plus ``||Y||_F^2`` in one logical pass."""
+    """Dense reference: all sketches plus ``||Y||_F^2`` in one pass — the
+    one block that is the whole tensor."""
     tensor = np.asarray(tensor)
     ranges = tuple((0, int(d)) for d in tensor.shape)
-    outs = []
-    for spec in specs:
-        out = np.zeros(out_shape(tensor.shape, spec), dtype=tensor.dtype)
-        add_block_contribution(out, tensor, spec, ranges)
-        outs.append(out)
-    norm_sq = float(np.linalg.norm(tensor.ravel())) ** 2
-    return outs, norm_sq
-
-
-def sketch_flops(dims, spec: SketchSpec) -> float:
-    """Modeled multiply-adds of one sketch's TTM chain (ascending modes)."""
-    current = [float(d) for d in dims]
-    total = 0.0
-    for m in sorted(spec.omegas):
-        s = float(spec.omegas[m].shape[0])
-        total += s * float(np.prod(current))
-        current[m] = s
-    return total
-
-
-def factor_from_matrix(w_mat: np.ndarray, k: int) -> np.ndarray:
-    """Leading ``k`` left singular vectors of an unfolded sketch.
-
-    Gram+EVD route with the repo's deterministic sign convention — the
-    same extraction the exact path uses, so factors are comparable.
-    """
-    return leading_left_singular_vectors(w_mat, k, method="gram")
+    return sketch_block(tensor, specs, tensor.shape, ranges)
 
 
 def orthonormal_cols(matrix: np.ndarray) -> np.ndarray:

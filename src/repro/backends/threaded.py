@@ -28,7 +28,6 @@ import numpy as np
 from repro.backends.blockkernels import (
     BlockSource,
     PoolBackend,
-    gram_factor,
     oc_distribute,
     run_block,
     run_cross_gram,
@@ -38,8 +37,9 @@ from repro.backends.blockkernels import (
     ttm_in_process,
 )
 from repro.backends.blockpar import gram_evd_flops
-from repro.backends.sketch import sketch_flops
 from repro.storage import StoredTensor
+from repro.tensor.kernels import sketch_flops
+from repro.tensor.linalg import gram_factor
 
 
 class ThreadedBackend(PoolBackend):

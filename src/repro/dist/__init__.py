@@ -12,9 +12,18 @@ Cartesian processor grids on a :class:`~repro.mpi.comm.SimCluster`, with
 * :mod:`repro.dist.ttm` — :func:`dist_ttm`, the local-dgemm +
   reduce-scatter TTM with the paper's exact ``(q_n - 1) |Out(u)|`` volume;
 * :mod:`repro.dist.gram` — :func:`dist_gram` / :func:`dist_leading_factor`,
-  the Gram+EVD SVD step;
+  the Gram+EVD SVD step, and the full-fiber slab choice it shares with
+  the cross-Gram;
+* :mod:`repro.dist.sketch` — the randomized sketches and cross-Gram;
 * :mod:`repro.dist.regrid` — :func:`regrid`, the all-to-all grid move of
   dynamic gridding.
+
+The engine owns layouts, collectives and ledger charges only. What a
+rank computes on its brick or slab is the shared-memory backends' own
+code: the block functions of :mod:`repro.tensor.kernels` and
+:func:`repro.tensor.linalg.gram_factor`, so a kernel change reaches the
+simulator and the backends it validates alike. Neither of those imports
+:mod:`repro.backends` — ``import repro`` loads this package first.
 
 Every collective charges its exact element volume to the cluster's
 :class:`~repro.mpi.stats.StatsLedger`, which is what lets the

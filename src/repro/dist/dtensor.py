@@ -18,6 +18,7 @@ import numpy as np
 from repro.dist.blocks import block_ranges
 from repro.dist.grid_comm import ProcessorGrid
 from repro.mpi.comm import SimCluster
+from repro.tensor.kernels import norm_block
 from repro.util.dtypes import as_float
 
 
@@ -188,9 +189,10 @@ class DistTensor:
     # ------------------------------------------------------------------ #
 
     def fro_norm_sq(self, *, tag: str = "norm") -> float:
-        """Squared Frobenius norm via local partials + world allreduce."""
+        """Squared Frobenius norm via local partials + world allreduce;
+        each partial reads its (C-contiguous) brick in place."""
         partials = {
-            r: np.array([float(np.sum(b * b))])
+            r: np.array([norm_block(b.reshape(-1))])
             for r, b in self._blocks.items()
         }
         total = self.cluster.allreduce(self.grid.ranks, partials, tag=tag)

@@ -18,8 +18,14 @@ full-length mode-``n`` fibers on each rank:
 
 The factor is then the leading-``k`` eigenvector matrix of ``G``, computed
 redundantly on every rank from the allreduced ``G`` (so no broadcast is
-needed) with the deterministic sign convention shared with the sequential
-kernels.
+needed).
+
+This module owns only the layout choice (:func:`fiber_slabs`, which the
+cross-Gram of :mod:`repro.dist.sketch` shares), the collectives and the
+ledger charges. The per-rank arithmetic is the backends' own:
+:func:`~repro.tensor.kernels.gram_block` (or
+:func:`~repro.tensor.kernels.xgram_block`) on each slab, and
+:func:`~repro.tensor.linalg.gram_factor` for the factor.
 """
 
 from __future__ import annotations
@@ -29,9 +35,81 @@ import numpy as np
 from repro.core.grids import svd_regrid_target
 from repro.dist.dtensor import DistTensor
 from repro.dist.regrid import regrid
-from repro.tensor.linalg import leading_eigvecs
-from repro.tensor.unfold import unfold
+from repro.tensor.kernels import gram_block
+from repro.tensor.linalg import gram_factor
 from repro.util.validation import check_mode
+
+
+def fiber_slabs(
+    tensors, mode: int, *, tag: str
+) -> list[dict[int, np.ndarray]]:
+    """``{rank: slab}`` per tensor, every slab holding whole mode fibers.
+
+    One layout decision serves all ``tensors``, so their slabs pair on
+    identical non-mode index sets: in place when ``q_mode == 1``, else a
+    regrid of each onto the deterministic ``q_mode = 1`` target computed
+    from the first (tensors that differ from it only along ``mode`` fit
+    it too), else an allgather of fiber segments within each mode-fiber
+    group — where every rank of a group ends up with the same slab, so
+    only the group's first rank keeps it.
+    """
+    first = tensors[0]
+    grid = first.grid
+    if grid.shape[mode] == 1:
+        return [dict(t.blocks) for t in tensors]
+    target = svd_regrid_target(grid.shape, first.global_shape, mode)
+    if target is not None:
+        return [
+            dict(regrid(t, target, tag=f"{tag}:regrid").blocks)
+            for t in tensors
+        ]
+    out = []
+    for t in tensors:
+        slabs: dict[int, np.ndarray] = {}
+        for group in grid.mode_groups(mode):
+            gathered = t.cluster.allgather(
+                group,
+                {r: t.block(r) for r in group},
+                axis=mode,
+                tag=f"{tag}:allgather",
+            )
+            slabs[group[0]] = gathered[group[0]]
+        out.append(slabs)
+    return out
+
+
+def fiber_allreduce(
+    tensors, mode: int, kernel, *, tag: str, op: str, label: str,
+    flops_per_column: int,
+) -> np.ndarray:
+    """``kernel(*slabs, mode)`` summed over ranks, replicated everywhere.
+
+    The slabs come from :func:`fiber_slabs`; ranks without one contribute
+    zeros. The local work is one ``op`` compute record tagged
+    ``{tag}:{label}`` (``flops_per_column`` multiply-adds per slab
+    column), the sum one world allreduce tagged ``{tag}:allreduce``.
+    """
+    first = tensors[0]
+    cluster = first.cluster
+    shape = (first.global_shape[mode], tensors[-1].global_shape[mode])
+    slabs = fiber_slabs(tensors, mode, tag=tag)
+    partials: dict[int, np.ndarray] = {}
+    rank_flops = [0]
+    for rank in range(cluster.n_procs):
+        pieces = [s.get(rank) for s in slabs]
+        if pieces[0] is None:
+            partials[rank] = np.zeros(shape, dtype=first.dtype)
+            continue
+        partials[rank] = kernel(*pieces, mode)
+        rank_flops.append(flops_per_column * (pieces[0].size // shape[0]))
+    cluster.stats.add_compute(
+        op=op,
+        tag=f"{tag}:{label}",
+        flops=float(sum(rank_flops)),
+        seconds=cluster.machine.gemm_seconds(max(rank_flops)),
+    )
+    ranks = first.grid.ranks
+    return cluster.allreduce(ranks, partials, tag=f"{tag}:allreduce")[0]
 
 
 def dist_gram(
@@ -45,59 +123,15 @@ def dist_gram(
     Communication lands in the ledger under ``{tag}:regrid`` /
     ``{tag}:allgather`` (layout fixing) and ``{tag}:allreduce`` (the world
     reduction of the ``L x L`` partials); the local syrk is one ``syrk``
-    compute record.
+    compute record. The sum is returned as reduced; :func:`gram_factor`
+    symmetrizes it.
     """
     mode = check_mode(mode, dtensor.ndim)
-    grid = dtensor.grid
-    cluster = dtensor.cluster
     length = dtensor.global_shape[mode]
-
-    slabs: dict[int, np.ndarray]
-    if grid.shape[mode] == 1:
-        slabs = dict(dtensor.blocks)
-    else:
-        target = svd_regrid_target(grid.shape, dtensor.global_shape, mode)
-        if target is not None:
-            work = regrid(dtensor, target, tag=f"{tag}:regrid")
-            slabs = dict(work.blocks)
-        else:
-            # Allgather fallback: assemble full-length fibers within each
-            # mode-fiber group. Every rank of a group ends up with the same
-            # slab, so only the group's first rank contributes the partial.
-            slabs = {}
-            for group in grid.mode_groups(mode):
-                gathered = cluster.allgather(
-                    group,
-                    {r: dtensor.block(r) for r in group},
-                    axis=mode,
-                    tag=f"{tag}:allgather",
-                )
-                slabs[group[0]] = gathered[group[0]]
-
-    # Local L x L partials (syrk); ranks without a slab contribute zeros.
-    partials: dict[int, np.ndarray] = {}
-    max_rank_flops = 0
-    total_flops = 0
-    for rank in range(cluster.n_procs):
-        slab = slabs.get(rank)
-        if slab is None:
-            partials[rank] = np.zeros((length, length), dtype=dtensor.dtype)
-            continue
-        u = unfold(slab, mode)
-        partials[rank] = u @ u.T
-        flops = length * (length + 1) // 2 * u.shape[1]
-        total_flops += flops
-        max_rank_flops = max(max_rank_flops, flops)
-    cluster.stats.add_compute(
-        op="syrk",
-        tag=f"{tag}:gram",
-        flops=float(total_flops),
-        seconds=cluster.machine.gemm_seconds(max_rank_flops),
+    return fiber_allreduce(
+        (dtensor,), mode, gram_block, tag=tag, op="syrk", label="gram",
+        flops_per_column=length * (length + 1) // 2,
     )
-
-    total = cluster.allreduce(grid.ranks, partials, tag=f"{tag}:allreduce")
-    g = total[0]
-    return (g + g.T) * 0.5
 
 
 def dist_leading_factor(
@@ -118,4 +152,4 @@ def dist_leading_factor(
     dtensor.cluster.record_compute(
         "evd", f"{tag}:evd", flops=4.0 * length**3 / 3.0
     )
-    return leading_eigvecs(g, k)
+    return gram_factor(g, k)

@@ -9,12 +9,14 @@ regrids/allgathers slabs of ``Y``); the sketch moves ``2 |W| (p-1)``
 elements and never rearranges the input. The ledger records exactly
 that.
 
-Per-rank contributions reuse the same
-:func:`~repro.backends.sketch.add_block_contribution` kernel as the
-shared-memory backends: the test matrices are column-restricted to the
-rank's global block ranges, and the allreduce (ascending group-rank
-order, like every SimCluster reduction) plays the role of the
-ascending-block sum — so distributed sketches agree with the
+This module owns only those collectives and their ledger charges. A
+rank's work is the shared-memory backends' block kernel:
+:func:`~repro.tensor.kernels.sketch_block` on its brick (the test
+matrices column-restricted to the brick's global ranges), and
+:func:`~repro.tensor.kernels.xgram_block` on the full-fiber slabs
+:func:`~repro.dist.gram.fiber_slabs` chooses. The allreduce (ascending
+group-rank order, like every SimCluster reduction) plays the role of
+the ascending-block sum — so distributed sketches agree with the
 shared-memory ones to reduction-order rounding.
 """
 
@@ -22,15 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.sketch import (
-    add_block_contribution,
-    out_shape,
-    sketch_flops,
-)
-from repro.core.grids import svd_regrid_target
 from repro.dist.dtensor import DistTensor
-from repro.dist.regrid import regrid
-from repro.tensor.unfold import unfold
+from repro.dist.gram import fiber_allreduce
+from repro.tensor.kernels import sketch_block, sketch_flops, xgram_block
 from repro.util.validation import check_mode
 
 __all__ = ["dist_cross_gram", "dist_sketch"]
@@ -52,48 +48,35 @@ def dist_sketch(
     gathered, or re-read.
     """
     cluster = dtensor.cluster
-    grid = dtensor.grid
-    dims = dtensor.global_shape
+    ranks = dtensor.grid.ranks
     specs = list(specs)
-
-    max_rank_flops = 0.0
-    total_flops = 0.0
-    per_spec_partials: list[dict[int, np.ndarray]] = []
-    norm_partials: dict[int, np.ndarray] = {}
-    rank_flops: dict[int, float] = {}
+    results = {}
+    rank_flops = []
     for rank in range(cluster.n_procs):
         block = dtensor.block(rank)
-        ranges = dtensor.block_ranges_of(rank)
-        flops = float(block.size)  # the norm partial's multiply-adds
-        for i, spec in enumerate(specs):
-            if len(per_spec_partials) <= i:
-                per_spec_partials.append({})
-            out = np.zeros(out_shape(dims, spec), dtype=dtensor.dtype)
-            add_block_contribution(out, block, spec, ranges)
-            per_spec_partials[i][rank] = out
-            flops += sketch_flops(block.shape, spec)
-        norm_partials[rank] = np.array(
-            [float(np.sum(block * block))], dtype=np.float64
+        results[rank] = sketch_block(
+            block, specs, dtensor.global_shape, dtensor.block_ranges_of(rank)
         )
-        rank_flops[rank] = flops
-        total_flops += flops
-        max_rank_flops = max(max_rank_flops, flops)
+        # the norm partial's multiply-adds, then each spec's chain
+        rank_flops.append(sum(
+            (sketch_flops(block.shape, spec) for spec in specs),
+            float(block.size),
+        ))
     cluster.stats.add_compute(
         op="gemm",
         tag=f"{tag}:gemm",
-        flops=float(total_flops),
-        seconds=cluster.machine.gemm_seconds(max_rank_flops),
+        flops=float(sum(rank_flops)),
+        seconds=cluster.machine.gemm_seconds(max(rank_flops)),
     )
-
-    sketches = []
-    for i, partials in enumerate(per_spec_partials):
-        total = cluster.allreduce(
-            grid.ranks, partials, tag=f"{tag}:allreduce{i}"
-        )
-        sketches.append(total[0])
-    norm_total = cluster.allreduce(
-        grid.ranks, norm_partials, tag=f"{tag}:norm"
-    )
+    sketches = [
+        cluster.allreduce(
+            ranks, {r: res[0][i] for r, res in results.items()},
+            tag=f"{tag}:allreduce{i}",
+        )[0]
+        for i in range(len(specs))
+    ]
+    norm_partials = {r: np.array([res[1]]) for r, res in results.items()}
+    norm_total = cluster.allreduce(ranks, norm_partials, tag=f"{tag}:norm")
     return sketches, float(norm_total[0][0])
 
 
@@ -108,72 +91,14 @@ def dist_cross_gram(
 
     The power-iteration primitive. Both tensors live on the same grid
     (``b`` is a TTM image of ``a``, which preserves the grid) and agree
-    on every mode length except ``mode``; the slab strategy mirrors
-    :func:`repro.dist.gram.dist_gram` — whole fibers in place when
-    ``q_mode == 1``, else regrid both onto the deterministic ``q_mode =
-    1`` target, else allgather fiber segments within mode groups — then
-    per-rank gemm partials reduce with one world allreduce of the small
-    ``L x w`` result.
+    on every mode length except ``mode``, so one
+    :func:`~repro.dist.gram.fiber_slabs` layout decision pairs their
+    slabs; per-rank gemm partials then reduce with one world allreduce
+    of the small ``L x w`` result.
     """
     mode = check_mode(mode, a.ndim)
-    grid = a.grid
-    cluster = a.cluster
-    length = a.global_shape[mode]
     width = b.global_shape[mode]
-
-    # One layout decision for BOTH tensors — their per-rank slabs must
-    # pair on identical non-mode index sets. The target is computed from
-    # ``a``; it differs from ``b``'s geometry only along ``mode``, where
-    # the target's extent is 1, so it is feasible for ``b`` whenever it
-    # is for ``a``.
-    if grid.shape[mode] == 1:
-        target = None
-        use_allgather = False
-    else:
-        target = svd_regrid_target(grid.shape, a.global_shape, mode)
-        use_allgather = target is None
-
-    def slabs_of(dtensor: DistTensor) -> dict[int, np.ndarray]:
-        if grid.shape[mode] == 1:
-            return dict(dtensor.blocks)
-        if not use_allgather:
-            work = regrid(dtensor, target, tag=f"{tag}:regrid")
-            return dict(work.blocks)
-        slabs: dict[int, np.ndarray] = {}
-        for group in dtensor.grid.mode_groups(mode):
-            gathered = dtensor.cluster.allgather(
-                group,
-                {r: dtensor.block(r) for r in group},
-                axis=mode,
-                tag=f"{tag}:allgather",
-            )
-            slabs[group[0]] = gathered[group[0]]
-        return slabs
-
-    slabs_a = slabs_of(a)
-    slabs_b = slabs_of(b)
-
-    partials: dict[int, np.ndarray] = {}
-    max_rank_flops = 0
-    total_flops = 0
-    for rank in range(cluster.n_procs):
-        slab_a = slabs_a.get(rank)
-        slab_b = slabs_b.get(rank)
-        if slab_a is None or slab_b is None:
-            partials[rank] = np.zeros((length, width), dtype=a.dtype)
-            continue
-        ua = unfold(slab_a, mode)
-        ub = unfold(slab_b, mode)
-        partials[rank] = ua @ ub.T
-        flops = length * width * ua.shape[1]
-        total_flops += flops
-        max_rank_flops = max(max_rank_flops, flops)
-    cluster.stats.add_compute(
-        op="gemm",
-        tag=f"{tag}:gemm",
-        flops=float(total_flops),
-        seconds=cluster.machine.gemm_seconds(max_rank_flops),
+    return fiber_allreduce(
+        (a, b), mode, xgram_block, tag=tag, op="gemm", label="gemm",
+        flops_per_column=a.global_shape[mode] * width,
     )
-
-    total = cluster.allreduce(grid.ranks, partials, tag=f"{tag}:allreduce")
-    return total[0]

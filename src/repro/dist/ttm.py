@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.dist.blocks import block_sizes
 from repro.dist.dtensor import DistTensor
-from repro.tensor.ttm import ttm
+from repro.tensor.kernels import ttm_block
 from repro.util.dtypes import as_float
 from repro.util.validation import check_mode
 
@@ -58,7 +58,7 @@ def dist_ttm(
     for rank in range(grid.n_procs):
         lo, hi = dtensor.block_ranges_of(rank)[mode]
         block = dtensor.block(rank)
-        partials[rank] = ttm(block, matrix[:, lo:hi], mode)
+        partials[rank] = ttm_block(block, matrix[:, lo:hi], mode)
         max_rank_flops = max(max_rank_flops, k * block.size)
     total_flops = k * dtensor.cardinality
     cluster.stats.add_compute(

@@ -24,9 +24,9 @@ from repro.dist.dtensor import DistTensor
 from repro.dist.gram import dist_leading_factor
 from repro.dist.ttm import dist_ttm
 from repro.hooi.decomposition import TuckerDecomposition
-from repro.tensor.linalg import leading_eigvecs, gram
+from repro.tensor.kernels import gram_block
+from repro.tensor.linalg import gram_factor
 from repro.tensor.ttm import ttm
-from repro.tensor.unfold import unfold
 from repro.util.dtypes import as_float
 from repro.util.validation import check_core_dims
 
@@ -64,7 +64,7 @@ def sthosvd(
     factors: list[np.ndarray | None] = [None] * tensor.ndim
     current = tensor
     for mode in order:
-        f = leading_eigvecs(gram(unfold(current, mode)), core_dims[mode])
+        f = gram_factor(gram_block(current, mode), core_dims[mode])
         factors[mode] = f
         current = ttm(current, f.T, mode)
     return TuckerDecomposition(core=current, factors=list(factors))

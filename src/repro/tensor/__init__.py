@@ -1,9 +1,11 @@
 """Dense tensor kernels: unfolding, TTM, Gram-based SVD, generators.
 
 Tensors are plain ``numpy.ndarray`` objects (C-ordered, float64 by default);
-this subpackage supplies the sequential reference kernels on top of which
-both the distributed engine (:mod:`repro.dist`) and the algorithm layer
-(:mod:`repro.hooi`) are built.
+this subpackage supplies the kernels on top of which the distributed engine
+(:mod:`repro.dist`), the execution backends (:mod:`repro.backends`) and the
+algorithm layer (:mod:`repro.hooi`) are built — :mod:`repro.tensor.kernels`
+holds the per-block functions all executors share. It is a leaf: nothing
+here imports :mod:`repro.backends` or :mod:`repro.dist`.
 
 Mode indices are **0-based** throughout the code base (the paper uses
 1-based modes).

@@ -62,6 +62,15 @@ def leading_eigvecs(symmetric: np.ndarray, k: int) -> np.ndarray:
     return deterministic_sign(vecs[:, ::-1])
 
 
+def gram_factor(g: np.ndarray, k: int) -> np.ndarray:
+    """Leading-``k`` eigenvectors of an accumulated Gram, symmetrized first.
+
+    The one leading-``k`` factor routine: every backend, the virtual
+    cluster, the host references and the sketch paths end here.
+    """
+    return leading_eigvecs((g + g.T) * 0.5, k)
+
+
 def leading_left_singular_vectors(
     matrix: np.ndarray, k: int, *, method: str = "gram"
 ) -> np.ndarray:
@@ -76,7 +85,7 @@ def leading_left_singular_vectors(
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
     if method == "gram":
-        return leading_eigvecs(gram(matrix), k)
+        return gram_factor(matrix @ matrix.T, k)
     if method == "svd":
         if not 1 <= k <= matrix.shape[0]:
             raise ValueError(f"k must be in [1, {matrix.shape[0]}], got {k}")

@@ -1,9 +1,10 @@
-"""The TTM kernel stays on the declared numpy floor (``numpy>=1.26``).
+"""The package stays on the declared numpy floor (``numpy>=1.26``).
 
-Its view logic reads strides itself precisely so that it needs no numpy 2
-keyword; CI has one leg at ``numpy==1.26.*``. This test holds
-``tensor/ttm.py`` to that floor on whatever numpy runs it, by scanning the
-source for names, attributes and keywords that arrived after 1.26.
+The TTM's view logic reads strides itself precisely so that it needs no
+numpy 2 keyword; CI has one leg at ``numpy==1.26.*``. This test holds
+every module under ``src/repro`` — the kernels, ``linalg`` and the
+simulator included — to that floor on whatever numpy runs it, by scanning
+the source for names, attributes and keywords that arrived after 1.26.
 """
 
 import ast
@@ -11,10 +12,7 @@ import pathlib
 
 import pytest
 
-KERNEL = (
-    pathlib.Path(__file__).resolve().parents[1]
-    / "src" / "repro" / "tensor" / "ttm.py"
-)
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: ``np.<name>`` that numpy 1.26 does not have -> the release that added it
 NEW_FUNCTIONS = {
@@ -100,8 +98,15 @@ def newer_than_floor(source: str) -> list[str]:
     return found
 
 
-def test_ttm_kernel_needs_nothing_newer_than_numpy_1_26():
-    assert newer_than_floor(KERNEL.read_text()) == []
+def test_package_needs_nothing_newer_than_numpy_1_26():
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "tensor" / "kernels.py" in sources
+    found = {
+        str(path.relative_to(PACKAGE)): uses
+        for path in sources
+        if (uses := newer_than_floor(path.read_text()))
+    }
+    assert found == {}
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from repro.backends import (
     get_backend,
 )
 from repro.backends import sketch as rsk
+from repro.tensor import kernels
 from repro.backends.schedule import RAND_METHODS, compile_rand_steps
 from repro.backends.select import (
     default_profile,
@@ -84,7 +85,7 @@ class TestSketchMath:
         assert sorted(spec.omegas) == [0, 2]
         assert spec.omegas[0].shape == (3, 6)
         assert spec.omegas[2].shape == (3, 4)
-        assert rsk.out_shape((6, 5, 4), spec) == (3, 5, 3)
+        assert kernels.out_shape((6, 5, 4), spec) == (3, 5, 3)
 
     def test_core_spec_widths_follow_minster(self):
         rng = np.random.default_rng(0)
@@ -122,10 +123,10 @@ class TestSketchMath:
         whole, norm_sq = rsk.sketch_arrays(t, specs)
         # Re-accumulate from two blocks cut along mode 0.
         for spec, ref in zip(specs, whole):
-            out = np.zeros(rsk.out_shape(t.shape, spec), dtype=t.dtype)
+            out = np.zeros(kernels.out_shape(t.shape, spec), dtype=t.dtype)
             for lo, hi in ((0, 3), (3, 8)):
                 ranges = ((lo, hi), (0, 5), (0, 4))
-                rsk.add_block_contribution(out, t[lo:hi], spec, ranges)
+                kernels.add_block_contribution(out, t[lo:hi], spec, ranges)
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_orthonormal_cols_is_orthonormal_and_deterministic(self):
@@ -153,7 +154,7 @@ class TestSketchMath:
         rng = np.random.default_rng(8)
         spec = rsk.mode_sketch_spec(rng, (10, 8, 6), 0, 2, 1, np.float64)
         # mode 1 first: 3*480; then mode 2 on the shrunk (10,3,6): 3*180
-        assert rsk.sketch_flops((10, 8, 6), spec) == pytest.approx(
+        assert kernels.sketch_flops((10, 8, 6), spec) == pytest.approx(
             3 * 480 + 3 * 180
         )
 
