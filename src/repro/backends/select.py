@@ -38,9 +38,6 @@ import numpy as np
 
 from repro.storage import (
     DEFAULT_CHUNK_BYTES,
-    DEFAULT_ZLIB_LEVEL,
-    check_codec,
-    codec_kind,
     default_memory_budget,
     parse_bytes,
 )
@@ -64,6 +61,13 @@ AUTO_CANDIDATES = ("sequential", "threaded", "procpool")
 
 #: storage specs the session accepts; "auto" resolves per input.
 STORAGE_MODES = ("auto", "memory", "mmap")
+
+#: spill codecs a run accepts: flat ``raw`` blocks, or the explicit,
+#: lossy ``narrow`` (float64 stored as float32). The store's lossless
+#: ``zlib`` is not offered: deflate of noisy doubles encodes near
+#: 20 MB/s and saves ~4 % of the bytes, which pays only on a disk slower
+#: than ~0.7 MB/s.
+SPILL_CODEC_CHOICES = ("raw", "narrow")
 
 #: profile schema version (bump on incompatible changes).
 PROFILE_VERSION = 1
@@ -114,24 +118,13 @@ _METHODS = ("exact", "rsthosvd", "sp-rsthosvd")
 #: machine-level spill-storage parameters (backend-independent: the
 #: spill directory's device doesn't care which backend reads it).
 #: ``spill_read_passes`` models how many full-tensor read passes a
-#: spilled run makes over its blocks on top of the one staging write.
-#: Codec terms extend the same section: encode/decode bandwidths are
-#: *logical* bytes per second through the codec (measured by the
-#: calibrate storage probe or learned from codec-attributed
-#: ``spill:write`` / ``spill:decode`` spans); ``zlib_ratio`` is
-#: stored/logical bytes; ``spill_chunk_bytes`` is the write-through
-#: chunk size the probe found fastest. The defaults are conservative
-#: placeholders — :func:`select_storage` only prefers a codec over raw
-#: when the profile is actually calibrated.
+#: spilled run makes over its blocks on top of the one staging write;
+#: ``spill_chunk_bytes`` is the write-through chunk size the calibrate
+#: probe found fastest (used only once the profile is calibrated).
 _DEFAULT_STORAGE = {
     "spill_write_bytes_per_s": 8.0e8,
     "spill_read_bytes_per_s": 1.6e9,
     "spill_read_passes": 1.0,
-    "zlib_encode_bytes_per_s": 1.2e8,
-    "zlib_decode_bytes_per_s": 3.0e8,
-    "zlib_ratio": 0.9,
-    "narrow_encode_bytes_per_s": 1.5e9,
-    "narrow_decode_bytes_per_s": 3.0e9,
     "spill_chunk_bytes": float(DEFAULT_CHUNK_BYTES),
 }
 
@@ -357,7 +350,6 @@ def estimate_seconds(
     available_cores: int,
     spilled: bool = False,
     storage_params: dict | None = None,
-    codec: str = "raw",
     method: str = "exact",
     oversample: int = 5,
     power_iters: int = 0,
@@ -369,10 +361,8 @@ def estimate_seconds(
     there is no staging copy into backend-owned segments) and a spill
     I/O term is *added* — one full write pass to stage the tensor plus
     ``spill_read_passes`` read passes at the machine's measured (or
-    default) spill bandwidths from ``storage_params``. ``codec`` prices
-    the spilled regime codec-aware (see :func:`spill_seconds`): an
-    encoded stage writes fewer bytes but pays encode once and decode
-    before the read passes.
+    default) spill bandwidths from ``storage_params`` (see
+    :func:`spill_seconds`).
 
     ``method`` charges the pass method-aware: the randomized methods'
     flops come from :func:`init_flops` (sketch widths instead of Gram
@@ -407,7 +397,7 @@ def estimate_seconds(
     if spilled:
         storage = {**_DEFAULT_STORAGE, **(storage_params or {})}
         nbytes = float(np.prod([float(d) for d in dims])) * itemsize
-        seconds += spill_seconds(nbytes, codec, storage)
+        seconds += spill_seconds(nbytes, storage)
     else:
         copy_rate = float(params["copy_elems_per_s"])
         if copy_rate > 0:
@@ -415,35 +405,13 @@ def estimate_seconds(
     return seconds
 
 
-def spill_seconds(nbytes: float, codec: str, storage: dict) -> float:
-    """Modeled spill I/O seconds for one staged tensor under a codec.
-
-    ``raw`` is the historical charge: one full write plus
-    ``spill_read_passes`` reads. An encoded stage replaces the write
-    with encode + writing the (smaller) encoded bytes, then pays one
-    decode into a raw scratch before the read passes run at raw
-    bandwidth — exactly the storage layer's decode-to-scratch shape.
-    """
+def spill_seconds(nbytes: float, storage: dict) -> float:
+    """Modeled spill I/O seconds for one staged tensor: one full write
+    plus ``spill_read_passes`` reads at the profile's bandwidths."""
     nbytes = float(nbytes)
     write = float(storage["spill_write_bytes_per_s"])
     read = float(storage["spill_read_bytes_per_s"])
     passes = float(storage["spill_read_passes"])
-    kind = codec_kind(codec) if codec else "raw"
-    if kind == "zlib":
-        stored = float(storage["zlib_ratio"]) * nbytes
-        return (
-            nbytes / float(storage["zlib_encode_bytes_per_s"])
-            + stored / write
-            + nbytes / float(storage["zlib_decode_bytes_per_s"])
-            + passes * nbytes / read
-        )
-    if kind == "narrow":
-        return (
-            nbytes / float(storage["narrow_encode_bytes_per_s"])
-            + nbytes / 2.0 / write
-            + nbytes / float(storage["narrow_decode_bytes_per_s"])
-            + passes * nbytes / read
-        )
     return nbytes / write + passes * nbytes / read
 
 
@@ -507,7 +475,6 @@ def select_backend(
     profile: dict | None = None,
     warm=(),
     spilled: bool = False,
-    codec: str = "raw",
     method: str = "exact",
     oversample: int = 5,
     power_iters: int = 0,
@@ -515,13 +482,13 @@ def select_backend(
     """Pick the cheapest auto-eligible backend for this input.
 
     Pure and deterministic: the same ``(dims, core, n_procs, dtype,
-    available_cores, profile, warm, spilled, codec)`` always selects
+    available_cores, profile, warm, spilled)`` always selects
     the same backend. Ties break toward the earlier entry of
     :data:`AUTO_CANDIDATES`. ``warm`` names backends whose instance
     already exists (a session's cached pools): their one-off startup
     cost is sunk and is not charged. ``spilled`` scores the run in the
     out-of-core regime — spill I/O charged at the profile's measured
-    storage bandwidths under ``codec``, staging copies dropped (see
+    storage bandwidths, staging copies dropped (see
     :func:`estimate_seconds`) — which notably removes procpool's copy
     handicap on runs that stream from spill files anyway.
 
@@ -570,7 +537,6 @@ def select_backend(
                 available_cores=available_cores,
                 spilled=spilled,
                 storage_params=profile.get("storage"),
-                codec=codec,
                 method=method,
                 oversample=oversample,
                 power_iters=power_iters,
@@ -656,43 +622,23 @@ class StorageSelection:
         return self.mode == "mmap"
 
 
-def _pick_codec(
-    nbytes: int, codec: str, profile: dict | None
-) -> tuple[str, int | None, str]:
-    """Codec + chunk size for a spilled selection: ``(codec, chunk, note)``.
+def check_spill_codec(codec) -> None:
+    """Raise a :class:`ValueError` naming the accepted values unless
+    ``codec`` is one of :data:`SPILL_CODEC_CHOICES`."""
+    if codec not in SPILL_CODEC_CHOICES:
+        raise ValueError(
+            f"spill_codec must be one of {SPILL_CODEC_CHOICES}, "
+            f"got {codec!r}"
+        )
 
-    An explicit ``codec`` is honored verbatim (``narrow`` included —
-    lossy narrowing is always an explicit opt-in, never auto-chosen).
-    ``"auto"`` ranks raw against zlib with :func:`spill_seconds` — but
-    only under a *calibrated* profile; the shipped defaults are
-    placeholders, and guessing a codec from placeholders could slow the
-    run down. The chunk size likewise comes from a calibrated
-    ``spill_chunk_bytes`` or stays ``None`` (store default).
-    """
-    prof = profile if isinstance(profile, dict) else {}
-    storage = {**_DEFAULT_STORAGE, **(prof.get("storage") or {})}
-    calibrated = bool(prof.get("calibrated"))
-    chunk: int | None = None
-    if calibrated:
-        chunk = max(4096, int(storage["spill_chunk_bytes"]))
-    if codec != "auto":
-        choice = check_codec(codec)
-        if choice == "raw":
-            return choice, chunk, ""
-        return choice, chunk, f"; codec {choice} (explicit)"
-    if not calibrated:
-        return "raw", chunk, ""
-    candidates = ["raw", f"zlib:{DEFAULT_ZLIB_LEVEL}"]
-    times = {
-        cand: spill_seconds(float(nbytes), cand, storage)
-        for cand in candidates
-    }
-    best = min(times, key=lambda cand: (times[cand], candidates.index(cand)))
-    ranked = ", ".join(
-        f"{cand} {times[cand]:.3g}s"
-        for cand in sorted(times, key=times.get)
-    )
-    return best, chunk, f"; codec {best} modeled cheapest ({ranked})"
+
+def spill_chunk_bytes(profile: dict | None) -> int | None:
+    """A calibrated profile's write-through chunk size, floored at one
+    page; ``None`` (the store's default) for an uncalibrated one."""
+    if not (isinstance(profile, dict) and profile.get("calibrated")):
+        return None
+    storage = {**_DEFAULT_STORAGE, **(profile.get("storage") or {})}
+    return max(4096, int(storage["spill_chunk_bytes"]))
 
 
 def select_storage(
@@ -700,7 +646,7 @@ def select_storage(
     storage: str = "auto",
     memory_budget: int | str | None = None,
     *,
-    codec: str = "auto",
+    codec: str = "raw",
     profile: dict | None = None,
 ) -> StorageSelection:
     """Decide where an input's working set lives: RAM or spill files.
@@ -715,11 +661,9 @@ def select_storage(
     ``memory_budget`` accepts bytes or a ``"512M"``-style string. A
     budget of 0 with ``storage="auto"`` always spills.
 
-    For spilled selections, ``codec`` picks the block codec: a spec
-    from :data:`repro.storage.SPILL_CODECS` is explicit, ``"auto"``
-    ranks raw vs zlib under a calibrated ``profile`` (and never picks
-    the lossy ``narrow``); the profile's calibrated chunk size rides
-    along as ``chunk_bytes``.
+    Spilled selections carry ``codec`` (one of
+    :data:`SPILL_CODEC_CHOICES`) and the profile's calibrated chunk
+    size (:func:`spill_chunk_bytes`) as ``chunk_bytes``.
     """
     if storage not in STORAGE_MODES:
         raise ValueError(
@@ -728,8 +672,7 @@ def select_storage(
     nbytes = int(nbytes)
     if nbytes < 0:
         raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-    if codec != "auto":
-        check_codec(codec)  # validate early, even for memory-mode runs
+    check_spill_codec(codec)  # validate early, even for memory-mode runs
     budget = (
         parse_bytes(memory_budget)
         if memory_budget is not None
@@ -740,31 +683,25 @@ def select_storage(
             mode="memory", memory_budget=budget, reason="explicit memory"
         )
     if storage == "mmap":
-        chosen, chunk, note = _pick_codec(nbytes, codec, profile)
-        return StorageSelection(
-            mode="mmap", memory_budget=budget,
-            reason=f"explicit mmap{note}",
-            codec=chosen, chunk_bytes=chunk,
+        reason = "explicit mmap"
+    elif budget is not None and nbytes > budget:
+        reason = (
+            f"input is {nbytes} bytes, over the {budget}-byte "
+            f"memory budget: spilling"
         )
-    if budget is not None and nbytes > budget:
-        chosen, chunk, note = _pick_codec(nbytes, codec, profile)
+    else:
         return StorageSelection(
-            mode="mmap",
+            mode="memory",
             memory_budget=budget,
             reason=(
-                f"input is {nbytes} bytes, over the {budget}-byte "
-                f"memory budget: spilling{note}"
+                "no memory budget set"
+                if budget is None
+                else f"input is {nbytes} bytes, within the {budget}-byte budget"
             ),
-            codec=chosen, chunk_bytes=chunk,
         )
     return StorageSelection(
-        mode="memory",
-        memory_budget=budget,
-        reason=(
-            "no memory budget set"
-            if budget is None
-            else f"input is {nbytes} bytes, within the {budget}-byte budget"
-        ),
+        mode="mmap", memory_budget=budget, reason=reason,
+        codec=codec, chunk_bytes=spill_chunk_bytes(profile),
     )
 
 
@@ -782,9 +719,11 @@ def profile_from_trace(trace) -> dict:
     Write spans time the chunked copy to disk, so their bandwidth is a
     faithful measurement. Read spans time manifest validation plus the
     ``mmap`` call (pages fault in lazily inside the consuming kernels),
-    so sub-millisecond aggregates are discarded rather than reported as
-    an absurd bandwidth; with enough read spans the syscall overhead
-    itself is the honest per-pass cost.
+    so aggregates under one microsecond are discarded rather than
+    reported as an absurd bandwidth. Session runs emit no ``spill:read``
+    spans at all — their kernels map blocks through ``BlockSource`` —
+    so in practice only direct :meth:`MmapStore.get` callers feed the
+    read rate.
 
     Randomized runs contribute a second measurement: a ``rsthosvd`` /
     ``sp-rsthosvd`` phase span times the whole sketch pipeline, and with
@@ -793,17 +732,10 @@ def profile_from_trace(trace) -> dict:
     ``{"backends": {name: {"sketch_rate": ...}}}`` alongside (or instead
     of) the storage term.
 
-    Codec-encoded spills are learned apart: a ``spill:write`` span that
-    carries a ``codec`` attribute times encode + encoded write, so it
-    feeds ``<kind>_encode_bytes_per_s`` (over its logical ``raw_bytes``)
-    and — for zlib — the observed ``zlib_ratio`` (encoded over logical
-    bytes), never the raw ``spill_write_bytes_per_s``. ``spill:decode``
-    spans feed ``<kind>_decode_bytes_per_s`` the same way.
+    A ``spill:write`` span with a non-raw ``codec`` attribute times
+    encode + encoded write, not the disk, so it is skipped.
     """
     totals = {"spill:write": [0.0, 0.0], "spill:read": [0.0, 0.0]}
-    # per codec kind: [logical_bytes, seconds, encoded_bytes]
-    encodes: dict[str, list[float]] = {}
-    decodes: dict[str, list[float]] = {}
     sketch_spans: list[tuple[str, dict, float]] = []
     for span in getattr(trace, "spans", ()) or ():
         kind = getattr(span, "kind", None)
@@ -815,33 +747,14 @@ def profile_from_trace(trace) -> dict:
         if kind != "io":
             continue
         attrs = span.attrs or {}
-        codec = attrs.get("codec")
+        if attrs.get("codec", "raw") != "raw":
+            continue
         try:
             nbytes = float(attrs.get("bytes", 0) or 0)
         except (TypeError, ValueError):
             continue
         seconds = float(span.seconds)
         if not (nbytes > 0 and math.isfinite(seconds) and seconds > 0):
-            continue
-        if codec and codec != "raw" and span.name in (
-            "spill:write", "spill:decode"
-        ):
-            family = str(codec).split(":", 1)[0]
-            if span.name == "spill:write":
-                try:
-                    raw_bytes = float(attrs.get("raw_bytes", 0) or 0)
-                except (TypeError, ValueError):
-                    continue
-                if raw_bytes > 0:
-                    slot = encodes.setdefault(family, [0.0, 0.0, 0.0])
-                    slot[0] += raw_bytes
-                    slot[1] += seconds
-                    slot[2] += nbytes
-            else:
-                # spill:decode reports bytes as the logical decoded size
-                slot = decodes.setdefault(family, [0.0, 0.0])
-                slot[0] += nbytes
-                slot[1] += seconds
             continue
         slot = totals.get(span.name)
         if slot is None:
@@ -855,16 +768,6 @@ def profile_from_trace(trace) -> dict:
     read, r_seconds = totals["spill:read"]
     if read > 0 and r_seconds > 1e-6:
         storage["spill_read_bytes_per_s"] = read / r_seconds
-    for family, (logical, seconds, encoded) in encodes.items():
-        key = f"{family}_encode_bytes_per_s"
-        if key in _DEFAULT_STORAGE and logical > 0 and seconds > 1e-6:
-            storage[key] = logical / seconds
-            if family == "zlib" and encoded > 0:
-                storage["zlib_ratio"] = encoded / logical
-    for family, (logical, seconds) in decodes.items():
-        key = f"{family}_decode_bytes_per_s"
-        if key in _DEFAULT_STORAGE and logical > 0 and seconds > 1e-6:
-            storage[key] = logical / seconds
     profile: dict = {}
     if storage:
         profile["storage"] = storage
@@ -924,16 +827,14 @@ def _sketch_rate_from_spans(
 
 
 def _probe_storage(rng, probe_bytes: int) -> dict[str, float] | None:
-    """Measure spill write/read and codec encode/decode bandwidths.
+    """Measure spill write/read bandwidths and the best chunk size.
 
     One throwaway :class:`MmapStore` in the default spill root: a raw
-    put/get pass gives the directory's write/read rates, a zlib and a
-    narrow put/get give the codec rates (logical bytes per second, the
-    way :func:`spill_seconds` charges them) plus the observed
-    compression ratio, and a small chunk-size ladder finds the fastest
-    write-through granularity. Best-of is not needed — each direction
-    moves ``probe_bytes``, big enough to dominate syscall noise.
-    Returns ``None`` if the spill directory cannot be used at all.
+    put/get pass gives the directory's write/read rates, and a small
+    chunk-size ladder finds the fastest write-through granularity.
+    Best-of is not needed — each direction moves ``probe_bytes``, big
+    enough to dominate syscall noise. Returns ``None`` if the spill
+    directory cannot be used at all.
     """
     from repro.storage import MmapStore  # lazy: avoids an import cycle
 
@@ -953,28 +854,6 @@ def _probe_storage(rng, probe_bytes: int) -> dict[str, float] | None:
         t0 = perf_counter()
         float(np.asarray(store.get("raw")).sum())  # fault every page
         out["spill_read_bytes_per_s"] = nbytes / max(
-            perf_counter() - t0, 1e-9
-        )
-        t0 = perf_counter()
-        store.put("z", data, codec=f"zlib:{DEFAULT_ZLIB_LEVEL}")
-        out["zlib_encode_bytes_per_s"] = nbytes / max(
-            perf_counter() - t0, 1e-9
-        )
-        stored = store.block_meta("z").stored_nbytes
-        out["zlib_ratio"] = max(1e-6, float(stored) / nbytes)
-        t0 = perf_counter()
-        float(np.asarray(store.get("z")).sum())  # decode + full read
-        out["zlib_decode_bytes_per_s"] = nbytes / max(
-            perf_counter() - t0, 1e-9
-        )
-        t0 = perf_counter()
-        store.put("n", data, codec="narrow")
-        out["narrow_encode_bytes_per_s"] = nbytes / max(
-            perf_counter() - t0, 1e-9
-        )
-        t0 = perf_counter()
-        float(np.asarray(store.get("n")).sum())
-        out["narrow_decode_bytes_per_s"] = nbytes / max(
             perf_counter() - t0, 1e-9
         )
     best_chunk = None
@@ -1018,11 +897,10 @@ def calibrate(
     session.
 
     With ``storage_probe`` (the default) the profile's ``storage``
-    section is measured too — spill write/read bandwidth, zlib/narrow
-    encode+decode rates, the observed compression ratio and the fastest
+    section is measured too — spill write/read bandwidth and the fastest
     write-through chunk size (:func:`_probe_storage`) — which is what
-    arms :func:`select_storage`'s codec/chunk choice and the spilled
-    backend charge with real numbers.
+    arms :func:`select_storage`'s chunk size and the spilled backend
+    charge with real numbers.
     """
     from repro.backends import (  # lazy: avoids an import cycle
         BackendUnavailableError,
@@ -1080,11 +958,13 @@ def calibrate(
 __all__ = [
     "AUTO_CANDIDATES",
     "PROFILE_VERSION",
+    "SPILL_CODEC_CHOICES",
     "STORAGE_MODES",
     "Selection",
     "StorageSelection",
     "calibrate",
     "candidate_procs",
+    "check_spill_codec",
     "default_profile",
     "default_profile_path",
     "estimate_seconds",
@@ -1096,6 +976,7 @@ __all__ = [
     "save_profile",
     "select_backend",
     "select_storage",
+    "spill_chunk_bytes",
     "spill_seconds",
     "sweep_flops",
 ]

@@ -87,11 +87,9 @@ def _add_storage_args(p) -> None:
         "(default: $REPRO_SPILL_DIR, else the system tempdir)",
     )
     p.add_argument(
-        "--spill-codec", default="auto", metavar="CODEC",
-        help="spill block encoding: 'auto' (raw unless a calibrated "
-        "profile says compression pays; default), 'raw', 'zlib' / "
-        "'zlib:LEVEL' (lossless), or 'narrow' (lossy float64->float32 "
-        "with the realized error bound reported per run)",
+        "--spill-codec", default="raw", metavar="CODEC",
+        help="spill block encoding: 'raw' (default) or 'narrow' (lossy "
+        "float64->float32 with the realized error bound reported per run)",
     )
 
 
@@ -510,19 +508,8 @@ def cmd_calibrate(args) -> int:
             value = storage.get(key)
             return "-" if value is None else f"{value / 1e6:.0f}M/s"
 
-        storage_rows = [
-            ["raw", _rate("spill_write_bytes_per_s"),
-             _rate("spill_read_bytes_per_s"), "1.00"],
-            ["zlib", _rate("zlib_encode_bytes_per_s"),
-             _rate("zlib_decode_bytes_per_s"),
-             f"{storage.get('zlib_ratio', 1.0):.2f}"],
-            ["narrow", _rate("narrow_encode_bytes_per_s"),
-             _rate("narrow_decode_bytes_per_s"), "0.50"],
-        ]
-        print(ascii_table(
-            ["spill codec", "encode/write", "decode/read", "ratio"],
-            storage_rows,
-        ))
+        print(f"spill write:        {_rate('spill_write_bytes_per_s')}")
+        print(f"spill read:         {_rate('spill_read_bytes_per_s')}")
         chunk = storage.get("spill_chunk_bytes")
         if chunk:
             print(f"spill chunk size:   {int(chunk):,} bytes")
@@ -827,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--no-storage-probe", action="store_true",
         help="skip the spill-storage probe (write/read bandwidth, "
-        "zlib/narrow encode+decode rates, compression ratio, chunk size)",
+        "chunk size)",
     )
     p_cal.add_argument("--json", action="store_true")
     p_cal.set_defaults(func=cmd_calibrate)

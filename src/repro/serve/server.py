@@ -66,7 +66,7 @@ class TuckerServer:
         max_queue: int = DEFAULT_MAX_QUEUE,
         storage: str = "auto",
         spill_dir: str | None = None,
-        spill_codec: str = "auto",
+        spill_codec: str = "raw",
         prefetch: bool = True,
         deadline: float | None = None,
         trace: bool = False,

@@ -60,7 +60,11 @@ from repro.backends import (
     select_storage,
 )
 from repro.backends.blockpar import OC_LEASE_FACTOR
-from repro.backends.select import resolve_auto_procs
+from repro.backends.select import (
+    check_spill_codec,
+    resolve_auto_procs,
+    spill_chunk_bytes,
+)
 from repro.backends.schedule import (
     RAND_METHODS,
     Handoff,
@@ -72,7 +76,6 @@ from repro.backends.schedule import (
 from repro.storage import (
     DEFAULT_CHUNK_BYTES,
     MmapStore,
-    check_codec,
     parse_bytes,
     warm_pages,
 )
@@ -328,15 +331,34 @@ def _cast_for_run(arr: np.ndarray, dtype, store) -> np.ndarray:
 
 def _check_storage_knobs(storage: str, memory_budget, spill_codec):
     """Fail fast on a bad storage mode, budget string or codec name;
-    returns ``(budget bytes or None, codec)`` (``"auto"`` / ``None`` kept)."""
+    returns the budget in bytes (or ``None``)."""
     if storage not in STORAGE_MODES:
         raise ValueError(
             f"storage must be one of {STORAGE_MODES}, got {storage!r}"
         )
-    budget = parse_bytes(memory_budget) if memory_budget is not None else None
-    if spill_codec not in (None, "auto"):
-        spill_codec = check_codec(spill_codec)
-    return budget, spill_codec
+    check_spill_codec(spill_codec)
+    return parse_bytes(memory_budget) if memory_budget is not None else None
+
+
+def _spill_geometry(
+    budget: int | None, chunk_bytes: int | None
+) -> tuple[int | None, int]:
+    """``(max_block_bytes, chunk_bytes)`` of a spill store under ``budget``.
+
+    A block is the budget over the out-of-core lease factor, so a full
+    worker fan-out's concurrent block leases stay within the budget;
+    ``is not None`` because a 0 budget means the finest practical cut
+    (one page), not the unbounded default — 1-byte blocks would turn
+    spills into per-element Python loops. The write-through chunk is
+    ``chunk_bytes`` (a calibrated profile's, else the default) capped
+    at the block size. Stores and prefetch both size from here, so a
+    prefetch lease is never bigger than a chunk the store writes.
+    """
+    chunk = chunk_bytes if chunk_bytes is not None else DEFAULT_CHUNK_BYTES
+    if budget is None:
+        return None, chunk
+    max_block = max(4096, budget // OC_LEASE_FACTOR)
+    return max_block, min(chunk, max_block)
 
 
 def _item_source(raw, index: int) -> str:
@@ -620,14 +642,10 @@ class TuckerSession:
         else the system tempdir). Each spilled run uses a private
         subdirectory, removed when the run finishes.
     spill_codec:
-        How spilled blocks are encoded on disk: ``"auto"`` (the
-        default: raw, unless a calibrated profile's measured
-        encode/decode rates say compression pays), ``"raw"``
-        (memmap-able flat files), ``"zlib"`` / ``"zlib:<level>"``
-        (lossless deflate), or ``"narrow"`` (lossy float64→float32
+        How spilled blocks are encoded on disk: ``"raw"`` (the default:
+        memmap-able flat files) or ``"narrow"`` (lossy float64→float32
         with the realized error bound recorded per block and surfaced
-        as ``result.spill_error_bound``). Overridable per run; the
-        lossy ``narrow`` is never chosen automatically.
+        as ``result.spill_error_bound``). Overridable per run.
     trace:
         ``True`` to record a full :class:`~repro.obs.Trace` per run
         (``result.trace``): phase spans, one step span per ledger
@@ -651,7 +669,7 @@ class TuckerSession:
         storage: str = "auto",
         memory_budget: int | str | None = None,
         spill_dir: str | None = None,
-        spill_codec: str = "auto",
+        spill_codec: str = "raw",
         trace: bool | Tracer = False,
     ) -> None:
         self._auto = isinstance(backend, str) and backend == AUTO_BACKEND
@@ -701,9 +719,10 @@ class TuckerSession:
         self._cache_lock = threading.RLock()
         self._run_lock = threading.RLock()
         self._storage = storage
-        self._memory_budget, self._spill_codec = _check_storage_knobs(
+        self._memory_budget = _check_storage_knobs(
             storage, memory_budget, spill_codec
         )
+        self._spill_codec = spill_codec
         self._spill_dir = spill_dir
         # The session always owns a real tracer: the per-run root span
         # is what result.seconds reads even with tracing off (one span
@@ -728,9 +747,8 @@ class TuckerSession:
     ) -> StorageSelection:
         """Resolve per-run knobs over the session defaults.
 
-        Auto sessions hand the selector their calibration profile, which
-        is what lets ``codec="auto"`` rank zlib against raw with measured
-        encode/decode rates (uncalibrated selections always stay raw).
+        Auto sessions hand the selector their calibration profile, whose
+        calibrated chunk size the spill store then writes with.
         """
         return select_storage(
             nbytes,
@@ -749,35 +767,19 @@ class TuckerSession:
     ) -> MmapStore | None:
         """A run-scoped spill store, or ``None`` for in-memory runs.
 
-        ``max_block_bytes`` is the budget divided by the out-of-core
-        lease factor, so a full worker fan-out's concurrent block leases
-        stay within the budget. The write-through chunk comes from the
-        selection (a calibrated profile's measured sweet spot) capped at
-        the block geometry; the selection's codec becomes the store's
-        default for every spilled block.
+        Blocks and write-through chunks come from :func:`_spill_geometry`
+        (the selection's budget and calibrated chunk); the selection's
+        codec becomes the store's default for every spilled block.
         """
         if not selection.spilled:
             return None
-        budget = selection.memory_budget
-        # `is not None`: a 0 budget means the finest practical cut (one
-        # page), not the unbounded default — 1-byte blocks would turn
-        # spills into per-element Python loops.
-        max_block = (
-            max(4096, budget // OC_LEASE_FACTOR)
-            if budget is not None
-            else None
-        )
-        chunk = (
-            selection.chunk_bytes
-            if selection.chunk_bytes is not None
-            else DEFAULT_CHUNK_BYTES
+        max_block, chunk = _spill_geometry(
+            selection.memory_budget, selection.chunk_bytes
         )
         return MmapStore(
             root=spill_dir if spill_dir is not None else self._spill_dir,
             max_block_bytes=max_block,
-            chunk_bytes=(
-                min(chunk, max_block) if max_block is not None else chunk
-            ),
+            chunk_bytes=chunk,
             codec=selection.codec,
         )
 
@@ -788,18 +790,14 @@ class TuckerSession:
 
         Prefetch leases its warm chunks through the resident gauge, so it
         must never lease a bigger chunk than the budget-bounded store
-        itself would write: mirror :meth:`_open_store`'s arithmetic
-        (budget over the lease factor, floored at one page, capped at
-        the default chunk). Unbudgeted sessions keep the default.
+        itself would write: both come from :func:`_spill_geometry`.
         """
         budget = (
             parse_bytes(memory_budget)
             if memory_budget is not None
             else self._memory_budget
         )
-        if budget is None:
-            return DEFAULT_CHUNK_BYTES
-        return min(DEFAULT_CHUNK_BYTES, max(4096, budget // OC_LEASE_FACTOR))
+        return _spill_geometry(budget, spill_chunk_bytes(self._profile))[1]
 
     # -- adaptive backend selection --------------------------------------- #
 
@@ -838,8 +836,6 @@ class TuckerSession:
             dtype=dtype,
             profile=self._profile,
             spilled=storage.spilled,
-            # Spilled scoring charges the codec this run will spill with.
-            codec=storage.codec,
             # Instances cached at exactly this worker count have already
             # paid their startup (pool spin-up); don't charge it again. A
             # same-name pool at a *different* count must be rebuilt, so
@@ -1777,7 +1773,8 @@ class TuckerSession:
             resolve_dtype(np.float64, dtype)  # fail fast on a bad knob
         _check_storage_knobs(
             storage if storage is not None else self._storage,
-            memory_budget, spill_codec,
+            memory_budget,
+            spill_codec if spill_codec is not None else self._spill_codec,
         )
         info = self.cache_info()
         hits0, misses0 = info["hits"], info["misses"]

@@ -84,12 +84,22 @@ class TestSelectionProperties:
         assert first.reason == second.reason
 
     @settings(max_examples=100, deadline=None)
-    @given(shape=shapes, n_procs=procs)
-    def test_single_core_always_sequential(self, shape, n_procs):
-        # With one core the parallel backends pay pure overhead: the
-        # model must never pick them.
+    @given(
+        shape=shapes,
+        n_procs_cores=st.one_of(
+            st.tuples(procs, st.just(1)),
+            st.tuples(st.none(), st.just(2)),
+        ),
+    )
+    def test_single_core_always_sequential(self, shape, n_procs_cores):
+        # With one core the parallel backends pay pure overhead, and with
+        # two the natural count leaves them one worker: the default
+        # profile must never pick them.
         dims, core = shape
-        sel = select_backend(dims, core, n_procs=n_procs, available_cores=1)
+        n_procs, cores = n_procs_cores
+        sel = select_backend(
+            dims, core, n_procs=n_procs, available_cores=cores
+        )
         assert sel.backend == "sequential"
 
     @settings(max_examples=50, deadline=None)
@@ -594,6 +604,46 @@ class TestStorageProfileMerge:
         profile = merge_profile({"storage": {"warp_speed": 1.0}})
         assert "warp_speed" not in profile["storage"]
 
+    def test_profiles_with_codec_rates_load_silently_and_select_alike(
+        self, tmp_path
+    ):
+        # Profiles calibrated while the model still priced zlib/narrow
+        # carry codec rates: they load without a warning and select
+        # exactly as the same profile without them.
+        import copy
+        import warnings
+
+        base = default_profile()
+        base["calibrated"] = True
+        base["measured"] = ["sequential", "threaded"]
+        base["backends"]["threaded"]["rate"] = 5.0e9
+        base["storage"]["spill_write_bytes_per_s"] = 6.0e8
+        old = copy.deepcopy(base)
+        old["storage"].update(
+            zlib_encode_bytes_per_s=2.0e7,
+            zlib_decode_bytes_per_s=1.07e8,
+            zlib_ratio=0.961,
+            narrow_encode_bytes_per_s=1.5e9,
+            narrow_decode_bytes_per_s=3.0e9,
+        )
+        path = save_profile(old, str(tmp_path / "old.json"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_profile(path)
+        assert loaded == merge_profile(base)
+        for spilled in (False, True):
+            a = select_backend(
+                (96, 80, 64), (8, 8, 8), available_cores=4,
+                profile=loaded, spilled=spilled,
+            )
+            b = select_backend(
+                (96, 80, 64), (8, 8, 8), available_cores=4,
+                profile=base, spilled=spilled,
+            )
+            assert (a.backend, a.n_procs, a.scores) == (
+                b.backend, b.n_procs, b.scores
+            )
+
 
 class TestProfileFromTrace:
     def _span(self, sid, name, kind, seconds, nbytes):
@@ -670,44 +720,21 @@ class TestProfileFromTrace:
             attrs={"bytes": nbytes, **extra},
         )
 
-    def test_codec_write_spans_feed_encode_rate_and_ratio(self):
+    def test_codec_spans_never_read_as_raw_bandwidth(self):
         from repro.obs.trace import Trace
 
-        # 1e9 logical bytes encoded to 2e8 in 2s: encode rate is charged
-        # over *logical* bytes (5e8/s), the ratio over encoded bytes.
-        trace = Trace(spans=(
-            self._codec_span(1, "spill:write", 2.0, 2.0e8,
-                             codec="zlib:6", raw_bytes=1.0e9),
-        ))
-        storage = profile_from_trace(trace)["storage"]
-        assert storage["zlib_encode_bytes_per_s"] == pytest.approx(5.0e8)
-        assert storage["zlib_ratio"] == pytest.approx(0.2)
-        # Encoded writes never masquerade as raw spill bandwidth.
-        assert "spill_write_bytes_per_s" not in storage
-
-    def test_codec_decode_spans_feed_decode_rate(self):
-        from repro.obs.trace import Trace
-
-        trace = Trace(spans=(
-            self._codec_span(1, "spill:decode", 0.5, 1.0e9, codec="zlib:6"),
-            self._codec_span(2, "spill:decode", 0.25, 1.0e9, codec="narrow"),
-        ))
-        storage = profile_from_trace(trace)["storage"]
-        assert storage["zlib_decode_bytes_per_s"] == pytest.approx(2.0e9)
-        assert storage["narrow_decode_bytes_per_s"] == pytest.approx(4.0e9)
-
-    def test_codec_spans_and_raw_spans_learned_apart(self):
-        from repro.obs.trace import Trace
-
+        # Encoded writes time the codec, not the disk; decodes are no
+        # storage term at all.
         trace = Trace(spans=(
             self._codec_span(1, "spill:write", 0.5, 5.0e8),  # raw write
             self._codec_span(2, "spill:write", 1.0, 3.0e8,
                              codec="zlib:6", raw_bytes=6.0e8),
+            self._codec_span(3, "spill:write", 1.0, 3.0e8,
+                             codec="narrow", raw_bytes=6.0e8),
+            self._codec_span(4, "spill:decode", 0.5, 1.0e9, codec="zlib:6"),
         ))
         storage = profile_from_trace(trace)["storage"]
-        assert storage["spill_write_bytes_per_s"] == pytest.approx(1.0e9)
-        assert storage["zlib_encode_bytes_per_s"] == pytest.approx(6.0e8)
-        assert storage["zlib_ratio"] == pytest.approx(0.5)
+        assert storage == {"spill_write_bytes_per_s": pytest.approx(1.0e9)}
 
     def test_unknown_codec_family_spans_dropped(self):
         from repro.obs.trace import Trace
@@ -798,7 +825,7 @@ class TestDtypeSpeedupClamp:
 
 
 class TestCodecSelection:
-    """select_storage's codec half: explicit honored, auto is modeled."""
+    """select_storage's codec half: raw or an explicit narrow, no choice."""
 
     def _calibrated(self, **storage):
         profile = default_profile()
@@ -806,120 +833,115 @@ class TestCodecSelection:
         profile["storage"].update(storage)
         return profile
 
-    def test_explicit_codec_honored_even_uncalibrated(self):
+    def test_default_is_raw_and_narrow_is_honored(self):
+        assert select_storage(10**9, "mmap").codec == "raw"
         sel = select_storage(10**9, "mmap", codec="narrow")
         assert sel.codec == "narrow"
-        assert "explicit" in sel.reason
+        assert sel.chunk_bytes is None  # uncalibrated: store default
 
-    def test_explicit_zlib_level_normalized(self):
-        sel = select_storage(10**9, "mmap", codec="zlib")
-        assert sel.codec == "zlib:6"
-
-    def test_auto_without_calibration_stays_raw(self):
-        # The shipped storage defaults are placeholders: guessing a
-        # codec from them could slow the run down.
-        sel = select_storage(10**9, "mmap", codec="auto")
-        assert sel.codec == "raw"
-        assert sel.chunk_bytes is None
-
-    def test_auto_calibrated_picks_zlib_on_compressible_data(self):
-        profile = self._calibrated(
-            zlib_encode_bytes_per_s=5.0e9,
-            zlib_decode_bytes_per_s=5.0e9,
-            zlib_ratio=0.2,
-            spill_write_bytes_per_s=1.0e8,
-        )
-        sel = select_storage(10**9, "mmap", codec="auto", profile=profile)
-        assert sel.codec == "zlib:6"
-        assert "modeled cheapest" in sel.reason
-
-    def test_auto_calibrated_picks_raw_on_incompressible_data(self):
-        profile = self._calibrated(
-            zlib_encode_bytes_per_s=1.0e8,
-            zlib_ratio=0.999,
-        )
-        sel = select_storage(10**9, "mmap", codec="auto", profile=profile)
-        assert sel.codec == "raw"
-
-    def test_narrow_never_auto_selected(self):
-        # Narrowing is lossy: even absurdly favorable measured rates
-        # must not make "auto" choose it.
-        profile = self._calibrated(
-            narrow_encode_bytes_per_s=1.0e15,
-            narrow_decode_bytes_per_s=1.0e15,
-            zlib_encode_bytes_per_s=1.0,
-            spill_write_bytes_per_s=1.0,
-        )
-        sel = select_storage(10**9, "mmap", codec="auto", profile=profile)
-        assert sel.codec in ("raw", "zlib:6")
+    @pytest.mark.parametrize(
+        "codec", ["auto", "zlib", "zlib:6", "gzip", "RAW", None]
+    )
+    def test_only_raw_and_narrow_accepted(self, codec):
+        with pytest.raises(ValueError, match=r"spill_codec must be one of"):
+            select_storage(1024, "memory", codec=codec)
 
     def test_calibrated_chunk_size_rides_along(self):
         profile = self._calibrated(spill_chunk_bytes=2.0**20)
-        sel = select_storage(10**9, "mmap", codec="auto", profile=profile)
+        sel = select_storage(10**9, "mmap", profile=profile)
         assert sel.chunk_bytes == 2**20
 
     def test_memory_mode_keeps_raw_codec(self):
         sel = select_storage(1024, "auto", memory_budget=10**9,
-                             codec="zlib")
+                             codec="narrow")
         assert sel.mode == "memory"
         assert sel.codec == "raw"
 
-    def test_bad_codec_rejected_early(self):
-        with pytest.raises(ValueError, match="codec"):
-            select_storage(1024, "memory", codec="gzip")
-
-    def test_auto_budget_spill_also_picks_codec(self):
-        profile = self._calibrated(
-            zlib_encode_bytes_per_s=5.0e9,
-            zlib_decode_bytes_per_s=5.0e9,
-            zlib_ratio=0.2,
-            spill_write_bytes_per_s=1.0e8,
-        )
+    def test_auto_budget_spill_carries_codec_and_chunk(self):
+        profile = self._calibrated(spill_chunk_bytes=2.0**18)
         sel = select_storage(10**9, "auto", memory_budget=1024,
-                             codec="auto", profile=profile)
+                             codec="narrow", profile=profile)
         assert sel.spilled
-        assert sel.codec == "zlib:6"
+        assert sel.codec == "narrow"
+        assert sel.chunk_bytes == 2**18
 
 
-class TestSpillSecondsCodecs:
-    def test_codecs_price_differently(self):
-        from repro.backends.select import spill_seconds
+class TestSpillCodecFrontDoors:
+    """Every entry point takes raw or narrow and refuses the rest early."""
 
-        storage = default_profile()["storage"]
-        nbytes = 1.0e9
-        raw = spill_seconds(nbytes, "raw", storage)
-        zl = spill_seconds(nbytes, "zlib:6", storage)
-        na = spill_seconds(nbytes, "narrow", storage)
-        assert raw > 0 and zl > 0 and na > 0
-        # Default zlib rates are conservative: encode dominates.
-        assert zl > raw
-        # Narrow halves the written bytes at near-memcpy encode rates.
-        expected_na = (
-            nbytes / storage["narrow_encode_bytes_per_s"]
-            + nbytes / 2.0 / storage["spill_write_bytes_per_s"]
-            + nbytes / storage["narrow_decode_bytes_per_s"]
-            + nbytes / storage["spill_read_bytes_per_s"]
+    REJECTED = ["auto", "zlib", "zlib:6"]
+
+    @pytest.mark.parametrize("codec", REJECTED)
+    def test_session_rejects_at_construction(self, codec):
+        with pytest.raises(ValueError, match=r"'raw', 'narrow'"):
+            TuckerSession("sequential", spill_codec=codec)
+
+    @pytest.mark.parametrize("codec", REJECTED)
+    def test_per_run_override_rejected(self, codec):
+        t = low_rank_tensor((8, 7, 6), (2, 2, 2), seed=0)
+        with TuckerSession("sequential") as session:
+            with pytest.raises(ValueError, match="spill_codec"):
+                session.run(t, (2, 2, 2), spill_codec=codec)
+            with pytest.raises(ValueError, match="spill_codec"):
+                session.run_many([t], (2, 2, 2), spill_codec=codec)
+
+    @pytest.mark.parametrize("codec", REJECTED)
+    def test_server_rejects_at_construction(self, codec):
+        from repro.serve import TuckerServer
+
+        with pytest.raises(ValueError, match="spill_codec"):
+            TuckerServer(workers=1, backend="sequential", spill_codec=codec)
+
+    def test_defaults_are_raw(self):
+        with TuckerSession("sequential") as session:
+            assert session._spill_codec == "raw"
+
+
+class TestSpillGeometry:
+    """Stores and prefetch share one budget -> block/chunk rule."""
+
+    def _session(self, **storage):
+        profile = default_profile()
+        profile["calibrated"] = True
+        profile["storage"].update(storage)
+        return TuckerSession(
+            "auto", calibration=profile, storage="mmap", memory_budget="16M"
         )
-        assert na == pytest.approx(expected_na)
+
+    def test_prefetch_chunk_matches_calibrated_store_chunk(self, tmp_path):
+        with self._session(spill_chunk_bytes=256 * 2**10) as session:
+            selection = session._select_storage(10**9, None, None)
+            store = session._open_store(selection, str(tmp_path))
+            with store:
+                assert store.chunk_bytes == 256 * 2**10
+                assert session.prefetch_chunk_bytes() == store.chunk_bytes
+
+    def test_uncalibrated_numbers_unchanged(self):
+        from repro.backends.blockpar import OC_LEASE_FACTOR
+        from repro.storage import DEFAULT_CHUNK_BYTES
+
+        with TuckerSession("sequential", memory_budget="16M") as session:
+            assert session.prefetch_chunk_bytes() == min(
+                DEFAULT_CHUNK_BYTES, 16 * 2**20 // OC_LEASE_FACTOR
+            )
+            assert session.prefetch_chunk_bytes(0) == 4096
+        with TuckerSession("sequential") as session:
+            assert session.prefetch_chunk_bytes() == DEFAULT_CHUNK_BYTES
 
 
 class TestCalibrateStorageProbe:
-    def test_probe_measures_all_codec_rates(self, monkeypatch, tmp_path):
+    def test_probe_measures_raw_rates_and_chunk(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
         profile = calibrate(
             backends=(), storage_probe=True, probe_bytes=1 << 16,
         )
         storage = profile["storage"]
-        for key in (
-            "spill_write_bytes_per_s", "spill_read_bytes_per_s",
-            "zlib_encode_bytes_per_s", "zlib_decode_bytes_per_s",
-            "narrow_encode_bytes_per_s", "narrow_decode_bytes_per_s",
-        ):
+        assert set(storage) == set(default_profile()["storage"])
+        for key in ("spill_write_bytes_per_s", "spill_read_bytes_per_s"):
             assert storage[key] > 0, key
-        assert 0 < storage["zlib_ratio"] <= 1.5
         assert storage["spill_chunk_bytes"] >= 256 * 2**10
         # A storage-only probe still counts as calibrated: it armed the
-        # codec/chunk choice with real numbers.
+        # chunk choice and the spilled charge with real numbers.
         assert profile["calibrated"] is True
         assert profile["measured"] == []
         # The probe cleans up after itself.
