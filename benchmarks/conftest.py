@@ -21,7 +21,7 @@ import pytest
 from repro.bench.algorithms import ALGORITHMS
 from repro.bench.runner import sweep
 from repro.bench.suite import benchmark_metas, paper_subsample
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 
 N_PROCS = 32  # the paper's platform: 32 BG/Q nodes, one rank per node
 

@@ -11,7 +11,7 @@ Run:  python examples/scaling_study.py
 from repro.bench.algorithms import ALGORITHMS, make_planner, paper_label
 from repro.bench.suite import REAL_TENSORS
 from repro.hooi.model import predict
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 
 
 def main() -> None:

@@ -60,8 +60,7 @@ from repro.core import (
     Plan,
     Planner,
 )
-from repro.mpi import MachineModel, SimCluster
-from repro.dist import DistTensor, dist_ttm, regrid
+from repro.dist import DistTensor, MachineModel, SimCluster, dist_ttm, regrid
 from repro.backends import (
     BackendUnavailableError,
     ExecutionBackend,
@@ -85,7 +84,6 @@ from repro.session import (
 from repro.hooi import (
     TuckerDecomposition,
     sthosvd,
-    dist_sthosvd,
     sthosvd_grid_plan,
     hooi_reference_step,
     ModelReport,
@@ -141,7 +139,6 @@ __all__ = [
     "compile_plan",
     "TuckerDecomposition",
     "sthosvd",
-    "dist_sthosvd",
     "sthosvd_grid_plan",
     "hooi_reference_step",
     "ModelReport",

@@ -10,7 +10,7 @@ choosing: a plain ndarray for the sequential and threaded backends, a
 :class:`~repro.storage.StoredTensor` on any of the three once a run has
 spilled, a :class:`~repro.dist.dtensor.DistTensor` for the virtual
 cluster. Every
-backend also carries a :class:`~repro.mpi.stats.StatsLedger` so callers can
+backend also carries a :class:`~repro.dist.stats.StatsLedger` so callers can
 read volumes/FLOPs/seconds uniformly via :meth:`ExecutionBackend.stats`.
 
 The one schedule interpreter (:func:`repro.backends.schedule.run_steps`,
@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.mpi.stats import StatsLedger
+from repro.dist.stats import StatsLedger
 from repro.obs.trace import NULL_TRACER
 
 

@@ -111,9 +111,12 @@ def oc_block_slices(
 OC_LEASE_FACTOR = 3
 
 
-def default_workers() -> int:
-    """Natural pool size: all but one core, capped at 8."""
-    return max(1, min(8, (os.cpu_count() or 2) - 1))
+def default_workers(cores: int | None = None) -> int:
+    """Natural pool size: all but one of ``cores`` (default: this
+    machine's), capped at 8."""
+    if cores is None:
+        cores = os.cpu_count() or 1
+    return max(1, min(8, int(cores) - 1))
 
 
 def check_worker_count(n_workers, backend_name: str) -> int:

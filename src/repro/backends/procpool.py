@@ -25,7 +25,7 @@ Because the block geometry and reduction order are *identical* to the
 threaded backend's, both produce bit-identical results — and agree with
 the sequential reference to the conformance harness's 1e-10.
 
-The parent owns the only :class:`~repro.mpi.stats.StatsLedger`; workers
+The parent owns the only :class:`~repro.dist.stats.StatsLedger`; workers
 return bare partial results and the parent folds them into single
 per-kernel records (wall-clock seconds, the same ops/tags/FLOP formulas
 the other shared-memory backends use). Regridding is the identity and no

@@ -189,6 +189,11 @@ def _compile_chain(
     ``keep[i]`` (when non-empty) and stays live after the program, for the
     next sweep's warm tree (a :class:`Handoff`).
     """
+    if grids is not None and len(grids) != len(order):
+        raise ValueError(
+            f"a grid scheme needs one grid per chain position: "
+            f"{len(grids)} grids for {len(order)} modes"
+        )
     steps: list[Step] = []
     slot = ROOT_SLOT
 
@@ -233,14 +238,21 @@ def compile_core_steps(
 
 
 def compile_sthosvd_steps(
-    order: Sequence[int], meta: TensorMeta, keep: Sequence[str] = ()
+    order: Sequence[int],
+    meta: TensorMeta,
+    keep: Sequence[str] = (),
+    grids: Sequence[Sequence[int]] | None = None,
 ) -> tuple[Step, ...]:
     """Compile one STHOSVD pass: a TTM chain with an ``svd`` before each
     step — the paper's "can be recast for STHOSVD as well", taken
-    literally. Tags are ``svd{mode}`` / ``ttm{mode}``."""
+    literally. With ``grids`` (one per chain position, e.g. from
+    :func:`repro.hooi.sthosvd.sthosvd_grid_plan`) the tensor is regridded
+    ahead of the steps that ask for it: dynamic gridding for STHOSVD.
+    Tags are ``regrid{i}`` / ``svd{mode}`` / ``ttm{mode}``."""
     return _compile_chain(
         order,
         "sthosvd",
+        grids=grids,
         extract=lambda slot, mode: Step(
             op="svd", src=slot, mode=mode, k=meta.core[mode],
             tag=f"svd{mode}",

@@ -36,6 +36,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.backends.blockpar import default_workers
 from repro.storage import (
     DEFAULT_CHUNK_BYTES,
     default_memory_budget,
@@ -418,15 +419,13 @@ def spill_seconds(nbytes: float, storage: dict) -> float:
 def resolve_auto_procs(n_procs, available_cores: int | None = None) -> int:
     """The processor count a selection will use (explicit or natural).
 
-    The natural default mirrors the pool backends' sizing: all but one of
-    the available cores, capped at 8. Exposed so callers (the session's
-    warm-instance bookkeeping) can predict the count before selecting.
+    The natural default is the pool backends' own sizing,
+    :func:`~repro.backends.blockpar.default_workers`. Exposed so callers
+    (the session's warm-instance bookkeeping) can predict the count
+    before selecting.
     """
-    if available_cores is None:
-        available_cores = os.cpu_count() or 1
-    available_cores = max(1, int(available_cores))
     if n_procs is None:
-        return max(1, min(8, available_cores - 1)) if available_cores > 1 else 1
+        return default_workers(available_cores)
     n_procs = int(n_procs)
     if n_procs < 1:
         raise ValueError(f"n_procs must be >= 1, got {n_procs}")

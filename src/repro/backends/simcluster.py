@@ -1,8 +1,8 @@
 """Virtual-cluster backend: the ``repro.dist`` engine behind the protocol.
 
 Handles are :class:`~repro.dist.dtensor.DistTensor` instances; the ledger
-is the wrapped :class:`~repro.mpi.comm.SimCluster`'s own
-:class:`~repro.mpi.stats.StatsLedger` (shared, not copied), so exact
+is the wrapped :class:`~repro.dist.comm.SimCluster`'s own
+:class:`~repro.dist.stats.StatsLedger` (shared, not copied), so exact
 communication volumes keep landing where the benchmark harness and the
 engine-vs-model reconciliation expect them.
 
@@ -24,8 +24,8 @@ from repro.dist.gram import dist_leading_factor
 from repro.dist.regrid import regrid as dist_regrid
 from repro.dist.sketch import dist_cross_gram, dist_sketch
 from repro.dist.ttm import dist_ttm
-from repro.mpi.comm import SimCluster
-from repro.mpi.machine import MachineModel
+from repro.dist.comm import SimCluster
+from repro.dist.machine import MachineModel
 
 
 class SimClusterBackend(ExecutionBackend):

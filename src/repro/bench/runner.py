@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from repro.bench.algorithms import make_planner
 from repro.core.meta import TensorMeta
 from repro.hooi.model import predict
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 from repro.session import TuckerSession
 
 

@@ -46,7 +46,7 @@ from repro.core.memory import plan_peak_bytes_per_rank
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
 from repro.hooi.model import predict
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 from repro.session import TuckerSession
 from repro.util.table import ascii_table
 

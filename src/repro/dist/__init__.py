@@ -2,8 +2,14 @@
 
 ``repro.dist`` is the layer between the planner (:mod:`repro.core`) and the
 algorithms (:mod:`repro.hooi`): dense tensors block-distributed over
-Cartesian processor grids on a :class:`~repro.mpi.comm.SimCluster`, with
+Cartesian processor grids on an in-process virtual cluster (the paper's
+BG/Q and MPI are unavailable; its FLOP and volume metrics are exact here),
+with
 
+* :mod:`repro.dist.comm` — :class:`SimCluster`, the collectives;
+* :mod:`repro.dist.stats` — :class:`StatsLedger`, their record;
+* :mod:`repro.dist.machine` — :class:`MachineModel`, the alpha-beta time
+  model;
 * :mod:`repro.dist.blocks` — the near-even 1-D partitioning closed forms;
 * :mod:`repro.dist.grid_comm` — :class:`ProcessorGrid` rank/coordinate maps
   and mode-fiber / mode-slice sub-communicator groups;
@@ -26,11 +32,14 @@ simulator and the backends it validates alike. Neither of those imports
 :mod:`repro.backends` — ``import repro`` loads this package first.
 
 Every collective charges its exact element volume to the cluster's
-:class:`~repro.mpi.stats.StatsLedger`, which is what lets the
+:class:`~repro.dist.stats.StatsLedger`, which is what lets the
 engine-vs-model benchmarks reconcile executed runs against the planner's
 closed-form cost model.
 """
 
+from repro.dist.machine import MachineModel
+from repro.dist.stats import StatsLedger
+from repro.dist.comm import SimCluster
 from repro.dist.blocks import block_range, block_ranges, block_sizes
 from repro.dist.dtensor import DistTensor
 from repro.dist.gram import dist_gram, dist_leading_factor
@@ -39,6 +48,9 @@ from repro.dist.regrid import regrid
 from repro.dist.ttm import dist_ttm
 
 __all__ = [
+    "MachineModel",
+    "StatsLedger",
+    "SimCluster",
     "block_range",
     "block_ranges",
     "block_sizes",

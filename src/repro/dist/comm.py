@@ -8,7 +8,7 @@ collective is a function transforming such dicts. Each collective
 * computes the result with the same data movement pattern a real MPI
   implementation would use (so results are bit-identical to an SPMD run up to
   floating-point reduction order, which we fix to ascending-rank order);
-* appends a :class:`~repro.mpi.stats.Record` with the *exact* element volume
+* appends a :class:`~repro.dist.stats.Record` with the *exact* element volume
   (the paper's metric) and the alpha-beta modeled time.
 
 Volume conventions (elements, not bytes):
@@ -31,8 +31,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.mpi.machine import MachineModel
-from repro.mpi.stats import StatsLedger
+from repro.dist.machine import MachineModel
+from repro.dist.stats import StatsLedger
 from repro.util.dtypes import accumulator_dtype
 from repro.util.validation import check_positive_int
 
@@ -233,25 +233,4 @@ class SimCluster:
             volume = 2.0 * n * (p - 1)
             seconds = self.machine.allreduce_seconds(p, n)
             self.stats.add_comm("allreduce", tag, p, volume, seconds)
-        return out
-
-    def bcast(
-        self,
-        group: Sequence[int],
-        value: np.ndarray,
-        *,
-        root: int,
-        tag: str = "bcast",
-    ) -> dict[int, np.ndarray]:
-        """Broadcast ``value`` from ``root`` to the group."""
-        group = self._check_group(group)
-        if root not in group:
-            raise ValueError(f"root {root} not in group {group}")
-        out = {r: value if r == root else value.copy() for r in group}
-        p = len(group)
-        if p > 1:
-            n = int(np.asarray(value).size)
-            volume = float(n * (p - 1))
-            seconds = self.machine.bcast_seconds(p, n)
-            self.stats.add_comm("bcast", tag, p, volume, seconds)
         return out

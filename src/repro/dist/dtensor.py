@@ -5,7 +5,7 @@ layout (section 3): a dense tensor block-partitioned over a Cartesian
 :class:`~repro.dist.grid_comm.ProcessorGrid`, rank ``r`` owning the brick at
 its grid coordinates with near-even per-mode block ranges. Because the
 cluster is simulated in-process, the per-rank blocks live in one dict; the
-collectives of :class:`~repro.mpi.comm.SimCluster` transform such dicts and
+collectives of :class:`~repro.dist.comm.SimCluster` transform such dicts and
 charge the exact element volumes to the stats ledger.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.dist.blocks import block_ranges
 from repro.dist.grid_comm import ProcessorGrid
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.tensor.kernels import norm_block
 from repro.util.dtypes import as_float
 

@@ -1,4 +1,4 @@
-"""Cartesian processor grids over a :class:`~repro.mpi.comm.SimCluster`.
+"""Cartesian processor grids over a :class:`~repro.dist.comm.SimCluster`.
 
 A :class:`ProcessorGrid` imposes grid coordinates on the cluster's ranks in
 C (row-major) order — the analogue of ``MPI_Cart_create`` — and derives the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.util.validation import check_mode
 
 

@@ -19,7 +19,7 @@ gains (up to 6x). We encode that as a 3x bandwidth advantage by default.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class MachineModel:
         the SVD step (dsyevx in the paper).
     alpha:
         Per-message latency in seconds.
-    beta_reduce_scatter / beta_alltoall / beta_allgather / beta_allreduce /
-    beta_bcast:
+    beta_reduce_scatter / beta_alltoall / beta_allgather / beta_allreduce:
         Inverse bandwidths in seconds/byte for each collective family.
     bytes_per_element:
         Size of a tensor element (float64 = 8).
@@ -51,7 +50,6 @@ class MachineModel:
     beta_alltoall: float = 1.0 / 4.5e9
     beta_allgather: float = 1.0 / 1.5e9
     beta_allreduce: float = 1.0 / 1.5e9
-    beta_bcast: float = 1.0 / 1.5e9
     bytes_per_element: int = 8
 
     def __post_init__(self) -> None:
@@ -62,7 +60,6 @@ class MachineModel:
             "beta_alltoall",
             "beta_allgather",
             "beta_allreduce",
-            "beta_bcast",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -90,15 +87,7 @@ class MachineModel:
             beta_alltoall=beta,
             beta_allgather=beta,
             beta_allreduce=beta,
-            beta_bcast=beta,
         )
-
-    def with_alltoall_advantage(self, factor: float) -> "MachineModel":
-        """Return a copy whose all-to-all bandwidth is ``factor`` x the
-        reduce-scatter bandwidth (used by the regrid-cost ablation)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(self, beta_alltoall=self.beta_reduce_scatter / factor)
 
     # ------------------------------------------------------------------ #
     # compute-time formulas
@@ -154,11 +143,3 @@ class MachineModel:
         steps = 2 * math.ceil(math.log2(p))
         moved = 2.0 * elements * (p - 1) / p
         return self.alpha * steps + self._bytes(moved) * self.beta_allreduce
-
-    def bcast_seconds(self, p: int, elements: float) -> float:
-        """Binomial-tree broadcast."""
-        if p <= 1:
-            return 0.0
-        return self.alpha * math.ceil(math.log2(p)) + self._bytes(elements) * (
-            self.beta_bcast
-        )

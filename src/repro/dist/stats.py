@@ -1,6 +1,6 @@
 """Ledger of communication and computation events.
 
-Every collective executed by :class:`repro.mpi.comm.SimCluster` and every
+Every collective executed by :class:`repro.dist.comm.SimCluster` and every
 modeled compute kernel appends a :class:`Record`. The benchmark harness then
 aggregates volumes and modeled times per *tag* — tags follow a
 ``"component:detail"`` convention, e.g. ``"ttm:mode3"``, ``"regrid:node7"``,
@@ -180,24 +180,3 @@ class StatsLedger:
             "compute_seconds": self.compute_seconds(),
             "events": float(len(self)),
         }
-
-    def by_tag_prefix(
-        self, key: Callable[[str], str] = lambda tag: tag.split(":", 1)[0]
-    ) -> dict[str, dict[str, float]]:
-        """Aggregate volume/flops/seconds keyed by ``key(tag)``.
-
-        Default key takes the component part of ``component:detail`` tags.
-        """
-        out: dict[str, dict[str, float]] = {}
-        for r in self.records:
-            slot = out.setdefault(
-                key(r.tag),
-                {"volume": 0.0, "flops": 0.0, "comm_seconds": 0.0, "compute_seconds": 0.0},
-            )
-            if r.category == "comm":
-                slot["volume"] += r.elements
-                slot["comm_seconds"] += r.seconds
-            else:
-                slot["flops"] += r.flops
-                slot["compute_seconds"] += r.seconds
-        return out

@@ -3,7 +3,8 @@
 * :mod:`repro.hooi.decomposition` — the ``{G; F_1..F_N}`` container, error
   metrics (explicit and the orthonormal-factor norm identity).
 * :mod:`repro.hooi.sthosvd` — sequentially truncated HOSVD, the paper's
-  initial-decomposition method, in sequential and distributed forms.
+  initial-decomposition method (the distributed pass is the compiled
+  STHOSVD program of :mod:`repro.backends.schedule`).
 * :mod:`repro.hooi.hooi` — single HOOI invocations (Figure 2 of the paper)
   on the sequential and simcluster backends, plus a tree-free naive
   reference. The iterate-to-convergence drivers and the one-shot /
@@ -14,7 +15,7 @@
 """
 
 from repro.hooi.decomposition import TuckerDecomposition
-from repro.hooi.sthosvd import sthosvd, dist_sthosvd, sthosvd_grid_plan
+from repro.hooi.sthosvd import sthosvd, sthosvd_grid_plan
 from repro.hooi.hooi import (
     hooi_step_sequential,
     hooi_step_distributed,
@@ -26,7 +27,6 @@ from repro.hooi.portfolio import PortfolioChoice, select_plan
 __all__ = [
     "TuckerDecomposition",
     "sthosvd",
-    "dist_sthosvd",
     "sthosvd_grid_plan",
     "PortfolioChoice",
     "select_plan",

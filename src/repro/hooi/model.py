@@ -4,7 +4,7 @@ The large benchmark (about 18k canonical tensors, up to 8e9 elements each)
 cannot be *executed*, even by the real paper — its authors measure a single
 invocation precisely because cost depends only on metadata. This module
 closes the loop for us: given a :class:`~repro.core.planner.Plan` and a
-:class:`~repro.mpi.machine.MachineModel`, it computes the exact FLOP and
+:class:`~repro.dist.machine.MachineModel`, it computes the exact FLOP and
 volume totals (integers, same formulas the planner optimized) and alpha-beta
 times for every phase of one invocation:
 
@@ -26,7 +26,7 @@ from repro.core.cost import node_costs
 from repro.core.grids import svd_regrid_target
 from repro.core.ordering import optimal_chain_ordering
 from repro.core.planner import Plan
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.meta import TensorMeta
 from repro.core.planner import Plan, Planner
 from repro.hooi.model import ModelReport, predict
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 
 #: (tree kind, grid kind) pairs the portfolio prices by default: the
 #: paper's evaluated configurations plus the chain/balanced trees under

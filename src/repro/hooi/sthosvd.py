@@ -20,9 +20,6 @@ import numpy as np
 
 from repro.core.meta import TensorMeta
 from repro.core.ordering import optimal_chain_ordering
-from repro.dist.dtensor import DistTensor
-from repro.dist.gram import dist_leading_factor
-from repro.dist.ttm import dist_ttm
 from repro.hooi.decomposition import TuckerDecomposition
 from repro.tensor.kernels import gram_block
 from repro.tensor.linalg import gram_factor
@@ -97,44 +94,3 @@ def sthosvd_grid_plan(
         meta, order, None, n_procs
     )
     return order, grids, ttm_vol, regrid_vol
-
-
-def dist_sthosvd(
-    dtensor: DistTensor,
-    core_dims: Sequence[int],
-    *,
-    mode_order: str | Sequence[int] | None = None,
-    grid_scheme: Sequence[Sequence[int]] | None = None,
-    tag: str = "sthosvd",
-) -> tuple[DistTensor, list[np.ndarray]]:
-    """Distributed STHOSVD on the engine.
-
-    Returns ``(distributed core, replicated factors)``. By default the
-    tensor's grid stays fixed throughout (a static scheme); passing
-    ``grid_scheme`` (one grid per processed mode, e.g. from
-    :func:`sthosvd_grid_plan`) regrids ahead of the steps that ask for it —
-    dynamic gridding for STHOSVD. The factor extraction and TTMs record
-    their volumes in the cluster ledger under ``tag``.
-    """
-    from repro.dist.regrid import regrid
-
-    core_dims = check_core_dims(core_dims, dtensor.global_shape)
-    order = _resolve_order(mode_order, dtensor.global_shape, core_dims)
-    if grid_scheme is not None and len(grid_scheme) != len(order):
-        raise ValueError(
-            f"grid_scheme needs one grid per mode: {len(grid_scheme)} grids "
-            f"for {len(order)} modes"
-        )
-    factors: list[np.ndarray | None] = [None] * len(core_dims)
-    current = dtensor
-    for i, mode in enumerate(order):
-        if grid_scheme is not None:
-            current = regrid(
-                current, tuple(grid_scheme[i]), tag=f"{tag}:regrid{i}"
-            )
-        f = dist_leading_factor(
-            current, mode, core_dims[mode], tag=f"{tag}:svd{mode}"
-        )
-        factors[mode] = f
-        current = dist_ttm(current, f.T, mode, tag=f"{tag}:ttm{mode}")
-    return current, list(factors)

@@ -5,7 +5,7 @@ path when disabled:
 
 * :class:`~repro.obs.trace.Tracer` / :data:`~repro.obs.trace.NULL_TRACER`
   — nested spans with monotonic timings; ledger records become step
-  spans via the :class:`~repro.mpi.stats.StatsLedger` observer hook.
+  spans via the :class:`~repro.dist.stats.StatsLedger` observer hook.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   histograms (percentiles via :mod:`repro.obs.percentiles`).
 * :mod:`~repro.obs.export` — Chrome trace-event (Perfetto-loadable) and

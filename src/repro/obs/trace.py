@@ -15,9 +15,9 @@ Design points:
   a shared no-op context manager and whose every other method is a
   constant-return stub — no allocation, no branching at call sites.
 * **Step spans mirror the ledger.** Backends already account every
-  kernel and collective in their :class:`~repro.mpi.stats.StatsLedger`;
+  kernel and collective in their :class:`~repro.dist.stats.StatsLedger`;
   the tracer plugs into the ledger's ``observer`` hook and converts each
-  :class:`~repro.mpi.stats.Record` into a retroactive leaf span named
+  :class:`~repro.dist.stats.Record` into a retroactive leaf span named
   exactly by the record's tag. The span step-tag set therefore equals the
   ledger tag set *by construction*, on every backend — golden-ledger
   configs are golden-trace configs too.
@@ -295,9 +295,9 @@ class Tracer:
                 self._stack[-1].attrs.update(attrs)
 
     def on_record(self, record) -> None:
-        """The :class:`~repro.mpi.stats.StatsLedger` observer hook.
+        """The :class:`~repro.dist.stats.StatsLedger` observer hook.
 
-        Converts one ledger :class:`~repro.mpi.stats.Record` into a
+        Converts one ledger :class:`~repro.dist.stats.Record` into a
         retroactive leaf span named by the record's tag. The record is
         appended right after its kernel finished, so ``now - seconds``
         reconstructs the start; simcluster records *modeled* seconds, so

@@ -86,7 +86,7 @@ from repro.core.planner import Plan, Planner
 from repro.hooi.decomposition import TuckerDecomposition
 from repro.hooi.portfolio import select_plan
 from repro.hooi.sthosvd import sthosvd as host_sthosvd
-from repro.mpi.stats import StatsLedger
+from repro.dist.stats import StatsLedger
 from repro.obs import MetricsRegistry, Trace, Tracer, canonical_tag, safe_rate
 from repro.obs.trace import NULL_TRACER
 from repro.util import serial

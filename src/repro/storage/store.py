@@ -791,6 +791,8 @@ class MmapStore:
                 pass
             raise
         os.replace(tmp, dst)
+        # the scratch is a full raw write of the block: spill I/O too
+        self.spill_bytes_written += int(meta.nbytes)
         return dst
 
     def _decode_zlib(

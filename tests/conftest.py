@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.backends.schedule import compile_sthosvd_steps, run_steps
+from repro.backends.simcluster import SimClusterBackend
 from repro.core.meta import TensorMeta
-from repro.mpi.comm import SimCluster
-from repro.mpi.machine import MachineModel
+from repro.dist.comm import SimCluster
+from repro.dist.machine import MachineModel
 
 # Hypothesis: no wall-clock deadline (BLAS warm-up jitter), moderate example
 # counts so the full suite stays fast; REPRO_HYP_EXAMPLES overrides.
@@ -53,3 +55,29 @@ def cluster4() -> SimCluster:
 @pytest.fixture
 def uniform_machine() -> MachineModel:
     return MachineModel.uniform(bandwidth=1e9, alpha=0.0)
+
+
+@pytest.fixture
+def sthosvd_on_cluster():
+    """The distributed STHOSVD pass: the compiled program on the engine.
+
+    ``run(t, core, n_procs, grid, order=None, grids=None)`` distributes
+    ``t`` on ``grid`` of a fresh cluster, replays
+    :func:`compile_sthosvd_steps` over ``order`` (natural by default),
+    regridding onto ``grids`` when given, and returns
+    ``(cluster, distributed core, factors)``.
+    """
+
+    def run(t, core, n_procs, grid, *, order=None, grids=None, tag="sthosvd"):
+        cluster = SimCluster(n_procs)
+        backend = SimClusterBackend(cluster)
+        meta = TensorMeta(dims=t.shape, core=core)
+        order = range(t.ndim) if order is None else order
+        factors = [None] * t.ndim
+        steps = compile_sthosvd_steps(order, meta, grids=grids)
+        core_dt, _, _ = run_steps(
+            backend, backend.distribute(t, grid), steps, factors, tag=tag
+        )
+        return cluster, core_dt, factors
+
+    return run

@@ -804,6 +804,18 @@ class TestCalibratedProcRanking:
         assert candidate_procs(32) == (1, 2, 4, 8, 16, 31)
         assert all(p <= 31 for p in candidate_procs(32))
 
+    def test_auto_procs_are_the_default_pool_size(self, monkeypatch):
+        # the session keys warm pools on the predicted count, so it must
+        # be the size a default pool really gets, on every core count
+        import os
+
+        from repro.backends import ThreadedBackend
+        from repro.backends.select import resolve_auto_procs
+
+        for cores in range(1, 18):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert resolve_auto_procs(None) == ThreadedBackend().n_workers, cores
+
     def test_clamp_note_absent_on_small_machines(self):
         # 4 usable cores sit under the cap: nothing was clamped, so the
         # reason must not claim otherwise.

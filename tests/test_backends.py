@@ -20,7 +20,7 @@ from repro.backends import (
     get_backend,
 )
 from repro.backends.blockkernels import GRAM_SCRATCH_SLOTS
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor, random_tensor
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mpi.comm import SimCluster
-from repro.mpi.machine import MachineModel
+from repro.dist.comm import SimCluster
+from repro.dist.machine import MachineModel
 
 
 def make_cluster(p=4) -> SimCluster:
@@ -146,20 +146,6 @@ class TestAllreduce:
         c = make_cluster(2)
         with pytest.raises(ValueError):
             c.allreduce([0, 1], {0: np.ones(2), 1: np.ones(3)})
-
-
-class TestBcast:
-    def test_semantics_and_volume(self):
-        c = make_cluster(4)
-        out = c.bcast([0, 1, 2, 3], np.arange(5.0), root=2)
-        for r in range(4):
-            np.testing.assert_array_equal(out[r], np.arange(5.0))
-        assert c.stats.volume(op="bcast") == 5 * 3
-
-    def test_root_must_be_member(self):
-        c = make_cluster(4)
-        with pytest.raises(ValueError):
-            c.bcast([0, 1], np.ones(2), root=3)
 
 
 class TestPropertyBased:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dist.dtensor import DistTensor
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 
 
 class TestDistribution:

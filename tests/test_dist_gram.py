@@ -5,7 +5,7 @@ import pytest
 
 from repro.dist.dtensor import DistTensor
 from repro.dist.gram import dist_gram, dist_leading_factor
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.tensor.linalg import gram, leading_eigvecs
 from repro.tensor.unfold import unfold
 

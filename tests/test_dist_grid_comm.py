@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dist.grid_comm import ProcessorGrid
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 
 
 @pytest.fixture

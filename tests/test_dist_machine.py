@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 
 
 class TestConstruction:
@@ -23,12 +23,6 @@ class TestConstruction:
     def test_uniform_preset_equalizes_betas(self):
         m = MachineModel.uniform(bandwidth=2e9)
         assert m.beta_reduce_scatter == m.beta_alltoall == m.beta_allgather
-
-    def test_alltoall_advantage(self):
-        m = MachineModel.bgq_like().with_alltoall_advantage(6.0)
-        assert m.beta_alltoall == pytest.approx(m.beta_reduce_scatter / 6.0)
-        with pytest.raises(ValueError):
-            MachineModel.bgq_like().with_alltoall_advantage(0)
 
 
 class TestComputeTimes:
@@ -49,7 +43,6 @@ class TestCollectiveTimes:
         assert m.alltoall_seconds(1, 1e9) == 0.0
         assert m.allgather_seconds(1, 1e9) == 0.0
         assert m.allreduce_seconds(1, 1e9) == 0.0
-        assert m.bcast_seconds(1, 1e9) == 0.0
 
     def test_reduce_scatter_alpha_beta_split(self):
         m = MachineModel.uniform(bandwidth=1e9, alpha=1e-3)

@@ -20,7 +20,7 @@ from repro.dist.dtensor import DistTensor
 from repro.dist.gram import dist_gram
 from repro.dist.regrid import regrid
 from repro.dist.ttm import dist_ttm
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.tensor.linalg import gram
 from repro.tensor.ttm import ttm
 from repro.tensor.unfold import unfold

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.dist.dtensor import DistTensor
 from repro.dist.regrid import regrid
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 
 
 class TestCorrectness:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpi.stats import Record, StatsLedger
+from repro.dist.stats import Record, StatsLedger
 
 
 class TestRecord:
@@ -46,14 +46,6 @@ class TestLedger:
         assert s.compute_seconds() == pytest.approx(3.0)
         assert s.total_seconds() == pytest.approx(3.8)
         assert s.total_seconds(tag_prefix="svd") == pytest.approx(2.05)
-
-    def test_by_tag_prefix(self):
-        s = self.make()
-        agg = s.by_tag_prefix()
-        assert set(agg) == {"ttm", "regrid", "svd"}
-        assert agg["ttm"]["volume"] == 100
-        assert agg["ttm"]["flops"] == 1000
-        assert agg["svd"]["comm_seconds"] == pytest.approx(0.05)
 
     def test_merge_and_clear(self):
         a, b = self.make(), self.make()

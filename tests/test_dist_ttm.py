@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.dist.dtensor import DistTensor
 from repro.dist.ttm import dist_ttm
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.tensor.ttm import ttm
 
 

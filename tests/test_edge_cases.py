@@ -10,7 +10,7 @@ from repro.dist.dtensor import DistTensor
 from repro.hooi.hooi import hooi_step_distributed
 from repro.hooi.model import predict
 from repro.hooi.sthosvd import sthosvd
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor
 

@@ -22,7 +22,7 @@ from repro.hooi.hooi import (
     hooi_step_sequential,
 )
 from repro.hooi.sthosvd import sthosvd
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.tensor.random import low_rank_tensor, random_tensor
 
 

@@ -7,7 +7,7 @@ from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
 from repro.hooi.hooi import hooi_reference_step, hooi_step_sequential
 from repro.hooi.sthosvd import sthosvd
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor, random_tensor
 

@@ -10,8 +10,8 @@ from repro.dist.dtensor import DistTensor
 from repro.hooi.hooi import hooi_step_distributed
 from repro.hooi.model import predict
 from repro.hooi.sthosvd import sthosvd
-from repro.mpi.comm import SimCluster
-from repro.mpi.machine import MachineModel
+from repro.dist.comm import SimCluster
+from repro.dist.machine import MachineModel
 from repro.tensor.random import low_rank_tensor
 
 

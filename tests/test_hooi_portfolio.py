@@ -6,7 +6,7 @@ from repro.bench.algorithms import ALGORITHMS, make_planner
 from repro.core.meta import TensorMeta
 from repro.hooi.model import predict
 from repro.hooi.portfolio import DEFAULT_CANDIDATES, select_plan
-from repro.mpi.machine import MachineModel
+from repro.dist.machine import MachineModel
 
 
 @pytest.fixture

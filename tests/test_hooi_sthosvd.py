@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dist.dtensor import DistTensor
-from repro.hooi.sthosvd import dist_sthosvd, sthosvd
-from repro.mpi.comm import SimCluster
+from repro.hooi.sthosvd import sthosvd
 from repro.tensor.dense import fro_norm, relative_error
 from repro.tensor.random import low_rank_tensor, random_tensor
 
@@ -56,30 +54,24 @@ class TestSequential:
 
 
 class TestDistributed:
-    def test_matches_sequential(self):
-        c = SimCluster(8)
+    def test_matches_sequential(self, sthosvd_on_cluster):
         t = low_rank_tensor((12, 10, 8), (4, 3, 2), noise=0.1, seed=7)
-        dt = DistTensor.from_global(c, t, (2, 2, 2))
-        core_dist, factors = dist_sthosvd(dt, (4, 3, 2))
+        _, core_dist, factors = sthosvd_on_cluster(t, (4, 3, 2), 8, (2, 2, 2))
         seq = sthosvd(t, (4, 3, 2))
         for f_dist, f_seq in zip(factors, seq.factors):
             np.testing.assert_allclose(f_dist, f_seq, atol=1e-8)
         np.testing.assert_allclose(core_dist.to_global(), seq.core, atol=1e-8)
 
-    def test_error_matches_sequential(self):
-        c = SimCluster(4)
+    def test_error_matches_sequential(self, sthosvd_on_cluster):
         t = low_rank_tensor((10, 9, 8), (3, 3, 3), noise=0.2, seed=8)
-        dt = DistTensor.from_global(c, t, (2, 2, 1))
-        core_dist, factors = dist_sthosvd(dt, (3, 3, 3))
+        _, core_dist, factors = sthosvd_on_cluster(t, (3, 3, 3), 4, (2, 2, 1))
         from repro.hooi.decomposition import TuckerDecomposition
 
         dec = TuckerDecomposition(core=core_dist.to_global(), factors=factors)
         seq = sthosvd(t, (3, 3, 3))
         assert dec.error_vs(t) == pytest.approx(seq.error_vs(t), rel=1e-8)
 
-    def test_records_comm(self):
-        c = SimCluster(4)
+    def test_records_comm(self, sthosvd_on_cluster):
         t = random_tensor((8, 8, 8), seed=9)
-        dt = DistTensor.from_global(c, t, (2, 2, 1))
-        dist_sthosvd(dt, (4, 4, 4), tag="sthosvd")
+        c, _, _ = sthosvd_on_cluster(t, (4, 4, 4), 4, (2, 2, 1))
         assert c.stats.volume(tag_prefix="sthosvd") > 0

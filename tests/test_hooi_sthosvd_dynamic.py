@@ -1,13 +1,61 @@
-"""Tests for dynamic gridding applied to STHOSVD (paper section 1 remark)."""
+"""Tests for dynamic gridding applied to STHOSVD (paper section 1 remark).
+
+``tests/golden/sthosvd_grids.json`` pins the distributed pass: the ordered
+``(op, tag, elements, flops)`` ledger records and the sha256 of every
+factor and of the core, for a 3-D and a 4-D tensor on eight ranks, on a
+static grid and on :func:`sthosvd_grid_plan`'s grids. It was written by the
+hand-rolled distributed STHOSVD loop the compiled program replaced, so it
+is a fixed oracle: regenerating it from the code it checks would prove
+nothing.
+"""
+
+import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.backends.schedule import compile_core_steps, compile_sthosvd_steps
 from repro.core.meta import TensorMeta
-from repro.dist.dtensor import DistTensor
-from repro.hooi.sthosvd import dist_sthosvd, sthosvd, sthosvd_grid_plan
-from repro.mpi.comm import SimCluster
+from repro.hooi.sthosvd import sthosvd, sthosvd_grid_plan
 from repro.tensor.random import low_rank_tensor
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sthosvd_grids.json")
+
+CONFIGS = {
+    "3d_p8": {"dims": (20, 15, 6), "core": (10, 5, 3), "n_procs": 8},
+    "4d_p8": {"dims": (12, 12, 9, 8), "core": (4, 6, 3, 4), "n_procs": 8},
+}
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def build_snapshot(run) -> dict:
+    """Every golden case rebuilt on the compiled program: the plan's mode
+    order, its first grid as the layout, with and without its regrids."""
+    snapshot = {}
+    for name, config in sorted(CONFIGS.items()):
+        dims, core, n_procs = config["dims"], config["core"], config["n_procs"]
+        t = low_rank_tensor(dims, core, noise=0.1, seed=0)
+        order, grids, _, _ = sthosvd_grid_plan(dims, core, n_procs)
+        for scheme, chain_grids in (("static", None), ("grids", grids)):
+            cluster, core_dt, factors = run(
+                t, core, n_procs, grids[0], order=order, grids=chain_grids
+            )
+            snapshot[f"{name}_{scheme}"] = {
+                "dims": dims, "core": core, "n_procs": n_procs,
+                "order": order, "grids": grids,
+                "records": [
+                    [r.op, r.tag, r.elements, r.flops]
+                    for r in cluster.stats.records
+                ],
+                "factors_sha256": [_sha256(f) for f in factors],
+                "core_sha256": _sha256(core_dt.to_global()),
+            }
+    return json.loads(json.dumps(snapshot))
 
 
 @pytest.fixture
@@ -55,44 +103,44 @@ class TestGridPlan:
 
 
 class TestDistSthosvdWithScheme:
-    def test_matches_static_results(self, problem):
+    def test_matches_golden_bit_for_bit(self, sthosvd_on_cluster):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert build_snapshot(sthosvd_on_cluster) == golden
+
+    def test_matches_static_results(self, problem, sthosvd_on_cluster):
         dims, core, t = problem
         order, grids, _, _ = sthosvd_grid_plan(dims, core, 8, mode_order="natural")
-        cluster = SimCluster(8)
-        dt = DistTensor.from_global(cluster, t, grids[0])
-        core_dist, factors = dist_sthosvd(
-            dt, core, mode_order="natural", grid_scheme=grids
+        _, core_dist, factors = sthosvd_on_cluster(
+            t, core, 8, grids[0], order=order, grids=grids
         )
         seq = sthosvd(t, core, mode_order="natural")
         for a, b in zip(factors, seq.factors):
             np.testing.assert_allclose(a, b, atol=1e-8)
         np.testing.assert_allclose(core_dist.to_global(), seq.core, atol=1e-8)
 
-    def test_scheme_reduces_ttm_volume(self, problem):
+    def test_scheme_reduces_ttm_volume(self, problem, sthosvd_on_cluster):
         dims, core, t = problem
-        meta = TensorMeta(dims=dims, core=core)
-        del meta
         order, grids, planned_ttm, _ = sthosvd_grid_plan(
             dims, core, 8, mode_order="natural"
         )
 
         # dynamic run
-        c_dyn = SimCluster(8)
-        dt = DistTensor.from_global(c_dyn, t, grids[0])
-        dist_sthosvd(dt, core, mode_order="natural", grid_scheme=grids, tag="s")
+        c_dyn, _, _ = sthosvd_on_cluster(
+            t, core, 8, grids[0], order=order, grids=grids, tag="s"
+        )
         dyn_ttm = c_dyn.stats.volume(op="reduce_scatter", tag_prefix="s:ttm")
         assert dyn_ttm == planned_ttm
 
         # static run on the same initial grid
-        c_st = SimCluster(8)
-        dt2 = DistTensor.from_global(c_st, t, grids[0])
-        dist_sthosvd(dt2, core, mode_order="natural", tag="s")
+        c_st, _, _ = sthosvd_on_cluster(t, core, 8, grids[0], order=order, tag="s")
         static_ttm = c_st.stats.volume(op="reduce_scatter", tag_prefix="s:ttm")
         assert dyn_ttm <= static_ttm
 
     def test_scheme_length_checked(self, problem):
-        dims, core, t = problem
-        cluster = SimCluster(4)
-        dt = DistTensor.from_global(cluster, t, (2, 2, 1, 1))
-        with pytest.raises(ValueError, match="one grid per mode"):
-            dist_sthosvd(dt, core, grid_scheme=[(2, 2, 1, 1)])
+        dims, core, _ = problem
+        meta = TensorMeta(dims=dims, core=core)
+        with pytest.raises(ValueError, match="one grid per chain position"):
+            compile_sthosvd_steps(range(4), meta, grids=[(2, 2, 1, 1)])
+        with pytest.raises(ValueError, match="one grid per chain position"):
+            compile_core_steps(range(4), [(2, 2, 1, 1)] * 5)

@@ -8,6 +8,8 @@ Held here:
   ``repro.backends`` or ``repro.dist``, and every package that sits
   around the cycle ``repro`` -> ``repro.dist`` -> ... -> ``repro.backends``
   imports first in a fresh interpreter;
+* the simulator is one package: no source, test, benchmark or example
+  imports the former ``repro.mpi``;
 * the simulator provably runs those functions — spies on them count
   calls from a simcluster HOOI and a simcluster ``rsthosvd`` with power
   iteration;
@@ -26,13 +28,14 @@ import pytest
 
 from repro.backends.blockkernels import KERNELS
 from repro.dist.dtensor import DistTensor
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.session import TuckerSession
 from repro.tensor import kernels, linalg
 from repro.tensor.random import low_rank_tensor
 from test_tensor_ttm import traced_peak  # one reference
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: modules on the import cycle a kernel reached through repro.backends
 #: would close; each must import first
@@ -41,7 +44,9 @@ FIRST_IMPORTS = [
     "repro.tensor.kernels",
     "repro.backends.simcluster",
     "repro.hooi",
-    "repro.mpi",
+    "repro.dist.comm",
+    "repro.dist.machine",
+    "repro.dist.stats",
 ]
 
 #: what a leaf under repro/tensor/ must not import
@@ -88,6 +93,21 @@ def test_tensor_package_imports_neither_backends_nor_dist():
         for line, name in imported_modules(path, "repro.tensor")
         if any(f"{name}.".startswith(f"{bad}.") for bad in NOT_IN_LEAF)
     ]
+    assert offenders == []
+
+
+def test_nothing_imports_the_folded_simulator_package():
+    # the collectives, the ledger and the machine model live in repro.dist
+    offenders = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            parts = path.relative_to(ROOT / top).parent.parts
+            package = ".".join(parts if top == "src" else (top, *parts))
+            offenders += [
+                f"{path.relative_to(ROOT)}:{line}: {name}"
+                for line, name in imported_modules(path, package)
+                if f"{name}.".startswith("repro.mpi.")
+            ]
     assert offenders == []
 
 

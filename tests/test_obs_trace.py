@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
-from repro.mpi.stats import Record, StatsLedger
+from repro.dist.stats import Record, StatsLedger
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,

@@ -19,7 +19,7 @@ from repro.core.static_grid import optimal_static_grid
 from repro.core.trees import balanced_tree, chain_tree
 from repro.dist.dtensor import DistTensor
 from repro.dist.ttm import dist_ttm
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.tensor.ttm import ttm
 
 

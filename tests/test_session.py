@@ -6,7 +6,7 @@ import pytest
 from repro.core.meta import TensorMeta
 from repro.core.planner import Plan, Planner
 from repro.hooi.sthosvd import sthosvd
-from repro.mpi.comm import SimCluster
+from repro.dist.comm import SimCluster
 from repro.session import CompiledPlan, TuckerSession, compile_plan
 from repro.tensor.random import low_rank_tensor
 

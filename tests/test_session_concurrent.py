@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.meta import TensorMeta
-from repro.mpi.stats import StatsLedger
+from repro.dist.stats import StatsLedger
 from repro.obs import safe_rate
 from repro.session import CompiledPlan, Prefetcher, TuckerSession
 from repro.tensor.random import low_rank_tensor, random_tensor

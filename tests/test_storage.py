@@ -665,6 +665,19 @@ class TestCodecs:
                 rel = (diff[nonzero] / np.abs(array[nonzero])).max()
                 assert float(rel) <= meta.rel_error + 1e-300
 
+    def test_decode_scratch_counts_as_written_once(self, tmp_path):
+        # the first read decodes into a full-size raw scratch file: those
+        # bytes hit the disk too; later reads reuse it and write nothing
+        array = _array_for((32, 16), np.float64, 4)
+        with MmapStore(root=str(tmp_path), codec="narrow") as store:
+            store.put("blk", array)
+            assert store.spill_bytes_written == array.nbytes // 2
+            store.get("blk")
+            assert store.spill_bytes_written == array.nbytes * 3 // 2
+            store.get("blk")
+            store.mappable_path("blk")
+            assert store.spill_bytes_written == array.nbytes * 3 // 2
+
     def test_narrow_non_float64_falls_back_to_raw(self, tmp_path):
         array = _array_for((8, 8), np.float32, 1)
         with MmapStore(root=str(tmp_path), codec="narrow") as store:
