@@ -41,7 +41,6 @@ from repro.backends.select import (
     default_profile,
     load_profile,
     merge_profile,
-    profile_from_trace,
     save_profile,
     select_backend,
     select_storage,
@@ -118,7 +117,6 @@ __all__ = [
     "default_profile",
     "load_profile",
     "merge_profile",
-    "profile_from_trace",
     "save_profile",
     "select_backend",
     "get_backend",

@@ -74,19 +74,17 @@ SPILL_CODEC_CHOICES = ("raw", "narrow")
 PROFILE_VERSION = 1
 
 #: conservative built-in cost-model parameters. ``rate`` is sustained
-#: float64 multiply-adds per second per core; ``sketch_rate`` is the
-#: same quantity for the randomized methods' sketch contractions (tall
-#: skinny gemms stream differently than square ones, and calibration /
-#: :func:`profile_from_trace` can measure them apart); ``startup`` is
+#: float64 multiply-adds per second per core, the one throughput every
+#: method (exact sweeps and sketches alike) is priced at; ``startup`` is
 #: the one-off cost of bringing the backend up (process pools fork +
 #: import); ``per_task`` is the dispatch overhead per block task;
 #: ``efficiency`` discounts parallel scaling; ``copy_elems_per_s``
 #: charges moving the tensor into backend-owned storage (shared-memory
-#: segments), 0 = free.
+#: segments), 0 = free; ``max_cores`` caps the cores a backend uses,
+#: 0 = uncapped.
 _DEFAULT_BACKENDS = {
     "sequential": {
         "rate": 2.0e9,
-        "sketch_rate": 2.0e9,
         "startup": 0.0,
         "per_task": 0.0,
         "efficiency": 1.0,
@@ -95,7 +93,6 @@ _DEFAULT_BACKENDS = {
     },
     "threaded": {
         "rate": 2.0e9,
-        "sketch_rate": 2.0e9,
         "startup": 2.0e-3,
         "per_task": 1.0e-4,
         "efficiency": 0.85,
@@ -104,7 +101,6 @@ _DEFAULT_BACKENDS = {
     },
     "procpool": {
         "rate": 2.0e9,
-        "sketch_rate": 2.0e9,
         "startup": 1.5e-1,
         "per_task": 2.0e-3,
         "efficiency": 0.90,
@@ -113,19 +109,23 @@ _DEFAULT_BACKENDS = {
     },
 }
 
+#: backend parameters the model divides by: a calibration file must
+#: keep them > 0. The others are costs or caps, where 0 means free or
+#: uncapped, so they only have to be >= 0.
+_POSITIVE_PARAMS = frozenset({"rate", "efficiency"})
+
 #: initialization methods the cost model knows how to charge.
 _METHODS = ("exact", "rsthosvd", "sp-rsthosvd")
 
 #: machine-level spill-storage parameters (backend-independent: the
-#: spill directory's device doesn't care which backend reads it).
-#: ``spill_read_passes`` models how many full-tensor read passes a
-#: spilled run makes over its blocks on top of the one staging write;
-#: ``spill_chunk_bytes`` is the write-through chunk size the calibrate
-#: probe found fastest (used only once the profile is calibrated).
+#: spill directory's device doesn't care which backend reads it). A
+#: spilled run is charged one staging write and one read pass at these
+#: bandwidths; ``spill_chunk_bytes`` is the write-through chunk size the
+#: calibrate probe found fastest (used only once the profile is
+#: calibrated).
 _DEFAULT_STORAGE = {
     "spill_write_bytes_per_s": 8.0e8,
     "spill_read_bytes_per_s": 1.6e9,
-    "spill_read_passes": 1.0,
     "spill_chunk_bytes": float(DEFAULT_CHUNK_BYTES),
 }
 
@@ -161,9 +161,11 @@ def merge_profile(partial: dict) -> dict:
     actually probed) is carried through, filtered to known backends.
 
     Merging never raises: a value of the wrong type (``"rate": "fast"``,
-    a null, a nested object) keeps its default and is reported in a
-    single :class:`RuntimeWarning` — a stale or hand-mangled calibration
-    file must degrade selection quality, not crash a run.
+    a null, a nested object) or out of range (non-finite; ``rate`` /
+    ``efficiency`` and every storage value not > 0; any other backend
+    value negative) keeps its default and is reported in a single
+    :class:`RuntimeWarning` — a stale or hand-mangled calibration file
+    must degrade selection quality, not crash a run.
     """
     profile = default_profile()
     if not isinstance(partial, dict):
@@ -187,7 +189,9 @@ def merge_profile(partial: dict) -> dict:
             except (TypeError, ValueError):
                 invalid.append(f"{name}.{key}")
                 continue
-            if not math.isfinite(value):
+            if not math.isfinite(value) or (
+                value <= 0 if key in _POSITIVE_PARAMS else value < 0
+            ):
                 invalid.append(f"{name}.{key}")
                 continue
             profile["backends"][name][key] = value
@@ -361,14 +365,13 @@ def estimate_seconds(
     charge is *dropped* (workers memory-map the spill blocks in place —
     there is no staging copy into backend-owned segments) and a spill
     I/O term is *added* — one full write pass to stage the tensor plus
-    ``spill_read_passes`` read passes at the machine's measured (or
-    default) spill bandwidths from ``storage_params`` (see
-    :func:`spill_seconds`).
+    one read pass at the machine's measured (or default) spill
+    bandwidths from ``storage_params`` (see :func:`spill_seconds`).
 
     ``method`` charges the pass method-aware: the randomized methods'
     flops come from :func:`init_flops` (sketch widths instead of Gram
-    halves) at the backend's ``sketch_rate`` throughput — so a
-    randomized run is no longer mispriced as an exact sweep.
+    halves), so a randomized run is not mispriced as an exact sweep.
+    Every method runs at the backend's one calibrated ``rate``.
     """
     flops = init_flops(dims, core, method, oversample, power_iters)
     itemsize = float(np.dtype(dtype).itemsize)
@@ -385,12 +388,9 @@ def estimate_seconds(
         efficiency = 1.0
     else:
         efficiency = float(params["efficiency"])
-    rate = (
-        float(params["rate"])
-        if method == "exact"
-        else float(params.get("sketch_rate", params["rate"]))
+    throughput = (
+        float(params["rate"]) * dtype_speedup * efficiency * cores_used
     )
-    throughput = rate * dtype_speedup * efficiency * cores_used
     seconds = float(params["startup"]) + flops / throughput
     # ~2 kernels per mode per sweep, each fanning out one task per worker.
     n_tasks = 2.0 * len(dims) * cores_used if cores_used > 1 else 0.0
@@ -408,12 +408,11 @@ def estimate_seconds(
 
 def spill_seconds(nbytes: float, storage: dict) -> float:
     """Modeled spill I/O seconds for one staged tensor: one full write
-    plus ``spill_read_passes`` reads at the profile's bandwidths."""
+    plus one read pass at the profile's bandwidths."""
     nbytes = float(nbytes)
     write = float(storage["spill_write_bytes_per_s"])
     read = float(storage["spill_read_bytes_per_s"])
-    passes = float(storage["spill_read_passes"])
-    return nbytes / write + passes * nbytes / read
+    return nbytes / write + nbytes / read
 
 
 def resolve_auto_procs(n_procs, available_cores: int | None = None) -> int:
@@ -704,122 +703,6 @@ def select_storage(
     )
 
 
-def profile_from_trace(trace) -> dict:
-    """Measured spill bandwidths from one traced run's I/O spans.
-
-    Every ``kind="io"`` span the storage layer emits (``spill:write`` /
-    ``spill:read``) carries its byte count and wall seconds; aggregating
-    them yields this machine-and-directory's *observed* spill bandwidth,
-    which is exactly the ``storage`` term the cost model charges spilled
-    runs. Returns a partial profile — ``{"storage": {...}}`` with only
-    the directions the trace actually exercised — ready for
-    :func:`merge_profile` or the session's ``calibration=`` argument.
-
-    Write spans time the chunked copy to disk, so their bandwidth is a
-    faithful measurement. Read spans time manifest validation plus the
-    ``mmap`` call (pages fault in lazily inside the consuming kernels),
-    so aggregates under one microsecond are discarded rather than
-    reported as an absurd bandwidth. Session runs emit no ``spill:read``
-    spans at all — their kernels map blocks through ``BlockSource`` —
-    so in practice only direct :meth:`MmapStore.get` callers feed the
-    read rate.
-
-    Randomized runs contribute a second measurement: a ``rsthosvd`` /
-    ``sp-rsthosvd`` phase span times the whole sketch pipeline, and with
-    the trace meta's dims/core/backend the modeled :func:`init_flops`
-    yield the executing backend's observed ``sketch_rate`` — returned as
-    ``{"backends": {name: {"sketch_rate": ...}}}`` alongside (or instead
-    of) the storage term.
-
-    A ``spill:write`` span with a non-raw ``codec`` attribute times
-    encode + encoded write, not the disk, so it is skipped.
-    """
-    totals = {"spill:write": [0.0, 0.0], "spill:read": [0.0, 0.0]}
-    sketch_spans: list[tuple[str, dict, float]] = []
-    for span in getattr(trace, "spans", ()) or ():
-        kind = getattr(span, "kind", None)
-        if kind == "phase" and span.name in ("rsthosvd", "sp-rsthosvd"):
-            sketch_spans.append(
-                (span.name, dict(span.attrs or {}), float(span.seconds))
-            )
-            continue
-        if kind != "io":
-            continue
-        attrs = span.attrs or {}
-        if attrs.get("codec", "raw") != "raw":
-            continue
-        try:
-            nbytes = float(attrs.get("bytes", 0) or 0)
-        except (TypeError, ValueError):
-            continue
-        seconds = float(span.seconds)
-        if not (nbytes > 0 and math.isfinite(seconds) and seconds > 0):
-            continue
-        slot = totals.get(span.name)
-        if slot is None:
-            continue
-        slot[0] += nbytes
-        slot[1] += seconds
-    storage: dict[str, float] = {}
-    written, w_seconds = totals["spill:write"]
-    if written > 0 and w_seconds > 1e-6:
-        storage["spill_write_bytes_per_s"] = written / w_seconds
-    read, r_seconds = totals["spill:read"]
-    if read > 0 and r_seconds > 1e-6:
-        storage["spill_read_bytes_per_s"] = read / r_seconds
-    profile: dict = {}
-    if storage:
-        profile["storage"] = storage
-    rate = _sketch_rate_from_spans(
-        getattr(trace, "meta", None) or {}, sketch_spans
-    )
-    if rate is not None:
-        backend, value = rate
-        profile["backends"] = {backend: {"sketch_rate": value}}
-    return profile
-
-
-def _sketch_rate_from_spans(
-    meta: dict, sketch_spans: list[tuple[str, dict, float]]
-) -> tuple[str, float] | None:
-    """Observed per-core sketch throughput, or ``None`` without evidence.
-
-    The rate is normalized exactly the way :func:`estimate_seconds`
-    consumes it — divided by cores, efficiency and the dtype speedup —
-    so a round trip through the profile reprices the very run that was
-    measured.
-    """
-    backend = meta.get("backend")
-    dims = tuple(int(d) for d in meta.get("dims") or ())
-    core = tuple(int(k) for k in meta.get("core") or ())
-    if backend not in _DEFAULT_BACKENDS or not dims or len(core) != len(dims):
-        return None
-    flops = 0.0
-    seconds = 0.0
-    for name, attrs, span_seconds in sketch_spans:
-        if not math.isfinite(span_seconds) or span_seconds <= 0:
-            continue
-        try:
-            oversample = int(attrs.get("oversample", 5))
-            power_iters = int(attrs.get("power_iters", 0))
-        except (TypeError, ValueError):
-            continue
-        flops += init_flops(dims, core, name, oversample, power_iters)
-        seconds += span_seconds
-    if flops <= 0 or seconds <= 1e-6:
-        return None
-    params = _DEFAULT_BACKENDS[backend]
-    cores = max(1, int(meta.get("n_procs", 1) or 1))
-    max_cores = int(params["max_cores"])
-    if max_cores > 0:
-        cores = min(cores, max_cores)
-    efficiency = float(params["efficiency"]) if cores > 1 else 1.0
-    itemsize = float(meta.get("itemsize", 8) or 8)
-    # Same clamp as estimate_seconds, so the measured rate round-trips.
-    dtype_speedup = min(2.0, 8.0 / itemsize)
-    return backend, flops / seconds / (cores * efficiency * dtype_speedup)
-
-
 # --------------------------------------------------------------------- #
 # calibration
 # --------------------------------------------------------------------- #
@@ -970,7 +853,6 @@ __all__ = [
     "init_flops",
     "load_profile",
     "merge_profile",
-    "profile_from_trace",
     "resolve_auto_procs",
     "save_profile",
     "select_backend",

@@ -142,8 +142,9 @@ def _session_from_args(args) -> TuckerSession:
     try:
         return TuckerSession(
             backend=args.backend, n_procs=args.procs,
-            calibration=args.calibration, spill_codec=args.spill_codec,
-            trace=bool(args.trace),
+            calibration=args.calibration, storage=args.storage,
+            memory_budget=args.memory_budget, spill_dir=args.spill_dir,
+            spill_codec=args.spill_codec, trace=bool(args.trace),
         )
     except ValueError as exc:  # bad profile path, bad codec, bad backend ...
         raise SystemExit(str(exc)) from None
@@ -214,9 +215,6 @@ def cmd_decompose(args) -> int:
             oversample=args.oversample,
             power_iters=args.power_iters,
             seed=args.seed,
-            storage=args.storage,
-            memory_budget=args.memory_budget,
-            spill_dir=args.spill_dir,
         )
     stats = result.stats  # scoped to this run, even on a reused backend
     plan = result.plan
@@ -345,9 +343,6 @@ def cmd_batch(args) -> int:
             skip_hooi=args.skip_hooi,
             max_in_flight=args.max_in_flight,
             on_error=args.on_error,
-            storage=args.storage,
-            memory_budget=args.memory_budget,
-            spill_dir=args.spill_dir,
         )
     except (ValueError, OSError) as exc:  # bad item with --on-error raise
         raise SystemExit(str(exc)) from None

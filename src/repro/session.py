@@ -329,17 +329,6 @@ def _cast_for_run(arr: np.ndarray, dtype, store) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def _check_storage_knobs(storage: str, memory_budget, spill_codec):
-    """Fail fast on a bad storage mode, budget string or codec name;
-    returns the budget in bytes (or ``None``)."""
-    if storage not in STORAGE_MODES:
-        raise ValueError(
-            f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-        )
-    check_spill_codec(spill_codec)
-    return parse_bytes(memory_budget) if memory_budget is not None else None
-
-
 def _spill_geometry(
     budget: int | None, chunk_bytes: int | None
 ) -> tuple[int | None, int]:
@@ -632,7 +621,16 @@ class TuckerSession:
         resident, the historical behavior), ``"mmap"`` (always spill to
         memory-mapped block files), or ``"auto"`` (the default: spill
         exactly when ``memory_budget`` — or ``$REPRO_MEMORY_BUDGET`` —
-        is set and the input's bytes exceed it). Overridable per run.
+        is set and the input's bytes exceed it). A spilled run
+        (``result.storage == "mmap"``) stages the tensor through
+        memory-mapped block files in a run-private spill directory —
+        removed before the run returns — instead of holding it resident,
+        so inputs larger than RAM (or than the budget) decompose on the
+        shared-memory backends. (``simcluster`` spills its per-rank
+        bricks too, but its sequential STHOSVD init still materializes
+        working copies — it is a measurement instrument, not a capacity
+        path.) The storage settings below are fixed for the session's
+        lifetime; a run that needs another policy uses another session.
     memory_budget:
         Resident-byte budget (int, or ``"512M"``-style string) the
         storage policy holds spilled runs to; out-of-core kernels cut
@@ -645,7 +643,7 @@ class TuckerSession:
         How spilled blocks are encoded on disk: ``"raw"`` (the default:
         memmap-able flat files) or ``"narrow"`` (lossy float64→float32
         with the realized error bound recorded per block and surfaced
-        as ``result.spill_error_bound``). Overridable per run.
+        as ``result.spill_error_bound``).
     trace:
         ``True`` to record a full :class:`~repro.obs.Trace` per run
         (``result.trace``): phase spans, one step span per ledger
@@ -718,9 +716,14 @@ class TuckerSession:
         # *correct*, just serialized.
         self._cache_lock = threading.RLock()
         self._run_lock = threading.RLock()
+        if storage not in STORAGE_MODES:
+            raise ValueError(
+                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
+            )
+        check_spill_codec(spill_codec)
         self._storage = storage
-        self._memory_budget = _check_storage_knobs(
-            storage, memory_budget, spill_codec
+        self._memory_budget = (
+            parse_bytes(memory_budget) if memory_budget is not None else None
         )
         self._spill_codec = spill_codec
         self._spill_dir = spill_dir
@@ -741,30 +744,18 @@ class TuckerSession:
 
     # -- storage policy ---------------------------------------------------- #
 
-    def _select_storage(
-        self, nbytes: int, storage: str | None, memory_budget,
-        spill_codec: str | None = None,
-    ) -> StorageSelection:
-        """Resolve per-run knobs over the session defaults.
+    def _select_storage(self, nbytes: int) -> StorageSelection:
+        """The session's storage verdict for an input of ``nbytes``.
 
         Auto sessions hand the selector their calibration profile, whose
         calibrated chunk size the spill store then writes with.
         """
         return select_storage(
-            nbytes,
-            storage if storage is not None else self._storage,
-            memory_budget
-            if memory_budget is not None
-            else self._memory_budget,
-            codec=(
-                spill_codec if spill_codec is not None else self._spill_codec
-            ),
-            profile=self._profile,
+            nbytes, self._storage, self._memory_budget,
+            codec=self._spill_codec, profile=self._profile,
         )
 
-    def _open_store(
-        self, selection: StorageSelection, spill_dir: str | None
-    ) -> MmapStore | None:
+    def _open_store(self, selection: StorageSelection) -> MmapStore | None:
         """A run-scoped spill store, or ``None`` for in-memory runs.
 
         Blocks and write-through chunks come from :func:`_spill_geometry`
@@ -777,27 +768,22 @@ class TuckerSession:
             selection.memory_budget, selection.chunk_bytes
         )
         return MmapStore(
-            root=spill_dir if spill_dir is not None else self._spill_dir,
+            root=self._spill_dir,
             max_block_bytes=max_block,
             chunk_bytes=chunk,
             codec=selection.codec,
         )
 
-    def prefetch_chunk_bytes(
-        self, memory_budget: int | str | None = None
-    ) -> int:
+    def prefetch_chunk_bytes(self) -> int:
         """The page-warm chunk size matching this session's store geometry.
 
         Prefetch leases its warm chunks through the resident gauge, so it
         must never lease a bigger chunk than the budget-bounded store
         itself would write: both come from :func:`_spill_geometry`.
         """
-        budget = (
-            parse_bytes(memory_budget)
-            if memory_budget is not None
-            else self._memory_budget
-        )
-        return _spill_geometry(budget, spill_chunk_bytes(self._profile))[1]
+        return _spill_geometry(
+            self._memory_budget, spill_chunk_bytes(self._profile)
+        )[1]
 
     # -- adaptive backend selection --------------------------------------- #
 
@@ -822,11 +808,9 @@ class TuckerSession:
         if not self._auto:
             return
         if storage is None:
-            # compile() ahead of any run: price under the session's own
-            # storage defaults.
-            storage = self._select_storage(
-                meta.cardinality * dtype.itemsize, None, None
-            )
+            # compile() ahead of any run: price under the session's
+            # storage policy.
+            storage = self._select_storage(meta.cardinality * dtype.itemsize)
         procs = n_procs if n_procs is not None else self._auto_procs
         effective_procs = resolve_auto_procs(procs)
         selection = select_backend(
@@ -1162,14 +1146,11 @@ class TuckerSession:
         planner: str | Planner,
         n_procs: int | None,
         dtype,
-        storage: str | None,
-        memory_budget: int | str | None,
-        spill_codec: str | None,
         algo: dict,
     ) -> tuple[np.ndarray, CompiledPlan, bool, StorageSelection]:
         """Resolve dtype and storage, validate shapes, compile-or-fetch.
 
-        The run's storage overrides are resolved here, once: the
+        The run's storage verdict is made here, once: the
         :class:`StorageSelection` feeds backend selection and travels on.
         """
         # Keep ndarray subclasses (np.memmap in particular): a lazily
@@ -1182,10 +1163,7 @@ class TuckerSession:
             work_dtype = resolve_dtype(arr, dtype)
         # Policy sees the *working* bytes: a float32 file run at float64
         # occupies twice its on-disk size once cast.
-        selection = self._select_storage(
-            arr.size * work_dtype.itemsize, storage, memory_budget,
-            spill_codec,
-        )
+        selection = self._select_storage(arr.size * work_dtype.itemsize)
         if isinstance(plan, (Plan, CompiledPlan)):
             if plan.meta.dims != arr.shape:
                 raise ValueError(
@@ -1326,25 +1304,17 @@ class TuckerSession:
         dtype=None,
         max_iters: int = 10,
         tol: float = 1e-8,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
     ) -> TuckerResult:
         """Iterate HOOI from an initial decomposition (or factor list).
 
         ``init`` is a :class:`TuckerDecomposition` or a sequence of factor
         matrices. Per-iteration errors come from the norm identity using
         backend reductions, so no rank ever holds the full tensor on the
-        distributed backend. ``storage`` / ``memory_budget`` /
-        ``spill_dir`` / ``spill_codec`` override the session's storage
-        policy for this run.
+        distributed backend.
         """
         return self._run(
             "hooi", tensor, None, init=init, plan=plan, planner=planner,
             n_procs=n_procs, dtype=dtype, max_iters=max_iters, tol=tol,
-            storage=storage, memory_budget=memory_budget,
-            spill_dir=spill_dir, spill_codec=spill_codec,
         )
 
     def _init_pass(
@@ -1424,17 +1394,11 @@ class TuckerSession:
         planner: str | Planner = "portfolio",
         n_procs: int | None = None,
         dtype=None,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
     ) -> TuckerResult:
         """One STHOSVD pass on the backend (static grid, optimal order)."""
         return self._run(
             "sthosvd", tensor, core_dims, plan=plan, planner=planner,
-            n_procs=n_procs, dtype=dtype, skip_hooi=True, storage=storage,
-            memory_budget=memory_budget, spill_dir=spill_dir,
-            spill_codec=spill_codec,
+            n_procs=n_procs, dtype=dtype, skip_hooi=True,
         )
 
     def run(
@@ -1453,10 +1417,6 @@ class TuckerSession:
         oversample: int = 5,
         power_iters: int = 0,
         seed: int = 0,
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
     ) -> TuckerResult:
         """The full pipeline: STHOSVD init + HOOI refinement to tolerance.
 
@@ -1481,16 +1441,8 @@ class TuckerSession:
         configured backend — including ``simcluster``, whose ledger then
         charges the sketch's reduced communication volumes.
 
-        ``storage`` / ``memory_budget`` / ``spill_dir`` override the
-        session's storage policy for this run: a spilled run
-        (``result.storage == "mmap"``) stages the tensor through
-        memory-mapped block files in a run-private spill directory —
-        removed before this method returns — instead of holding it
-        resident, so inputs larger than RAM (or than the budget)
-        decompose on the shared-memory backends. (``simcluster`` spills
-        its per-rank bricks too, but its sequential STHOSVD init still
-        materializes working copies — it is a measurement instrument,
-        not a capacity path.)
+        Where the working set lives is the session's storage policy (see
+        the class's ``storage`` entry); ``result.storage`` reports it.
         The run is timed through the session tracer's root span
         (``result.seconds``); on traced sessions ``result.trace`` holds
         the full span tree, a metrics snapshot and the plan's modeled
@@ -1500,9 +1452,7 @@ class TuckerSession:
             "run", tensor, core_dims, plan=plan, planner=planner,
             n_procs=n_procs, dtype=dtype, max_iters=max_iters, tol=tol,
             skip_hooi=skip_hooi, method=method, oversample=oversample,
-            power_iters=power_iters, seed=seed, storage=storage,
-            memory_budget=memory_budget, spill_dir=spill_dir,
-            spill_codec=spill_codec,
+            power_iters=power_iters, seed=seed,
         )
 
     # -- the run pipeline -------------------------------------------------- #
@@ -1570,9 +1520,8 @@ class TuckerSession:
 
     def _run_impl(
         self, entry, tensor, core_dims, *, root, plan, planner, n_procs,
-        dtype, storage, memory_budget, spill_dir, spill_codec, init=None,
-        max_iters=0, tol=0.0, skip_hooi=False, method="exact",
-        oversample=5, power_iters=0, seed=0,
+        dtype, init=None, max_iters=0, tol=0.0, skip_hooi=False,
+        method="exact", oversample=5, power_iters=0, seed=0,
     ) -> TuckerResult:
         """Compile, place, initialize, refine: the pipeline every entry runs.
 
@@ -1596,8 +1545,7 @@ class TuckerSession:
         tr = self._tr()
         with tr.span("compile", kind="phase"):
             arr, compiled, from_cache, selection = self._prepare(
-                tensor, core_dims, plan, planner, n_procs, dtype,
-                storage, memory_budget, spill_codec, algo,
+                tensor, core_dims, plan, planner, n_procs, dtype, algo,
             )
         tr.event(
             "select:storage", mode=selection.mode, codec=selection.codec,
@@ -1646,7 +1594,7 @@ class TuckerSession:
         # A chain's outputs can stand in for the tree's only where no
         # program regrids for itself (one address space).
         reuse = _Reuse() if loop and backend.regrid_is_identity else None
-        run_store = self._open_store(selection, spill_dir)
+        run_store = self._open_store(selection)
         try:
             with self._observed(run_store):
                 arr = _cast_for_run(arr, compiled.dtype, run_store)
@@ -1712,10 +1660,6 @@ class TuckerSession:
         seed: int = 0,
         max_in_flight: int = 1,
         on_error: str = "raise",
-        storage: str | None = None,
-        memory_budget: int | str | None = None,
-        spill_dir: str | None = None,
-        spill_codec: str | None = None,
         prefetch: bool = True,
     ) -> BatchResult:
         """Decompose a stream of tensors through one warm session.
@@ -1729,12 +1673,12 @@ class TuckerSession:
         ``core_dims`` is one core shape applied to every item, or a
         callable ``shape -> core`` for heterogeneous streams.
 
-        ``storage`` / ``memory_budget`` / ``spill_dir`` apply the
-        session's storage policy per item: with a budget set, any item
-        whose bytes exceed it streams through memory-mapped spill blocks
-        (its ``result.storage`` reports ``"mmap"``) while smaller items
-        stay resident — a mixed stream gets per-item out-of-core
-        treatment exactly like it gets per-item backend selection.
+        The session's storage policy applies per item: with a budget
+        set, any item whose bytes exceed it streams through
+        memory-mapped spill blocks (its ``result.storage`` reports
+        ``"mmap"``) while smaller items stay resident — a mixed stream
+        gets per-item out-of-core treatment exactly like it gets
+        per-item backend selection.
 
         Each distinct ``(shape, core, dtype)`` compiles its plan exactly
         once (the session's LRU plan cache); within the in-flight window
@@ -1771,11 +1715,6 @@ class TuckerSession:
         max_in_flight = check_positive_int(max_in_flight, "max_in_flight")
         if dtype is not None:
             resolve_dtype(np.float64, dtype)  # fail fast on a bad knob
-        _check_storage_knobs(
-            storage if storage is not None else self._storage,
-            memory_budget,
-            spill_codec if spill_codec is not None else self._spill_codec,
-        )
         info = self.cache_info()
         hits0, misses0 = info["hits"], info["misses"]
         self._run_lock.acquire()  # whole-batch scope: tmark..drain is positional
@@ -1786,10 +1725,10 @@ class TuckerSession:
         items: list[BatchItem] = []
         failures: list[BatchFailure] = []
         ledger = StatsLedger()
-        # Warm chunks sized to the (possibly overridden) budget geometry,
-        # never larger than the run stores this batch will open.
+        # Warm chunks sized to the budget geometry, never larger than the
+        # run stores this batch will open.
         prefetcher = (
-            Prefetcher(chunk_bytes=self.prefetch_chunk_bytes(memory_budget))
+            Prefetcher(chunk_bytes=self.prefetch_chunk_bytes())
             if prefetch
             else None
         )
@@ -1863,10 +1802,6 @@ class TuckerSession:
                                 oversample=oversample,
                                 power_iters=power_iters,
                                 seed=seed,
-                                storage=storage,
-                                memory_budget=memory_budget,
-                                spill_dir=spill_dir,
-                                spill_codec=spill_codec,
                             )
                         except Exception as exc:
                             if on_error == "raise":

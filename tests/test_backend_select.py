@@ -30,7 +30,6 @@ from repro.backends.select import (
     calibrate,
     default_profile_path,
     estimate_seconds,
-    profile_from_trace,
     select_storage,
     sweep_flops,
 )
@@ -375,6 +374,25 @@ class TestCostModel:
                                dtype=np.float32, **kwargs)
         assert f32 < f64
 
+    @pytest.mark.parametrize("method", ["exact", "rsthosvd", "sp-rsthosvd"])
+    @pytest.mark.parametrize("name", AUTO_CANDIDATES)
+    def test_every_method_priced_at_the_one_rate(self, name, method):
+        # With the fixed costs zeroed, the modelled time is flops over
+        # throughput: doubling the backend's rate halves it, for the
+        # sketch methods exactly as for the exact sweep.
+        params = dict(
+            default_profile()["backends"][name],
+            startup=0.0, per_task=0.0, copy_elems_per_s=0.0,
+        )
+        kw = dict(n_procs=4, dtype=np.float64, available_cores=8,
+                  method=method)
+        slow = estimate_seconds(params, (64, 48, 40), (8, 6, 5), **kw)
+        fast = estimate_seconds(
+            dict(params, rate=2.0 * params["rate"]), (64, 48, 40), (8, 6, 5),
+            **kw,
+        )
+        assert slow == pytest.approx(2.0 * fast, rel=1e-12)
+
     def test_large_tensor_prefers_parallel_when_cores_abound(self):
         sel = select_backend(
             (512, 512, 512), (32, 32, 32), n_procs=8, available_cores=16
@@ -456,6 +474,41 @@ class TestProfilePersistence:
         assert merged["backends"]["threaded"]["rate"] == (
             default_profile()["backends"]["threaded"]["rate"]
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"rate": 0},
+            {"efficiency": 0},
+            {"rate": -1e9},
+            {"startup": -5},
+            {"per_task": -1},
+        ],
+        ids=["rate-0", "efficiency-0", "rate-negative", "startup-negative",
+             "per-task-negative"],
+    )
+    def test_out_of_range_values_warn_and_select_as_default(self, params):
+        # rate / efficiency divide the model, and a negative cost would
+        # let threaded win on a negative modelled time.
+        with pytest.warns(RuntimeWarning, match="threaded"):
+            merged = merge_profile({"backends": {"threaded": params}})
+        assert merged["backends"] == default_profile()["backends"]
+        a = select_backend((64, 64, 64), (8, 8, 8), profile=merged)
+        b = select_backend((64, 64, 64), (8, 8, 8))
+        assert (a.backend, a.n_procs, a.scores, a.reason) == (
+            b.backend, b.n_procs, b.scores, b.reason
+        )
+
+    def test_zero_costs_and_caps_are_accepted(self):
+        import warnings
+
+        zero = {"startup": 0, "per_task": 0, "copy_elems_per_s": 0,
+                "max_cores": 0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = merge_profile({"backends": {"procpool": zero}})
+        for key in zero:
+            assert merged["backends"]["procpool"][key] == 0.0
 
     def test_session_survives_corrupt_explicit_calibration(self, tmp_path):
         # End to end: a stale profile file named by the caller must not
@@ -549,21 +602,6 @@ class TestSpilledCostModel:
         )
         assert slow > fast
 
-    def test_read_passes_multiply_read_charge(self):
-        kw = dict(n_procs=1, dtype=np.float64, available_cores=1)
-        one_pass = estimate_seconds(
-            self._params(), (64, 64, 64), (8, 8, 8), spilled=True,
-            storage_params={"spill_read_passes": 1.0}, **kw,
-        )
-        three_pass = estimate_seconds(
-            self._params(), (64, 64, 64), (8, 8, 8), spilled=True,
-            storage_params={"spill_read_passes": 3.0}, **kw,
-        )
-        nbytes = 64 ** 3 * 8
-        assert three_pass - one_pass == pytest.approx(
-            2.0 * nbytes / 1.6e9
-        )
-
     def test_select_backend_spilled_deterministic_and_flagged(self):
         a = select_backend(
             (48, 48, 48), (8, 8, 8), n_procs=4, available_cores=8,
@@ -604,12 +642,10 @@ class TestStorageProfileMerge:
         profile = merge_profile({"storage": {"warp_speed": 1.0}})
         assert "warp_speed" not in profile["storage"]
 
-    def test_profiles_with_codec_rates_load_silently_and_select_alike(
-        self, tmp_path
-    ):
-        # Profiles calibrated while the model still priced zlib/narrow
-        # carry codec rates: they load without a warning and select
-        # exactly as the same profile without them.
+    @staticmethod
+    def _assert_loads_like_base(tmp_path, backends=None, storage=None):
+        """A profile carrying retired keys loads without a warning and
+        selects exactly as the same profile without them."""
         import copy
         import warnings
 
@@ -619,131 +655,53 @@ class TestStorageProfileMerge:
         base["backends"]["threaded"]["rate"] = 5.0e9
         base["storage"]["spill_write_bytes_per_s"] = 6.0e8
         old = copy.deepcopy(base)
-        old["storage"].update(
-            zlib_encode_bytes_per_s=2.0e7,
-            zlib_decode_bytes_per_s=1.07e8,
-            zlib_ratio=0.961,
-            narrow_encode_bytes_per_s=1.5e9,
-            narrow_decode_bytes_per_s=3.0e9,
-        )
+        for name, extra in (backends or {}).items():
+            old["backends"][name].update(extra)
+        old["storage"].update(storage or {})
         path = save_profile(old, str(tmp_path / "old.json"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = load_profile(path)
         assert loaded == merge_profile(base)
         for spilled in (False, True):
-            a = select_backend(
-                (96, 80, 64), (8, 8, 8), available_cores=4,
-                profile=loaded, spilled=spilled,
-            )
-            b = select_backend(
-                (96, 80, 64), (8, 8, 8), available_cores=4,
-                profile=base, spilled=spilled,
-            )
-            assert (a.backend, a.n_procs, a.scores) == (
-                b.backend, b.n_procs, b.scores
-            )
+            for method in ("exact", "rsthosvd", "sp-rsthosvd"):
+                a = select_backend(
+                    (96, 80, 64), (8, 8, 8), available_cores=4,
+                    profile=loaded, spilled=spilled, method=method,
+                )
+                b = select_backend(
+                    (96, 80, 64), (8, 8, 8), available_cores=4,
+                    profile=base, spilled=spilled, method=method,
+                )
+                assert (a.backend, a.n_procs, a.scores) == (
+                    b.backend, b.n_procs, b.scores
+                )
 
-
-class TestProfileFromTrace:
-    def _span(self, sid, name, kind, seconds, nbytes):
-        from repro.obs.trace import Span
-
-        return Span(
-            sid=sid, name=name, kind=kind, start=0.0, end=seconds,
-            attrs={"bytes": nbytes},
-        )
-
-    def test_io_spans_become_storage_rates(self):
-        from repro.obs.trace import Trace
-
-        trace = Trace(spans=(
-            self._span(1, "spill:write", "io", 0.5, 5.0e8),
-            self._span(2, "spill:write", "io", 0.5, 5.0e8),
-            self._span(3, "spill:read", "io", 0.25, 5.0e8),
+    def test_profiles_with_codec_rates_load_silently_and_select_alike(
+        self, tmp_path
+    ):
+        # Profiles calibrated while the model still priced zlib/narrow
+        # carry codec rates.
+        self._assert_loads_like_base(tmp_path, storage=dict(
+            zlib_encode_bytes_per_s=2.0e7,
+            zlib_decode_bytes_per_s=1.07e8,
+            zlib_ratio=0.961,
+            narrow_encode_bytes_per_s=1.5e9,
+            narrow_decode_bytes_per_s=3.0e9,
         ))
-        partial = profile_from_trace(trace)
-        assert partial["storage"]["spill_write_bytes_per_s"] == (
-            pytest.approx(1.0e9)
+
+    def test_profiles_with_sketch_rates_and_read_passes_load_silently(
+        self, tmp_path
+    ):
+        # Profiles written while the model had a second, sketch-only
+        # throughput and a read-pass multiplier still carry both.
+        self._assert_loads_like_base(
+            tmp_path,
+            backends={
+                name: {"sketch_rate": 1.0e8} for name in AUTO_CANDIDATES
+            },
+            storage={"spill_read_passes": 3.0},
         )
-        assert partial["storage"]["spill_read_bytes_per_s"] == (
-            pytest.approx(2.0e9)
-        )
-        merged = merge_profile(partial)
-        assert merged["storage"]["spill_write_bytes_per_s"] == (
-            pytest.approx(1.0e9)
-        )
-
-    def test_non_io_and_zero_byte_spans_ignored(self):
-        from repro.obs.trace import Trace
-
-        trace = Trace(spans=(
-            self._span(1, "spill:write", "phase", 0.5, 1e9),  # wrong kind
-            self._span(2, "spill:write", "io", 0.5, 0),       # no bytes
-            self._span(3, "other:io", "io", 0.5, 1e9),        # wrong name
-        ))
-        assert profile_from_trace(trace) == {}
-
-    def test_sub_microsecond_aggregates_discarded(self):
-        from repro.obs.trace import Trace
-
-        trace = Trace(spans=(
-            self._span(1, "spill:read", "io", 5e-7, 4096),
-        ))
-        assert profile_from_trace(trace) == {}
-
-    def test_empty_trace_is_empty_partial(self):
-        from repro.obs.trace import Trace
-
-        assert profile_from_trace(Trace(spans=())) == {}
-
-    def test_real_spilled_run_yields_mergeable_profile(self, tmp_path):
-        t = low_rank_tensor((16, 14, 12), (3, 3, 2), seed=5, noise=0.0)
-        with TuckerSession(
-            backend="sequential", trace=True,
-            storage="mmap", spill_dir=str(tmp_path),
-        ) as session:
-            result = session.run(t, (3, 3, 2), max_iters=1)
-        partial = profile_from_trace(result.trace)
-        assert "spill_write_bytes_per_s" in partial.get("storage", {})
-        merged = merge_profile(partial)
-        sel = select_backend(
-            (16, 14, 12), (3, 3, 2), profile=merged, spilled=True,
-        )
-        assert sel.backend in AUTO_CANDIDATES
-
-    def _codec_span(self, sid, name, seconds, nbytes, **extra):
-        from repro.obs.trace import Span
-
-        return Span(
-            sid=sid, name=name, kind="io", start=0.0, end=seconds,
-            attrs={"bytes": nbytes, **extra},
-        )
-
-    def test_codec_spans_never_read_as_raw_bandwidth(self):
-        from repro.obs.trace import Trace
-
-        # Encoded writes time the codec, not the disk; decodes are no
-        # storage term at all.
-        trace = Trace(spans=(
-            self._codec_span(1, "spill:write", 0.5, 5.0e8),  # raw write
-            self._codec_span(2, "spill:write", 1.0, 3.0e8,
-                             codec="zlib:6", raw_bytes=6.0e8),
-            self._codec_span(3, "spill:write", 1.0, 3.0e8,
-                             codec="narrow", raw_bytes=6.0e8),
-            self._codec_span(4, "spill:decode", 0.5, 1.0e9, codec="zlib:6"),
-        ))
-        storage = profile_from_trace(trace)["storage"]
-        assert storage == {"spill_write_bytes_per_s": pytest.approx(1.0e9)}
-
-    def test_unknown_codec_family_spans_dropped(self):
-        from repro.obs.trace import Trace
-
-        trace = Trace(spans=(
-            self._codec_span(1, "spill:write", 1.0, 1e8,
-                             codec="lz9", raw_bytes=1e9),
-        ))
-        assert profile_from_trace(trace) == {}
 
 
 class TestCalibratedProcRanking:
@@ -890,11 +848,12 @@ class TestSpillCodecFrontDoors:
 
     @pytest.mark.parametrize("codec", REJECTED)
     def test_per_run_override_rejected(self, codec):
+        # The codec is a session setting: no run takes one.
         t = low_rank_tensor((8, 7, 6), (2, 2, 2), seed=0)
         with TuckerSession("sequential") as session:
-            with pytest.raises(ValueError, match="spill_codec"):
+            with pytest.raises(TypeError, match="spill_codec"):
                 session.run(t, (2, 2, 2), spill_codec=codec)
-            with pytest.raises(ValueError, match="spill_codec"):
+            with pytest.raises(TypeError, match="spill_codec"):
                 session.run_many([t], (2, 2, 2), spill_codec=codec)
 
     @pytest.mark.parametrize("codec", REJECTED)
@@ -912,18 +871,21 @@ class TestSpillCodecFrontDoors:
 class TestSpillGeometry:
     """Stores and prefetch share one budget -> block/chunk rule."""
 
-    def _session(self, **storage):
+    def _session(self, spill_dir=None, **storage):
         profile = default_profile()
         profile["calibrated"] = True
         profile["storage"].update(storage)
         return TuckerSession(
-            "auto", calibration=profile, storage="mmap", memory_budget="16M"
+            "auto", calibration=profile, storage="mmap", memory_budget="16M",
+            spill_dir=spill_dir,
         )
 
     def test_prefetch_chunk_matches_calibrated_store_chunk(self, tmp_path):
-        with self._session(spill_chunk_bytes=256 * 2**10) as session:
-            selection = session._select_storage(10**9, None, None)
-            store = session._open_store(selection, str(tmp_path))
+        with self._session(
+            str(tmp_path), spill_chunk_bytes=256 * 2**10
+        ) as session:
+            selection = session._select_storage(10**9)
+            store = session._open_store(selection)
             with store:
                 assert store.chunk_bytes == 256 * 2**10
                 assert session.prefetch_chunk_bytes() == store.chunk_bytes
@@ -936,7 +898,8 @@ class TestSpillGeometry:
             assert session.prefetch_chunk_bytes() == min(
                 DEFAULT_CHUNK_BYTES, 16 * 2**20 // OC_LEASE_FACTOR
             )
-            assert session.prefetch_chunk_bytes(0) == 4096
+        with TuckerSession("sequential", memory_budget=0) as session:
+            assert session.prefetch_chunk_bytes() == 4096
         with TuckerSession("sequential") as session:
             assert session.prefetch_chunk_bytes() == DEFAULT_CHUNK_BYTES
 

@@ -57,6 +57,28 @@ class TestBatchGlob:
             main(["batch", "--glob", str(npy_dir / "t*.npy")])
 
 
+class TestBatchStorageFlags:
+    def test_every_item_spills_under_mmap(self, npy_dir, capsys):
+        spill = npy_dir / "spill"
+        spill.mkdir()
+        rc = main([
+            "batch",
+            "--glob", str(npy_dir / "t*.npy"),
+            "--core", "4,3,3",
+            "--backend", "sequential",
+            "--max-iters", "1",
+            "--storage", "mmap",
+            "--memory-budget", "16K",
+            "--spill-dir", str(spill),
+            "--json",
+        ])
+        assert rc == 0
+        items = json.loads(capsys.readouterr().out)["items"]
+        assert len(items) == 5
+        assert [item["storage"] for item in items] == ["mmap"] * 5
+        assert list(spill.iterdir()) == []
+
+
 class TestBatchManifest:
     def test_manifest_relative_paths_and_json(self, npy_dir, capsys):
         manifest = npy_dir / "manifest.txt"

@@ -212,6 +212,32 @@ class TestCalibrate:
         }
 
 
+class TestDecomposeStorageFlags:
+    """--storage / --memory-budget / --spill-dir reach the run."""
+
+    ARGS = ["decompose", "--random", "24,20,16", "--core", "6,5,4", "--json"]
+
+    def test_mmap_spills_under_the_budget_and_cleans_up(
+        self, tmp_path, capsys
+    ):
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        rc = main(self.ARGS + [
+            "--storage", "mmap", "--memory-budget", "16K",
+            "--spill-dir", str(spill),
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["storage"] == "mmap"
+        assert payload["spill_bytes_logical"] > 0
+        assert list(spill.iterdir()) == []
+
+    def test_memory_stays_resident(self, capsys):
+        rc = main(self.ARGS + ["--storage", "memory"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["storage"] == "memory"
+
+
 class TestDecomposeErrors:
     def test_bad_calibration_path_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):

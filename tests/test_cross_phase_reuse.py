@@ -89,13 +89,13 @@ def backends():
         backend.close()
 
 
-def session_on(backends, name) -> TuckerSession:
+def session_on(backends, name, **storage) -> TuckerSession:
     if name not in backends:
         pytest.skip(f"{name} backend unavailable here")
-    return TuckerSession(backend=backends[name])
+    return TuckerSession(backend=backends[name], **storage)
 
 
-def cold_sweeps(session, t, compiled, factors, sweeps, **storage):
+def cold_sweeps(session, t, compiled, factors, sweeps):
     """The reference: ``sweeps`` single cold invocations, nothing carried.
 
     ``hooi(max_iters=1)`` starts from caller factors (no init pass to
@@ -104,7 +104,7 @@ def cold_sweeps(session, t, compiled, factors, sweeps, **storage):
     """
     errors = []
     for _ in range(sweeps):
-        res = session.hooi(t, factors, plan=compiled, max_iters=1, **storage)
+        res = session.hooi(t, factors, plan=compiled, max_iters=1)
         assert res.flops_reused == 0
         factors = res.decomposition.factors
         errors += res.errors
@@ -137,12 +137,11 @@ class TestEquivalence:
         self, backends, shape, name, storage, method
     ):
         t, core, compiled = make(shape)
-        session = session_on(backends, name)
-        kw = {"plan": compiled, "storage": storage, "method": method}
+        session = session_on(backends, name, storage=storage)
+        kw = {"plan": compiled, "method": method}
         init = session.run(t, core, skip_hooi=True, **kw)
         ref_dec, ref_errors = cold_sweeps(
             session, t, compiled, init.decomposition.factors, 3,
-            storage=storage,
         )
         res = session.run(t, core, **NEVER, **kw)
         assert res.storage == storage
@@ -354,14 +353,14 @@ class TestLifetime:
     def test_sequential_mmap_leaves_no_spill_file_or_lease(self, tmp_path):
         t, core, compiled = make("4d-bench")
         backend = failing(SequentialBackend)()
-        session = TuckerSession(backend=backend)
+        session = TuckerSession(
+            backend=backend, storage="mmap", memory_budget="64K",
+            spill_dir=str(tmp_path),
+        )
         gauge = resident_gauge()
         for _ in self.run_until_it_passes(
             backend,
-            lambda: session.run(
-                t, core, plan=compiled, storage="mmap", memory_budget="64K",
-                spill_dir=str(tmp_path), **NEVER,
-            ),
+            lambda: session.run(t, core, plan=compiled, **NEVER),
         ):
             assert os.listdir(tmp_path) == []
             assert gauge.current == 0

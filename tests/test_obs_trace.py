@@ -505,15 +505,34 @@ class TestSessionTracing:
         from repro.tensor.random import low_rank_tensor
 
         t = low_rank_tensor((16, 12, 10), (4, 3, 3), noise=0.1, seed=5)
-        session = TuckerSession(backend="sequential", trace=True)
-        res = session.run(t, (4, 3, 3), max_iters=1, storage="mmap",
-                          spill_dir=str(tmp_path))
+        session = TuckerSession(
+            backend="sequential", trace=True, storage="mmap",
+            spill_dir=str(tmp_path),
+        )
+        res = session.run(t, (4, 3, 3), max_iters=1)
         io = res.trace.by_kind("io")
         assert io, "spilled run produced no io spans"
         assert {s.name for s in io} <= {"spill:read", "spill:write"}
         writes = res.trace.meta["metrics"]["counters"]["spill_write_bytes"]
         assert writes > 0
         assert res.trace.meta["resident_peak"] > 0
+
+    def test_spill_write_spans_account_for_every_written_byte(self, tmp_path):
+        from repro.session import TuckerSession
+        from repro.tensor.random import low_rank_tensor
+
+        t = low_rank_tensor((16, 14, 12), (3, 3, 2), seed=5, noise=0.0)
+        with TuckerSession(
+            backend="sequential", trace=True, storage="mmap",
+            spill_dir=str(tmp_path),
+        ) as session:
+            res = session.run(t, (3, 3, 2), max_iters=1)
+        writes = [
+            s for s in res.trace.by_kind("io") if s.name == "spill:write"
+        ]
+        assert len(writes) >= 1
+        assert sum(s.attrs["bytes"] for s in writes) == res.spill_bytes_written
+        assert res.spill_bytes_written > 0
 
     def test_user_supplied_tracer_is_used(self):
         from repro.session import TuckerSession

@@ -27,8 +27,6 @@ from repro.backends.select import (
     default_profile,
     estimate_seconds,
     init_flops,
-    merge_profile,
-    profile_from_trace,
     select_backend,
     sweep_flops,
 )
@@ -327,19 +325,18 @@ class TestRandomizedSession:
         # One pass over the spill blocks accumulates every sketch; the
         # blocked accumulation must agree with the resident path.
         t = fixture(noise=0.01)
-        session = TuckerSession(backend=make_backend(name))
+        backend = make_backend(name)
+        kw = dict(
+            n_procs=PROCS, method=method, seed=7, power_iters=1,
+            skip_hooi=True,
+        )
         try:
-            resident = session.run(
-                t, CORE, n_procs=PROCS, method=method, seed=7,
-                power_iters=1, skip_hooi=True,
-            )
-            spilled = session.run(
-                t, CORE, n_procs=PROCS, method=method, seed=7,
-                power_iters=1, skip_hooi=True, storage="mmap",
-                spill_dir=str(tmp_path),
-            )
+            resident = TuckerSession(backend=backend).run(t, CORE, **kw)
+            spilled = TuckerSession(
+                backend=backend, storage="mmap", spill_dir=str(tmp_path),
+            ).run(t, CORE, **kw)
         finally:
-            session.close()
+            backend.close()
         assert spilled.storage == "mmap"
         assert spilled.sthosvd_error == pytest.approx(
             resident.sthosvd_error, abs=1e-8
@@ -518,22 +515,6 @@ class TestMethodAwareCostModel:
         )
         assert rand < exact
 
-    def test_estimate_uses_sketch_rate(self):
-        params = dict(default_profile()["backends"]["sequential"])
-        slow = dict(params, sketch_rate=params["rate"] / 10.0)
-        kwargs = dict(n_procs=1, dtype=np.float64, available_cores=4)
-        fast_s = estimate_seconds(
-            params, self.DIMS, self.CORE, method="rsthosvd", **kwargs
-        )
-        slow_s = estimate_seconds(
-            slow, self.DIMS, self.CORE, method="rsthosvd", **kwargs
-        )
-        assert slow_s == pytest.approx(fast_s * 10.0, rel=1e-6)
-        # exact pricing ignores sketch_rate entirely
-        assert estimate_seconds(
-            params, self.DIMS, self.CORE, **kwargs
-        ) == estimate_seconds(slow, self.DIMS, self.CORE, **kwargs)
-
     def test_select_backend_is_method_pure(self):
         a = select_backend(
             self.DIMS, self.CORE, n_procs=2, available_cores=4,
@@ -551,37 +532,6 @@ class TestMethodAwareCostModel:
             self.DIMS, self.CORE, n_procs=2, available_cores=4
         )
         assert "method=" not in exact.reason
-
-    def test_merge_profile_keeps_sketch_rate(self):
-        merged = merge_profile(
-            {"backends": {"threaded": {"sketch_rate": 5.0e9}}}
-        )
-        assert merged["backends"]["threaded"]["sketch_rate"] == 5.0e9
-        assert (
-            merged["backends"]["sequential"]["sketch_rate"]
-            == default_profile()["backends"]["sequential"]["sketch_rate"]
-        )
-
-    def test_profile_from_trace_extracts_sketch_rate(self):
-        t = fixture()
-        with TuckerSession(backend="sequential", trace=True) as session:
-            result = session.run(
-                t, CORE, method="rsthosvd", seed=8, power_iters=1,
-                skip_hooi=True,
-            )
-        partial = profile_from_trace(result.trace)
-        rate = partial["backends"]["sequential"]["sketch_rate"]
-        assert np.isfinite(rate) and rate > 0
-        merged = merge_profile(partial)
-        assert merged["backends"]["sequential"]["sketch_rate"] == (
-            pytest.approx(rate)
-        )
-
-    def test_profile_from_trace_ignores_exact_runs(self):
-        t = fixture(dims=(8, 7, 6), core=(2, 2, 2))
-        with TuckerSession(backend="sequential", trace=True) as session:
-            result = session.run(t, (2, 2, 2), max_iters=1)
-        assert "backends" not in profile_from_trace(result.trace)
 
 
 # --------------------------------------------------------------------- #

@@ -275,3 +275,29 @@ class TestRunFrontDoor:
         res = session.run(tensor, (4, 3, 3), max_iters=2)
         assert res.plan.n_procs == 8
         assert cluster.stats.volume() > 0
+
+
+class TestStorageIsASessionSetting:
+    """Storage is fixed per session: no run entry takes a storage knob."""
+
+    KNOBS = {
+        "storage": "mmap",
+        "memory_budget": "16K",
+        "spill_dir": ".",
+        "spill_codec": "raw",
+    }
+
+    @pytest.mark.parametrize("knob", sorted(KNOBS))
+    @pytest.mark.parametrize("entry", ["run", "hooi", "sthosvd", "run_many"])
+    def test_run_entries_reject_storage_knobs(self, tensor, entry, knob):
+        session = TuckerSession()
+        second = (
+            sthosvd(tensor, (4, 3, 3)) if entry == "hooi" else (4, 3, 3)
+        )
+        first = [tensor] if entry == "run_many" else tensor
+        with pytest.raises(TypeError, match=knob):
+            getattr(session, entry)(first, second, **{knob: self.KNOBS[knob]})
+
+    def test_prefetch_chunk_bytes_takes_no_argument(self):
+        with pytest.raises(TypeError):
+            TuckerSession(memory_budget="16M").prefetch_chunk_bytes(0)

@@ -510,12 +510,14 @@ class TestLazyPathLoading:
         big = low_rank_tensor((24, 20, 16), (4, 3, 3), noise=0.1, seed=5)
         small = low_rank_tensor((8, 6, 5), (3, 2, 2), noise=0.1, seed=6)
         budget = small.nbytes + 1  # between the two sizes
-        session = TuckerSession(backend="sequential")
+        session = TuckerSession(
+            backend="sequential", memory_budget=budget,
+            spill_dir=str(tmp_path),
+        )
         batch = session.run_many(
             [big, small],
             lambda shape: (3, 2, 2) if shape == (8, 6, 5) else (4, 3, 3),
             planner="optimal", n_procs=2, max_iters=1,
-            memory_budget=budget, spill_dir=str(tmp_path),
         )
         by_shape = {
             item.result.plan.meta.dims: item.result.storage

@@ -533,9 +533,12 @@ class TestReviewRegressions:
         session = TuckerSession(backend="sequential")
         init = session.run(t, (3, 3, 2), planner="optimal", n_procs=2,
                            max_iters=1)
-        res = session.hooi(
+        spilling = TuckerSession(
+            backend="sequential", storage="mmap", spill_dir=str(tmp_path)
+        )
+        res = spilling.hooi(
             t, init.decomposition, planner="optimal", n_procs=2,
-            max_iters=0, storage="mmap", spill_dir=str(tmp_path),
+            max_iters=0,
         )
         assert res.storage == "memory"
         assert "never placed" in res.storage_reason
@@ -578,9 +581,7 @@ class TestReviewRegressions:
             backend="sequential", storage="auto", memory_budget=0,
             spill_dir=str(tmp_path),
         )
-        store = session._open_store(
-            session._select_storage(10**6, None, None), None
-        )
+        store = session._open_store(session._select_storage(10**6))
         try:
             assert store.max_block_bytes >= 4096
             assert store.chunk_bytes >= 4096
