@@ -99,13 +99,16 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def leading_factor(
-        self, handle: Any, mode: int, k: int, *, tag: str = "svd"
+        self, handle: Any, mode: int, k: int, *, tag: str = "svd",
+        init: np.ndarray | None = None,
     ) -> np.ndarray:
         """Leading-``k`` left factor of the mode-``mode`` unfolding.
 
         The Gram + EVD route of the paper's engine. Always returns a
         replicated (plain ndarray) factor with the deterministic sign
-        convention.
+        convention. ``init`` (the mode's factor from the previous HOOI
+        sweep) goes to :func:`~repro.tensor.linalg.gram_factor`, which may
+        then skip the EVD.
         """
 
     @abc.abstractmethod

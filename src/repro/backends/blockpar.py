@@ -62,7 +62,9 @@ def gram_evd_flops(length: int, size: int) -> int:
     """Modeled multiply-adds of one Gram accumulation + EVD.
 
     Shared by every shared-memory backend so their ledger tallies agree
-    exactly (the golden tests pin this).
+    exactly (the golden tests pin this). The EVD is charged on either
+    route of :func:`~repro.tensor.linalg.gram_factor`: which one runs
+    depends on the data, and a ledger depends only on shapes.
     """
     return (
         length * (length + 1) // 2 * (size // length)

@@ -379,12 +379,13 @@ class ProcessPoolBackend(PoolBackend):
         return out
 
     def leading_factor(
-        self, handle, mode: int, k: int, *, tag: str = "svd"
+        self, handle, mode: int, k: int, *, tag: str = "svd", init=None
     ) -> np.ndarray:
         start = perf_counter()
         (source,), n_workers, map = self._sources(mode, handle)
         out = self._gram_out(handle, mode)
-        factor = gram_factor(run_gram(source, mode, n_workers, map, out), k)
+        g = run_gram(source, mode, n_workers, map, out)
+        factor = gram_factor(g, k, init)
         flops = gram_evd_flops(handle.shape[mode], handle.size)
         self._record("syrk", tag, flops, start)
         return factor

@@ -413,6 +413,8 @@ def run_steps(
     factors, as Figure 2 specifies — tree reuse requires it), the
     sequentially truncating programs (STHOSVD, ``rsthosvd``, the core
     chain) pass one, so each ``ttm`` truncates by the factor just found.
+    With two, an ``svd`` step also hands ``factors[mode]`` to
+    ``leading_factor`` as the start of its warm route.
 
     Returns ``(final, norm_sq, core)``: the handle the last ``ttm`` /
     ``regrid`` produced (``None`` for a tree, which frees all it makes),
@@ -444,7 +446,8 @@ def run_steps(
             last = step.dst
         elif step.op == "svd":
             new[step.mode] = backend.leading_factor(
-                slots[step.src], step.mode, step.k, tag=full_tag
+                slots[step.src], step.mode, step.k, tag=full_tag,
+                init=None if new is factors else factors[step.mode],
             )
         elif step.op == "free":
             slots.pop(step.src, None)

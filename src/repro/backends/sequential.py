@@ -69,7 +69,7 @@ class SequentialBackend(BlockBackend):
         return out
 
     def leading_factor(
-        self, handle, mode: int, k: int, *, tag: str = "svd"
+        self, handle, mode: int, k: int, *, tag: str = "svd", init=None
     ) -> np.ndarray:
         start = perf_counter()
         out = self._gram_out(handle, mode)
@@ -77,7 +77,7 @@ class SequentialBackend(BlockBackend):
             g = run_gram(BlockSource.of(handle), mode, 1, serial_map, out)
         else:
             g = gram_block(handle, mode, out)
-        factor = gram_factor(g, k)
+        factor = gram_factor(g, k, init)
         flops = gram_evd_flops(handle.shape[mode], handle.size)
         self._record("syrk", tag, flops, start)
         return factor

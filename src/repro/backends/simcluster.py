@@ -101,9 +101,10 @@ class SimClusterBackend(ExecutionBackend):
         return dist_ttm(handle, matrix, mode, tag=tag)
 
     def leading_factor(
-        self, handle: DistTensor, mode: int, k: int, *, tag: str = "svd"
+        self, handle: DistTensor, mode: int, k: int, *, tag: str = "svd",
+        init=None,
     ) -> np.ndarray:
-        return dist_leading_factor(handle, mode, k, tag=tag)
+        return dist_leading_factor(handle, mode, k, tag=tag, init=init)
 
     def sketch(self, handle: DistTensor, specs, *, tag="sketch"):
         return dist_sketch(handle, specs, tag=tag)

@@ -79,14 +79,14 @@ class ThreadedBackend(PoolBackend):
         return out
 
     def leading_factor(
-        self, handle, mode: int, k: int, *, tag: str = "svd"
+        self, handle, mode: int, k: int, *, tag: str = "svd", init=None
     ) -> np.ndarray:
         start = perf_counter()
         g = run_gram(
             BlockSource.of(handle), mode, self.n_workers, self._map,
             self._gram_out(handle, mode),
         )
-        factor = gram_factor(g, k)
+        factor = gram_factor(g, k, init)
         flops = gram_evd_flops(handle.shape[mode], handle.size)
         self._record("syrk", tag, flops, start)
         return factor

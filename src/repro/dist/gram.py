@@ -140,16 +140,19 @@ def dist_leading_factor(
     k: int,
     *,
     tag: str = "svd",
+    init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Leading-``k`` factor of the mode-``mode`` unfolding (replicated).
 
     The EVD runs redundantly on every rank from the replicated Gram; the
     ledger records it once (its critical-path time — the redundant copies
-    overlap perfectly).
+    overlap perfectly). ``init`` is passed on to :func:`gram_factor`, so a
+    HOOI update may take its warm route; the ledger charges the modelled
+    EVD on either route.
     """
     g = dist_gram(dtensor, mode, tag=tag)
     length = g.shape[0]
     dtensor.cluster.record_compute(
         "evd", f"{tag}:evd", flops=4.0 * length**3 / 3.0
     )
-    return gram_factor(g, k)
+    return gram_factor(g, k, init)

@@ -3,8 +3,13 @@
 The paper's SVD step (section 5) computes the leading ``K_n`` left singular
 vectors of the unfolding ``Z_(n)`` via the Gram matrix ``Z_(n) Z_(n)^T``
 (dsyrk) followed by a sequential symmetric eigendecomposition (dsyevx) —
-cheap because ``L_n <= 2000``. We mirror that exactly and add a direct
-truncated-SVD backend for cross-checking.
+cheap because ``L_n <= 2000``. :func:`gram_factor` has two routes. The
+exact route is that subset EVD. A HOOI update also passes the previous
+sweep's factor, and the warm route runs at most three block subspace steps
+from it; their Ritz basis is returned only when three checks hold (a finite
+Gram, an EVD-sized residual, and a gap to the rest of the spectrum, see
+:func:`_warm_factor`), else the exact route runs. A direct truncated SVD is
+kept for cross-checking.
 """
 
 from __future__ import annotations
@@ -36,11 +41,9 @@ def deterministic_sign(vectors: np.ndarray) -> np.ndarray:
     vectors = np.array(vectors, copy=True)
     if vectors.ndim != 2:
         raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            vectors[:, j] = -col
+    rows = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[rows, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] = -vectors[:, flip]
     return vectors
 
 
@@ -62,13 +65,70 @@ def leading_eigvecs(symmetric: np.ndarray, k: int) -> np.ndarray:
     return deterministic_sign(vecs[:, ::-1])
 
 
-def gram_factor(g: np.ndarray, k: int) -> np.ndarray:
+def gram_factor(
+    g: np.ndarray, k: int, init: np.ndarray | None = None
+) -> np.ndarray:
     """Leading-``k`` eigenvectors of an accumulated Gram, symmetrized first.
 
     The one leading-``k`` factor routine: every backend, the virtual
     cluster, the host references and the sketch paths end here.
+
+    With an ``init`` (a HOOI update's factor from the previous sweep) up to
+    :data:`SUBSPACE_STEPS` block subspace steps start from it, and their
+    Ritz basis is returned when it is certified (see :func:`_warm_factor`).
+    Otherwise, and always without an ``init``, the subset EVD of
+    :func:`leading_eigvecs` runs.
     """
-    return leading_eigvecs((g + g.T) * 0.5, k)
+    g = (g + g.T) * 0.5
+    if init is not None:
+        warm = _warm_factor(g, k, init)
+        if warm is not None:
+            return warm
+    return leading_eigvecs(g, k)
+
+
+SUBSPACE_STEPS = 3
+
+
+def _warm_factor(
+    g: np.ndarray, k: int, init: np.ndarray
+) -> np.ndarray | None:
+    """Block subspace iteration on ``g`` from ``init``, or ``None``.
+
+    Each step is ``Q = qr(G Q)`` then Rayleigh–Ritz on ``Q^T G Q``, with
+    Ritz values ``θ_1 >= ... >= θ_k``. The Ritz basis is accepted only when
+
+    (i) ``g`` is finite (an infinite entry would otherwise make the
+        products warn before the EVD raises its own error);
+    (ii) ``||G Q - Q Θ||_F <= tol = 64 ε θ_1``, the backward error the EVD
+         itself attains;
+    (iii) ``||G - Q Θ Q^T||_F + 2 tol < θ_k``. Its square is
+          ``||G||_F² - ||Θ||_F²`` computed without cancelling, and it
+          bounds every eigenvalue outside ``span(Q)``, so the span is the
+          leading one. The margin sends a ``θ_k`` at rounding level (rank
+          below ``k``) to the EVD.
+
+    A wrong-shape ``init`` or ``k`` outside ``[1, n)`` is not tried.
+    """
+    n = g.shape[0]
+    if np.shape(init) != (n, k) or not 0 < k < n or not np.isfinite(g).all():
+        return None
+    eps = np.finfo(g.dtype).eps
+    gq = g @ np.asarray(init, dtype=g.dtype)
+    for _ in range(SUBSPACE_STEPS):
+        q = scipy.linalg.qr(
+            gq, mode="economic", overwrite_a=True, check_finite=False
+        )[0]
+        gq = g @ q
+        theta, v = scipy.linalg.eigh(q.T @ gq, check_finite=False)
+        theta, v = theta[::-1], v[:, ::-1]
+        q, gq = q @ v, gq @ v
+        tol = 64 * eps * theta[0]
+        if np.linalg.norm(gq - q * theta) <= tol and (
+            np.linalg.norm(g - (q * theta) @ q.T) + 2 * tol < theta[-1]
+        ):
+            return deterministic_sign(q)
+    return None
 
 
 def leading_left_singular_vectors(

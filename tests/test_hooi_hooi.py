@@ -1,5 +1,8 @@
 """Tests for single HOOI invocations and the session's iterated HOOI."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,12 @@ from repro.hooi.hooi import hooi_reference_step, hooi_step_sequential
 from repro.hooi.sthosvd import sthosvd
 from repro.dist.comm import SimCluster
 from repro.session import TuckerSession
-from repro.tensor.random import low_rank_tensor, random_tensor
+from repro.tensor import linalg
+from repro.tensor.random import (
+    low_rank_tensor,
+    random_orthonormal,
+    random_tensor,
+)
 
 
 def hooi_sequential(t, init, **kw):
@@ -119,3 +127,88 @@ class TestDistributedDriver:
         it1 = cluster.stats.volume(tag_prefix="hooi:it1")
         # iterations are metadata-identical: volumes must match exactly
         assert it0 == it1 > 0
+
+
+class TestWarmStartRoute:
+    """Which HOOI factor updates skip the subset EVD (``leading_eigvecs``).
+
+    A Jacobi-tree update passes the previous sweep's factor to
+    ``gram_factor``; STHOSVD passes none.
+    """
+
+    DIMS, CORE = (24, 20, 16, 12), (4, 3, 3, 2)
+    TWO_SWEEPS = {"max_iters": 2, "tol": float("-inf")}
+
+    @staticmethod
+    def evd_calls(run):
+        with mock.patch.object(
+            linalg, "leading_eigvecs", wraps=linalg.leading_eigvecs
+        ) as spy:
+            result = run()
+        return spy.call_count, result
+
+    def random_factors(self):
+        return [
+            random_orthonormal(d, k, seed=m)
+            for m, (d, k) in enumerate(zip(self.DIMS, self.CORE))
+        ]
+
+    def exact_run(self, t):
+        """``run`` with every update's start ignored."""
+        with mock.patch.object(linalg, "_warm_factor", return_value=None):
+            return TuckerSession("sequential").run(
+                t, self.CORE, **self.TWO_SWEEPS
+            )
+
+    @pytest.mark.parametrize(
+        "backend,n_procs",
+        [("sequential", None), ("threaded", 2), ("simcluster", 4)],
+    )
+    def test_run_takes_the_evd_in_sthosvd_only(self, backend, n_procs):
+        t = low_rank_tensor(self.DIMS, self.CORE, noise=0.05, seed=0)
+        session = TuckerSession(backend, n_procs=n_procs)
+        calls, result = self.evd_calls(
+            lambda: session.run(t, self.CORE, **self.TWO_SWEEPS)
+        )
+        assert calls == t.ndim
+        np.testing.assert_allclose(
+            result.errors, self.exact_run(t).errors, rtol=1e-10
+        )
+
+    def test_hooi_from_random_factors_falls_back_in_sweep_one_only(self):
+        t = low_rank_tensor(self.DIMS, self.CORE, noise=0.05, seed=1)
+        init = self.random_factors()
+        session = TuckerSession("sequential")
+        one, _ = self.evd_calls(
+            lambda: session.hooi(t, init, max_iters=1, tol=float("-inf"))
+        )
+        two, _ = self.evd_calls(
+            lambda: session.hooi(t, init, **self.TWO_SWEEPS)
+        )
+        assert (one, two - one) == (t.ndim, 0)
+
+    def test_pure_noise_falls_back_bit_for_bit(self):
+        t = random_tensor(self.DIMS, seed=2)
+        calls, warm = self.evd_calls(
+            lambda: TuckerSession("sequential").run(
+                t, self.CORE, **self.TWO_SWEEPS
+            )
+        )
+        assert calls == 3 * t.ndim
+        cold = self.exact_run(t)
+        assert warm.errors == cold.errors
+        np.testing.assert_array_equal(
+            warm.decomposition.core, cold.decomposition.core
+        )
+        for a, b in zip(warm.decomposition.factors, cold.decomposition.factors):
+            np.testing.assert_array_equal(a, b)
+
+    def test_nan_tensor_raises_without_new_warnings(self):
+        t = low_rank_tensor(self.DIMS, self.CORE, noise=0.05, seed=0)
+        t[1, 2, 3, 4] = np.nan
+        init = self.random_factors()
+        session = TuckerSession("sequential")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                session.hooi(t, init, **self.TWO_SWEEPS)

@@ -1,11 +1,18 @@
 """Tests for Gram-based SVD helpers."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.tensor import linalg
 from repro.tensor.linalg import (
     deterministic_sign,
     gram,
+    gram_factor,
     leading_eigvecs,
     leading_left_singular_vectors,
 )
@@ -41,6 +48,40 @@ class TestDeterministicSign:
         v = np.array([[-1.0], [0.5]])
         _ = deterministic_sign(v)
         assert v[0, 0] == -1.0
+
+    def test_requires_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            deterministic_sign(np.ones(3))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_the_column_loop(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((9, 14))
+        v[:, :8] = rng.integers(-3, 4, (9, 8))  # exact ties in magnitude
+        v[:3, 0] = [-3.0, 3.0, 1.0]  # tie, negative first: flips
+        v[:3, 1] = [3.0, -3.0, 1.0]  # tie, positive first: stays
+        v[:, 8] = 0.0
+        v[:, 9] = -0.0
+        v[4, 10] = np.nan
+        v[:, 11] = np.nan
+        v[2, 12] = -np.inf
+        v = v.astype(dtype)
+        out = deterministic_sign(v)
+        assert out.dtype == v.dtype
+        assert out.tobytes() == _loop_sign(v).tobytes()
+
+
+def _loop_sign(vectors):
+    """The per-column loop :func:`deterministic_sign` replaced: the
+    reference it must match bit for bit."""
+    vectors = np.array(vectors, copy=True)
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        idx = int(np.argmax(np.abs(col)))
+        if col[idx] < 0:
+            vectors[:, j] = -col
+    return vectors
 
 
 class TestLeadingEigvecs:
@@ -95,3 +136,197 @@ class TestLeadingLeftSingularVectors:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             leading_left_singular_vectors(np.eye(3), 1, method="magic")
+
+    def test_rejects_bad_shape_and_k(self):
+        with pytest.raises(ValueError, match="2-D"):
+            leading_left_singular_vectors(np.ones(3), 1)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="k must be"):
+                leading_left_singular_vectors(np.eye(3), k, method="svd")
+
+
+# --------------------------------------------------------------------- #
+# gram_factor's warm route (a HOOI update started from its last factor)
+# --------------------------------------------------------------------- #
+
+N, K = 48, 8
+ANGLE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def _spectral_gram(lams, dtype, seed=0):
+    """``(V diag(lams) V^T in dtype, V)`` for a random orthogonal ``V``."""
+    lams = np.asarray(lams, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((lams.size, lams.size)))
+    return ((v * lams) @ v.T).astype(dtype), v
+
+
+def _near(basis, scale, seed=1):
+    """``basis`` moved by a perturbation of size ``scale`` and made
+    orthonormal again: a factor one HOOI sweep away from ``basis``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(basis + scale * rng.standard_normal(basis.shape))
+    return q.astype(basis.dtype)
+
+
+def _routed(g, k, init):
+    """``(warm, factor)``: whether ``gram_factor(g, k, init)`` skipped the
+    subset EVD, and its result."""
+    with mock.patch.object(
+        linalg, "leading_eigvecs", wraps=linalg.leading_eigvecs
+    ) as spy:
+        factor = gram_factor(g, k, init)
+    return spy.call_count == 0, factor
+
+
+def _angle(a, b):
+    """Sine of the largest principal angle between two column spans."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    return np.linalg.norm(a - b @ (b.T @ a), 2)
+
+
+def _separated():
+    """Leading ``K`` in [0.5, 1] over a flat tail at 1e-4 (low rank +
+    noise, the spectrum HOOI updates see)."""
+    return np.r_[np.linspace(1.0, 0.5, K), np.full(N - K, 1e-4)]
+
+
+def _graded():
+    return 10.0 ** (-np.arange(1, N + 1) / 4)
+
+
+def _clustered():
+    lams = np.linspace(1.0, 0.1, N)
+    lams[K - 1] = lams[K] * (1 + 1e-12)
+    return lams
+
+
+def _rank_deficient():
+    return np.r_[np.linspace(1.0, 0.5, K - 3), np.zeros(N - K + 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestWarmStart:
+    def test_accepted_from_a_nearby_factor(self, dtype):
+        g, _ = _spectral_gram(_separated(), dtype)
+        exact = gram_factor(g, K)
+        warm, factor = _routed(g, K, _near(exact, 1e-6))
+        assert warm
+        assert factor.dtype == exact.dtype
+        assert _angle(factor, exact) <= ANGLE_TOL[dtype]
+        # the same sign convention: the columns themselves agree
+        np.testing.assert_allclose(
+            factor, exact, atol=10 * ANGLE_TOL[dtype]
+        )
+
+    @pytest.mark.parametrize(
+        "spectrum", [_graded, _clustered, _rank_deficient]
+    )
+    def test_hard_spectra(self, dtype, spectrum):
+        """The fallback returns the EVD bit for bit. Only float32's graded
+        case is accepted: at λ_{k+1}/λ_k = 0.56 three steps take 1e-6 to
+        float32's residual tolerance, not float64's."""
+        g, _ = _spectral_gram(spectrum(), dtype)
+        exact = gram_factor(g, K)
+        warm, factor = _routed(g, K, _near(exact, 1e-6))
+        assert warm == (spectrum is _graded and dtype is np.float32)
+        if warm:
+            assert _angle(factor, exact) <= ANGLE_TOL[dtype]
+        else:
+            np.testing.assert_array_equal(factor, exact)
+
+    def test_theta_k_at_rounding_level_falls_back(self, dtype):
+        # exact data: residual and tail are 0 and θ_k = 1e-20 > 0, yet
+        # θ_k is below what the residual tolerance can resolve
+        g = np.diag([1.0, 0.5, 1e-20, 0.0, 0.0]).astype(dtype)
+        warm, factor = _routed(g, 3, np.eye(5, 3, dtype=dtype))
+        assert not warm
+        np.testing.assert_array_equal(factor, gram_factor(g, 3))
+
+    def test_init_orthogonal_to_the_leading_eigenvector(self, dtype):
+        # the iteration settles on span(v_2..v_{K+1}), an invariant
+        # subspace with a small residual; only the tail check sees v_1
+        g, v = _spectral_gram(_separated(), dtype)
+        warm, factor = _routed(g, K, v[:, 1:K + 1].astype(dtype))
+        assert not warm
+        np.testing.assert_array_equal(factor, gram_factor(g, K))
+
+    @pytest.mark.parametrize("shape", [(N, K + 1), (N - 1, K), (K,)])
+    def test_wrong_shape_init_is_not_tried(self, dtype, shape):
+        g, _ = _spectral_gram(_separated(), dtype)
+        warm, factor = _routed(g, K, np.ones(shape, dtype))
+        assert not warm
+        np.testing.assert_array_equal(factor, gram_factor(g, K))
+
+    def test_k_at_or_outside_the_bounds(self, dtype):
+        g, _ = _spectral_gram(_separated(), dtype)
+        warm, factor = _routed(g, N, np.eye(N, dtype=dtype))
+        assert not warm
+        np.testing.assert_array_equal(factor, gram_factor(g, N))
+        for k in (0, N + 1):
+            with pytest.raises(ValueError, match="k must be"):
+                gram_factor(g, k, np.ones((N, k), dtype))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_raises_without_new_warnings(self, dtype, bad):
+        g, _ = _spectral_gram(_separated(), dtype)
+        init = gram_factor(g, K)
+        g[0, 0] = bad  # an infinite pivot meets zeros: inf * 0 in matmul
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start in (None, init):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    gram_factor(g, K, start)
+
+
+@given(
+    dtype=st.sampled_from([np.float64, np.float32]),
+    n=st.integers(2, 24),
+    k_frac=st.floats(0, 1, exclude_max=True),
+    family=st.sampled_from(
+        ["graded", "uniform", "separated", "rank", "clustered"]
+    ),
+    rate=st.floats(0.5, 8),
+    log_scale=st.floats(-16, 0),
+    seed=st.integers(0, 2**16),
+)
+def test_accepted_warm_factor_spans_the_exact_subspace(
+    dtype, n, k_frac, family, rate, log_scale, seed
+):
+    """Accepted warm factors span the EVD's subspace; refused ones are it.
+
+    The angle bound is the fixed tolerance (1e-12 in float64, 1e-5 in
+    float32) wherever the spectrum pins the subspace down that well. A
+    leading gap ``δ = λ_k - λ_{k+1}`` pins it only to about ``ε λ_1 / δ``
+    for any backward-stable solver, the subset EVD included
+    (Davis–Kahan), so on graded or clustered draws the bound is
+    ``128 ε λ_1 / δ``.
+    """
+    k = 1 + int(k_frac * (n - 1))
+    rng = np.random.default_rng(seed)
+    if family == "graded":
+        lams = 10.0 ** (-np.arange(1, n + 1) / rate)
+    elif family == "uniform":
+        lams = rng.uniform(0, 1, n)
+    elif family == "separated":
+        lams = np.r_[
+            rng.uniform(0.5, 1, k), rng.uniform(0, 10.0**-rate, n - k)
+        ]
+    elif family == "rank":
+        rank = int(rng.integers(0, k + 1))
+        lams = np.r_[rng.uniform(0.5, 1, rank), np.zeros(n - rank)]
+    else:
+        lams = rng.uniform(0.5, 1, n)
+        lams = np.sort(lams)[::-1]
+        lams[k - 1] = lams[k] * (1 + 10.0 ** (-2 * rate))
+    lams = np.sort(lams)[::-1]
+    g, _ = _spectral_gram(lams, dtype, seed)
+    exact = gram_factor(g, k)
+    warm, factor = _routed(g, k, _near(exact, 10.0**log_scale, seed))
+    if not warm:
+        np.testing.assert_array_equal(factor, exact)
+        return
+    gap = lams[k - 1] - lams[k]
+    eps = np.finfo(dtype).eps
+    bound = 128 * eps * lams[0] / gap if gap > 0 else np.inf
+    assert _angle(factor, exact) <= max(ANGLE_TOL[dtype], bound)
