@@ -11,7 +11,6 @@ Subcommands
 ``trace``      inspect a saved run trace (``trace summarize out.json``)
 ``model``      model one HOOI invocation for every algorithm configuration
 ``suite``      print benchmark-suite statistics
-``lint``       run the repo's static analyzer
 
 Examples::
 
@@ -591,38 +590,6 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from repro.analysis import LintConfig, run_lint
-
-    config = None
-    if args.config:
-        config = LintConfig.load_file(args.config)
-    try:
-        report = run_lint(
-            args.paths,
-            config=config,
-            rules=args.rule or None,
-        )
-    except ValueError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        for finding in report.findings:
-            print(finding.format())
-        suppressed = len(report.suppressed)
-        status = "clean" if report.ok else (
-            f"{len(report.findings)} finding"
-            f"{'s' if len(report.findings) != 1 else ''}"
-        )
-        print(
-            f"repro lint: {report.files} files, {status}"
-            + (f" ({suppressed} suppressed)" if suppressed else "")
-        )
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -839,26 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="benchmark-suite statistics")
     p_suite.add_argument("--ndim", type=int, default=5)
     p_suite.set_defaults(func=cmd_suite)
-
-    p_lint = sub.add_parser(
-        "lint", help="run the repo's static analyzer (rules R001-R006)"
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    p_lint.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
-    p_lint.add_argument(
-        "--rule", action="append", metavar="ID",
-        help="run only this rule id (repeatable)",
-    )
-    p_lint.add_argument(
-        "--config", help="explicit pyproject.toml (default: nearest)"
-    )
-    p_lint.set_defaults(func=cmd_lint)
 
     return parser
 

@@ -10,13 +10,17 @@ ExecutionBackend contract, instead of per-backend ad-hoc tests:
 * **ledger tags** — executed ledger records must aggregate under exactly
   the schedule's step tags, uniformly across backends;
 * **determinism** — repeated runs on fresh backend instances must be
-  bit-for-bit identical.
+  bit-for-bit identical;
+* **signatures** — every concrete backend implements each abstract
+  method with the protocol's parameter names, kinds and defaults.
 
 Adding a backend means adding its name to ``BACKEND_NAMES``; this file
 then enforces the whole contract on it automatically. A backend that is
 genuinely unavailable on the host (e.g. no shared memory) is skipped via
 its typed :class:`BackendUnavailableError`, never silently ignored.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -440,6 +444,42 @@ class TestUnavailableConfigs:
     def test_typed_error_is_still_a_value_error(self):
         # Compatibility contract: except ValueError keeps catching it.
         assert issubclass(BackendUnavailableError, ValueError)
+
+
+def concrete_backends(cls=ExecutionBackend):
+    """Every concrete ``repro`` subclass of ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro.") and not inspect.isabstract(sub):
+            yield sub
+        yield from concrete_backends(sub)
+
+
+def parameters(method):
+    """``(name, kind, default)`` of each parameter; annotations may narrow
+    the protocol's ``Any`` handles, so they are not compared."""
+    return [
+        (p.name, p.kind, p.default)
+        for p in inspect.signature(method).parameters.values()
+    ]
+
+
+class TestProtocolSignatures:
+    """A caller that passes by keyword or leans on a default sees the same
+    contract on every backend, including those behind an intermediate
+    base such as ``PoolBackend``."""
+
+    def test_every_registered_backend_is_found(self):
+        assert {cls.name for cls in concrete_backends()} >= set(BACKEND_NAMES)
+
+    @pytest.mark.parametrize(
+        "cls", sorted(set(concrete_backends()), key=lambda c: c.__name__),
+        ids=lambda c: c.__name__,
+    )
+    def test_abstract_methods_match_the_protocol(self, cls):
+        for name in sorted(ExecutionBackend.__abstractmethods__):
+            assert parameters(getattr(cls, name)) == parameters(
+                getattr(ExecutionBackend, name)
+            ), f"{cls.__name__}.{name} drifts from ExecutionBackend.{name}"
 
 
 class TestTracingConformance:

@@ -7,6 +7,8 @@ predictions; the public API of ``repro`` stays importable and coherent.
 
 import ast
 import importlib
+import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -42,27 +44,79 @@ class TestPublicApi:
             assert getattr(repro, name) is not None
 
 
-class TestErrorRoot:
-    """Every typed error has one root, and keeps the stdlib base that
-    pre-existing ``except ValueError`` / ``except RuntimeError`` sites
-    rely on."""
+SRC = pathlib.Path(repro.__file__).parent
 
-    @pytest.mark.parametrize(
-        "module, name, stdlib_base",
-        [
-            ("repro.backends", "BackendUnavailableError", ValueError),
-            ("repro.storage", "StorageError", RuntimeError),
-            ("repro.storage", "CorruptBlockError", RuntimeError),
-            ("repro.serve", "AdmissionError", Exception),
-            ("repro.serve", "ServeError", Exception),
-            ("repro.serve", "DeadlineExceeded", Exception),
-            ("repro.serve", "RequestCancelled", Exception),
-        ],
-    )
-    def test_typed_errors_share_one_root(self, module, name, stdlib_base):
-        cls = getattr(importlib.import_module(module), name)
-        assert issubclass(cls, repro.ReproError)
-        assert issubclass(cls, stdlib_base)
+BROAD = {"Exception", "BaseException"}
+LOG_METHODS = {
+    "debug", "info", "warning", "warn", "error", "exception", "critical",
+    "log",
+}
+
+
+def _leaves_a_trail(handler):
+    """The handler re-raises, or calls a logger method on a receiver
+    whose dotted name contains ``log``."""
+    for node in ast.walk(handler):
+        if isinstance(node, ast.Raise):
+            return True
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LOG_METHODS
+            and isinstance(node.func.value, (ast.Name, ast.Attribute))
+            and "log" in ast.unparse(node.func.value).lower()
+        ):
+            return True
+    return False
+
+
+class TestErrorRoot:
+    """Every typed error has one root, and no handler swallows a failure
+    without a trail."""
+
+    def test_typed_errors_share_one_root(self):
+        errors = [
+            obj
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith(".__main__")
+            for obj in vars(importlib.import_module(info.name)).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == info.name
+        ]
+        assert repro.ReproError in errors and len(errors) > 5
+        assert [
+            f"{cls.__module__}.{cls.__qualname__}"
+            for cls in errors
+            if not issubclass(cls, repro.ReproError)
+        ] == []
+
+    def test_storage_errors_stay_runtime_errors(self):
+        # pre-existing ``except RuntimeError`` sites rely on the base
+        from repro.storage import CorruptBlockError
+
+        assert issubclass(CorruptBlockError, RuntimeError)
+
+    def test_broad_handlers_reraise_or_log(self):
+        # a bare ``except:`` also catches KeyboardInterrupt; a broad
+        # handler with no raise and no log turns a bug into a no-op
+        silent = []
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                caught = (
+                    node.type.elts if isinstance(node.type, ast.Tuple)
+                    else [node.type]
+                )
+                if node.type is None or (
+                    any(ast.unparse(e).rsplit(".", 1)[-1] in BROAD
+                        for e in caught)
+                    and not _leaves_a_trail(node)
+                ):
+                    silent.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert silent == []
 
     def test_root_is_a_leaf_module(self):
         import repro.errors

@@ -1,4 +1,9 @@
-"""Tests for repro.util.validation."""
+"""Tests for repro.util.validation, and the mypy gate on repro.util."""
+
+import importlib.util
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -74,3 +79,20 @@ class TestCheckMode:
             check_mode(3, 3)
         with pytest.raises(ValueError):
             check_mode(-1, 3)
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("mypy") is None,
+    reason="mypy is not installed (the CI lint job provides it)",
+)
+def test_mypy_on_typed_packages():
+    # pyproject.toml's [tool.mypy] names the packages (repro.util)
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "mypy", "--config-file",
+         str(repo / "pyproject.toml")],
+        capture_output=True,
+        text=True,
+        cwd=repo,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
