@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import secrets
 import sys
 import weakref
 from concurrent.futures import ProcessPoolExecutor, wait
@@ -94,6 +95,26 @@ def _pool_context():
 # --------------------------------------------------------------------- #
 
 
+def segment_prefix() -> str:
+    """The name prefix of every segment this process creates, so
+    ``/dev/shm`` entries are attributable to their owner even while other
+    processes share the directory."""
+    return f"rp{os.getpid()}_"
+
+
+def _create_segment(nbytes: int):
+    """A fresh segment named :func:`segment_prefix` plus a random suffix
+    (short enough for the 31-byte limit some platforms put on names)."""
+    while True:
+        name = segment_prefix() + secrets.token_hex(4)
+        try:
+            return shared_memory.SharedMemory(
+                name=name, create=True, size=nbytes
+            )
+        except FileExistsError:  # pragma: no cover - a 32-bit collision
+            continue
+
+
 class ShmTensor:
     """A tensor in a named shared-memory segment (the procpool handle).
 
@@ -106,7 +127,7 @@ class ShmTensor:
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(self.shape)) * self.dtype.itemsize)
-        self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._shm = _create_segment(nbytes)
         self._array: np.ndarray | None = np.ndarray(
             self.shape, dtype=self.dtype, buffer=self._shm.buf
         )
@@ -217,7 +238,7 @@ class ProcessPoolBackend(PoolBackend):
                 backend=self.name,
             )
         try:  # probe: /dev/shm may be missing or unwritable in sandboxes
-            probe = shared_memory.SharedMemory(create=True, size=16)
+            probe = _create_segment(16)
             probe.close()
             probe.unlink()
         except OSError as exc:

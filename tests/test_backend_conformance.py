@@ -20,7 +20,9 @@ genuinely unavailable on the host (e.g. no shared memory) is skipped via
 its typed :class:`BackendUnavailableError`, never silently ignored.
 """
 
+import abc
 import inspect
+from typing import Any
 
 import numpy as np
 import pytest
@@ -446,12 +448,13 @@ class TestUnavailableConfigs:
         assert issubclass(BackendUnavailableError, ValueError)
 
 
-def concrete_backends(cls=ExecutionBackend):
-    """Every concrete ``repro`` subclass of ``cls``, at any depth."""
+def concrete_backends(cls=ExecutionBackend, package="repro."):
+    """Every concrete subclass of ``cls`` defined under ``package``, at
+    any depth."""
     for sub in cls.__subclasses__():
-        if sub.__module__.startswith("repro.") and not inspect.isabstract(sub):
+        if sub.__module__.startswith(package) and not inspect.isabstract(sub):
             yield sub
-        yield from concrete_backends(sub)
+        yield from concrete_backends(sub, package)
 
 
 def parameters(method):
@@ -463,6 +466,56 @@ def parameters(method):
     ]
 
 
+def drifted(cls, protocol=ExecutionBackend) -> list[str]:
+    """The abstract methods of ``protocol`` whose parameters ``cls``
+    changes."""
+    return [
+        name
+        for name in sorted(protocol.__abstractmethods__)
+        if parameters(getattr(cls, name))
+        != parameters(getattr(protocol, name))
+    ]
+
+
+SIGNATURE_CASES = [
+    (cls, name)
+    for cls in sorted(set(concrete_backends()), key=lambda c: c.__name__)
+    for name in sorted(ExecutionBackend.__abstractmethods__)
+]
+
+
+class _Protocol(abc.ABC):
+    @abc.abstractmethod
+    def kernel(self, handle: Any, mode: int, *, tag: str = "svd", init=None):
+        """A keyword-only default and an optional parameter to drift."""
+
+
+class _Root(abc.ABC):
+    @abc.abstractmethod
+    def kernel(self): ...
+
+
+class _Base(_Root):
+    """An abstract intermediate base, like ``PoolBackend``."""
+
+    @abc.abstractmethod
+    def extra(self): ...
+
+
+class _Leaf(_Base):
+    def kernel(self): ...
+
+    def extra(self): ...
+
+
+def _conforming(self, handle: np.ndarray, mode, *, tag="svd", init=None): ...
+def _default(self, handle, mode, *, tag="evd", init=None): ...
+def _missing(self, handle, mode, *, tag="svd"): ...
+def _renamed(self, handle, axis, *, tag="svd", init=None): ...
+def _positional(self, handle, mode, tag="svd", init=None): ...
+def _extra(self, handle, mode, *, tag="svd", init=None, out=None): ...
+
+
 class TestProtocolSignatures:
     """A caller that passes by keyword or leans on a default sees the same
     contract on every backend, including those behind an intermediate
@@ -472,15 +525,33 @@ class TestProtocolSignatures:
         assert {cls.name for cls in concrete_backends()} >= set(BACKEND_NAMES)
 
     @pytest.mark.parametrize(
-        "cls", sorted(set(concrete_backends()), key=lambda c: c.__name__),
-        ids=lambda c: c.__name__,
+        "cls, name", SIGNATURE_CASES,
+        ids=[f"{cls.__name__}.{name}" for cls, name in SIGNATURE_CASES],
     )
-    def test_abstract_methods_match_the_protocol(self, cls):
-        for name in sorted(ExecutionBackend.__abstractmethods__):
-            assert parameters(getattr(cls, name)) == parameters(
-                getattr(ExecutionBackend, name)
-            ), f"{cls.__name__}.{name} drifts from ExecutionBackend.{name}"
+    def test_abstract_methods_match_the_protocol(self, cls, name):
+        assert parameters(getattr(cls, name)) == parameters(
+            getattr(ExecutionBackend, name)
+        ), f"{cls.__name__}.{name} drifts from ExecutionBackend.{name}"
 
+    @pytest.mark.parametrize(
+        "method, drifts",
+        [
+            (_conforming, False),
+            (_default, True),
+            (_missing, True),
+            (_renamed, True),
+            (_positional, True),
+            (_extra, True),
+        ],
+        ids=["annotations-only", "default", "missing", "renamed", "kind",
+             "extra"],
+    )
+    def test_drift_is_caught(self, method, drifts):
+        impl = type("Impl", (_Protocol,), {"kernel": method})
+        assert drifted(impl, _Protocol) == (["kernel"] if drifts else [])
+
+    def test_search_crosses_abstract_bases(self):
+        assert list(concrete_backends(_Root, __name__)) == [_Leaf]
 
 class TestTracingConformance:
     """The observability layer holds uniformly across backends.

@@ -38,7 +38,11 @@ from repro.backends.blockkernels import (
     serial_map,
     ttm_out,
 )
-from repro.backends.procpool import ProcessPoolBackend, ShmTensor
+from repro.backends.procpool import (
+    ProcessPoolBackend,
+    ShmTensor,
+    segment_prefix,
+)
 from repro.backends.sequential import SequentialBackend
 from repro.backends.sketch import single_pass_specs
 from repro.backends.threaded import ThreadedBackend
@@ -308,6 +312,11 @@ def _spawn_context():
     return multiprocessing.get_context("spawn")
 
 
+def own_segments() -> set[str]:
+    """This process's segments: other processes may share ``/dev/shm``."""
+    return {e for e in os.listdir("/dev/shm") if e.startswith(segment_prefix())}
+
+
 @pytest.mark.parametrize("transport", ["shm", "file"])
 def test_task_message_survives_a_spawn_pool(transport, tmp_path, monkeypatch):
     """Under ``spawn`` a worker inherits nothing: the task must carry
@@ -319,7 +328,7 @@ def test_task_message_survives_a_spawn_pool(transport, tmp_path, monkeypatch):
         np.random.default_rng(2), x.shape, (3, 3, 2), 1, x.dtype
     )
     ref = SequentialBackend()
-    before = set(os.listdir("/dev/shm"))
+    before = own_segments()
     store = None
     if transport == "file":
         store = MmapStore(root=str(tmp_path), max_block_bytes=2048)
@@ -347,5 +356,5 @@ def test_task_message_survives_a_spawn_pool(transport, tmp_path, monkeypatch):
     if store is not None:
         store.close()
     gc.collect()
-    assert set(os.listdir("/dev/shm")) - before == set()
+    assert own_segments() - before == set()
     assert list(tmp_path.iterdir()) == []

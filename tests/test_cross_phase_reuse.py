@@ -32,6 +32,7 @@ from repro.backends import (
     get_backend,
     run_steps,
 )
+from repro.backends.procpool import segment_prefix
 from repro.backends.schedule import (
     compile_core_steps,
     compile_handoff,
@@ -289,7 +290,8 @@ needs_shm = pytest.mark.skipif(
 
 
 def shm_entries() -> set[str]:
-    return set(os.listdir("/dev/shm"))
+    """This process's segments: other processes may share ``/dev/shm``."""
+    return {e for e in os.listdir("/dev/shm") if e.startswith(segment_prefix())}
 
 
 class Boom(ReproError):

@@ -70,52 +70,107 @@ def _leaves_a_trail(handler):
     return False
 
 
+def silent_handlers(source: str) -> list[int]:
+    """Line numbers of the handlers in ``source`` that swallow a failure:
+    a bare ``except:`` (it also catches KeyboardInterrupt), or a broad
+    ``Exception``/``BaseException`` handler with no raise and no log."""
+    silent = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = (
+            node.type.elts if isinstance(node.type, ast.Tuple)
+            else [node.type]
+        )
+        if node.type is None or (
+            any(ast.unparse(e).rsplit(".", 1)[-1] in BROAD for e in caught)
+            and not _leaves_a_trail(node)
+        ):
+            silent.append(node.lineno)
+    return silent
+
+
+def typed_errors() -> list[type]:
+    """Every exception class defined in a ``repro`` module."""
+    return [
+        obj
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == info.name
+    ]
+
+
 class TestErrorRoot:
     """Every typed error has one root, and no handler swallows a failure
     without a trail."""
 
-    def test_typed_errors_share_one_root(self):
-        errors = [
-            obj
-            for info in pkgutil.walk_packages(repro.__path__, "repro.")
-            if not info.name.endswith(".__main__")
-            for obj in vars(importlib.import_module(info.name)).values()
-            if isinstance(obj, type)
-            and issubclass(obj, BaseException)
-            and obj.__module__ == info.name
-        ]
+    def test_walk_finds_the_typed_errors(self):
+        errors = typed_errors()
         assert repro.ReproError in errors and len(errors) > 5
-        assert [
-            f"{cls.__module__}.{cls.__qualname__}"
-            for cls in errors
-            if not issubclass(cls, repro.ReproError)
-        ] == []
 
-    def test_storage_errors_stay_runtime_errors(self):
-        # pre-existing ``except RuntimeError`` sites rely on the base
-        from repro.storage import CorruptBlockError
+    @pytest.mark.parametrize(
+        "cls", typed_errors(),
+        ids=lambda cls: f"{cls.__module__}.{cls.__qualname__}",
+    )
+    def test_typed_errors_share_one_root(self, cls):
+        assert issubclass(cls, repro.ReproError)
 
-        assert issubclass(CorruptBlockError, RuntimeError)
+    @pytest.mark.parametrize(
+        "module, name, stdlib_base",
+        [
+            ("repro.backends", "BackendUnavailableError", ValueError),
+            ("repro.storage", "StorageError", RuntimeError),
+            ("repro.storage", "CorruptBlockError", RuntimeError),
+            ("repro.serve", "AdmissionError", Exception),
+            ("repro.serve", "ServeError", Exception),
+            ("repro.serve", "DeadlineExceeded", Exception),
+            ("repro.serve", "RequestCancelled", Exception),
+        ],
+    )
+    def test_typed_errors_keep_their_stdlib_base(
+        self, module, name, stdlib_base
+    ):
+        # pre-existing ``except ValueError`` / ``except RuntimeError``
+        # sites rely on the base
+        cls = getattr(importlib.import_module(module), name)
+        assert issubclass(cls, repro.ReproError)
+        assert issubclass(cls, stdlib_base)
+
+    @pytest.mark.parametrize(
+        "handler, silent",
+        [
+            ("except Exception:\n    pass", True),
+            ("except:\n    raise", True),
+            ("except BaseException:\n    cleanup()", True),
+            ("except (OSError, Exception):\n    pass", True),
+            ("except builtins.Exception:\n    pass", True),
+            ("except Exception as exc:\n    print(exc)", True),
+            ("except Exception:\n    raise", False),
+            ("except Exception as exc:\n    raise Boom() from exc", False),
+            ("except Exception:\n    log.warning('x')", False),
+            ("except Exception:\n    self._logger.exception('x')", False),
+            ("except OSError:\n    pass", False),
+        ],
+        ids=[
+            "broad-pass", "bare-even-reraising", "base-exception",
+            "broad-in-tuple", "dotted-broad", "print-is-no-log",
+            "reraise", "raise-typed", "logged", "logged-via-attribute",
+            "narrow",
+        ],
+    )
+    def test_handler_scan(self, handler, silent):
+        source = f"try:\n    work()\n{handler}\n"
+        assert silent_handlers(source) == ([3] if silent else [])
 
     def test_broad_handlers_reraise_or_log(self):
-        # a bare ``except:`` also catches KeyboardInterrupt; a broad
-        # handler with no raise and no log turns a bug into a no-op
-        silent = []
-        for path in sorted(SRC.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.ExceptHandler):
-                    continue
-                caught = (
-                    node.type.elts if isinstance(node.type, ast.Tuple)
-                    else [node.type]
-                )
-                if node.type is None or (
-                    any(ast.unparse(e).rsplit(".", 1)[-1] in BROAD
-                        for e in caught)
-                    and not _leaves_a_trail(node)
-                ):
-                    silent.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        silent = [
+            f"{path.relative_to(SRC)}:{line}"
+            for path in sorted(SRC.rglob("*.py"))
+            for line in silent_handlers(path.read_text(encoding="utf-8"))
+        ]
         assert silent == []
 
     def test_root_is_a_leaf_module(self):

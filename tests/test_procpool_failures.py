@@ -15,7 +15,11 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.backends.blockkernels import KERNELS
-from repro.backends.procpool import ProcessPoolBackend
+from repro.backends.procpool import (
+    ProcessPoolBackend,
+    ShmTensor,
+    segment_prefix,
+)
 from repro.backends.sequential import SequentialBackend
 from repro.backends.sketch import single_pass_specs
 from repro.storage import MmapStore
@@ -28,7 +32,8 @@ pytestmark = pytest.mark.skipif(
 
 
 def shm_entries() -> set[str]:
-    return set(os.listdir("/dev/shm"))
+    """This process's segments: other processes may share ``/dev/shm``."""
+    return {e for e in os.listdir("/dev/shm") if e.startswith(segment_prefix())}
 
 
 def _exit_hard(*args, **kwargs):  # pragma: no cover - runs in a worker
@@ -52,6 +57,15 @@ def _norm_bomb(piece):  # pragma: no cover - worker
 @pytest.fixture
 def tensor():
     return np.random.default_rng(0).standard_normal((8, 6, 5))
+
+
+def test_segment_names_carry_the_owner_pid():
+    before = shm_entries()
+    handle = ShmTensor((4, 3), np.float64)
+    assert handle.name.startswith(f"rp{os.getpid()}_")
+    assert shm_entries() - before == {handle.name}
+    handle.close()
+    assert shm_entries() == before
 
 
 class TestWorkerException:
