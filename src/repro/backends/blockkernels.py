@@ -36,7 +36,9 @@ it lies straight into its slice of the sink (``out=``), whatever the sink
 is: ndarray, shm segment or mapped file. The store does not
 travel with a pickled source, so blocks run by worker processes cannot
 charge the gauge; their parent charges the worst case instead
-(:func:`block_bytes`).
+(:func:`block_bytes`). A mapped sink is a spill file, which is scratch:
+no block is synced to disk. A worker maps the sink shared (``r+``), so
+the parent reads what the workers wrote through the page cache.
 
 Determinism: every map returns partials in task (ascending block) order
 and every reduction adds them in that order, so equal worker counts give
@@ -233,10 +235,7 @@ def _compute(kernel, sources, sink, args, split, lo, hi):
         # the kernel writes its block of the sink itself: no result held
         target = opened[-1][0]
         KERNELS[kernel](*blocks, *args, out=target[index])
-        del blocks
-        if sink.path is not None:
-            target.flush()
-        del target
+        del blocks, target
         return None
     finally:
         segments = [segment for _, segment in opened if segment is not None]
@@ -283,8 +282,6 @@ def run_ttm(source, sink, matrix, mode: int, n_workers: int, map) -> None:
         ("ttm", (source,), sink, (matrix, mode), split, lo, hi)
         for lo, hi in spans
     ])
-    if hasattr(sink.array, "flush"):  # a sink mapped in this process
-        sink.array.flush()
 
 
 def ttm_in_process(handle, matrix, mode: int, n_workers: int, map):

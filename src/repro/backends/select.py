@@ -714,6 +714,8 @@ def _probe_storage(rng, probe_bytes: int) -> dict[str, float] | None:
     One throwaway :class:`MmapStore` in the default spill root: a raw
     put/get pass gives the directory's write/read rates, and a small
     chunk-size ladder finds the fastest write-through granularity.
+    Spill files are never synced, so the write rate is that of the path
+    runs take: a chunked copy into the page cache, no writeback to disk.
     Best-of is not needed — each direction moves ``probe_bytes``, big
     enough to dominate syscall noise. Returns ``None`` if the spill
     directory cannot be used at all.

@@ -258,6 +258,15 @@ class MmapStore:
     (the procpool workers write disjoint slices of one output block
     through them).
 
+    Spill files are run-scoped scratch: nothing reads them after the
+    store is closed or its process dies, so no block is ever synced to
+    disk (no ``msync``/``flush``). They stay in the page cache until they
+    are deleted, and the kernel writes them back only under memory
+    pressure. Every mapping is ``MAP_SHARED``, so worker processes and
+    the parent see each other's writes through the shared page cache.
+    Manifests still commit atomically (written aside, then
+    ``os.replace``), so a reader sees a whole manifest or none.
+
     Parameters
     ----------
     root:
@@ -628,7 +637,6 @@ class MmapStore:
                     stop = min(array.shape[0], start + rows)
                     with self.gauge.lease((stop - start) * row_bytes):
                         mm[start:stop] = array[start:stop]
-            mm.flush()
         finally:
             del mm
 
@@ -859,7 +867,6 @@ class MmapStore:
                     (stop - start) * meta.dtype.itemsize
                 ):
                     dst_mm[start:stop] = src_mm[start:stop]
-            dst_mm.flush()
         finally:
             del src_mm, dst_mm
 

@@ -1,12 +1,18 @@
 """Tests for the ``repro batch`` subcommand."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.tensor.random import low_rank_tensor
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -193,3 +199,58 @@ class TestBatchMatchesDecompose:
             single = json.loads(capsys.readouterr().out)
             assert abs(item["error"] - single["error"]) < 1e-10
             assert abs(item["sthosvd_error"] - single["sthosvd_error"]) < 1e-10
+
+
+def _repro(*args, cwd):
+    """``repro ARGS --json`` in a fresh interpreter, its JSON report."""
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *args, "--json"],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+class TestSpilledProcpoolBatch:
+    def test_matches_in_memory_sequential_and_leaves_no_spill(self, tmp_path):
+        """Procpool workers write the spilled TTM outputs through their own
+        shared mappings and the parent reads them without any sync; every
+        item matches an in-memory sequential one-shot to 1e-10."""
+        rng = np.random.default_rng(0)
+        names = []
+        for i in range(4):
+            # 48x40x32 float64 = 480 KiB per tensor, against a 128K budget
+            names.append(f"big{i}.npy")
+            np.save(tmp_path / names[-1], rng.standard_normal((48, 40, 32)))
+        (tmp_path / "manifest.txt").write_text("\n".join(names) + "\n")
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        common = ("--core", "6,5,4", "--planner", "optimal", "-p", "3",
+                  "--max-iters", "2")
+        report = _repro(
+            "batch", "--manifest", "manifest.txt", *common,
+            "--backend", "procpool", "--storage", "mmap",
+            "--memory-budget", "128K", "--spill-dir", str(spill),
+            cwd=tmp_path,
+        )
+        assert report["n_items"] == 4 and report["n_failures"] == 0
+        for item in report["items"]:
+            assert item["storage"] == "mmap", item
+            single = _repro(
+                "decompose", "--input", item["source"], *common,
+                "--backend", "sequential", "--storage", "memory",
+                cwd=tmp_path,
+            )
+            assert single["storage"] == "memory"
+            for key in ("sthosvd_error", "error"):
+                assert abs(item[key] - single[key]) < 1e-10, (
+                    item["source"], key,
+                )
+        assert list(spill.iterdir()) == []

@@ -267,6 +267,78 @@ class TestCleanup:
             assert store.keys() == []
 
 
+class TestSpillIsScratch:
+    """Spill files are run-scoped scratch: no write path syncs one to
+    disk. ``np.memmap.flush`` is the only msync numpy offers, so counting
+    its calls covers staging (``put``), narrow decoding, in-process TTM
+    sinks and the block task procpool workers run."""
+
+    @pytest.fixture
+    def flushes(self, monkeypatch):
+        calls = []
+        flush = np.memmap.flush
+
+        def counting(mm):
+            calls.append(mm.filename)
+            return flush(mm)
+
+        monkeypatch.setattr(np.memmap, "flush", counting)
+        return calls
+
+    @pytest.mark.parametrize("codec", ["raw", "narrow"])
+    @pytest.mark.parametrize("backend", ["sequential", "threaded"])
+    def test_spilled_run_never_flushes(self, backend, codec, flushes,
+                                       tmp_path):
+        from repro.session import TuckerSession
+        from repro.tensor.random import low_rank_tensor
+
+        t = low_rank_tensor((24, 20, 16), (4, 4, 3), noise=0.1, seed=3)
+        spill = tmp_path / "spill"
+        res = TuckerSession(
+            backend=backend, storage="mmap", memory_budget="16K",
+            spill_dir=str(spill), spill_codec=codec,
+        ).run(t, (4, 4, 3), planner="optimal", n_procs=2, max_iters=2,
+              tol=-np.inf)
+        assert res.storage == "mmap" and res.spill_bytes_written > 0
+        assert flushes == []
+        assert list(spill.iterdir()) == []
+
+    @pytest.mark.parametrize("codec", ["raw", "narrow"])
+    def test_put_of_a_resident_array_never_flushes(self, codec, flushes,
+                                                   tmp_path):
+        array = _array_for((32, 24), np.float64, 5)
+        with MmapStore(root=str(tmp_path), chunk_bytes=1024,
+                       codec=codec) as store:
+            store.put("blk", array)
+            np.asarray(store.get("blk"))  # a narrow block decodes here
+        assert flushes == []
+
+    def test_worker_block_task_never_flushes(self, flushes, tmp_path):
+        """The task a procpool worker runs, run here: it maps the sink by
+        path and the parent reads the result through its own mapping."""
+        from repro.backends.blockkernels import (
+            BlockSource, run_ttm, serial_map,
+        )
+        from repro.tensor.ttm import ttm
+
+        array = _array_for((12, 10, 8), np.float64, 6)
+        matrix = _array_for((4, 10), np.float64, 7)
+        with MmapStore(root=str(tmp_path), max_block_bytes=2048) as store:
+            x = StoredTensor.spill(store, array)
+            out = StoredTensor.allocate(store, (12, 4, 8), np.float64)
+            run_ttm(
+                BlockSource(x.shape, x.dtype, path=x.path, store=store),
+                BlockSource(out.shape, out.dtype, path=out.path),
+                matrix, 1, 2, serial_map,
+            )
+            np.testing.assert_allclose(
+                np.asarray(out.open()), ttm(array, matrix, 1), atol=1e-12
+            )
+            x.close()
+            out.close()
+        assert flushes == []
+
+
 # --------------------------------------------------------------------- #
 # gauge + geometry + policy
 # --------------------------------------------------------------------- #
