@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import importlib
+import importlib.util
 import json
+import pathlib
+import tomllib
 
 import pytest
 
@@ -90,3 +94,34 @@ class TestRetiredCommands:
             main(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestPackaging:
+    """What ``pip install`` relies on, checked without running pip."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+    def _project(self):
+        with open(self.ROOT / "pyproject.toml", "rb") as fh:
+            return tomllib.load(fh)["project"]
+
+    def test_console_script_resolves_to_cli_main(self):
+        module, _, attr = self._project()["scripts"]["repro"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
+
+    def test_build_backend_writes_metadata(self, tmp_path):
+        from repro._version import __version__
+
+        spec = importlib.util.spec_from_file_location(
+            "_build_backend", self.ROOT / "_build_backend.py"
+        )
+        backend = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(backend)
+        dist_info = backend.prepare_metadata_for_build_wheel(str(tmp_path))
+        metadata = (tmp_path / dist_info / "METADATA").read_text()
+        lines = metadata.splitlines()
+        project = self._project()
+        assert f"Name: {project['name']}" in lines
+        assert f"Version: {__version__}" in lines
+        for dep in project["dependencies"]:
+            assert f"Requires-Dist: {dep}" in lines, dep

@@ -1,5 +1,7 @@
 """Tests for the ``repro decompose`` subcommand."""
 
+import contextlib
+import io
 import json
 import threading
 
@@ -10,9 +12,30 @@ from repro.backends import BACKEND_NAMES
 from repro.cli import main
 
 
+def _decompose_json(capsys, *args):
+    """``repro decompose ARGS --json`` in-process, its JSON payload."""
+    assert main(["decompose", *args, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+EVERY_BACKEND_ARGS = (
+    "--random", "24,20,16", "--core", "6,5,4", "--max-iters", "2",
+)
+
+
+@pytest.fixture(scope="module")
+def sequential_reference():
+    """The sequential JSON payload every backend's run is compared with."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["decompose", *EVERY_BACKEND_ARGS,
+                     "--backend", "sequential", "--json"]) == 0
+    return json.loads(out.getvalue())
+
+
 class TestDecomposeRandom:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_every_backend(self, backend, capsys):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES + ("auto",))
+    def test_every_backend(self, backend, capsys, sequential_reference):
         rc = main(
             [
                 "decompose",
@@ -25,11 +48,18 @@ class TestDecomposeRandom:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert f"backend:            {backend}" in out
+        if backend == "auto":
+            assert "[auto]" in out
+        else:
+            assert f"backend:            {backend}" in out
         assert "24x20x16 -> 6x5x4" in out
         assert "final error" in out
         assert "compression ratio" in out
         assert "ledger volume" in out
+        ref = sequential_reference
+        got = _decompose_json(capsys, *EVERY_BACKEND_ARGS, "--backend", backend)
+        for key in ("sthosvd_error", "error"):
+            assert abs(got[key] - ref[key]) < 1e-10, (key, got[key], ref[key])
 
     def test_json_output(self, capsys):
         rc = main(
@@ -159,6 +189,15 @@ class TestDecomposeAuto:
         out = capsys.readouterr().out
         assert "[auto]" in out
         assert "selected because" in out
+        # a randomized run on the profile is priced as randomized
+        result = _decompose_json(
+            capsys, "--random", "12,10,8", "--core", "4,3,2",
+            "--backend", "auto", "--calibration", path,
+            "--method", "rsthosvd", "--skip-hooi",
+        )
+        assert result["auto_selected"] is True
+        assert result["method"] == "rsthosvd"
+        assert "method=rsthosvd" in result["selection_reason"], result
 
 
 class TestCalibrate:
@@ -180,6 +219,16 @@ class TestCalibrate:
             profile = json.load(fh)
         assert profile["calibrated"] is True
         assert profile["backends"]["sequential"]["rate"] > 0
+        # the storage probe ran: measured values replaced the defaults
+        from repro.backends.select import default_profile
+
+        storage = profile["storage"]
+        for key in ("spill_write_bytes_per_s", "spill_read_bytes_per_s",
+                    "spill_chunk_bytes"):
+            assert storage[key] > 0, key
+        assert storage["spill_write_bytes_per_s"] != (
+            default_profile()["storage"]["spill_write_bytes_per_s"]
+        )
 
     def test_calibrate_bad_args_exit_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="repeats"):
@@ -262,6 +311,20 @@ class TestDecomposeErrors:
                     "--calibration", "whatever.json",
                 ]
             )
+
+    @pytest.mark.parametrize("codec", ["zlib", "auto"])
+    def test_retired_spill_codec_exits_cleanly(self, codec):
+        with pytest.raises(SystemExit, match="'raw', 'narrow'") as exc:
+            main(
+                [
+                    "decompose",
+                    "--random", "12,10,8",
+                    "--core", "3,3,2",
+                    "--spill-codec", codec,
+                ]
+            )
+        # a string exit code: the interpreter prints it and exits 1
+        assert isinstance(exc.value.code, str)
 
     def test_requires_tensor_source(self):
         with pytest.raises(SystemExit, match="--input|--random"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.tensor.random import low_rank_tensor
+from repro.tensor.random import low_rank_tensor, random_tensor
 
 
 def _run_serve(monkeypatch, capsys, lines, argv=()):
@@ -91,6 +91,57 @@ class TestServeCli:
 
         trace = Trace.load(trace_path)
         assert len(trace.spans) > 0
+
+    def test_budgeted_mixed_drain_matches_sequential(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """12 requests over two plan keys, half ``.npy`` paths and half
+        seeded random inputs, under a 128K admission budget (the inputs
+        total 596K): the drain is clean, repeat keys hit their warm
+        worker, responses come back in id order and every saved core
+        equals a sequential ``session.run`` to 1e-10."""
+        from repro.session import TuckerSession
+
+        rng = np.random.default_rng(0)
+        requests, inputs = [], []
+        for i in range(12):
+            dims = (24, 20, 16) if i % 2 == 0 else (20, 18, 14)
+            core = (5, 4, 4) if i % 2 == 0 else (4, 4, 3)
+            req = {"id": f"r{i}", "core": list(core), "max_iters": 2,
+                   "save": str(tmp_path / f"r{i}.npz")}
+            if i % 4 < 2:
+                path = tmp_path / f"t{i}.npy"
+                np.save(path, rng.standard_normal(dims))
+                req["path"] = str(path)
+                inputs.append((np.load(path), core))
+            else:
+                req["random"] = {"dims": list(dims), "seed": i}
+                inputs.append((random_tensor(dims, seed=i), core))
+            requests.append(req)
+        rc, out = _run_serve(
+            monkeypatch, capsys, [*requests, {"op": "drain"}],
+            argv=["--memory-budget", "128K", "--backend", "sequential",
+                  "--deadline", "120",
+                  "--stats-out", str(tmp_path / "stats.json")],
+        )
+        assert rc == 0
+        *body, final = out
+        assert final["op"] == "drain" and final["ok"], final
+        assert final["completed"] == 12
+        assert final["failed"] == 0 and final["shed"] == 0, final
+        assert final["affinity"]["hit_rate"] > 0, final["affinity"]
+        assert [r["id"] for r in body] == [f"r{i}" for i in range(12)]
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert stats["completed"] == 12
+        with TuckerSession(backend="sequential") as session:
+            for i, (resp, (tensor, core)) in enumerate(zip(body, inputs)):
+                assert resp["ok"], resp
+                ref = session.run(tensor, core, max_iters=2)
+                with np.load(tmp_path / f"r{i}.npz") as saved:
+                    np.testing.assert_allclose(
+                        saved["core"], ref.decomposition.core, rtol=0,
+                        atol=1e-10, err_msg=resp["id"],
+                    )
 
     def test_bad_budget_is_a_clean_error(self, monkeypatch, capsys):
         stdin = io.StringIO("")

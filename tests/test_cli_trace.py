@@ -103,7 +103,8 @@ class TestTraceSummarize:
 
 
 class TestBatchTrace:
-    def test_batch_trace_has_all_items(self, tmp_path, capsys):
+    @pytest.mark.parametrize("backend", ["sequential", "threaded"])
+    def test_batch_trace_has_all_items(self, backend, tmp_path, capsys):
         rng = np.random.default_rng(0)
         for k in range(2):
             np.save(tmp_path / f"t{k}.npy",
@@ -113,12 +114,14 @@ class TestBatchTrace:
             "batch",
             "--glob", str(tmp_path / "*.npy"),
             "--core", "3,3,2",
-            "--backend", "sequential",
+            "--backend", backend,
             "--max-iters", "1",
             "--trace", str(trace_path),
         ])
         assert rc == 0
         trace = load_trace(str(trace_path))
+        trace.validate()
+        assert trace.meta["backend"] == backend
         assert len(trace.find("batch")) == 1
         assert len(trace.find("run")) == 2
         assert trace.meta["items"] == 2

@@ -555,12 +555,14 @@ class TestDecomposeCliMethod:
         assert payload["n_iters"] == 0
         assert np.isfinite(payload["sthosvd_error"])
 
-    def test_same_seed_reproduces(self, capsys):
-        args = self.ARGS + ["--method", "sp-rsthosvd", "--json"]
+    @pytest.mark.parametrize("method", RAND_METHODS)
+    def test_same_seed_reproduces(self, method, capsys):
+        args = self.ARGS + ["--method", method, "--json"]
         assert main(args) == 0
         first = json.loads(capsys.readouterr().out)
         assert main(args) == 0
         second = json.loads(capsys.readouterr().out)
+        assert first["method"] == method
         assert first["sthosvd_error"] == second["sthosvd_error"]
 
     def test_text_output_names_the_method(self, capsys):
