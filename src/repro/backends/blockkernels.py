@@ -13,10 +13,11 @@ common part, in three layers:
 * :data:`KERNELS`: kernel name -> the leaf's ``block(s) -> partial``
   function, the table every block task dispatches through;
 * :class:`BlockSource`: a picklable description of a tensor's backing —
-  a live ndarray, a named ``shared_memory`` segment, or a mapped file
+  a live ndarray, a named ``shared_memory`` segment, or a file
   (``path, offset, shape, dtype``: a raw spill block, a decoded ``.dec``
-  scratch file, an external ``.npy``) — that :func:`run_block`, the one
-  task entry every map executes, opens, cuts and releases;
+  scratch file, an external ``.npy``; mapped read-only as a source,
+  written by position as a sink) — that :func:`run_block`, the one task
+  entry every map executes, opens, cuts and releases;
 * **drivers** (:func:`run_ttm`, :func:`run_gram`, :func:`run_cross_gram`,
   :func:`run_sketch`, :func:`run_norm_sq`): pick the split mode and the
   block geometry from :mod:`~repro.backends.blockpar`, hand the block
@@ -31,14 +32,20 @@ Residency: a source built from a :class:`~repro.storage.StoredTensor`
 knows its store, and every block taken from it in-process is leased from
 the store's gauge at ``OC_LEASE_FACTOR`` x its bytes: the copy a mapped
 block is read into, the Gram's unfolding of it, and the output slab. A
-TTM block allocates nothing of that size — it multiplies the block where
-it lies straight into its slice of the sink (``out=``), whatever the sink
-is: ndarray, shm segment or mapped file. The store does not
-travel with a pickled source, so blocks run by worker processes cannot
-charge the gauge; their parent charges the worst case instead
-(:func:`block_bytes`). A mapped sink is a spill file, which is scratch:
-no block is synced to disk. A worker maps the sink shared (``r+``), so
-the parent reads what the workers wrote through the page cache.
+TTM multiplies its block where it lies, mapped or not (``ttm`` copies a
+block only when it is cut behind the mode). Into an ndarray or shm sink
+it writes its slice in place (``out=``). Into a file sink — a spill
+block, by ``path`` and ``offset`` — it writes one C-ordered buffer
+shaped like the block, with positioned writes
+(:func:`~repro.storage.write_runs`), one per contiguous run of the file.
+No sink is ever opened as a writable mapping: writing through a fresh
+shared mapping costs several times a positioned write, in dirty-page
+faults rather than disk traffic. The store does not travel with a
+pickled source, so blocks run by worker processes cannot charge the
+gauge; their parent charges the worst case instead
+(:func:`block_bytes`). A file sink is a spill file, which is scratch: no
+block is synced to disk, and the parent reads what the workers wrote
+through the page cache.
 
 Determinism: every map returns partials in task (ascending block) order
 and every reduction adds them in that order, so equal worker counts give
@@ -62,7 +69,7 @@ from repro.backends.blockpar import (
     reduce_partials,
     split_mode,
 )
-from repro.storage import MmapStore, StoredTensor
+from repro.storage import MmapStore, StorageError, StoredTensor, write_runs
 from repro.tensor.kernels import (
     gram_block,
     norm_block,
@@ -98,10 +105,12 @@ class BlockSource:
     """Where a tensor's blocks live: ndarray, shm segment or mapped file.
 
     Exactly one of ``array`` (a live view in this process), ``shm`` (a
-    segment name) and ``path`` (with ``offset``) is set. ``store`` is the
-    :class:`~repro.storage.MmapStore` of a stored tensor: it bounds the
-    block size and owns the gauge in-process blocks are leased from.
-    Pickling keeps the description and drops ``store``.
+    segment name) and ``path`` (with ``offset``) is set. A ``path``
+    source is mapped read-only; as a sink it takes positioned writes.
+    ``store`` is the :class:`~repro.storage.MmapStore` of a stored
+    tensor: it bounds the block size and owns the gauge in-process
+    blocks are leased from. Pickling keeps the description and drops
+    ``store``.
     """
 
     __slots__ = ("shape", "dtype", "array", "shm", "path", "offset", "store")
@@ -133,13 +142,27 @@ class BlockSource:
 
     @classmethod
     def of(cls, handle, *, write: bool = False) -> "BlockSource":
-        """The in-process source of an ndarray or a stored handle."""
-        if isinstance(handle, StoredTensor):
-            array = handle.writer() if write else handle.open()
+        """The in-process source of an ndarray or a stored handle.
+
+        A stored sink (``write=True``) is its file, written by path:
+        only an owned raw block takes writes, so an external file (the
+        caller's ``.npy``) raises :class:`~repro.storage.StorageError`.
+        """
+        if not isinstance(handle, StoredTensor):
+            return cls(handle.shape, handle.dtype, array=handle)
+        if not write:
             return cls(
-                handle.shape, handle.dtype, array=array, store=handle.store
+                handle.shape, handle.dtype, array=handle.open(),
+                store=handle.store,
             )
-        return cls(handle.shape, handle.dtype, array=handle)
+        if not handle.owned or handle.path is None:
+            raise StorageError(
+                "cannot write into an external or encoded StoredTensor"
+            )
+        return cls(
+            handle.shape, handle.dtype, path=handle.path,
+            offset=handle.offset, store=handle.store,
+        )
 
     @property
     def size(self) -> int:
@@ -161,7 +184,7 @@ class BlockSource:
             store=self.store,
         )
 
-    def open(self, *, write: bool = False):
+    def open(self):
         """``(view, segment)``: the whole tensor, and what to release after.
 
         ``segment`` is the shm attachment of a by-name source (``None``
@@ -178,10 +201,32 @@ class BlockSource:
             view = np.ndarray(self.shape, dtype=self.dtype, buffer=segment.buf)
             return view, segment
         view = np.memmap(
-            self.path, dtype=self.dtype, mode="r+" if write else "r",
+            self.path, dtype=self.dtype, mode="r",
             offset=self.offset, shape=self.shape,
         )
         return view, None
+
+    def write_block(self, buffer: np.ndarray, split, lo: int) -> None:
+        """Write the C-ordered ``buffer`` as the block at ``lo`` along
+        ``split`` of this file sink, by positioned writes.
+
+        The block is one contiguous run of the file when it is the whole
+        tensor or cut along mode 0, and ``prod(shape[:split])`` runs —
+        one per index of the modes before the cut — otherwise.
+        """
+        if buffer.size == 0:
+            return
+        if split is None:
+            runs = [(self.offset, buffer)]
+        else:
+            outer = math.prod(self.shape[:split])
+            stride = math.prod(self.shape[split + 1:]) * self.dtype.itemsize
+            rows = buffer.reshape(outer, -1)
+            runs = (
+                (self.offset + (r * self.shape[split] + lo) * stride, row)
+                for r, row in enumerate(rows)
+            )
+        write_runs(self.path, runs)
 
 
 def _descriptor(shape, dtype, shm, path, offset) -> BlockSource:
@@ -220,22 +265,31 @@ def _compute(kernel, sources, sink, args, split, lo, hi):
         else (slice(None),) * split + (slice(lo, hi),)
     )
     opened = [source.open() for source in sources]
-    if sink is not None:
-        opened.append(sink.open(write=True))
+    if sink is not None and sink.path is None:
+        opened.append(sink.open())
     try:
-        # mapped blocks are read into memory once, here; ndarray and shm
-        # blocks stay views
-        blocks = [
-            np.ascontiguousarray(view[index])
-            if isinstance(view, np.memmap) else view[index]
-            for view, _ in opened[: len(sources)]
-        ]
         if sink is None:
+            # a reducing kernel reads a mapped block into memory once,
+            # here (its Gram unfolds it); ndarray and shm blocks stay views
+            blocks = [
+                np.ascontiguousarray(view[index])
+                if isinstance(view, np.memmap) else view[index]
+                for view, _ in opened
+            ]
             return KERNELS[kernel](*blocks, *args)
-        # the kernel writes its block of the sink itself: no result held
-        target = opened[-1][0]
-        KERNELS[kernel](*blocks, *args, out=target[index])
-        del blocks, target
+        # the TTM multiplies every block where it lies, mapped or not
+        blocks = [view[index] for view, _ in opened[: len(sources)]]
+        if sink.path is not None:
+            shape = list(sink.shape)
+            if split is not None:
+                shape[split] = hi - lo
+            buffer = np.empty(shape, dtype=sink.dtype)
+            KERNELS[kernel](*blocks, *args, out=buffer)
+            sink.write_block(buffer, split, lo)
+        else:
+            # the kernel writes its block of the sink itself
+            KERNELS[kernel](*blocks, *args, out=opened[-1][0][index])
+        del blocks
         return None
     finally:
         segments = [segment for _, segment in opened if segment is not None]
@@ -288,14 +342,20 @@ def ttm_in_process(handle, matrix, mode: int, n_workers: int, map):
     """TTM of an ndarray or stored handle into a new handle of its kind."""
     matrix = np.asarray(matrix)
     shape, dtype = ttm_out(handle.shape, handle.dtype, matrix, mode)
-    if isinstance(handle, StoredTensor):
+    stored = isinstance(handle, StoredTensor)
+    if stored:
         out = StoredTensor.allocate(handle.store, shape, dtype)
     else:
         out = np.empty(shape, dtype=dtype)
-    run_ttm(
-        BlockSource.of(handle), BlockSource.of(out, write=True),
-        matrix, mode, n_workers, map,
-    )
+    try:
+        run_ttm(
+            BlockSource.of(handle), BlockSource.of(out, write=True),
+            matrix, mode, n_workers, map,
+        )
+    except BaseException:
+        if stored:
+            out.close()  # a failed write leaves no block behind
+        raise
     return out
 
 

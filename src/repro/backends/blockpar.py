@@ -103,13 +103,13 @@ def oc_block_slices(
 
 
 #: resident charge per in-flight out-of-core block, as a multiple of the
-#: block's bytes: the read copy, the kernel temporary (the Gram's unfold
-#: copy; a TTM holds none on any mode, it multiplies the read copy where
-#: it lies straight into the sink), and the output slab (a TTM's dirty
-#: pages of the mapped sink). A residency guarantee, not a tuning value:
-#: sessions size ``max_block_bytes`` as
-#: ``memory_budget // OC_LEASE_FACTOR`` so the concurrent leases of a
-#: full worker fan-out stay within the budget.
+#: block's bytes: the read copy (Gram, sketch and norm; a TTM reads its
+#: block where it lies, and copies it only when cut behind its mode),
+#: the kernel temporary (the Gram's unfold copy), and the output slab (a
+#: TTM's C-ordered buffer, positioned-written into a file sink). A
+#: residency guarantee, not a tuning value: sessions size
+#: ``max_block_bytes`` as ``memory_budget // OC_LEASE_FACTOR`` so the
+#: concurrent leases of a full worker fan-out stay within the budget.
 OC_LEASE_FACTOR = 3
 
 

@@ -15,8 +15,8 @@ TTM steps.
 
 Determinism is preserved exactly as in the threaded backend:
 
-* TTM blocks write disjoint slices of a preallocated output segment (no
-  cross-process reduction at all);
+* TTM blocks write disjoint slices of a preallocated output segment or
+  spill file (no cross-process reduction at all);
 * Gram partials and norm partials come back to the parent and are summed
   in ascending block order, the fixed-order discipline shared with the
   virtual cluster.
@@ -33,9 +33,10 @@ communication volume is recorded — one address space, honestly accounted.
 
 Out-of-core runs swap the transport: when the handle is a
 :class:`~repro.storage.StoredTensor` (a spill block or a lazily opened
-``.npy``), workers ``np.memmap`` the underlying *files* directly — read-
-only for inputs, read-write disjoint slices for outputs — instead of
-copying the tensor through ``shared_memory``. Task messages shrink to
+``.npy``), workers use the underlying *files* directly — they
+``np.memmap`` inputs read-only and write their disjoint runs of an
+output block with positioned writes — instead of copying the tensor
+through ``shared_memory``. Task messages shrink to
 paths plus geometry, and a tensor larger than RAM streams through the
 pool one budget-bounded block per worker at a time.
 """
@@ -50,7 +51,6 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -255,16 +255,15 @@ class ProcessPoolBackend(PoolBackend):
 
     # -- the process map --------------------------------------------------- #
 
-    def _await_all(self, futures, owned: tuple = ()) -> list:
+    def _await_all(self, futures) -> list:
         """Collect fan-out results; on failure leave the backend healthy.
 
         A worker exception must not poison the backend: pending tasks are
-        cancelled and drained first (so no worker is still writing when
-        segments go away), then every handle in ``owned`` — output
-        segments that will never reach the caller — is unlinked so
-        ``/dev/shm`` stays clean. A pool whose workers died
-        (:class:`BrokenProcessPool`) is shut down and dropped; the next
-        kernel transparently spins up a fresh one.
+        cancelled and drained first, so no worker is still writing when
+        the caller drops the output it was writing (:meth:`ttm` unlinks
+        it, so ``/dev/shm`` and the spill directory stay clean). A pool
+        whose workers died (:class:`BrokenProcessPool`) is shut down and
+        dropped; the next kernel transparently spins up a fresh one.
         """
         try:
             return [f.result() for f in futures]
@@ -272,8 +271,6 @@ class ProcessPoolBackend(PoolBackend):
             for f in futures:
                 f.cancel()
             wait(futures)
-            for handle in owned:
-                handle.close()
             if isinstance(exc, BrokenProcessPool) and self._pool is not None:
                 self._pool.shutdown(wait=False)
                 self._pool = None
@@ -285,7 +282,7 @@ class ProcessPoolBackend(PoolBackend):
             return self._executor().submit(_run_timed, func, *args)
         return self._executor().submit(func, *args)
 
-    def _collect(self, label: str, futures, owned: tuple = ()) -> list:
+    def _collect(self, label: str, futures) -> list:
         """:meth:`_await_all`, unwrapping traced span fragments.
 
         Each fragment becomes a ``kind="worker"`` span named
@@ -293,7 +290,7 @@ class ProcessPoolBackend(PoolBackend):
         enclosing kernel's phase). Fragments of a failed fan-out are
         dropped with their results — `_await_all` raises first.
         """
-        results = self._await_all(futures, owned)
+        results = self._await_all(futures)
         if not self.tracer.enabled:
             return results
         out = []
@@ -323,11 +320,11 @@ class ProcessPoolBackend(PoolBackend):
         concurrency = min(len(tasks), self.n_workers)
         return store.gauge.lease(OC_LEASE_FACTOR * biggest * concurrency)
 
-    def _map(self, tasks, owned: tuple = ()) -> list:
+    def _map(self, tasks) -> list:
         """Block tasks over the pool, results in task (ascending) order."""
         with self._worker_lease(tasks):
             futures = [self._submit(run_block, *task) for task in tasks]
-            return self._collect(tasks[0][0], futures, owned)
+            return self._collect(tasks[0][0], futures)
 
     # -- handles -> sources ------------------------------------------------ #
 
@@ -391,11 +388,15 @@ class ProcessPoolBackend(PoolBackend):
             out = StoredTensor.allocate(handle.store, shape, dtype)
         else:
             out = ShmTensor(shape, dtype)
-        if map is serial_map:
-            sink = _view(out, write=True)
-        else:
-            sink, map = self._descriptor(out), partial(map, owned=(out,))
-        run_ttm(source, sink, matrix, mode, n_workers, map)
+        sink = (
+            _view(out, write=True) if map is serial_map
+            else self._descriptor(out)
+        )
+        try:
+            run_ttm(source, sink, matrix, mode, n_workers, map)
+        except BaseException:
+            out.close()  # a failed TTM leaves no segment or block behind
+            raise
         self._record("gemm", tag, matrix.shape[0] * handle.size, start)
         return out
 

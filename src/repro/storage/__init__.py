@@ -42,6 +42,7 @@ from repro.storage.store import (
     parse_bytes,
     resident_gauge,
     warm_pages,
+    write_runs,
 )
 
 __all__ = [
@@ -64,4 +65,5 @@ __all__ = [
     "parse_bytes",
     "resident_gauge",
     "warm_pages",
+    "write_runs",
 ]

@@ -28,6 +28,7 @@ segments.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -248,23 +249,58 @@ def _remove_tree(path: str) -> None:
     shutil.rmtree(path, ignore_errors=True)
 
 
+def write_runs(path: str, runs, *, create: bool = False) -> None:
+    """Write ``(offset, array)`` runs into the file ``path`` with
+    positioned writes.
+
+    The one way raw block bytes are written: raw staging
+    (:meth:`MmapStore.put`), narrow decoding and the block kernels' TTM
+    sinks. Writing the same bytes through a freshly created shared file
+    mapping costs several times as much, in dirty-page faults rather
+    than disk traffic. Each array must be C-contiguous. A short write
+    is resumed where it stopped; an ``OSError`` (``ENOSPC``, ``EIO``)
+    is raised as a :class:`StorageError`. ``create`` creates (or
+    truncates) the file first; otherwise it must exist.
+    """
+    flags = os.O_WRONLY | (os.O_CREAT | os.O_TRUNC if create else 0)
+    try:
+        fd = os.open(path, flags, 0o600)
+    except OSError as exc:
+        raise StorageError(f"cannot open spill file {path!r}: {exc}") from exc
+    try:
+        for offset, array in runs:
+            data = memoryview(array.reshape(-1).view(np.uint8))
+            while data:
+                written = os.pwrite(fd, data, offset)
+                if written <= 0:
+                    raise OSError(errno.ENOSPC, "positioned write stalled")
+                data, offset = data[written:], offset + written
+    except OSError as exc:
+        raise StorageError(f"cannot write spill file {path!r}: {exc}") from exc
+    finally:
+        os.close(fd)
+
+
 class MmapStore:
     """Named tensor blocks as np.memmap-backed spill files under a managed
     directory, with put/get/writer semantics.
 
     Keys are caller-chosen identifiers (``[A-Za-z0-9._-]``, not starting
     with a separator); :meth:`next_key` hands out collision-free ones.
-    ``get`` views are read-only; ``writer`` views are mutable and shared
-    (the procpool workers write disjoint slices of one output block
-    through them).
+    ``get`` views are read-only. Blocks are written by positioned writes
+    (:func:`write_runs`): :meth:`put` writes its chunks, and the block
+    kernels write a :meth:`create`d output block by path, workers in
+    disjoint runs. ``writer`` views (mutable, shared mappings) remain
+    for callers that fill a block in place, such as the virtual
+    cluster's bricks.
 
     Spill files are run-scoped scratch: nothing reads them after the
     store is closed or its process dies, so no block is ever synced to
-    disk (no ``msync``/``flush``). They stay in the page cache until they
-    are deleted, and the kernel writes them back only under memory
-    pressure. Every mapping is ``MAP_SHARED``, so worker processes and
-    the parent see each other's writes through the shared page cache.
-    Manifests still commit atomically (written aside, then
+    disk (no ``msync``/``flush``/``fsync``). They stay in the page cache
+    until they are deleted, and the kernel writes them back only under
+    memory pressure. Positioned writes and every mapping go through the
+    one page cache, so worker processes and the parent see each other's
+    writes. Manifests still commit atomically (written aside, then
     ``os.replace``), so a reader sees a whole manifest or none.
 
     Parameters
@@ -572,7 +608,7 @@ class MmapStore:
             with self.tracer.span(
                 "spill:write", kind="io", key=key, bytes=int(nbytes)
             ):
-                self._spill_copy(array, path, target, nbytes)
+                self._spill_copy(array, path, target)
             self._write_manifest(key, shape, target, nbytes)
             stored = nbytes
         elif kind == "zlib":
@@ -610,35 +646,25 @@ class MmapStore:
         self.spill_bytes_logical += int(nbytes)
 
     def _spill_copy(
-        self, array: np.ndarray, path: str, target: np.dtype, nbytes: int
+        self, array: np.ndarray, path: str, target: np.dtype
     ) -> None:
-        mm = np.memmap(path, dtype=target, mode="w+", shape=array.shape)
+        """The leased chunks of :meth:`_iter_chunks`, written in order;
+        a failed write leaves no data file behind."""
+
+        def runs():
+            offset = 0
+            for chunk in self._iter_chunks(array, target):
+                yield offset, chunk
+                offset += chunk.nbytes
+
         try:
-            if array.flags["C_CONTIGUOUS"]:
-                # Flat chunking holds the chunk_bytes bound regardless of
-                # shape (a small leading axis would make first-axis slabs
-                # arbitrarily fat).
-                src = array.reshape(-1)
-                dst = mm.reshape(-1)
-                elems = max(1, self.chunk_bytes // target.itemsize)
-                for start in range(0, src.shape[0], elems):
-                    stop = min(src.shape[0], start + elems)
-                    with self.gauge.lease(
-                        (stop - start) * target.itemsize
-                    ):
-                        dst[start:stop] = src[start:stop]  # casts per chunk
-            else:
-                # Strided sources (a brick view of a bigger mapping) copy
-                # slab-by-slab along the first axis; a slab is the finest
-                # unit a strided assignment admits without a temp copy.
-                row_bytes = max(1, nbytes // max(1, array.shape[0]))
-                rows = max(1, self.chunk_bytes // row_bytes)
-                for start in range(0, array.shape[0], rows):
-                    stop = min(array.shape[0], start + rows)
-                    with self.gauge.lease((stop - start) * row_bytes):
-                        mm[start:stop] = array[start:stop]
-        finally:
-            del mm
+            write_runs(path, runs(), create=True)
+        except StorageError:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+            raise
 
     def _iter_chunks(self, array: np.ndarray, target: np.dtype, scale=1):
         """Yield leased, C-contiguous ``target``-dtype chunks of ``array``.
@@ -858,17 +884,18 @@ class MmapStore:
         src_mm = np.memmap(
             src, dtype=meta.stored_dtype, mode="r", shape=(size,)
         )
-        dst_mm = np.memmap(dst, dtype=meta.dtype, mode="w+", shape=(size,))
-        try:
-            elems = max(1, self.chunk_bytes // meta.dtype.itemsize)
+        itemsize = meta.dtype.itemsize
+        elems = max(1, self.chunk_bytes // itemsize)
+
+        def runs():
             for start in range(0, size, elems):
                 stop = min(size, start + elems)
-                with self.gauge.lease(
-                    (stop - start) * meta.dtype.itemsize
-                ):
-                    dst_mm[start:stop] = src_mm[start:stop]
-        finally:
-            del src_mm, dst_mm
+                with self.gauge.lease((stop - start) * itemsize):
+                    yield start * itemsize, src_mm[start:stop].astype(
+                        meta.dtype
+                    )
+
+        write_runs(dst, runs(), create=True)
 
     def get(self, key: str) -> np.ndarray:
         """The stored block, as a read-only mapping."""
@@ -885,7 +912,8 @@ class MmapStore:
         return self._map(key, "r+")
 
     def create(self, key: str, shape, dtype) -> None:
-        """Allocate an uninitialized block (write via :meth:`writer`)."""
+        """Allocate an uninitialized block, to be written by path
+        (:func:`write_runs`) or through :meth:`writer`."""
         self._check_open()
         self.check_key(key)
         shape = tuple(int(s) for s in shape)
@@ -1020,7 +1048,8 @@ class StoredTensor:
     def allocate(
         cls, store: MmapStore, shape, dtype, *, key: str | None = None
     ) -> "StoredTensor":
-        """Allocate an uninitialized output block (write via writer())."""
+        """Allocate an uninitialized output block; the block kernels
+        write it by path (``BlockSource.of(handle, write=True)``)."""
         key = key if key is not None else store.next_key("o")
         store.create(key, shape, dtype)
         return cls(

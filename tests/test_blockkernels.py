@@ -12,11 +12,15 @@ map ran them. Held here directly, below the backends:
   does so for every block the geometry can cut — in front of the mode
   (a view) and behind it (one copy of that block) — on every sink, and
   allocates nothing tensor-sized while it does;
+* a file sink takes positioned writes, one per contiguous run of the
+  file, and every cut lands where it belongs, wherever in its file the
+  sink starts and however many threads write it at once;
 * the task message survives a ``spawn`` pool, where nothing is inherited
   and everything a worker needs must arrive pickled.
 """
 
 import gc
+import math
 import multiprocessing
 import os
 import sys
@@ -36,6 +40,7 @@ from repro.backends.blockkernels import (
     run_sketch,
     run_ttm,
     serial_map,
+    ttm_in_process,
     ttm_out,
 )
 from repro.backends.procpool import (
@@ -46,7 +51,9 @@ from repro.backends.procpool import (
 from repro.backends.sequential import SequentialBackend
 from repro.backends.sketch import single_pass_specs
 from repro.backends.threaded import ThreadedBackend
+from repro.dist.blocks import block_ranges
 from repro.storage import MmapStore, StoredTensor, resident_gauge
+from repro.tensor.ttm import ttm
 from repro.tensor.unfold import unfold
 from test_tensor_ttm import KIB, einsum_ttm, traced_peak  # one reference
 
@@ -264,6 +271,83 @@ def test_ttm_writes_every_block_into_every_sink(
     finally:
         placed.close()
     assert list(tmp_path.iterdir()) == []
+
+
+#: file-sink geometries: every mode of each is a TTM mode and, where it
+#: is not the TTM's, a cut (mode 0: one run per block, a middle or the
+#: last mode: one per index of the sink's modes before the cut)
+POSITIONED_SHAPES = {"3d": (12, 10, 9), "4d": (7, 6, 5, 8)}
+
+
+@pytest.mark.parametrize("offset", (0, 4096 + 24), ids=("at0", "mid-file"))
+@pytest.mark.parametrize("map_name", ("serial", "threads"))
+@pytest.mark.parametrize("shape", sorted(POSITIONED_SHAPES))
+def test_ttm_positioned_writes_land_every_run(
+    shape, map_name, offset, maps, monkeypatch, tmp_path
+):
+    dims = POSITIONED_SHAPES[shape]
+    ndim = len(dims)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(dims)
+    map = maps(2)[map_name]
+    calls = []
+    pwrite = os.pwrite
+
+    def counting(fd, data, at):
+        calls.append(at)
+        return pwrite(fd, data, at)
+
+    monkeypatch.setattr(os, "pwrite", counting)
+    header = bytes(range(256)) * (offset // 256) + b"\xa5" * (offset % 256)
+    path = tmp_path / "sink.bin"
+    spill = str(tmp_path / "spill")
+    with MmapStore(root=spill, max_block_bytes=1024) as store:
+        handle = StoredTensor.spill(store, x)
+        source = BlockSource(dims, x.dtype, path=handle.path, store=store)
+        for mode in range(ndim):
+            matrix = rng.standard_normal((3, dims[mode]))
+            want = ttm(x, matrix, mode)
+            for split in (None, *range(ndim)):
+                if split == mode:
+                    continue
+                spans = (
+                    [(0, 0)] if split is None
+                    else block_ranges(dims[split], 3)
+                )
+                tasks = [
+                    ("ttm", (source,), BlockSource(
+                        want.shape, want.dtype, path=str(path), offset=offset
+                    ), (matrix, mode), split, lo, hi)
+                    for lo, hi in spans
+                ]
+                got = []
+                for _ in range(2):
+                    with open(path, "wb") as fh:
+                        fh.write(header)
+                        fh.truncate(offset + want.nbytes)
+                    calls.clear()
+                    map(tasks)
+                    runs = math.prod(want.shape[:split or 0])
+                    assert len(calls) == len(spans) * runs, (mode, split)
+                    assert path.read_bytes()[:offset] == header
+                    got.append(np.fromfile(
+                        path, dtype=want.dtype, offset=offset
+                    ).reshape(want.shape))
+                np.testing.assert_array_equal(got[1], got[0])
+                np.testing.assert_allclose(
+                    got[0], want, rtol=0, atol=1e-12,
+                    err_msg=f"mode {mode}, split {split}",
+                )
+        handle.close()
+
+
+def test_ttm_into_an_empty_file_sink_writes_nothing(monkeypatch, tmp_path):
+    """A rank-0 factor gives a zero-byte stored output: no run to write."""
+    with MmapStore(root=str(tmp_path)) as store:
+        x = StoredTensor.spill(store, np.ones((4, 5, 3)))
+        monkeypatch.setattr(os, "pwrite", None)  # any call would raise
+        out = ttm_in_process(x, np.ones((0, 4)), 0, 1, serial_map)
+        assert out.shape == (0, 5, 3) and out.nbytes == 0
 
 
 @pytest.mark.parametrize("n_workers", (1, 2, 3))

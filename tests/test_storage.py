@@ -16,6 +16,7 @@ dist-engine suite pins the collectives:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -259,6 +260,20 @@ class TestCleanup:
         store.close()
         assert path.exists()
 
+    def test_external_files_refuse_writes_by_path(self, tmp_path):
+        """A TTM sink is written by path, so the refusal ``writer()``
+        gives an unowned handle holds for the path sink too."""
+        from repro.backends.blockkernels import BlockSource
+
+        path = tmp_path / "input.npy"
+        np.save(path, np.arange(32.0).reshape(4, 8))
+        before = path.read_bytes()
+        with MmapStore(root=str(tmp_path / "root")) as store:
+            ext = StoredTensor.external(store, np.load(path, mmap_mode="r"))
+            with pytest.raises(StorageError):
+                BlockSource.of(ext, write=True)
+        assert path.read_bytes() == before
+
     def test_delete_is_idempotent(self, tmp_path):
         with MmapStore(root=str(tmp_path)) as store:
             store.put("x", np.zeros(4))
@@ -337,6 +352,117 @@ class TestSpillIsScratch:
             x.close()
             out.close()
         assert flushes == []
+
+    @pytest.mark.parametrize("codec", ["raw", "narrow"])
+    @pytest.mark.parametrize("backend", ["sequential", "threaded"])
+    def test_spilled_run_maps_nothing_writable(self, backend, codec,
+                                               monkeypatch, tmp_path):
+        """Staging, narrow decoding and every TTM sink write by position:
+        the run constructs no ``np.memmap`` in a writable mode."""
+        from repro.session import TuckerSession
+        from repro.tensor.random import low_rank_tensor
+
+        modes = []
+        new = np.memmap.__new__
+
+        def counting(subtype, filename, dtype=np.uint8, mode="r+",
+                     *args, **kwargs):
+            modes.append(mode)
+            return new(subtype, filename, dtype, mode, *args, **kwargs)
+
+        monkeypatch.setattr(np.memmap, "__new__", staticmethod(counting))
+        t = low_rank_tensor((24, 20, 16), (4, 4, 3), noise=0.1, seed=3)
+        res = TuckerSession(
+            backend=backend, storage="mmap", memory_budget="16K",
+            spill_dir=str(tmp_path), spill_codec=codec,
+        ).run(t, (4, 4, 3), planner="optimal", n_procs=2, max_iters=2,
+              tol=-np.inf)
+        assert res.storage == "mmap" and res.spill_bytes_written > 0
+        assert "r" in modes  # the count sees the run's read mappings
+        assert not set(modes) & {"r+", "w+", "readwrite", "write"}
+
+
+class TestPositionedWrites:
+    """Spill writes go through ``os.pwrite``: a short write is resumed,
+    and a failed one is a typed error that leaves no file behind."""
+
+    def test_short_write_is_resumed(self, monkeypatch, tmp_path):
+        from repro.backends.blockkernels import serial_map, ttm_in_process
+        from repro.tensor.ttm import ttm
+
+        array = _array_for((12, 10, 8), np.float64, 6)
+        matrix = _array_for((4, 10), np.float64, 7)
+        pwrite = os.pwrite
+        shortened = []
+
+        def half_once(fd, data, offset):
+            if not shortened and len(data) > 1:
+                shortened.append(len(data))
+                data = data[: len(data) // 2]
+            return pwrite(fd, data, offset)
+
+        with MmapStore(root=str(tmp_path), max_block_bytes=2048) as store:
+            x = StoredTensor.spill(store, array)
+            monkeypatch.setattr(os, "pwrite", half_once)
+            out = ttm_in_process(x, matrix, 1, 1, serial_map)
+            monkeypatch.undo()
+            assert shortened
+            np.testing.assert_allclose(
+                np.asarray(out.open()), ttm(array, matrix, 1), rtol=0,
+                atol=1e-12,
+            )
+            out.close()
+
+    @staticmethod
+    def _full(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def test_failed_sink_write_drops_its_block(self, monkeypatch, tmp_path):
+        from repro.backends.blockkernels import serial_map, ttm_in_process
+
+        array = _array_for((12, 10, 8), np.float64, 6)
+        matrix = _array_for((4, 10), np.float64, 7)
+        with MmapStore(root=str(tmp_path), max_block_bytes=2048) as store:
+            x = StoredTensor.spill(store, array)
+            monkeypatch.setattr(os, "pwrite", self._full)
+            with pytest.raises(StorageError, match="No space left") as info:
+                ttm_in_process(x, matrix, 1, 1, serial_map)
+            # the block goes at once, not when the traceback's frames die
+            assert info.tb is not None and store.keys() == [x.key]
+            with pytest.raises(StorageError):
+                store.put("staged", array)
+            assert store.keys() == [x.key]
+            assert sorted(os.listdir(store.directory)) == [
+                f"{x.key}.blk", f"{x.key}.json",
+            ]
+            x.close()
+
+    @pytest.mark.parametrize("staged", [True, False], ids=["put", "sink"])
+    @pytest.mark.parametrize("backend", ["sequential", "threaded"])
+    def test_full_spill_dir_is_a_typed_error(self, backend, staged,
+                                             monkeypatch, tmp_path):
+        """``put`` fails staging a resident input; a ``.npy`` input is
+        wrapped in place, so the first TTM sink fails instead."""
+        from repro.errors import ReproError
+        from repro.session import TuckerSession
+        from repro.tensor.random import low_rank_tensor
+
+        t = low_rank_tensor((24, 20, 16), (4, 4, 3), noise=0.1, seed=3)
+        if not staged:
+            np.save(tmp_path / "input.npy", t)
+            t = np.load(tmp_path / "input.npy", mmap_mode="r")
+        spill = tmp_path / "spill"
+        monkeypatch.setattr(os, "pwrite", self._full)
+        session = TuckerSession(
+            backend=backend, storage="mmap", memory_budget="16K",
+            spill_dir=str(spill),
+        )
+        with pytest.raises(ReproError, match="No space left") as info:
+            session.run(t, (4, 4, 3), planner="optimal", n_procs=2,
+                        max_iters=1)
+        session.close()
+        assert isinstance(info.value, StorageError)
+        assert list(spill.iterdir()) == []
 
 
 # --------------------------------------------------------------------- #
