@@ -5,9 +5,9 @@ The paper's execution layer is two kernels (the TTM and the Gram+EVD
 sketch, a cross-Gram and the norm. Their arithmetic lives in the leaf
 module :mod:`repro.tensor.kernels`, which the virtual cluster runs on
 its bricks too. The shared-memory backends all run those kernels the
-same way — cut the tensor along its longest free mode, compute one
-partial per block, combine in ascending block order — and differ only
-in where the blocks live and who runs them. This module holds that
+same way — cut the tensor along one free mode, compute one partial
+per block, combine in ascending block order — and differ only in where
+the blocks live and who runs them. This module holds that
 common part, in three layers:
 
 * :data:`KERNELS`: kernel name -> the leaf's ``block(s) -> partial``
@@ -29,10 +29,16 @@ process pool's submit/collect) and how many workers the geometry is cut
 for. To add a backend, supply a source and a map.
 
 Residency: a source built from a :class:`~repro.storage.StoredTensor`
-knows its store, and every block taken from it in-process is leased from
-the store's gauge at ``OC_LEASE_FACTOR`` x its bytes: the copy a mapped
-block is read into, the Gram's unfolding of it, and the output slab. A
-TTM multiplies its block where it lies, mapped or not (``ttm`` copies a
+is its file, and it knows its store: every block taken from it
+in-process is leased from the store's gauge at ``OC_LEASE_FACTOR`` x its
+bytes: the copy a mapped block is read into, the Gram's unfolding of it,
+and the output slab. Each block maps the file read-only for itself and
+drops the mapping with the block, so a pass never holds the whole file
+mapped. One fault maps a whole page-cache folio, though (2 MiB on ext4
+for a file written in large pieces), so a block cut behind mode 0 maps
+most of its enclosing byte range: a stored tensor is cut along the
+outermost mode whose one-unit slab fits a block (:func:`_cut`). A TTM
+multiplies its block where it lies, mapped or not (``ttm`` copies a
 block only when it is cut behind the mode). Into an ndarray or shm sink
 it writes its slice in place (``out=``). Into a file sink — a spill
 block, by ``path`` and ``offset`` — it writes one C-ordered buffer
@@ -144,16 +150,27 @@ class BlockSource:
     def of(cls, handle, *, write: bool = False) -> "BlockSource":
         """The in-process source of an ndarray or a stored handle.
 
-        A stored sink (``write=True``) is its file, written by path:
-        only an owned raw block takes writes, so an external file (the
-        caller's ``.npy``) raises :class:`~repro.storage.StorageError`.
+        A stored source is its file (:meth:`StoredTensor.mappable`, the
+        descriptor procpool ships): every block maps its own region and
+        drops it with the block, so no pass over the tensor leaves the
+        whole file mapped. Only a zero-byte tensor, which has no file
+        to map, is opened here. A stored sink (``write=True``) is its
+        file, written by path: only an owned raw block takes writes, so
+        an external file (the caller's ``.npy``) raises
+        :class:`~repro.storage.StorageError`.
         """
         if not isinstance(handle, StoredTensor):
             return cls(handle.shape, handle.dtype, array=handle)
         if not write:
+            mapped = handle.mappable() if handle.nbytes else None
+            if mapped is None:
+                return cls(
+                    handle.shape, handle.dtype, array=handle.open(),
+                    store=handle.store,
+                )
             return cls(
-                handle.shape, handle.dtype, array=handle.open(),
-                store=handle.store,
+                handle.shape, handle.dtype, path=mapped[0],
+                offset=mapped[1], store=handle.store,
             )
         if not handle.owned or handle.path is None:
             raise StorageError(
@@ -312,19 +329,32 @@ def serial_map(tasks) -> list:
 
 
 def _cut(source: BlockSource, avoid: int | None, n_workers: int):
-    """``(split, [(lo, hi), ...])``; one whole-tensor span when unsplit."""
+    """``(split, [(lo, hi), ...])``; one whole-tensor span when unsplit.
+
+    A resident source is cut along its longest mode other than ``avoid``.
+    A stored one is cut along the outermost such mode whose one-unit
+    slab fits the store's per-block bytes, and along the longest only
+    when none fits: the further out the cut, the fewer and longer the
+    file runs a block spans, both the positioned writes of a file sink
+    and the pages a mapped block touches.
+    """
     split = split_mode(source.shape, avoid)
     if split is None:
         return None, [(0, 0)]
     if source.store is None:
         slices = block_slices(source.shape[split], n_workers)
     else:
-        slices = oc_block_slices(
-            source.shape,
+        per_block = source.store.per_block_bytes(n_workers)
+        unit = source.size * source.dtype.itemsize
+        split = next(
+            (
+                m for m, length in enumerate(source.shape)
+                if m != avoid and length > 1 and unit // length <= per_block
+            ),
             split,
-            source.dtype.itemsize,
-            source.store.per_block_bytes(n_workers),
-            n_workers,
+        )
+        slices = oc_block_slices(
+            source.shape, split, source.dtype.itemsize, per_block, n_workers,
         )
     return split, [(sl.start, sl.stop) for sl in slices]
 

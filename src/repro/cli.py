@@ -738,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--no-prefetch", action="store_true",
-        help="disable background page-warming of the next request's "
+        help="disable background read-ahead of the next request's "
         ".npy input",
     )
     p_serve.add_argument(

@@ -21,8 +21,8 @@ already earns:
   queue sheds fast with a typed
   :class:`~repro.serve.admission.AdmissionError`.
 * **Pipelined prefetch**: while a worker computes, its
-  :class:`~repro.session.Prefetcher` faults the next request's ``.npy``
-  pages in from disk.
+  :class:`~repro.session.Prefetcher` asks the OS to read the next
+  request's ``.npy`` file ahead into the page cache.
 * **Deadlines, cancellation, graceful drain** on
   :class:`~repro.serve.server.TuckerServer`, with
   :class:`~repro.serve.stats.ServerStats` reporting through the PR-6

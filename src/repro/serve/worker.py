@@ -9,8 +9,8 @@ plan cache and warm backend pools hit run after run.
 
 The pipelined half: before executing a request, the worker hands the
 *next* queued request's file mapping to its
-:class:`~repro.session.Prefetcher`, which faults the pages in from disk
-while the current decomposition computes.
+:class:`~repro.session.Prefetcher`, which asks the OS to read that
+file into the page cache while the current decomposition computes.
 """
 
 from __future__ import annotations
@@ -68,15 +68,8 @@ class ServeWorker:
         self.inflight = 0
         #: per-run traces, collected when the session traces (CLI --trace)
         self.traces: list = []
-        # Warm chunks match the session's budget-bounded store geometry,
-        # so prefetch never leases a larger chunk than a spill would.
         self.prefetcher = (
-            Prefetcher(
-                chunk_bytes=session.prefetch_chunk_bytes(),
-                max_bytes=admission.budget,
-            )
-            if prefetch
-            else None
+            Prefetcher(max_bytes=admission.budget) if prefetch else None
         )
         self.thread = threading.Thread(
             target=self._loop, name=f"repro-serve-w{index}", daemon=True
@@ -208,7 +201,8 @@ class ServeWorker:
         self.stats.completed(seconds=result.seconds, wall_seconds=wall)
 
     def _prefetch_next(self) -> None:
-        """Warm the next queued file-backed input while this one runs."""
+        """Read the next queued file-backed input ahead while this one
+        runs."""
         if self.prefetcher is None:
             return
         with self.inbox.mutex:

@@ -63,7 +63,6 @@ from repro.backends.blockpar import OC_LEASE_FACTOR
 from repro.backends.select import (
     check_spill_codec,
     resolve_auto_procs,
-    spill_chunk_bytes,
 )
 from repro.backends.schedule import (
     RAND_METHODS,
@@ -340,8 +339,7 @@ def _spill_geometry(
     (one page), not the unbounded default — 1-byte blocks would turn
     spills into per-element Python loops. The write-through chunk is
     ``chunk_bytes`` (a calibrated profile's, else the default) capped
-    at the block size. Stores and prefetch both size from here, so a
-    prefetch lease is never bigger than a chunk the store writes.
+    at the block size.
     """
     chunk = chunk_bytes if chunk_bytes is not None else DEFAULT_CHUNK_BYTES
     if budget is None:
@@ -392,25 +390,21 @@ class Prefetcher:
     """One background loader double-buffering item load against compute.
 
     While item *k* executes, :meth:`schedule` hands item *k+1*'s array to
-    a daemon thread that faults its backing pages in through
-    :func:`repro.storage.warm_pages` (memory-mapped ``.npy`` inputs and
-    spill blocks; resident arrays are skipped for free). The executing
-    run then finds hot pages instead of stalling on disk — the pipelined
-    half of ``run_many`` and of every ``repro.serve`` worker.
+    a daemon thread that asks the OS to read its backing file ahead
+    through :func:`repro.storage.warm_pages` (memory-mapped ``.npy``
+    inputs and spill blocks; resident arrays are skipped for free). The
+    executing run then maps pages already in the page cache instead of
+    stalling on disk, and no page is mapped into this process before its
+    block runs — the pipelined half of ``run_many`` and of every
+    ``repro.serve`` worker.
 
-    Prefetch is strictly advisory: warming failures are swallowed, and a
-    ``max_bytes`` cap (a serving memory budget) bounds how much of a
-    large item is pulled ahead. ``bytes_warmed`` is only read after
+    Prefetch is strictly advisory: failures to advise are swallowed, and
+    a ``max_bytes`` cap (a serving memory budget) bounds how much of a
+    large item is read ahead. ``bytes_warmed`` is only read after
     :meth:`close` joins the thread.
     """
 
-    def __init__(
-        self,
-        *,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        max_bytes: int | None = None,
-    ) -> None:
-        self._chunk_bytes = int(chunk_bytes)
+    def __init__(self, *, max_bytes: int | None = None) -> None:
         self._max_bytes = max_bytes
         self._queue: queue_mod.Queue = queue_mod.Queue()
         self._thread: threading.Thread | None = None
@@ -418,7 +412,8 @@ class Prefetcher:
         self.items_warmed = 0
 
     def schedule(self, array: np.ndarray | None) -> None:
-        """Warm ``array``'s pages in the background (no-op when resident)."""
+        """Read ``array``'s file ahead in the background (no-op when
+        resident)."""
         if array is None or not isinstance(array, np.memmap):
             return
         if self._thread is None:
@@ -434,14 +429,10 @@ class Prefetcher:
             if array is None:
                 return
             try:
-                warmed = warm_pages(
-                    array,
-                    chunk_bytes=self._chunk_bytes,
-                    max_bytes=self._max_bytes,
-                )
+                warmed = warm_pages(array, max_bytes=self._max_bytes)
             except (OSError, ValueError) as exc:
-                # advisory: a failed warm just means a cold first read
-                logger.debug("page warm failed: %s", exc)
+                # advisory: a failed read-ahead just means a cold first read
+                logger.debug("read-ahead failed: %s", exc)
                 continue
             self.bytes_warmed += warmed
             if warmed:
@@ -773,17 +764,6 @@ class TuckerSession:
             chunk_bytes=chunk,
             codec=selection.codec,
         )
-
-    def prefetch_chunk_bytes(self) -> int:
-        """The page-warm chunk size matching this session's store geometry.
-
-        Prefetch leases its warm chunks through the resident gauge, so it
-        must never lease a bigger chunk than the budget-bounded store
-        itself would write: both come from :func:`_spill_geometry`.
-        """
-        return _spill_geometry(
-            self._memory_budget, spill_chunk_bytes(self._profile)
-        )[1]
 
     # -- adaptive backend selection --------------------------------------- #
 
@@ -1691,11 +1671,13 @@ class TuckerSession:
         charge.
 
         ``prefetch`` (default on) double-buffers file-backed items: while
-        item *i* computes, a background thread touches one element per
-        page of item *i+1*'s memory mapping, so its pages are faulted in
-        from disk by the time execution reaches it. In-memory items are
-        skipped (nothing to fault); ``prefetch=False`` restores strictly
-        serial I/O. Warmed bytes land in the session metrics as the
+        item *i* computes, a background thread asks the OS to read
+        item *i+1*'s file region ahead (``posix_fadvise`` with
+        ``POSIX_FADV_WILLNEED``), so its pages are in the page cache by
+        the time execution maps them, block by block. Nothing is mapped
+        into the process ahead of time. In-memory items are skipped
+        (nothing to read); ``prefetch=False`` restores strictly serial
+        I/O. Advised bytes land in the session metrics as the
         ``prefetch_bytes`` / ``prefetch_items`` counters.
 
         ``on_error="raise"`` (default) propagates the first failure;
@@ -1725,13 +1707,7 @@ class TuckerSession:
         items: list[BatchItem] = []
         failures: list[BatchFailure] = []
         ledger = StatsLedger()
-        # Warm chunks sized to the budget geometry, never larger than the
-        # run stores this batch will open.
-        prefetcher = (
-            Prefetcher(chunk_bytes=self.prefetch_chunk_bytes())
-            if prefetch
-            else None
-        )
+        prefetcher = Prefetcher() if prefetch else None
         seq = 0
         index = 0
         exhausted = False

@@ -1078,22 +1078,12 @@ class StoredTensor:
             )
         if mapped.filename is None:
             raise ValueError("external() needs a file-backed mapping")
-        # Views inherit the parent's .offset attribute verbatim, so
-        # trusting it would read the wrong file region for anything but
-        # the root mapping (m[2:] still reports m's offset). Derive the
-        # true file position from the data pointers instead: walk to the
-        # root memmap and add the view's byte displacement within it.
-        root = mapped
-        while isinstance(root.base, np.ndarray):
-            root = root.base
-        if not isinstance(root, np.memmap):
+        offset = _file_offset(mapped)
+        if offset is None:
             raise ValueError(
                 "external() cannot locate the mapping's backing file; "
                 "spill a copy instead (StoredTensor.spill)"
             )
-        offset = int(root.offset) + (
-            mapped.ctypes.data - root.ctypes.data
-        )
         return cls(
             store, mapped.shape, mapped.dtype,
             path=os.fspath(mapped.filename), offset=offset,
@@ -1118,6 +1108,8 @@ class StoredTensor:
 
     def open(self) -> np.ndarray:
         """A read-only mapping of the whole tensor (pages load lazily)."""
+        if self.nbytes == 0:
+            return np.empty(self.shape, dtype=self.dtype)  # nothing to map
         if self.path is not None:
             return np.memmap(
                 self.path, dtype=self.dtype, mode="r",
@@ -1172,54 +1164,54 @@ def _delete_block(store: MmapStore, key: str) -> None:
 # --------------------------------------------------------------------- #
 
 
-def warm_pages(
-    array: np.ndarray,
-    *,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    max_bytes: int | None = None,
-    gauge: ResidentGauge | None = None,
-) -> int:
-    """Fault an array's backing pages into the page cache; returns bytes.
+def _file_offset(mapped: np.memmap) -> int | None:
+    """Where ``mapped``'s first byte lies in its file; ``None`` if unknown.
+
+    Views inherit the parent's ``.offset`` attribute verbatim, so trusting
+    it would name the wrong file region for anything but the root mapping
+    (``m[2:]`` still reports ``m``'s offset). The true position comes from
+    the data pointers instead: walk to the root memmap and add the view's
+    byte displacement within it.
+    """
+    root = mapped
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if not isinstance(root, np.memmap):
+        return None
+    return int(root.offset) + (mapped.ctypes.data - root.ctypes.data)
+
+
+def warm_pages(array: np.ndarray, *, max_bytes: int | None = None) -> int:
+    """Ask the OS to read an array's file region ahead; returns bytes.
 
     The load half of double-buffered prefetch: while one item computes,
     the *next* item's memory-mapped backing file (a lazily opened
-    ``.npy``, a spill block) is touched here — one element per page,
-    chunk by chunk — so the upcoming ``distribute`` reads hot pages
-    instead of stalling on disk. Resident ndarrays are already paged in
-    and return 0 untouched.
+    ``.npy``, a spill block) is named to ``posix_fadvise`` with
+    ``POSIX_FADV_WILLNEED``, and the OS reads it into the page cache
+    in the background. No page is touched here, so none is mapped into
+    this process: the upcoming blocks map hot pages, and prefetch adds
+    nothing to the resident set the memory budget bounds.
 
-    ``max_bytes`` caps the warmed prefix (a serving worker warming under
-    a memory budget must not evict the executing run's working set);
-    each chunk's footprint is leased from ``gauge`` while it is being
-    touched, keeping prefetch inside the same measured-resident
-    discipline as spill I/O. Purely advisory: any failure to warm is the
-    caller's cue to proceed cold, never an error.
+    Returns the bytes advised: the mapping's size, capped at
+    ``max_bytes`` (a serving worker under a memory budget reads no more
+    than that ahead). Resident, empty and not C-contiguous arrays return
+    0, as does every array where the OS has no ``posix_fadvise``. Purely
+    advisory: an ``OSError`` here is the caller's cue to proceed cold.
     """
-    if array is None or not isinstance(array, np.memmap):
+    fadvise = getattr(os, "posix_fadvise", None)
+    if fadvise is None or not isinstance(array, np.memmap):
         return 0
-    nbytes = int(array.nbytes)
-    if nbytes == 0:
+    if array.filename is None or not array.flags["C_CONTIGUOUS"]:
         return 0
-    limit = nbytes if max_bytes is None else min(nbytes, int(max_bytes))
-    if limit <= 0:
+    limit = int(array.nbytes)
+    if max_bytes is not None:
+        limit = min(limit, int(max_bytes))
+    offset = _file_offset(array)
+    if limit <= 0 or offset is None:
         return 0
+    fd = os.open(os.fspath(array.filename), os.O_RDONLY)
     try:
-        flat = array.reshape(-1)
-    except (AttributeError, ValueError):  # non-contiguous mapping
-        return 0
-    itemsize = int(array.itemsize)
-    step = max(1, int(chunk_bytes) // itemsize)
-    page_stride = max(1, 4096 // itemsize)
-    touched = 0
-    pos = 0
-    while pos < flat.size and pos * itemsize < limit:
-        end = min(flat.size, pos + step)
-        chunk = (end - pos) * itemsize
-        if gauge is not None:
-            with gauge.lease(chunk):
-                float(flat[pos:end:page_stride].sum())
-        else:
-            float(flat[pos:end:page_stride].sum())
-        touched += chunk
-        pos = end
-    return touched
+        fadvise(fd, offset, limit, os.POSIX_FADV_WILLNEED)
+    finally:
+        os.close(fd)
+    return limit

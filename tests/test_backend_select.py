@@ -869,7 +869,7 @@ class TestSpillCodecFrontDoors:
 
 
 class TestSpillGeometry:
-    """Stores and prefetch share one budget -> block/chunk rule."""
+    """Stores take their block and chunk from one budget rule."""
 
     def _session(self, spill_dir=None, **storage):
         profile = default_profile()
@@ -880,7 +880,7 @@ class TestSpillGeometry:
             spill_dir=spill_dir,
         )
 
-    def test_prefetch_chunk_matches_calibrated_store_chunk(self, tmp_path):
+    def test_store_chunk_is_the_calibrated_chunk(self, tmp_path):
         with self._session(
             str(tmp_path), spill_chunk_bytes=256 * 2**10
         ) as session:
@@ -888,20 +888,18 @@ class TestSpillGeometry:
             store = session._open_store(selection)
             with store:
                 assert store.chunk_bytes == 256 * 2**10
-                assert session.prefetch_chunk_bytes() == store.chunk_bytes
 
     def test_uncalibrated_numbers_unchanged(self):
         from repro.backends.blockpar import OC_LEASE_FACTOR
+        from repro.session import _spill_geometry
         from repro.storage import DEFAULT_CHUNK_BYTES
 
-        with TuckerSession("sequential", memory_budget="16M") as session:
-            assert session.prefetch_chunk_bytes() == min(
-                DEFAULT_CHUNK_BYTES, 16 * 2**20 // OC_LEASE_FACTOR
-            )
-        with TuckerSession("sequential", memory_budget=0) as session:
-            assert session.prefetch_chunk_bytes() == 4096
-        with TuckerSession("sequential") as session:
-            assert session.prefetch_chunk_bytes() == DEFAULT_CHUNK_BYTES
+        block = 16 * 2**20 // OC_LEASE_FACTOR
+        assert _spill_geometry(16 * 2**20, None) == (
+            block, min(DEFAULT_CHUNK_BYTES, block)
+        )
+        assert _spill_geometry(0, None) == (4096, 4096)
+        assert _spill_geometry(None, None) == (None, DEFAULT_CHUNK_BYTES)
 
 
 class TestCalibrateStorageProbe:

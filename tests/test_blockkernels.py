@@ -15,6 +15,8 @@ map ran them. Held here directly, below the backends:
 * a file sink takes positioned writes, one per contiguous run of the
   file, and every cut lands where it belongs, wherever in its file the
   sink starts and however many threads write it at once;
+* a stored tensor is cut along the outermost mode whose one-unit slab
+  fits the store's block bytes, so its blocks span few, long file runs;
 * the task message survives a ``spawn`` pool, where nothing is inherited
   and everything a worker needs must arrive pickled.
 """
@@ -48,6 +50,7 @@ from repro.backends.procpool import (
     ShmTensor,
     segment_prefix,
 )
+from repro.backends.blockpar import OC_LEASE_FACTOR
 from repro.backends.sequential import SequentialBackend
 from repro.backends.sketch import single_pass_specs
 from repro.backends.threaded import ThreadedBackend
@@ -348,6 +351,116 @@ def test_ttm_into_an_empty_file_sink_writes_nothing(monkeypatch, tmp_path):
         monkeypatch.setattr(os, "pwrite", None)  # any call would raise
         out = ttm_in_process(x, np.ones((0, 4)), 0, 1, serial_map)
         assert out.shape == (0, 5, 3) and out.nbytes == 0
+
+
+def test_a_stored_source_is_its_file(tmp_path):
+    """``BlockSource.of`` hands out the file a stored handle names, so
+    every block maps its own region; only a zero-byte tensor, which has
+    no file to map, comes back as an array."""
+    x = np.arange(60.0).reshape(3, 4, 5)
+    path = tmp_path / "input.npy"
+    np.save(path, x)
+    with MmapStore(root=str(tmp_path / "raw")) as store, MmapStore(
+        root=str(tmp_path / "zlib"), codec="zlib"
+    ) as packed:
+        for handle in (
+            StoredTensor.spill(store, x),
+            StoredTensor.spill(packed, x),  # decoded to a scratch file
+            StoredTensor.external(store, np.load(path, mmap_mode="r")),
+        ):
+            source = BlockSource.of(handle)
+            assert source.array is None and source.store is handle.store
+            assert (source.path, source.offset) == handle.mappable()
+            np.testing.assert_array_equal(source.open()[0], x)
+        empty = BlockSource.of(StoredTensor.spill(store, np.ones((0, 4))))
+        assert empty.path is None and empty.array.shape == (0, 4)
+
+
+#: stored shapes whose outer modes are short, cut under a 4 KiB store:
+#: which mode fits one-unit slabs depends on the TTM mode and on the
+#: worker count (the per-block bytes halve at two workers)
+OUTER_CUT_SHAPES = {"3d": (20, 6, 16), "4d": (9, 3, 8, 10)}
+
+
+def outermost_fitting(dims, avoid, itemsize, per_block):
+    """The stored cut rule, spelled out: the first mode but ``avoid``
+    whose one-unit slab fits ``per_block``, else the longest."""
+    size = math.prod(dims) * itemsize
+    fits = [
+        m for m, n in enumerate(dims)
+        if m != avoid and n > 1 and size // n <= per_block
+    ]
+    if fits:
+        return fits[0]
+    return max((n, m) for m, n in enumerate(dims) if m != avoid)[1]
+
+
+@pytest.mark.parametrize("n_workers", (1, 2))
+@pytest.mark.parametrize("shape", sorted(OUTER_CUT_SHAPES))
+def test_stored_ttm_is_cut_along_the_outermost_mode_that_fits(
+    shape, n_workers, monkeypatch, tmp_path
+):
+    dims = OUTER_CUT_SHAPES[shape]
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(dims)
+    calls = []
+    pwrite = os.pwrite
+
+    def counting(fd, data, at):
+        calls.append(len(data))
+        return pwrite(fd, data, at)
+
+    splits = set()
+    with MmapStore(root=str(tmp_path), max_block_bytes=4096) as store:
+        per_block = store.per_block_bytes(n_workers)
+        handle = StoredTensor.spill(store, x)
+        for mode in range(len(dims)):
+            split, spans = _cut(BlockSource.of(handle), mode, n_workers)
+            assert split == outermost_fitting(dims, mode, 8, per_block)
+            splits.add(split)
+            slab = x.nbytes // dims[split]
+            assert all((hi - lo) * slab <= per_block for lo, hi in spans)
+            matrix = rng.standard_normal((3, dims[mode]))
+            want = ttm(x, matrix, mode)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "pwrite", counting)
+                out = ttm_in_process(
+                    handle, matrix, mode, n_workers, serial_map
+                )
+            assert len(calls) == len(spans) * math.prod(want.shape[:split])
+            np.testing.assert_allclose(
+                np.asarray(out.open()), want, rtol=0, atol=1e-10
+            )
+            out.close()
+        handle.close()
+    # a middle or last mode is cut somewhere: the rule is not "mode 0"
+    assert splits - {0}
+
+
+def test_stored_cut_falls_back_to_the_longest_mode(tmp_path):
+    """No one-unit slab fits: the longest free mode, as resident cuts."""
+    with MmapStore(root=str(tmp_path), max_block_bytes=256) as store:
+        source = BlockSource(
+            (4, 50, 60), np.float64, path="unmapped", store=store
+        )
+        assert _cut(source, 0, 1)[0] == 2
+        assert _cut(source, 2, 1)[0] == 1
+
+
+def test_spilled_intermediate_cut_issues_one_write_per_outer_row(tmp_path):
+    """The (224, 26, 192) intermediate of a 16M-budget run, at mode 0:
+    cut along mode 1, its output blocks take 28 positioned writes each,
+    where a last-mode cut would take 28 x 26."""
+    with MmapStore(
+        root=str(tmp_path), max_block_bytes=16 * 2**20 // OC_LEASE_FACTOR
+    ) as store:
+        source = BlockSource(
+            (224, 26, 192), np.float64, path="unmapped", store=store
+        )
+        assert _cut(source, 0, 1)[0] == 1
+        resident = BlockSource((224, 26, 192), np.float64, path="unmapped")
+        assert _cut(resident, 0, 1)[0] == 2  # resident cuts: unchanged
 
 
 @pytest.mark.parametrize("n_workers", (1, 2, 3))

@@ -297,7 +297,3 @@ class TestStorageIsASessionSetting:
         first = [tensor] if entry == "run_many" else tensor
         with pytest.raises(TypeError, match=knob):
             getattr(session, entry)(first, second, **{knob: self.KNOBS[knob]})
-
-    def test_prefetch_chunk_bytes_takes_no_argument(self):
-        with pytest.raises(TypeError):
-            TuckerSession(memory_budget="16M").prefetch_chunk_bytes(0)

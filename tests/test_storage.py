@@ -36,6 +36,7 @@ from repro.storage import (
     StoredTensor,
     check_codec,
     parse_bytes,
+    warm_pages,
 )
 
 DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8]
@@ -790,6 +791,86 @@ class TestReviewRegressions:
 # --------------------------------------------------------------------- #
 # spill codecs
 # --------------------------------------------------------------------- #
+
+
+def _status_kb(field: str) -> int:
+    """A ``kB`` line of this process's ``/proc/self/status``."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise KeyError(field)
+
+
+class TestReadAhead:
+    """``warm_pages`` names a mapping's file region to ``posix_fadvise``
+    and touches none of it."""
+
+    @pytest.fixture
+    def mapped(self, tmp_path):
+        path = tmp_path / "item.npy"
+        np.save(path, np.arange(96 * 2**15, dtype=np.float64).reshape(96, -1))
+        return np.load(path, mmap_mode="r")  # 24 MiB
+
+    @pytest.fixture
+    def advised(self, monkeypatch):
+        """The ``(offset, length, advice)`` of every ``posix_fadvise``."""
+        if not hasattr(os, "posix_fadvise"):
+            pytest.skip("needs posix_fadvise")
+        calls = []
+        fadvise = os.posix_fadvise
+
+        def recording(fd, offset, length, advice):
+            calls.append((offset, length, advice))
+            return fadvise(fd, offset, length, advice)
+
+        monkeypatch.setattr(os, "posix_fadvise", recording)
+        return calls
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"),
+        reason="reads RssFile from /proc/self/status",
+    )
+    def test_maps_no_page_into_the_process(self, mapped):
+        before = _status_kb("RssFile")
+        assert warm_pages(mapped) == mapped.nbytes
+        # touching one element per page mapped all 24 MiB
+        assert (_status_kb("RssFile") - before) * 1024 < mapped.nbytes // 8
+
+    def test_returns_the_bytes_it_advised(self, mapped, advised):
+        n = mapped.nbytes
+        assert warm_pages(mapped) == n
+        assert warm_pages(mapped, max_bytes=5000) == 5000
+        assert warm_pages(mapped, max_bytes=2 * n) == n
+        assert warm_pages(mapped, max_bytes=0) == 0
+        assert advised == [
+            (mapped.offset, length, os.POSIX_FADV_WILLNEED)
+            for length in (n, 5000, n)
+        ]
+
+    def test_a_view_advises_its_own_region(self, mapped, advised, tmp_path):
+        view = mapped[2:]
+        assert view.offset == mapped.offset  # the stale attribute
+        assert warm_pages(view) == view.nbytes
+        row = mapped.nbytes // mapped.shape[0]
+        assert advised == [
+            (mapped.offset + 2 * row, view.nbytes, os.POSIX_FADV_WILLNEED)
+        ]
+        with MmapStore(root=str(tmp_path / "s")) as store:
+            assert StoredTensor.external(store, view).offset == advised[0][0]
+
+    def test_advises_nothing_it_cannot_name(self, mapped, advised):
+        for array in (
+            np.ones((64, 64)),  # resident
+            mapped[:0],  # zero-size
+            mapped[:, ::2],  # not one contiguous region
+        ):
+            assert warm_pages(array) == 0
+        assert advised == []
+
+    def test_no_fadvise_no_read_ahead(self, mapped, monkeypatch):
+        monkeypatch.delattr(os, "posix_fadvise", raising=False)
+        assert warm_pages(mapped) == 0
 
 
 class TestCodecs:

@@ -15,6 +15,7 @@ Two guarantees the storage subsystem exists for:
 
 import gc
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -161,6 +162,83 @@ class TestBudgetGuard:
         # the input itself was mapped in place: every gauge lease is a
         # kernel block, all within budget; the source was never copied
         assert gauge.peak <= BUDGET
+
+
+# --------------------------------------------------------------------- #
+# the process's own peak: what the budget bounds, measured by the OS
+# --------------------------------------------------------------------- #
+
+#: three ~25 MB items, far over the 4M budget the batch runs under
+BOUND_DIMS, BOUND_CORE, BOUND_BUDGET = (160, 144, 136), (8, 8, 8), 4 * 2**20
+
+#: what the batch may add to the peak beyond the budget: Python objects,
+#: factor and core arrays, and the 2 MiB folios a mapped block's last
+#: touched pages round up to
+BOUND_SLACK = 8 * 2**20
+
+PEAK_SCRIPT = """
+import sys
+from repro.session import TuckerSession
+
+def hwm_bytes():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+spill, warm_up, *items = sys.argv[1:]
+core = tuple(int(k) for k in "{core}".split(","))
+with TuckerSession(
+    "sequential", storage="mmap", memory_budget={budget}, spill_dir=spill
+) as session:
+    session.run_many([warm_up], core, max_iters=2, prefetch=True)
+    before = hwm_bytes()
+    batch = session.run_many(items, core, max_iters=2, prefetch=True)
+    assert batch.n_items == len(items) and not batch.failures
+print(hwm_bytes() - before)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not os.path.exists("/proc/self/status"),
+    reason="reads the peak resident set (VmHWM) from /proc/self/status",
+)
+def test_spilled_batch_peak_rises_by_at_most_the_budget(tmp_path):
+    """A prefetching batch over lazily opened ``.npy`` items holds one
+    item's pages at a time: after a one-item warm-up, the batch raises
+    the process's peak resident set by no more than the budget plus
+    slack. Prefetch that touched the next item's pages through its own
+    mapping raised it by about two items' bytes.
+
+    The warm-up is an item of the batch's size on purpose: a kernel on
+    mode 0 cuts its blocks behind mode 0, and each such block maps
+    whole 2 MiB folios across the item's file, so one item's bytes are
+    the floor any run of it reaches (the README's folio limit)."""
+    rng = np.random.default_rng(0)
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"item{i}.npy"))
+        np.save(paths[-1], rng.standard_normal(BOUND_DIMS))
+    item_bytes = os.path.getsize(paths[0])
+    assert item_bytes > BOUND_BUDGET + BOUND_SLACK  # the premise
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(
+        p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p
+    )
+    script = PEAK_SCRIPT.format(
+        core=",".join(map(str, BOUND_CORE)), budget=BOUND_BUDGET
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(spill), paths[0], *paths],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rise = int(proc.stdout.split()[-1])
+    assert rise <= BOUND_BUDGET + BOUND_SLACK, f"peak rose {rise / 2**20:.1f} MiB"
+    assert list(spill.iterdir()) == []
 
 
 # --------------------------------------------------------------------- #
