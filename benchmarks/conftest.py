@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md's
-per-experiment index). The expensive part — planning all five algorithm
+Every bench regenerates one table or figure of the paper, named by its file
+(``test_fig10ab_*``, ``test_table1_*``, ...). The expensive part — planning all five algorithm
 configurations over the section-6.1 tensor suite — is done once per session
 and shared. Environment knobs:
 

@@ -1,7 +1,7 @@
 """Ablation D — executed engine volumes vs the closed-form model.
 
-The whole substitution argument (DESIGN.md section 2) rests on the virtual
-cluster reproducing the paper's machine-independent statistics. This bench
+The virtual cluster stands in for the paper's BG/Q only because it
+reproduces the paper's machine-independent statistics. This bench
 executes real HOOI invocations on the engine for a spread of problem shapes
 and grids and compares recorded volumes against the model:
 

@@ -10,7 +10,7 @@ The package implements the paper's full system:
   TTM via reduce-scatter, regridding via all-to-all, Gram+EVD SVD) running
   on a deterministic in-process virtual cluster with exact communication
   volume accounting and an alpha-beta time model (the paper's BG/Q is
-  unavailable; volumes and FLOPs are machine-independent, see DESIGN.md);
+  unavailable; volumes and FLOPs are machine-independent);
 * the **algorithms** — HOOI (Figure 2) and STHOSVD, sequential and
   distributed;
 * the **benchmark harness** regenerating every table and figure of the

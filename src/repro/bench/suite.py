@@ -5,9 +5,9 @@ and a compression factor ``L_n / K_n in {1.25, 2, 5, 10}`` (the paper writes
 ``h_n`` for these values; all sixteen ``(L, K)`` combinations are integral);
 cardinality capped at ``8e9``; 5-D and 6-D suites.
 
-Counting note (documented in DESIGN.md section 5): tensors are canonical up
-to mode permutation, so we enumerate **multisets** of ``(L, h)`` pairs,
-yielding 10312 5-D and 7710 6-D inputs. The paper reports 1134 and 642 —
+Counting note: tensors are canonical up to mode permutation, so we
+enumerate **multisets** of ``(L, h)`` pairs, yielding 10312 5-D and 7710
+6-D inputs. The paper reports 1134 and 642 —
 counts its stated recipe does not produce under any reading we tried
 (ordered, multiset, independent multisets, byte-vs-element caps).
 :func:`paper_subsample` draws a deterministic evenly-spaced subsample of
@@ -79,7 +79,7 @@ def benchmark_metas(
     # baseline (the balanced tree) is sensitive to orientation; ascending
     # gives it its best showing — reproducing the paper's finding that
     # balanced is the strongest prior heuristic, and making our measured
-    # gains conservative. (See DESIGN.md section 5.)
+    # gains conservative.
     pairs = sorted(_pair_choices())
     metas = []
     for combo in combinations_with_replacement(pairs, ndim):

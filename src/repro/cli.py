@@ -435,7 +435,6 @@ def cmd_serve(args) -> int:
             storage=args.storage,
             spill_dir=args.spill_dir,
             spill_codec=args.spill_codec,
-            prefetch=not args.no_prefetch,
             deadline=args.deadline,
             trace=bool(args.trace),
         )
@@ -735,11 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="default per-request deadline; requests still waiting when "
         "it elapses fail instead of running (requests may override)",
-    )
-    p_serve.add_argument(
-        "--no-prefetch", action="store_true",
-        help="disable background read-ahead of the next request's "
-        ".npy input",
     )
     p_serve.add_argument(
         "--socket", metavar="PATH", default=None,

@@ -20,9 +20,11 @@ already earns:
   alone via the out-of-core path instead of being shed; a full bounded
   queue sheds fast with a typed
   :class:`~repro.serve.admission.AdmissionError`.
-* **Pipelined prefetch**: while a worker computes, its
-  :class:`~repro.session.Prefetcher` asks the OS to read the next
-  request's ``.npy`` file ahead into the page cache.
+* **Pipelined prefetch**: before a worker computes, it names the next
+  queued request's ``.npy`` file to the OS in one advisory
+  ``posix_fadvise`` call (:func:`~repro.storage.warm_pages`); the
+  kernel reads it into the page cache meanwhile, with no thread of
+  ours.
 * **Deadlines, cancellation, graceful drain** on
   :class:`~repro.serve.server.TuckerServer`, with
   :class:`~repro.serve.stats.ServerStats` reporting through the PR-6

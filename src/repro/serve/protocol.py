@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import queue as queue_mod
+import queue
 import socket
 import threading
 
@@ -47,7 +47,7 @@ class _Responder:
     def __init__(self, write_line) -> None:
         self._write_line = write_line
         self._lock = threading.Lock()
-        self._tickets: queue_mod.Queue = queue_mod.Queue()
+        self._tickets: queue.Queue = queue.Queue()
         self._thread = threading.Thread(
             target=self._loop, name="repro-serve-responder", daemon=True
         )

@@ -5,10 +5,11 @@ service. Each request is validated, shed fast when the server is full
 or draining (:class:`~repro.serve.admission.AdmissionError`), routed by
 plan-key affinity to a worker whose private session already holds the
 compiled plan and a warm pool, and executed under the global memory
-budget with the next input prefetching in the background. ``submit``
-returns a :class:`~repro.serve.request.Ticket` future; ``drain`` is the
-graceful end: finish everything in flight, reject newcomers, tear the
-worker sessions (and their spill artifacts) down.
+budget while the OS reads the next queued ``.npy`` input ahead (one
+advisory call, no thread). ``submit`` returns a
+:class:`~repro.serve.request.Ticket` future; ``drain`` is the graceful
+end: finish everything in flight, reject newcomers, tear the worker
+sessions (and their spill artifacts) down.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class TuckerServer:
         oversized tensor runs spilled with bounded resident bytes.
     max_queue: bound on queued-plus-running requests; past it ``submit``
         sheds with :class:`AdmissionError` (``reason="queue_full"``).
-    prefetch: double-buffer file-backed inputs on every worker.
     deadline: default per-request deadline (seconds from submission),
         applied to requests that don't carry their own.
     """
@@ -67,7 +67,6 @@ class TuckerServer:
         storage: str = "auto",
         spill_dir: str | None = None,
         spill_codec: str = "raw",
-        prefetch: bool = True,
         deadline: float | None = None,
         trace: bool = False,
         metrics: MetricsRegistry | None = None,
@@ -101,7 +100,6 @@ class TuckerServer:
                 admission=self.admission,
                 stats=self.stats,
                 on_finished=self._finished,
-                prefetch=prefetch,
             )
             for i in range(workers)
         ]

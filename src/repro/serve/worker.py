@@ -1,4 +1,4 @@
-"""One serving worker: a private session, an inbox, a prefetch loader.
+"""One serving worker: a private session and an inbox.
 
 Workers own their :class:`~repro.session.TuckerSession` outright — the
 session's ledger scoping and tracer marks are positional, so overlap
@@ -7,16 +7,17 @@ session between threads. The inbox is the affinity target: the router
 sends every request with a given plan key here, so this session's LRU
 plan cache and warm backend pools hit run after run.
 
-The pipelined half: before executing a request, the worker hands the
-*next* queued request's file mapping to its
-:class:`~repro.session.Prefetcher`, which asks the OS to read that
-file into the page cache while the current decomposition computes.
+The pipelined half: before executing a request, the worker names the
+*next* queued request's ``.npy`` file to the OS in one advisory
+:func:`~repro.storage.warm_pages` call, and the kernel reads it into
+the page cache while the current decomposition computes. No thread is
+started for it, and the advised bytes reach the server stats at once.
 """
 
 from __future__ import annotations
 
 import logging
-import queue as queue_mod
+import queue
 import threading
 import time
 
@@ -25,7 +26,8 @@ import numpy as np
 from repro.serve.admission import AdmissionController, AdmissionError
 from repro.serve.request import RequestResult, ServeRequest, Ticket
 from repro.serve.stats import ServerStats
-from repro.session import Prefetcher, TuckerSession
+from repro.session import TuckerSession
+from repro.storage import warm_pages
 
 __all__ = ["ServeWorker"]
 
@@ -57,20 +59,16 @@ class ServeWorker:
         admission: AdmissionController,
         stats: ServerStats,
         on_finished,
-        prefetch: bool = True,
     ) -> None:
         self.index = index
         self.session = session
         self.admission = admission
         self.stats = stats
         self._on_finished = on_finished
-        self.inbox: queue_mod.Queue = queue_mod.Queue()
+        self.inbox: queue.Queue = queue.Queue()
         self.inflight = 0
         #: per-run traces, collected when the session traces (CLI --trace)
         self.traces: list = []
-        self.prefetcher = (
-            Prefetcher(max_bytes=admission.budget) if prefetch else None
-        )
         self.thread = threading.Thread(
             target=self._loop, name=f"repro-serve-w{index}", daemon=True
         )
@@ -202,21 +200,19 @@ class ServeWorker:
 
     def _prefetch_next(self) -> None:
         """Read the next queued file-backed input ahead while this one
-        runs."""
-        if self.prefetcher is None:
-            return
+        runs, at most the memory budget of it."""
         with self.inbox.mutex:
             nxt = self.inbox.queue[0] if self.inbox.queue else None
         if not isinstance(nxt, Ticket) or nxt.request.path is None:
             return
         try:
             arr = np.load(nxt.request.path, mmap_mode="r")
+            warmed = warm_pages(arr, max_bytes=self.admission.budget)
         except (OSError, ValueError) as exc:
             # advisory: the real load will surface the error to the client
             logger.debug("prefetch of %r skipped: %s", nxt.request.path, exc)
             return
-        if isinstance(arr, np.ndarray):
-            self.prefetcher.schedule(arr)
+        self.stats.prefetched(warmed)
 
     # -- shutdown ---------------------------------------------------------- #
 
@@ -224,7 +220,4 @@ class ServeWorker:
         """Finish everything queued, then stop the thread and session."""
         self.inbox.put(None)
         self.thread.join(timeout)
-        if self.prefetcher is not None:
-            self.prefetcher.close()
-            self.stats.prefetched(self.prefetcher.bytes_warmed)
         self.session.close()

@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import queue as queue_mod
 import threading
 from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Sequence
@@ -386,64 +385,22 @@ def _materialize_item(raw, index: int, core_dims, dtype) -> _PendingItem:
     )
 
 
-class Prefetcher:
-    """One background loader double-buffering item load against compute.
+def _read_ahead(array: np.ndarray, metrics: MetricsRegistry) -> None:
+    """Ask the OS to read a batch item's file ahead, and count it.
 
-    While item *k* executes, :meth:`schedule` hands item *k+1*'s array to
-    a daemon thread that asks the OS to read its backing file ahead
-    through :func:`repro.storage.warm_pages` (memory-mapped ``.npy``
-    inputs and spill blocks; resident arrays are skipped for free). The
-    executing run then maps pages already in the page cache instead of
-    stalling on disk, and no page is mapped into this process before its
-    block runs — the pipelined half of ``run_many`` and of every
-    ``repro.serve`` worker.
-
-    Prefetch is strictly advisory: failures to advise are swallowed, and
-    a ``max_bytes`` cap (a serving memory budget) bounds how much of a
-    large item is read ahead. ``bytes_warmed`` is only read after
-    :meth:`close` joins the thread.
+    One advisory :func:`repro.storage.warm_pages` call on the calling
+    thread: the kernel reads the pages into the page cache in the
+    background, and no page is mapped into this process. A failure to
+    advise only means a cold first read, so it is logged and dropped.
     """
-
-    def __init__(self, *, max_bytes: int | None = None) -> None:
-        self._max_bytes = max_bytes
-        self._queue: queue_mod.Queue = queue_mod.Queue()
-        self._thread: threading.Thread | None = None
-        self.bytes_warmed = 0
-        self.items_warmed = 0
-
-    def schedule(self, array: np.ndarray | None) -> None:
-        """Read ``array``'s file ahead in the background (no-op when
-        resident)."""
-        if array is None or not isinstance(array, np.memmap):
-            return
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-prefetch", daemon=True
-            )
-            self._thread.start()
-        self._queue.put(array)
-
-    def _loop(self) -> None:
-        while True:
-            array = self._queue.get()
-            if array is None:
-                return
-            try:
-                warmed = warm_pages(array, max_bytes=self._max_bytes)
-            except (OSError, ValueError) as exc:
-                # advisory: a failed read-ahead just means a cold first read
-                logger.debug("read-ahead failed: %s", exc)
-                continue
-            self.bytes_warmed += warmed
-            if warmed:
-                self.items_warmed += 1
-
-    def close(self) -> None:
-        """Stop the loader (drains the pending warm first)."""
-        if self._thread is not None:
-            self._queue.put(None)
-            self._thread.join(timeout=30.0)
-            self._thread = None
+    try:
+        warmed = warm_pages(array)
+    except (OSError, ValueError) as exc:
+        logger.debug("read-ahead failed: %s", exc)
+        return
+    if warmed:
+        metrics.counter("prefetch_bytes").inc(warmed)
+        metrics.counter("prefetch_items").inc()
 
 
 # --------------------------------------------------------------------- #
@@ -1670,14 +1627,16 @@ class TuckerSession:
         from its metadata, reusing already-built pools at zero startup
         charge.
 
-        ``prefetch`` (default on) double-buffers file-backed items: while
-        item *i* computes, a background thread asks the OS to read
-        item *i+1*'s file region ahead (``posix_fadvise`` with
-        ``POSIX_FADV_WILLNEED``), so its pages are in the page cache by
-        the time execution maps them, block by block. Nothing is mapped
-        into the process ahead of time. In-memory items are skipped
-        (nothing to read); ``prefetch=False`` restores strictly serial
-        I/O. Advised bytes land in the session metrics as the
+        ``prefetch`` (default on) reads file-backed items ahead: as each
+        item enters the window it is named to the OS in one advisory
+        call (``posix_fadvise`` with ``POSIX_FADV_WILLNEED``, see
+        :func:`repro.storage.warm_pages`), and the kernel reads its
+        pages into the page cache while earlier items compute. At the
+        default ``max_in_flight=1`` item *i+1* is advised just before
+        item *i* runs. No thread is started and nothing is mapped into
+        the process ahead of time. In-memory items are skipped (nothing
+        to read); ``prefetch=False`` advises nothing. Every advised item,
+        the first one included, lands in the session metrics as the
         ``prefetch_bytes`` / ``prefetch_items`` counters.
 
         ``on_error="raise"`` (default) propagates the first failure;
@@ -1707,7 +1666,6 @@ class TuckerSession:
         items: list[BatchItem] = []
         failures: list[BatchFailure] = []
         ledger = StatsLedger()
-        prefetcher = Prefetcher() if prefetch else None
         seq = 0
         index = 0
         exhausted = False
@@ -1722,9 +1680,7 @@ class TuckerSession:
                     exhausted = True
                     return
                 try:
-                    window.append(
-                        _materialize_item(raw, index, core_dims, dtype)
-                    )
+                    pending = _materialize_item(raw, index, core_dims, dtype)
                 except Exception as exc:
                     if on_error == "raise":
                         raise
@@ -1736,6 +1692,10 @@ class TuckerSession:
                             kind=type(exc).__name__,
                         )
                     )
+                else:
+                    window.append(pending)
+                    if prefetch:
+                        _read_ahead(pending.array, self.metrics)
                 index += 1
 
         try:
@@ -1751,19 +1711,11 @@ class TuckerSession:
                     ]
                     for entry in group:
                         window.remove(entry)
-                    # Top the window back up *before* executing: the
-                    # prefetcher needs the next item materialized while
-                    # this group computes, not after.
+                    # Top the window back up *before* executing, so the
+                    # next item's read-ahead overlaps this group's
+                    # compute.
                     fill()
-                    for pos, entry in enumerate(group):
-                        if prefetcher is not None:
-                            nxt = (
-                                group[pos + 1]
-                                if pos + 1 < len(group)
-                                else (window[0] if window else None)
-                            )
-                            if nxt is not None:
-                                prefetcher.schedule(nxt.array)
+                    for entry in group:
                         try:
                             result = self.run(
                                 entry.array,
@@ -1813,16 +1765,6 @@ class TuckerSession:
                         seq += 1
                         if result.ledger is not None:
                             ledger.merge(result.ledger)
-                # Join the loader before the metrics snapshot below so
-                # the warmed totals it reports are final.
-                if prefetcher is not None:
-                    prefetcher.close()
-                    self.metrics.counter("prefetch_bytes").inc(
-                        prefetcher.bytes_warmed
-                    )
-                    self.metrics.counter("prefetch_items").inc(
-                        prefetcher.items_warmed
-                    )
                 root.set(items=len(items), failures=len(failures))
         except BaseException:
             try:
@@ -1835,9 +1777,6 @@ class TuckerSession:
             finally:
                 self._run_lock.release()
             raise
-        finally:
-            if prefetcher is not None:
-                prefetcher.close()
         try:
             items.sort(key=lambda item: item.index)
             failures.sort(key=lambda failure: failure.index)

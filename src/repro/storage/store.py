@@ -1184,13 +1184,15 @@ def _file_offset(mapped: np.memmap) -> int | None:
 def warm_pages(array: np.ndarray, *, max_bytes: int | None = None) -> int:
     """Ask the OS to read an array's file region ahead; returns bytes.
 
-    The load half of double-buffered prefetch: while one item computes,
-    the *next* item's memory-mapped backing file (a lazily opened
+    All of prefetch is this one advisory call, made on the caller's
+    thread: an item's memory-mapped backing file (a lazily opened
     ``.npy``, a spill block) is named to ``posix_fadvise`` with
-    ``POSIX_FADV_WILLNEED``, and the OS reads it into the page cache
-    in the background. No page is touched here, so none is mapped into
-    this process: the upcoming blocks map hot pages, and prefetch adds
-    nothing to the resident set the memory budget bounds.
+    ``POSIX_FADV_WILLNEED`` when ``run_many`` opens it or when a
+    serving worker sees it next in its queue, and the kernel reads it
+    into the page cache while earlier work computes. No page is touched
+    here, so none is mapped into this process: the item's blocks map
+    hot pages when they run, and prefetch adds nothing to the resident
+    set the memory budget bounds.
 
     Returns the bytes advised: the mapping's size, capped at
     ``max_bytes`` (a serving worker under a memory budget reads no more

@@ -30,7 +30,7 @@ class TestRealTensors:
 
 class TestEnumeration:
     def test_counts_are_pinned(self):
-        # canonical multiset enumeration sizes (documented in DESIGN.md)
+        # canonical multiset enumeration sizes (repro.bench.suite's counting note)
         assert len(benchmark_metas(5)) == 10312
         assert len(benchmark_metas(6)) == 7710
 

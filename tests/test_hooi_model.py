@@ -1,5 +1,5 @@
 """Tests for the metadata-only model executor, including the engine-vs-model
-agreement the substitution argument rests on (DESIGN.md section 2)."""
+agreement that lets the virtual cluster stand in for the paper's BG/Q."""
 
 import numpy as np
 import pytest

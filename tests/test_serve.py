@@ -495,6 +495,34 @@ class TestServer:
         finally:
             server.close()
 
+    def test_live_stats_count_read_ahead(self, tmp_path):
+        paths = []
+        for i in range(3):
+            paths.append(str(tmp_path / f"x{i}.npy"))
+            np.save(paths[-1], _random((40, 36, 32), seed=i))
+        nbytes = 40 * 36 * 32 * 8
+        budget = 1 << 22
+        server = TuckerServer(
+            workers=1, backend="sequential", memory_budget=budget,
+        )
+        try:
+            # With the whole budget held, the first request waits in
+            # admission while the other two queue behind it; each run
+            # then advises the request queued next.
+            hold = server.admission.acquire(budget)
+            tickets = [
+                server.submit(ServeRequest(
+                    core=(4, 4, 4), path=path, id=f"r{i}", max_iters=1,
+                ))
+                for i, path in enumerate(paths)
+            ]
+            server.admission.release(hold)
+            assert all(t.result(timeout=60).ok for t in tickets)
+            # requests 2 and 3, counted while the server still runs
+            assert server.stats_snapshot()["prefetch_bytes"] == 2 * nbytes
+        finally:
+            server.close()
+
     def test_save_writes_npz(self, tmp_path):
         out = str(tmp_path / "result.npz")
         with TuckerServer(workers=1, backend="sequential") as server:

@@ -1,4 +1,4 @@
-"""Concurrent-session correctness: locks, shared caches, prefetch.
+"""Concurrent-session correctness: locks, shared caches, read-ahead.
 
 The session's contract under threads (see ``TuckerSession._run_lock``):
 cache operations are safe from any thread, and whole runs serialize on
@@ -8,6 +8,7 @@ one session — concurrency across sessions, correctness within one.
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from repro.core.meta import TensorMeta
 from repro.dist.stats import StatsLedger
 from repro.obs import safe_rate
-from repro.session import CompiledPlan, Prefetcher, TuckerSession
+from repro.session import CompiledPlan, TuckerSession
 from repro.tensor.random import low_rank_tensor, random_tensor
 
 
@@ -238,17 +239,18 @@ class TestLedgerThreadSafety:
             t.join(30)
 
 
-class TestRunManyPrefetch:
-    def _paths(self, tmp_path, n=3):
-        paths = []
-        for i in range(n):
-            p = tmp_path / f"t{i}.npy"
-            np.save(p, random_tensor((8, 7, 6), seed=i))
-            paths.append(p)
-        return paths
+def _npy_paths(tmp_path, n=3):
+    paths = []
+    for i in range(n):
+        p = tmp_path / f"t{i}.npy"
+        np.save(p, random_tensor((8, 7, 6), seed=i))
+        paths.append(p)
+    return paths
 
+
+class TestRunManyPrefetch:
     def test_prefetch_preserves_results(self, tmp_path):
-        paths = self._paths(tmp_path)
+        paths = _npy_paths(tmp_path)
         arrays = lambda: [np.load(p, mmap_mode="r") for p in paths]  # noqa: E731
         with TuckerSession(backend="sequential") as session:
             warm = session.run_many(arrays(), (2, 2, 2), max_iters=2)
@@ -262,12 +264,12 @@ class TestRunManyPrefetch:
             )
 
     def test_prefetch_counters_record_memmap_bytes(self, tmp_path):
-        paths = self._paths(tmp_path)
+        paths = _npy_paths(tmp_path)
         arrays = [np.load(p, mmap_mode="r") for p in paths]
         with TuckerSession(backend="sequential") as session:
             session.run_many(arrays, (2, 2, 2), max_iters=1)
             counters = session.metrics.snapshot()["counters"]
-        # Items 2..n are visible as "next" while their predecessors run.
+        # Every memory-mapped item is advised as the batch opens it.
         assert counters.get("prefetch_items", 0.0) >= 1.0
         assert counters.get("prefetch_bytes", 0.0) > 0.0
 
@@ -280,23 +282,72 @@ class TestRunManyPrefetch:
         assert counters.get("prefetch_bytes", 0.0) == 0.0
 
 
-class TestPrefetcherUnit:
-    def test_schedule_and_close_idempotent(self, tmp_path):
-        p = tmp_path / "x.npy"
-        np.save(p, np.ones((64, 64)))
-        prefetcher = Prefetcher()
-        prefetcher.schedule(np.load(p, mmap_mode="r"))
-        prefetcher.schedule(None)  # no-op
-        prefetcher.schedule(np.ones((4, 4)))  # resident: skipped
-        prefetcher.close()
-        prefetcher.close()  # idempotent
-        assert prefetcher.bytes_warmed == 64 * 64 * 8
-        assert prefetcher.items_warmed == 1
+class TestReadAheadInline:
+    """``run_many`` advises each file-backed item where it opens it: on
+    the batch's own thread, counted exactly, and never fatal."""
 
-    def test_never_started_close_is_cheap(self):
-        prefetcher = Prefetcher()
-        prefetcher.close()
-        assert prefetcher.bytes_warmed == 0
+    @pytest.fixture
+    def fadvise(self):
+        if not hasattr(os, "posix_fadvise"):
+            pytest.skip("needs posix_fadvise")
+
+    def test_counts_every_advised_item_and_byte(self, tmp_path, fadvise):
+        paths = _npy_paths(tmp_path)
+        with TuckerSession(backend="sequential") as session:
+            session.run_many(paths, (2, 2, 2), max_iters=1)
+            counters = session.metrics.snapshot()["counters"]
+        assert counters["prefetch_items"] == len(paths)
+        assert counters["prefetch_bytes"] == sum(
+            np.load(p, mmap_mode="r").nbytes for p in paths
+        )
+
+    def test_starts_no_thread(self, tmp_path, fadvise, monkeypatch):
+        paths = _npy_paths(tmp_path)
+        with TuckerSession(backend="sequential") as session:
+            before = set(threading.enumerate())
+            started: list = []
+            run = session.run
+
+            def spying_run(*args, **kwargs):
+                started.append(set(threading.enumerate()) - before)
+                return run(*args, **kwargs)
+
+            monkeypatch.setattr(session, "run", spying_run)
+            batch = session.run_many(paths, (2, 2, 2), max_iters=1)
+        assert batch.n_items == len(paths)
+        assert [t.name for t in started[1]] == []
+
+    def test_failed_advice_is_dropped(self, tmp_path, monkeypatch):
+        from repro.serve import ServeRequest, TuckerServer
+
+        def failing(fd, offset, length, advice):
+            raise OSError("posix_fadvise refused")
+
+        monkeypatch.setattr(os, "posix_fadvise", failing, raising=False)
+        paths = _npy_paths(tmp_path)
+        with TuckerSession(backend="sequential") as session:
+            batch = session.run_many(paths, (2, 2, 2), max_iters=1)
+            counters = session.metrics.snapshot()["counters"]
+        assert batch.n_items == len(paths)
+        assert batch.failures == []
+        assert counters.get("prefetch_items", 0.0) == 0.0
+        assert counters.get("prefetch_bytes", 0.0) == 0.0
+        budget = 1 << 20
+        with TuckerServer(
+            workers=1, backend="sequential", memory_budget=budget
+        ) as server:
+            # Holding the budget keeps the second request queued while
+            # the first one advises it.
+            hold = server.admission.acquire(budget)
+            tickets = [
+                server.submit(ServeRequest(
+                    core=(2, 2, 2), path=str(p), id=f"r{i}", max_iters=1,
+                ))
+                for i, p in enumerate(paths[:2])
+            ]
+            server.admission.release(hold)
+            assert all(t.result(timeout=60).ok for t in tickets)
+            assert server.stats_snapshot()["prefetch_bytes"] == 0.0
 
 
 class TestSafeRate:

@@ -57,7 +57,7 @@ class TestDivisors:
 
 class TestOrderedFactorizations:
     def test_table1_counts_power_of_two(self):
-        # Table 1 of the paper (with the 462 typo corrected; see DESIGN.md).
+        # Table 1 of the paper, whose "562" at N=7 is a typo: C(11, 6) = 462.
         expect_p32 = {5: 126, 6: 252, 7: 462, 8: 792, 9: 1287, 10: 2002}
         for n, count in expect_p32.items():
             assert count_ordered_factorizations(32, n) == count
