@@ -422,7 +422,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.serve import TuckerServer, serve_socket, serve_stdio
+    from repro.serve import TuckerServer, serve_stdio
 
     try:
         server = TuckerServer(
@@ -441,10 +441,7 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     try:
-        if args.socket:
-            stats = serve_socket(server, args.socket)
-        else:
-            stats = serve_stdio(server)
+        stats = serve_stdio(server)
     except KeyboardInterrupt:
         server.drain()
         stats = server.stats_snapshot()
@@ -709,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve decompositions over newline-delimited JSON "
-        "(stdio by default, --socket for a local AF_UNIX listener)",
+        help="serve decompositions over newline-delimited JSON on stdio",
     )
     p_serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
@@ -734,10 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="default per-request deadline; requests still waiting when "
         "it elapses fail instead of running (requests may override)",
-    )
-    p_serve.add_argument(
-        "--socket", metavar="PATH", default=None,
-        help="listen on a local AF_UNIX socket instead of stdio",
     )
     _add_storage_args(p_serve)
     p_serve.add_argument(

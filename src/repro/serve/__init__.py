@@ -10,9 +10,10 @@ already earns:
   tracer. Concurrency comes from worker parallelism; within a session
   execution stays serialized, so per-run ledgers and traces remain
   exact (see the session's ``_run_lock`` notes).
-* **Plan-key affinity** (:class:`~repro.serve.router.AffinityRouter`):
-  requests agreeing on ``(dims, core, dtype)`` ride the same worker's
-  compiled plan and warm pool, with backlog-aware spillover.
+* **One shared queue**: every worker takes the oldest waiting request
+  as soon as it is free, so no worker idles while work waits. A worker
+  compiles a ``(dims, core, dtype)`` plan the first time it meets it
+  (about a millisecond) and hits its session's plan cache after that.
 * **Admission control**
   (:class:`~repro.serve.admission.AdmissionController`): a global
   ``memory_budget`` charged per request through a
@@ -21,16 +22,16 @@ already earns:
   queue sheds fast with a typed
   :class:`~repro.serve.admission.AdmissionError`.
 * **Pipelined prefetch**: before a worker computes, it names the next
-  queued request's ``.npy`` file to the OS in one advisory
-  ``posix_fadvise`` call (:func:`~repro.storage.warm_pages`); the
-  kernel reads it into the page cache meanwhile, with no thread of
-  ours.
+  queued request's ``.npy`` data to the OS in one advisory
+  ``posix_fadvise`` call (:func:`~repro.storage.warm_file`), from the
+  header read once at submission; the kernel reads it into the page
+  cache meanwhile, with no thread of ours.
 * **Deadlines, cancellation, graceful drain** on
   :class:`~repro.serve.server.TuckerServer`, with
   :class:`~repro.serve.stats.ServerStats` reporting through the PR-6
   metrics registry.
 
-Wire clients speak newline-delimited JSON via
+Wire clients speak newline-delimited JSON over stdio via
 :mod:`repro.serve.protocol` (``repro serve`` on the CLI)::
 
     with TuckerServer(workers=2, memory_budget="256M") as srv:
@@ -40,7 +41,7 @@ Wire clients speak newline-delimited JSON via
 """
 
 from repro.serve.admission import AdmissionController, AdmissionError
-from repro.serve.protocol import serve_lines, serve_socket, serve_stdio
+from repro.serve.protocol import serve_lines, serve_stdio
 from repro.serve.request import (
     DeadlineExceeded,
     RequestCancelled,
@@ -49,9 +50,7 @@ from repro.serve.request import (
     ServeRequest,
     Ticket,
     parse_request,
-    plan_key,
 )
-from repro.serve.router import AffinityRouter
 from repro.serve.server import TuckerServer
 from repro.serve.stats import ServerStats
 from repro.serve.worker import ServeWorker
@@ -59,7 +58,6 @@ from repro.serve.worker import ServeWorker
 __all__ = [
     "AdmissionController",
     "AdmissionError",
-    "AffinityRouter",
     "DeadlineExceeded",
     "RequestCancelled",
     "RequestResult",
@@ -70,8 +68,6 @@ __all__ = [
     "Ticket",
     "TuckerServer",
     "parse_request",
-    "plan_key",
     "serve_lines",
-    "serve_socket",
     "serve_stdio",
 ]

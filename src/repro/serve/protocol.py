@@ -14,10 +14,8 @@ Control ops:
   down the workers, emit a final ``{"op": "drain", ...}`` line with the
   closing stats. EOF on the input behaves like ``drain``.
 
-Transports: :func:`serve_stdio` (the ``repro serve`` default) and
-:func:`serve_socket` (a local ``AF_UNIX`` listener, one client at a
-time — same line protocol across connections; only ``drain`` or closing
-the listener ends the server).
+The one transport is :func:`serve_stdio` (``repro serve``); a relay
+such as ``socat`` puts it behind a socket, one server per connection.
 
 Shed requests (queue full / draining) and malformed lines get an
 immediate ``ok=false`` response; the server process never dies on a bad
@@ -28,15 +26,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import queue
-import socket
 import threading
 
 from repro.serve.admission import AdmissionError
 from repro.serve.server import TuckerServer
 
-__all__ = ["serve_lines", "serve_socket", "serve_stdio"]
+__all__ = ["serve_lines", "serve_stdio"]
 
 logger = logging.getLogger(__name__)
 
@@ -87,16 +83,17 @@ class _Responder:
         self._thread.join()
 
 
-def _handle_stream(server: TuckerServer, read_line, write_line) -> bool:
-    """Pump one line stream into the server; ``True`` when drain was asked.
+def serve_lines(server: TuckerServer, read_line, write_line) -> dict:
+    """Run the line protocol until drain/EOF; returns the final stats.
 
-    Every accepted request's response is flushed (in submission order)
-    before this returns; the server itself is left running — the caller
-    decides whether EOF means drain (stdio) or just a departed client
-    (socket).
+    ``read_line`` yields one decoded line per call (``""``/``None`` on
+    EOF); ``write_line`` takes one undecorated JSON string. The caller
+    owns the transport; this owns the framing and the server lifecycle:
+    every accepted request's response is flushed in submission order,
+    then the server is drained and a final ``{"op": "drain"}`` line
+    carries the closing stats.
     """
     responder = _Responder(write_line)
-    drain_requested = False
     try:
         while True:
             line = read_line()
@@ -119,7 +116,6 @@ def _handle_stream(server: TuckerServer, read_line, write_line) -> bool:
                 responder.enqueue({"op": "stats", **server.stats_snapshot()})
                 continue
             if op == "drain":
-                drain_requested = True
                 break
             try:
                 ticket = server.submit(payload)
@@ -139,11 +135,6 @@ def _handle_stream(server: TuckerServer, read_line, write_line) -> bool:
             responder.enqueue(ticket)
     finally:
         responder.close()
-    return drain_requested
-
-
-def _drain_and_report(server: TuckerServer, write_line) -> dict:
-    """Drain the server and emit the final ``{"op": "drain"}`` line."""
     drained = server.drain()
     stats = server.stats_snapshot()
     try:
@@ -154,20 +145,8 @@ def _drain_and_report(server: TuckerServer, write_line) -> dict:
     return stats
 
 
-def serve_lines(server: TuckerServer, read_line, write_line) -> dict:
-    """Run the line protocol until drain/EOF; returns the final stats.
-
-    ``read_line`` yields one decoded line per call (``""``/``None`` on
-    EOF); ``write_line`` takes one undecorated JSON string. The caller
-    owns the transport; this owns the framing and the server lifecycle
-    (the server is always drained before returning).
-    """
-    _handle_stream(server, read_line, write_line)
-    return _drain_and_report(server, write_line)
-
-
 def serve_stdio(server: TuckerServer, stdin=None, stdout=None) -> dict:
-    """Speak the line protocol over stdio (the ``repro serve`` default)."""
+    """Speak the line protocol over stdio (``repro serve``)."""
     import sys
 
     stdin = stdin if stdin is not None else sys.stdin
@@ -178,37 +157,3 @@ def serve_stdio(server: TuckerServer, stdin=None, stdout=None) -> dict:
         stdout.flush()
 
     return serve_lines(server, stdin.readline, write_line)
-
-
-def serve_socket(server: TuckerServer, path: str) -> dict:
-    """Listen on a local ``AF_UNIX`` socket; one client at a time.
-
-    Each connection speaks the line protocol. A client's EOF ends only
-    its connection; ``{"op": "drain"}`` ends the whole server (the final
-    drain line goes to the client that asked). The socket file is
-    unlinked on exit.
-    """
-    if os.path.exists(path):
-        os.unlink(path)
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    stats: dict = {}
-    try:
-        listener.bind(path)
-        listener.listen(1)
-        logger.info("serving on %s", path)
-        while True:
-            conn, _ = listener.accept()
-            with conn, conn.makefile("r") as rfile, conn.makefile("w") as wfile:
-
-                def write_line(line: str) -> None:
-                    wfile.write(line + "\n")
-                    wfile.flush()
-
-                if _handle_stream(server, rfile.readline, write_line):
-                    stats = _drain_and_report(server, write_line)
-                    return stats
-    finally:
-        listener.close()
-        if os.path.exists(path):
-            os.unlink(path)
-        server.drain()

@@ -7,13 +7,15 @@ a :class:`~repro.serve.server.TuckerServer` yields a :class:`Ticket` —
 a small future the caller waits on, cancels, or polls — which resolves
 to a :class:`RequestResult`.
 
-``plan_key(request)`` is the affinity identity: requests agreeing on
-``(dims, core, dtype)`` share a compiled plan and a warm backend, so the
-router keeps them on the same worker.
+A ``.npy`` input's header is read once, at submission: the request
+keeps its shape, dtype and data offset, sizes itself from them, and
+names its data region to the OS for read-ahead without opening the
+array again. Running it maps the file with one ``np.load``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -23,7 +25,9 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ReproError
-from repro.util.validation import check_core_dims, check_dims, check_positive_int
+from repro.storage import warm_file
+from repro.util.dtypes import resolve_dtype
+from repro.util.validation import check_dims, check_positive_int
 
 __all__ = [
     "DeadlineExceeded",
@@ -33,7 +37,6 @@ __all__ = [
     "ServeRequest",
     "Ticket",
     "parse_request",
-    "plan_key",
 ]
 
 _METHODS = ("run", "sthosvd", "rsthosvd", "sp-rsthosvd")
@@ -73,6 +76,10 @@ class ServeRequest:
     tol: float = 1e-8
     deadline: float | None = None
     save: str | None = None
+    #: a path input's ``(shape, dtype, data offset)``, read once
+    _header: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         sources = [
@@ -99,15 +106,16 @@ class ServeRequest:
         if self.array is not None:
             return self.array
         if self.path is not None:
-            arr = np.load(os.fspath(self.path), mmap_mode="r")
-            if not isinstance(arr, np.ndarray):
-                raise ValueError(
-                    f"{self.path} does not contain a single ndarray"
-                )
-            return arr
+            self._path_header()  # a .npy holding one array, checked once
+            return np.load(os.fspath(self.path), mmap_mode="r")
         from repro.tensor.random import random_tensor
 
         return random_tensor(self.dims, seed=self.seed)
+
+    def _path_header(self) -> tuple:
+        if self._header is None:
+            self._header = _read_header(os.fspath(self.path))
+        return self._header
 
     def input_shape(self) -> tuple[int, ...]:
         """The input's dims without materializing it (header peek for paths)."""
@@ -115,29 +123,36 @@ class ServeRequest:
             return tuple(self.array.shape)
         if self.dims is not None:
             return tuple(self.dims)
-        shape, _ = _npy_header(os.fspath(self.path))
-        return shape
+        return self._path_header()[0]
 
     def input_dtype_name(self) -> str:
         """The *working* dtype name this request resolves to."""
-        if self.dtype is not None:
-            return np.dtype(self.dtype).name
         if self.array is not None:
             src = self.array.dtype
         elif self.dims is not None:
             src = np.dtype(np.float64)
         else:
-            _, src = _npy_header(os.fspath(self.path))
-        # Mirrors repro.util.serial.resolve_dtype: float32 stays, the
-        # rest runs float64.
-        return "float32" if src == np.dtype(np.float32) else "float64"
+            src = self._path_header()[1]
+        return resolve_dtype(src, self.dtype).name
 
     def nbytes(self) -> int:
         """Working-set bytes (shape x resolved dtype) for admission."""
-        n = 1
-        for d in self.input_shape():
-            n *= int(d)
-        return n * np.dtype(self.input_dtype_name()).itemsize
+        itemsize = np.dtype(self.input_dtype_name()).itemsize
+        return math.prod(self.input_shape()) * itemsize
+
+    def read_ahead(self, *, max_bytes: int | None = None) -> int:
+        """Ask the OS to read a path input's data ahead; returns bytes.
+
+        At most ``max_bytes`` of it. In-memory and random inputs have
+        nothing to read and return 0.
+        """
+        if self.path is None:
+            return 0
+        shape, dtype, offset = self._path_header()
+        size = math.prod(shape) * dtype.itemsize
+        if max_bytes is not None:
+            size = min(size, int(max_bytes))
+        return warm_file(os.fspath(self.path), offset, size)
 
     def source(self) -> str:
         if self.path is not None:
@@ -147,23 +162,21 @@ class ServeRequest:
         return f"array{tuple(self.array.shape)}"
 
 
-def _npy_header(path: str) -> tuple[tuple[int, ...], np.dtype]:
-    """Shape and dtype from a ``.npy`` header (maps, never reads data)."""
-    arr = np.load(path, mmap_mode="r")
-    if not isinstance(arr, np.ndarray):
-        raise ValueError(f"{path} does not contain a single ndarray")
-    return tuple(int(d) for d in arr.shape), arr.dtype
-
-
-def plan_key(request: ServeRequest) -> tuple:
-    """The affinity identity: ``(dims, core, dtype.name)``.
-
-    Matches the session plan-cache grouping (`_materialize_item`'s
-    ``group_key``): two requests with equal keys compile one plan and
-    share a warm backend selection on whichever worker owns the key.
-    """
-    core = check_core_dims(request.core, request.input_shape())
-    return (request.input_shape(), core, request.input_dtype_name())
+def _read_header(path: str) -> tuple[tuple[int, ...], np.dtype, int]:
+    """Shape, dtype and data offset of a ``.npy`` file; reads no data."""
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        version = fmt.read_magic(fh)
+        read = (
+            fmt.read_array_header_1_0
+            if version == (1, 0)
+            else fmt.read_array_header_2_0
+        )
+        shape, _, dtype = read(fh)
+        offset = fh.tell()
+    if dtype.hasobject:
+        raise ValueError(f"{path} holds Python objects, not a tensor")
+    return tuple(int(d) for d in shape), dtype, offset
 
 
 @dataclass
@@ -178,7 +191,6 @@ class RequestResult:
     seconds: float = 0.0
     wall_seconds: float = 0.0
     worker: int = -1
-    affinity_hit: bool = False
     storage: str = ""
     backend: str = ""
     from_cache: bool = False
@@ -197,7 +209,6 @@ class RequestResult:
             "seconds": self.seconds,
             "wall_seconds": self.wall_seconds,
             "worker": self.worker,
-            "affinity_hit": self.affinity_hit,
             "storage": self.storage,
             "backend": self.backend,
             "from_cache": self.from_cache,
@@ -213,10 +224,8 @@ class Ticket:
     executing decomposition is never interrupted mid-kernel.
     """
 
-    def __init__(self, request: ServeRequest, worker: int, affinity_hit: bool):
+    def __init__(self, request: ServeRequest):
         self.request = request
-        self.worker = worker
-        self.affinity_hit = affinity_hit
         self.submitted_at = time.monotonic()
         self._done = threading.Event()
         self._lock = threading.Lock()
@@ -237,8 +246,8 @@ class Ticket:
         """Cancel if still queued; returns whether it took effect.
 
         A successful cancel publishes the ``ok=False`` result itself —
-        waiters unblock immediately; the owning worker later skips the
-        dead ticket when it surfaces from the inbox.
+        waiters unblock immediately; the worker that later takes the
+        dead ticket off the queue skips it.
         """
         with self._lock:
             if self._state != "queued":
@@ -250,8 +259,6 @@ class Ticket:
                 source=self.request.source(),
                 error="cancelled while queued",
                 error_kind="RequestCancelled",
-                worker=self.worker,
-                affinity_hit=self.affinity_hit,
                 wall_seconds=time.monotonic() - self.submitted_at,
             )
         self._done.set()

@@ -2,29 +2,28 @@
 
 :class:`TuckerServer` turns the batch-era session into a long-lived
 service. Each request is validated, shed fast when the server is full
-or draining (:class:`~repro.serve.admission.AdmissionError`), routed by
-plan-key affinity to a worker whose private session already holds the
-compiled plan and a warm pool, and executed under the global memory
-budget while the OS reads the next queued ``.npy`` input ahead (one
-advisory call, no thread). ``submit`` returns a
-:class:`~repro.serve.request.Ticket` future; ``drain`` is the graceful
-end: finish everything in flight, reject newcomers, tear the worker
-sessions (and their spill artifacts) down.
+or draining (:class:`~repro.serve.admission.AdmissionError`), put on
+one FIFO queue that every worker drains as soon as it is free, and
+executed under the global memory budget while the OS reads the next
+queued ``.npy`` input ahead (one advisory call, no thread). ``submit``
+returns a :class:`~repro.serve.request.Ticket` future; ``drain`` is the
+graceful end: finish everything in flight, reject newcomers, tear the
+worker sessions (and their spill artifacts) down.
 """
 
 from __future__ import annotations
 
 import logging
+import queue
 import threading
 
 from repro.obs import MetricsRegistry
 from repro.serve.admission import AdmissionController, AdmissionError
-from repro.serve.request import ServeRequest, Ticket, parse_request, plan_key
-from repro.serve.router import AffinityRouter
+from repro.serve.request import ServeRequest, Ticket, parse_request
 from repro.serve.stats import ServerStats
 from repro.serve.worker import ServeWorker
 from repro.session import TuckerSession
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_core_dims, check_positive_int
 
 __all__ = ["TuckerServer"]
 
@@ -79,7 +78,7 @@ class TuckerServer:
         self.default_deadline = deadline
         self.stats = ServerStats(metrics)
         self.admission = AdmissionController(memory_budget)
-        self.router = AffinityRouter(workers)
+        self._tickets: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._pending = 0
         self._draining = False
@@ -88,6 +87,7 @@ class TuckerServer:
         self.workers = [
             ServeWorker(
                 i,
+                tickets=self._tickets,
                 session=TuckerSession(
                     backend=backend,
                     n_procs=n_procs,
@@ -107,7 +107,7 @@ class TuckerServer:
     # -- submission -------------------------------------------------------- #
 
     def submit(self, request: ServeRequest | dict) -> Ticket:
-        """Admit, route and enqueue one request; returns its ticket.
+        """Admit and enqueue one request; returns its ticket.
 
         Raises :class:`AdmissionError` (shed) when draining or when the
         bounded queue is full, and ``ValueError`` for malformed
@@ -120,8 +120,10 @@ class TuckerServer:
             request = parse_request(request, index=seq)
         if request.deadline is None and self.default_deadline is not None:
             request.deadline = self.default_deadline
-        key = plan_key(request)  # validates shape/core without data I/O
-        loads = [w.load() for w in self.workers]
+        # Malformed requests fail here, before any tensor data is read:
+        # the core must fit the input's shape and its dtype must resolve.
+        check_core_dims(request.core, request.input_shape())
+        request.input_dtype_name()
         with self._lock:
             if self._draining:
                 self.stats.shed("draining")
@@ -135,12 +137,11 @@ class TuckerServer:
                     f"queue full ({self._pending}/{self.max_queue} pending)",
                     reason="queue_full",
                 )
-            worker_idx, hit = self.router.route(key, loads)
             self._pending += 1
             self.stats.queue_depth(self._pending)
         self.stats.submitted()
-        ticket = Ticket(request, worker_idx, hit)
-        self.workers[worker_idx].submit(ticket)
+        ticket = Ticket(request)
+        self._tickets.put(ticket)
         return ticket
 
     def _finished(self, ticket: Ticket) -> None:
@@ -175,6 +176,8 @@ class TuckerServer:
             )
         if not done:
             return False
+        for _ in self.workers:
+            self._tickets.put(None)
         for worker in self.workers:
             worker.stop(timeout=timeout)
         return all(not w.thread.is_alive() for w in self.workers)
@@ -199,15 +202,24 @@ class TuckerServer:
         return Trace.merge(traces) if traces else None
 
     def stats_snapshot(self) -> dict:
-        """The ``{"op": "stats"}`` payload: server + admission + affinity."""
+        """The ``{"op": "stats"}`` payload: server + admission + plan caches.
+
+        ``affinity`` sums the workers' plan-cache hits and misses: the
+        share of requests whose worker already held the compiled plan.
+        """
+        caches = {f"w{w.index}": w.session.cache_info() for w in self.workers}
+        hits = sum(c["hits"] for c in caches.values())
+        misses = sum(c["misses"] for c in caches.values())
         out = self.stats.snapshot(
             admission=self.admission.snapshot(),
-            affinity=self.router.snapshot(),
+            affinity={
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            },
         )
         out["workers"] = len(self.workers)
         out["pending"] = self.pending
         out["draining"] = self._draining
-        out["plan_cache"] = {
-            f"w{w.index}": w.session.cache_info() for w in self.workers
-        }
+        out["plan_cache"] = caches
         return out

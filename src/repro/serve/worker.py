@@ -1,16 +1,18 @@
-"""One serving worker: a private session and an inbox.
+"""One serving worker: a private session draining the shared queue.
 
 Workers own their :class:`~repro.session.TuckerSession` outright — the
 session's ledger scoping and tracer marks are positional, so overlap
 across requests comes from *worker parallelism*, never from sharing one
-session between threads. The inbox is the affinity target: the router
-sends every request with a given plan key here, so this session's LRU
-plan cache and warm backend pools hit run after run.
+session between threads. Every worker takes the oldest request off the
+server's one FIFO queue as soon as it is free, so no worker idles while
+work waits. A worker meeting a plan key for the first time compiles it
+once; from then on its session's LRU plan cache hits for that key.
 
 The pipelined half: before executing a request, the worker names the
-*next* queued request's ``.npy`` file to the OS in one advisory
-:func:`~repro.storage.warm_pages` call, and the kernel reads it into
-the page cache while the current decomposition computes. No thread is
+*next* queued request's ``.npy`` data to the OS in one advisory
+``posix_fadvise`` call (:meth:`~repro.serve.request.ServeRequest.read_ahead`,
+from the header read at submission), and the kernel reads it into the
+page cache while the current decomposition computes. No thread is
 started for it, and the advised bytes reach the server stats at once.
 """
 
@@ -27,7 +29,6 @@ from repro.serve.admission import AdmissionController, AdmissionError
 from repro.serve.request import RequestResult, ServeRequest, Ticket
 from repro.serve.stats import ServerStats
 from repro.session import TuckerSession
-from repro.storage import warm_pages
 
 __all__ = ["ServeWorker"]
 
@@ -35,7 +36,7 @@ logger = logging.getLogger(__name__)
 
 
 def _failure(
-    req: ServeRequest, worker: int, ticket: Ticket, error: str, kind: str
+    req: ServeRequest, worker: int, error: str, kind: str
 ) -> RequestResult:
     return RequestResult(
         id=req.id,
@@ -44,17 +45,18 @@ def _failure(
         error=error,
         error_kind=kind,
         worker=worker,
-        affinity_hit=ticket.affinity_hit,
     )
 
 
 class ServeWorker:
-    """A daemon thread draining one inbox through one private session."""
+    """A daemon thread draining the shared queue through one private
+    session; a ``None`` on the queue stops one worker."""
 
     def __init__(
         self,
         index: int,
         *,
+        tickets: queue.Queue,
         session: TuckerSession,
         admission: AdmissionController,
         stats: ServerStats,
@@ -65,8 +67,7 @@ class ServeWorker:
         self.admission = admission
         self.stats = stats
         self._on_finished = on_finished
-        self.inbox: queue.Queue = queue.Queue()
-        self.inflight = 0
+        self.tickets = tickets
         #: per-run traces, collected when the session traces (CLI --trace)
         self.traces: list = []
         self.thread = threading.Thread(
@@ -74,25 +75,16 @@ class ServeWorker:
         )
         self.thread.start()
 
-    def load(self) -> int:
-        """Backlog the router balances on: queued plus executing."""
-        return self.inbox.qsize() + self.inflight
-
-    def submit(self, ticket: Ticket) -> None:
-        self.inbox.put(ticket)
-
     # -- execution --------------------------------------------------------- #
 
     def _loop(self) -> None:
         while True:
-            ticket = self.inbox.get()
+            ticket = self.tickets.get()
             if ticket is None:
                 return
-            self.inflight = 1
             try:
                 self._execute(ticket)
             finally:
-                self.inflight = 0
                 self._on_finished(ticket)
 
     def _execute(self, ticket: Ticket) -> None:
@@ -107,7 +99,7 @@ class ServeWorker:
             self.stats.deadline_missed()
             self.stats.failed("DeadlineExceeded")
             ticket._finish(_failure(
-                req, self.index, ticket,
+                req, self.index,
                 f"deadline ({req.deadline}s) elapsed while queued",
                 "DeadlineExceeded",
             ))
@@ -147,7 +139,7 @@ class ServeWorker:
                 self.stats.deadline_missed()
                 self.stats.failed("DeadlineExceeded")
                 ticket._finish(_failure(
-                    req, self.index, ticket,
+                    req, self.index,
                     f"deadline ({req.deadline}s) elapsed waiting for "
                     f"memory budget: {exc}",
                     "DeadlineExceeded",
@@ -155,7 +147,7 @@ class ServeWorker:
             else:
                 self.stats.failed(type(exc).__name__)
                 ticket._finish(_failure(
-                    req, self.index, ticket, str(exc), type(exc).__name__
+                    req, self.index, str(exc), type(exc).__name__
                 ))
             return
         except Exception as exc:
@@ -165,7 +157,7 @@ class ServeWorker:
             logger.warning("request %r failed: %s", req.id, exc)
             self.stats.failed(type(exc).__name__)
             ticket._finish(_failure(
-                req, self.index, ticket, str(exc), type(exc).__name__
+                req, self.index, str(exc), type(exc).__name__
             ))
             return
         finally:
@@ -189,7 +181,6 @@ class ServeWorker:
             source=req.source(),
             seconds=result.seconds,
             worker=self.index,
-            affinity_hit=ticket.affinity_hit,
             storage=result.storage,
             backend=result.backend,
             from_cache=result.from_cache,
@@ -201,14 +192,13 @@ class ServeWorker:
     def _prefetch_next(self) -> None:
         """Read the next queued file-backed input ahead while this one
         runs, at most the memory budget of it."""
-        with self.inbox.mutex:
-            nxt = self.inbox.queue[0] if self.inbox.queue else None
-        if not isinstance(nxt, Ticket) or nxt.request.path is None:
+        with self.tickets.mutex:
+            nxt = self.tickets.queue[0] if self.tickets.queue else None
+        if nxt is None:
             return
         try:
-            arr = np.load(nxt.request.path, mmap_mode="r")
-            warmed = warm_pages(arr, max_bytes=self.admission.budget)
-        except (OSError, ValueError) as exc:
+            warmed = nxt.request.read_ahead(max_bytes=self.admission.budget)
+        except OSError as exc:
             # advisory: the real load will surface the error to the client
             logger.debug("prefetch of %r skipped: %s", nxt.request.path, exc)
             return
@@ -217,7 +207,7 @@ class ServeWorker:
     # -- shutdown ---------------------------------------------------------- #
 
     def stop(self, *, timeout: float | None = None) -> None:
-        """Finish everything queued, then stop the thread and session."""
-        self.inbox.put(None)
+        """Wait for the thread to take its ``None`` off the queue, then
+        close the session."""
         self.thread.join(timeout)
         self.session.close()

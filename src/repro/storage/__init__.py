@@ -41,6 +41,7 @@ from repro.storage.store import (
     default_spill_root,
     parse_bytes,
     resident_gauge,
+    warm_file,
     warm_pages,
     write_runs,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "default_spill_root",
     "parse_bytes",
     "resident_gauge",
+    "warm_file",
     "warm_pages",
     "write_runs",
 ]

@@ -1200,8 +1200,7 @@ def warm_pages(array: np.ndarray, *, max_bytes: int | None = None) -> int:
     0, as does every array where the OS has no ``posix_fadvise``. Purely
     advisory: an ``OSError`` here is the caller's cue to proceed cold.
     """
-    fadvise = getattr(os, "posix_fadvise", None)
-    if fadvise is None or not isinstance(array, np.memmap):
+    if not isinstance(array, np.memmap):
         return 0
     if array.filename is None or not array.flags["C_CONTIGUOUS"]:
         return 0
@@ -1209,11 +1208,23 @@ def warm_pages(array: np.ndarray, *, max_bytes: int | None = None) -> int:
     if max_bytes is not None:
         limit = min(limit, int(max_bytes))
     offset = _file_offset(array)
-    if limit <= 0 or offset is None:
+    if offset is None:
         return 0
-    fd = os.open(os.fspath(array.filename), os.O_RDONLY)
+    return warm_file(array.filename, offset, limit)
+
+
+def warm_file(path: str, offset: int, nbytes: int) -> int:
+    """:func:`warm_pages` for a file region named by hand; returns bytes.
+
+    A serving worker reads a queued ``.npy`` ahead this way, from the
+    data offset its header gave, without mapping the file first.
+    """
+    fadvise = getattr(os, "posix_fadvise", None)
+    if fadvise is None or nbytes <= 0:
+        return 0
+    fd = os.open(os.fspath(path), os.O_RDONLY)
     try:
-        fadvise(fd, offset, limit, os.POSIX_FADV_WILLNEED)
+        fadvise(fd, int(offset), int(nbytes), os.POSIX_FADV_WILLNEED)
     finally:
         os.close(fd)
-    return limit
+    return int(nbytes)

@@ -148,3 +148,10 @@ class TestServeCli:
         monkeypatch.setattr("sys.stdin", stdin)
         with pytest.raises(SystemExit):
             main(["serve", "--memory-budget", "minus-five"])
+
+    def test_socket_transport_is_gone(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--socket", "x"])
+        assert exc.value.code == 2
+        assert "--socket" in capsys.readouterr().err

@@ -1,8 +1,7 @@
 """Lock order: the static lock-acquisition graph of ``src/repro`` has no cycle.
 
 The serving stack holds locks across calls into other locked components
-(session run lock -> plan-cache lock -> metrics lock; server lock ->
-router lock). Two components that ever take each other's locks in
+(session run lock -> plan-cache lock -> metrics lock). Two components that ever take each other's locks in
 opposite orders can deadlock under exactly the concurrent load the
 server exists for, and that failure is timing-dependent, so the
 behavioural tests rarely see it. This test builds the graph from the
@@ -45,7 +44,6 @@ LOCK_FACTORIES = {
 #: the graph of ``src/repro`` today; a new edge must be added here on
 #: purpose, after checking it closes no cycle
 SRC_EDGES = {
-    ("TuckerServer._lock", "AffinityRouter._lock"),
     ("TuckerSession._cache_lock", "MetricsRegistry._lock"),
     ("TuckerSession._run_lock", "MetricsRegistry._lock"),
     ("TuckerSession._run_lock", "Tracer._lock"),
@@ -397,7 +395,7 @@ def test_src_graph_is_the_known_one_and_acyclic():
     })
     assert graph.cycles() == []
     assert graph.edges == SRC_EDGES
-    assert len(graph.kinds) == 14, sorted(graph.kinds)
+    assert len(graph.kinds) == 13, sorted(graph.kinds)
 
 
 def test_cross_class_cycle_is_named():

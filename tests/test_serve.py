@@ -1,4 +1,5 @@
-"""The serving subsystem: requests, admission, routing, server, protocol.
+"""The serving subsystem: requests, admission, the shared queue, server,
+protocol.
 
 The server tests drive a real in-process :class:`TuckerServer` (worker
 threads, private sessions) on small tensors; blocking scenarios pin the
@@ -8,7 +9,9 @@ states are reached deterministically instead of by racing timers.
 
 from __future__ import annotations
 
+import collections
 import json
+import os
 import threading
 
 import numpy as np
@@ -17,13 +20,11 @@ import pytest
 from repro.serve import (
     AdmissionController,
     AdmissionError,
-    AffinityRouter,
     ServeRequest,
     ServerStats,
     Ticket,
     TuckerServer,
     parse_request,
-    plan_key,
     serve_lines,
 )
 from repro.session import TuckerSession
@@ -64,6 +65,28 @@ class TestServeRequest:
         assert req.input_dtype_name() == "float32"
         assert req.nbytes() == 6 * 5 * 4 * 4
 
+    def test_path_header_of_a_version_2_file(self, tmp_path):
+        path = str(tmp_path / "v2.npy")
+        out = np.lib.format.open_memmap(
+            path, mode="w+", dtype=np.float32, shape=(5, 4, 3),
+            version=(2, 0),
+        )
+        out[...] = 1.0
+        del out
+        req = ServeRequest(core=(2, 2, 2), path=path)
+        assert req.input_shape() == (5, 4, 3)
+        assert req.nbytes() == 5 * 4 * 3 * 4
+        np.testing.assert_array_equal(req.materialize(), 1.0)
+
+    def test_path_that_is_not_one_tensor_rejected(self, tmp_path):
+        objects = str(tmp_path / "objects.npy")
+        np.save(objects, np.array([{"a": 1}], dtype=object))
+        archive = str(tmp_path / "archive.npz")
+        np.savez(archive, x=np.zeros(3))
+        for path in (objects, archive):
+            with pytest.raises(ValueError):
+                ServeRequest(core=(1,), path=path).input_shape()
+
     def test_non_float32_runs_float64(self):
         req = ServeRequest(
             core=(2, 2), array=np.zeros((3, 3), dtype=np.int32)
@@ -75,19 +98,6 @@ class TestServeRequest:
             ServeRequest(core=(2, 2), dims=(4, 4), method="hooi!")
         with pytest.raises(ValueError, match="deadline"):
             ServeRequest(core=(2, 2), dims=(4, 4), deadline=0.0)
-
-    def test_plan_key_matches_session_grouping(self):
-        a = ServeRequest(core=(2, 2, 2), dims=(6, 5, 4))
-        b = ServeRequest(core=(2, 2, 2), dims=(6, 5, 4), seed=99)
-        c = ServeRequest(core=(3, 2, 2), dims=(6, 5, 4))
-        assert plan_key(a) == plan_key(b)
-        assert plan_key(a) != plan_key(c)
-        assert plan_key(a) == ((6, 5, 4), (2, 2, 2), "float64")
-
-    def test_plan_key_validates_core(self):
-        req = ServeRequest(core=(9, 9, 9), dims=(4, 4, 4))
-        with pytest.raises(ValueError):
-            plan_key(req)
 
 
 class TestParseRequest:
@@ -189,72 +199,13 @@ class TestAdmission:
 
 
 # --------------------------------------------------------------------- #
-# affinity routing
-# --------------------------------------------------------------------- #
-
-
-class TestAffinityRouter:
-    def test_sticky_owner_hits(self):
-        router = AffinityRouter(3)
-        first, hit = router.route(("k",), [0, 0, 0])
-        assert not hit
-        again, hit = router.route(("k",), [2, 2, 2])
-        assert again == first
-        assert hit
-
-    def test_spillover_moves_to_coldest(self):
-        router = AffinityRouter(2, spill_threshold=2)
-        owner, _ = router.route(("k",), [0, 0])
-        loads = [0, 0]
-        loads[owner] = 5  # owner 5 items behind the other queue
-        moved, hit = router.route(("k",), loads)
-        assert moved != owner
-        assert not hit
-        # ...and the key's new home is sticky from here on.
-        again, hit = router.route(("k",), [1, 1])
-        assert again == moved
-        assert hit
-
-    def test_within_threshold_stays_home(self):
-        router = AffinityRouter(2, spill_threshold=4)
-        owner, _ = router.route(("k",), [0, 0])
-        loads = [0, 0]
-        loads[owner] = 4  # exactly at threshold: stay
-        again, hit = router.route(("k",), loads)
-        assert again == owner
-        assert hit
-
-    def test_distinct_keys_spread_to_coldest(self):
-        router = AffinityRouter(2)
-        a, _ = router.route(("a",), [0, 0])
-        b, _ = router.route(("b",), [1 if i == a else 0 for i in range(2)])
-        assert b != a
-
-    def test_hit_rate_and_snapshot(self):
-        router = AffinityRouter(1)
-        assert router.hit_rate() == 0.0
-        router.route(("k",), [0])
-        router.route(("k",), [0])
-        snap = router.snapshot()
-        assert snap == {"keys": 1, "hits": 1, "misses": 1, "hit_rate": 0.5}
-
-    def test_load_count_validated(self):
-        with pytest.raises(ValueError):
-            AffinityRouter(2).route(("k",), [0])
-        with pytest.raises(ValueError):
-            AffinityRouter(0)
-
-
-# --------------------------------------------------------------------- #
 # tickets
 # --------------------------------------------------------------------- #
 
 
 class TestTicket:
     def _ticket(self):
-        return Ticket(
-            ServeRequest(core=(2, 2), dims=(4, 4), id="t"), 0, False
-        )
+        return Ticket(ServeRequest(core=(2, 2), dims=(4, 4), id="t"))
 
     def test_cancel_publishes_result_immediately(self):
         ticket = self._ticket()
@@ -283,7 +234,7 @@ class TestTicket:
     def test_deadline_remaining(self):
         assert self._ticket().deadline_remaining() is None
         bounded = Ticket(
-            ServeRequest(core=(2, 2), dims=(4, 4), deadline=60.0), 0, False
+            ServeRequest(core=(2, 2), dims=(4, 4), deadline=60.0)
         )
         remaining = bounded.deadline_remaining()
         assert 0 < remaining <= 60.0
@@ -318,7 +269,7 @@ class TestServer:
                 atol=1e-10,
             )
 
-    def test_affinity_routes_equal_keys_to_one_worker(self):
+    def test_repeated_key_finds_its_plan_cached(self):
         with TuckerServer(workers=2, backend="sequential") as server:
             tickets = [
                 server.submit(ServeRequest(
@@ -331,9 +282,95 @@ class TestServer:
             snap = server.stats_snapshot()
         assert all(r.ok for r in results)
         assert snap["affinity"]["hit_rate"] > 0
-        # Affinity means later requests find the compiled plan in the
-        # owning worker's session cache.
+        # A worker compiles the key once; its later requests find the
+        # compiled plan in its session cache.
         assert any(r.from_cache for r in results)
+        caches = snap["plan_cache"].values()
+        assert snap["affinity"]["hits"] == sum(c["hits"] for c in caches)
+        assert snap["affinity"]["misses"] == sum(c["misses"] for c in caches)
+
+    def test_idle_worker_takes_a_queued_request(self, monkeypatch):
+        # Hold one worker inside a run of key K, then submit a second K
+        # request: the other worker must serve it while the first is
+        # still held, not queue it behind the busy one.
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+        real_run = TuckerSession.run
+
+        def run(session, *args, **kwargs):
+            calls.append(session)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(60)
+            return real_run(session, *args, **kwargs)
+
+        monkeypatch.setattr(TuckerSession, "run", run)
+        key = dict(dims=(8, 8, 8), core=(2, 2, 2), max_iters=1)
+        server = TuckerServer(workers=2, backend="sequential")
+        try:
+            held = server.submit(ServeRequest(id="held", **key))
+            assert entered.wait(60)
+            second = server.submit(ServeRequest(id="second", seed=1, **key))
+            res = second.result(timeout=30)
+            assert res.ok, res.error
+            assert not held.done()
+            release.set()
+            first = held.result(timeout=60)
+            assert first.ok and first.worker != res.worker
+        finally:
+            release.set()
+            server.close()
+
+    def test_path_header_read_and_mapped_once(self, tmp_path, monkeypatch):
+        paths = []
+        for i in range(2):
+            paths.append(str(tmp_path / f"x{i}.npy"))
+            np.save(paths[-1], _random((12, 10, 8), seed=i))
+        loads = collections.Counter()
+        headers = collections.Counter()
+        real_load, real_magic = np.load, np.lib.format.read_magic
+
+        def load(file, *args, **kwargs):
+            loads[os.fspath(file)] += 1
+            return real_load(file, *args, **kwargs)
+
+        def read_magic(fh):
+            headers[fh.name] += 1
+            return real_magic(fh)
+
+        monkeypatch.setattr(np, "load", load)
+        monkeypatch.setattr(np.lib.format, "read_magic", read_magic)
+        budget = 1 << 20
+        server = TuckerServer(
+            workers=1, backend="sequential", memory_budget=budget,
+        )
+        try:
+            # The held budget keeps the first request in admission until
+            # the second is queued, so the first run reads it ahead.
+            hold = server.admission.acquire(budget)
+            tickets = [
+                server.submit(ServeRequest(
+                    core=(3, 3, 3), path=path, id=f"r{i}", max_iters=1,
+                ))
+                for i, path in enumerate(paths)
+            ]
+            server.admission.release(hold)
+            assert all(t.result(timeout=60).ok for t in tickets)
+            assert server.stats_snapshot()["prefetch_bytes"] == 12 * 10 * 8 * 8
+        finally:
+            server.close()
+        assert loads == {path: 1 for path in paths}
+        assert headers == {path: 1 for path in paths}
+
+    def test_bad_core_rejected_at_submission(self, tmp_path):
+        path = str(tmp_path / "x.npy")
+        np.save(path, np.zeros((4, 4, 4)))
+        with TuckerServer(workers=1, backend="sequential") as server:
+            for source in ({"dims": (4, 4, 4)}, {"path": path}):
+                with pytest.raises(ValueError):
+                    server.submit(ServeRequest(core=(9, 9, 9), **source))
+            assert server.pending == 0
+            assert server.stats_snapshot()["submitted"] == 0.0
 
     def test_dict_submission_and_stats(self):
         with TuckerServer(workers=1, backend="sequential") as server:
@@ -579,6 +616,46 @@ class TestServer:
             TuckerServer(workers=1, max_queue=0)
 
 
+class TestSoak:
+    def test_mixed_stream_leaves_nothing_behind(self, tmp_path):
+        """300 requests of two keys, arrays and ``.npy`` paths, through
+        two workers under a budget one key's input overflows (it runs
+        spilled): all succeed, and the drain returns every request, byte
+        of budget, thread and spill file."""
+        keys = [((10, 9, 8), (3, 3, 2)), ((7, 6, 5), (2, 2, 2))]
+        paths = {}
+        for dims, _ in keys:
+            paths[dims] = str(tmp_path / f"{len(paths)}.npy")
+            np.save(paths[dims], _random(dims, seed=len(paths)))
+        spill_dir = tmp_path / "spill"
+        threads_before = threading.active_count()
+        server = TuckerServer(
+            workers=2, backend="sequential", memory_budget=4096,
+            max_queue=300, spill_dir=str(spill_dir),
+        )
+        tickets = []
+        for i in range(300):
+            dims, core = keys[i % 2]
+            source = (
+                {"path": paths[dims]} if i % 3 == 0
+                else {"array": _random(dims, seed=i)}
+            )
+            tickets.append(server.submit(ServeRequest(
+                core=core, id=f"r{i}", max_iters=1, **source,
+            )))
+        assert server.drain(timeout=120)
+        results = [t.result(timeout=0) for t in tickets]
+        assert all(r.ok for r in results), [r.error for r in results]
+        assert {r.storage for r in results} == {"mmap", "memory"}
+        snap = server.stats_snapshot()
+        assert snap["completed"] == 300.0
+        assert server.pending == 0
+        assert server.admission.gauge.current == 0
+        assert snap["admission"]["charged"] == 0
+        assert threading.active_count() == threads_before
+        assert not spill_dir.exists() or not any(spill_dir.iterdir())
+
+
 # --------------------------------------------------------------------- #
 # the ndjson protocol
 # --------------------------------------------------------------------- #
@@ -624,6 +701,32 @@ class TestProtocol:
         assert responses[0]["id"] == "work" and responses[0]["ok"]
         assert responses[1]["ok"] is False
         assert responses[1]["error_kind"] == "ValueError"
+
+    def test_shed_request_answered_in_order(self):
+        # The first request waits on the held budget, so the second meets
+        # a full queue; its instant rejection still answers second.
+        budget = 8 * 8 * 8 * 8
+        server = TuckerServer(
+            workers=1, backend="sequential", memory_budget=budget,
+            max_queue=1,
+        )
+        hold = server.admission.acquire(budget)
+        req = {"core": [2, 2, 2], "random": {"dims": [8, 8, 8]}}
+        lines = iter([json.dumps(dict(req, id=i)) for i in ("a", "b")])
+
+        def read_line():
+            line = next(lines, "")
+            if not line:
+                server.admission.release(hold)
+            return line
+
+        out: list[str] = []
+        stats = serve_lines(server, read_line, out.append)
+        first, shed, final = (json.loads(line) for line in out)
+        assert first["id"] == "a" and first["ok"]
+        assert shed["id"] == "b" and shed["shed"]
+        assert shed["reason"] == "queue_full"
+        assert final["op"] == "drain" and stats["shed"] == 1.0
 
     def test_stats_and_drain_ops(self):
         responses, _ = _run_protocol([

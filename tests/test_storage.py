@@ -36,6 +36,7 @@ from repro.storage import (
     StoredTensor,
     check_codec,
     parse_bytes,
+    warm_file,
     warm_pages,
 )
 
@@ -867,6 +868,13 @@ class TestReadAhead:
         ):
             assert warm_pages(array) == 0
         assert advised == []
+
+    def test_a_file_region_named_by_hand(self, mapped, advised, tmp_path):
+        assert warm_file(mapped.filename, 128, 4096) == 4096
+        assert warm_file(mapped.filename, 128, 0) == 0
+        assert advised == [(128, 4096, os.POSIX_FADV_WILLNEED)]
+        with pytest.raises(FileNotFoundError):
+            warm_file(str(tmp_path / "gone.npy"), 0, 4096)
 
     def test_no_fadvise_no_read_ahead(self, mapped, monkeypatch):
         monkeypatch.delattr(os, "posix_fadvise", raising=False)

@@ -409,9 +409,12 @@ class TestLastModePanels:
         dims, mode, k = self.CORNERS[row]
         lead = math.prod(dims[:mode])
         x, matrix = np.ones(dims), np.ones((k, dims[mode]))
+        got = []
         with panels_of(2, dims[mode], np.float64):
-            panels = count_matmuls(lambda: ttm(x, matrix, mode))
+            panels = count_matmuls(lambda: got.append(ttm(x, matrix, mode)))
         assert panels == -(-lead // 2)
+        # every entry sums L ones; the panels write into an np.empty sink
+        np.testing.assert_array_equal(got[0], dims[mode])
         assert panels >= 3 or lead == 1  # two seams, unless a single row
         for layout in LAYOUTS:
             for sink in SEAM_SINKS:
