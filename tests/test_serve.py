@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -654,6 +655,41 @@ class TestSoak:
         assert snap["admission"]["charged"] == 0
         assert threading.active_count() == threads_before
         assert not spill_dir.exists() or not any(spill_dir.iterdir())
+
+    def test_more_workers_than_cores_lose_no_request(self):
+        # Three submitters and four workers share the one queue and the
+        # pending count, with the interpreter switching threads often.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        server = TuckerServer(workers=4, backend="sequential", max_queue=200)
+        tickets: list = []
+        try:
+            def submit(first: int) -> None:
+                for i in range(first, 150, 3):
+                    tickets.append(server.submit({
+                        "core": [2, 2], "random": {"dims": [5, 4], "seed": i},
+                        "id": f"r{i}",
+                    }))
+
+            submitters = [
+                threading.Thread(target=submit, args=(k,)) for k in range(3)
+            ]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert server.drain(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        results = [t.result(timeout=0) for t in tickets]
+        assert all(r.ok for r in results)
+        assert sorted(r.id for r in results) == sorted(
+            f"r{i}" for i in range(150)
+        )
+        assert server.pending == 0
+        assert server.stats_snapshot()["completed"] == 150.0
 
 
 # --------------------------------------------------------------------- #
