@@ -10,7 +10,8 @@ to a :class:`RequestResult`.
 A ``.npy`` input's header is read once, at submission: the request
 keeps its shape, dtype and data offset, sizes itself from them, and
 names its data region to the OS for read-ahead without opening the
-array again. Running it maps the file with one ``np.load``.
+array again. Running it maps the file with one ``np.load`` and checks
+the mapped shape and dtype against that header.
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ class ServeRequest:
         if self.array is not None:
             return self.array
         if self.path is not None:
-            self._path_header()  # a .npy holding one array, checked once
-            return np.load(os.fspath(self.path), mmap_mode="r")
+            shape, dtype, _ = self._path_header()
+            arr = np.load(os.fspath(self.path), mmap_mode="r")
+            if not isinstance(arr, np.ndarray) or (arr.shape, arr.dtype) != (
+                shape, dtype
+            ):
+                raise ValueError(f"{self.path} changed after it was queued")
+            return arr
         from repro.tensor.random import random_tensor
 
         return random_tensor(self.dims, seed=self.seed)

@@ -18,6 +18,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.serve.request as request_mod
 from repro.serve import (
     AdmissionController,
     AdmissionError,
@@ -329,18 +330,18 @@ class TestServer:
             np.save(paths[-1], _random((12, 10, 8), seed=i))
         loads = collections.Counter()
         headers = collections.Counter()
-        real_load, real_magic = np.load, np.lib.format.read_magic
+        real_load, real_header = np.load, request_mod._read_header
 
         def load(file, *args, **kwargs):
             loads[os.fspath(file)] += 1
             return real_load(file, *args, **kwargs)
 
-        def read_magic(fh):
-            headers[fh.name] += 1
-            return real_magic(fh)
+        def read_header(path):
+            headers[path] += 1
+            return real_header(path)
 
         monkeypatch.setattr(np, "load", load)
-        monkeypatch.setattr(np.lib.format, "read_magic", read_magic)
+        monkeypatch.setattr(request_mod, "_read_header", read_header)
         budget = 1 << 20
         server = TuckerServer(
             workers=1, backend="sequential", memory_budget=budget,
@@ -362,6 +363,27 @@ class TestServer:
             server.close()
         assert loads == {path: 1 for path in paths}
         assert headers == {path: 1 for path in paths}
+
+    def test_path_replaced_while_queued_fails_typed(self, tmp_path):
+        path = str(tmp_path / "x.npy")
+        np.save(path, _random((8, 8, 8)))
+        budget = 1 << 20
+        server = TuckerServer(
+            workers=1, backend="sequential", memory_budget=budget,
+        )
+        try:
+            hold = server.admission.acquire(budget)
+            ticket = server.submit(ServeRequest(
+                core=(2, 2, 2), path=path, id="swapped", max_iters=1,
+            ))
+            np.save(path, _random((8, 8, 6)))
+            server.admission.release(hold)
+            res = ticket.result(timeout=60)
+        finally:
+            server.close()
+        assert not res.ok
+        assert res.error_kind == "ValueError"
+        assert "changed after it was queued" in res.error
 
     def test_bad_core_rejected_at_submission(self, tmp_path):
         path = str(tmp_path / "x.npy")
