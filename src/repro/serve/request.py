@@ -108,7 +108,10 @@ class ServeRequest:
             return self.array
         if self.path is not None:
             shape, dtype, _ = self._path_header()
-            arr = np.load(os.fspath(self.path), mmap_mode="r")
+            try:
+                arr = np.load(os.fspath(self.path), mmap_mode="r")
+            except EOFError as exc:  # rewritten or truncated since queued
+                raise ValueError(f"{self.path} ends early: {exc}") from exc
             if not isinstance(arr, np.ndarray) or (arr.shape, arr.dtype) != (
                 shape, dtype
             ):

@@ -10,12 +10,19 @@ from it; their Ritz basis is returned only when three checks hold (a finite
 Gram, an EVD-sized residual, and a gap to the rest of the spectrum, see
 :func:`_warm_factor`), else the exact route runs. A direct truncated SVD is
 kept for cross-checking.
+
+Both routes' LAPACK calls (the EVDs and the warm route's QR) go through
+:mod:`repro.tensor.lapack`, which releases the GIL for each call and
+returns scipy's bits, so threads that factor at once (two serve workers,
+say) overlap instead of taking turns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from repro.tensor import lapack
 
 
 def gram(matrix: np.ndarray) -> np.ndarray:
@@ -51,8 +58,8 @@ def leading_eigvecs(symmetric: np.ndarray, k: int) -> np.ndarray:
     """Leading ``k`` eigenvectors of a symmetric PSD matrix, descending order.
 
     Columns carry the deterministic sign convention. Uses LAPACK ``syevr``
-    through :func:`scipy.linalg.eigh` with an index subset, the analogue of
-    the paper's dsyevx call.
+    with an index subset (:func:`repro.tensor.lapack.eigh`), the analogue
+    of the paper's dsyevx call. A non-finite entry raises ``ValueError``.
     """
     symmetric = np.asarray(symmetric)
     if symmetric.ndim != 2 or symmetric.shape[0] != symmetric.shape[1]:
@@ -60,7 +67,9 @@ def leading_eigvecs(symmetric: np.ndarray, k: int) -> np.ndarray:
     n = symmetric.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    _, vecs = scipy.linalg.eigh(symmetric, subset_by_index=[n - k, n - 1])
+    if not np.isfinite(symmetric).all():
+        raise ValueError("array must not contain infs or NaNs")
+    _, vecs = lapack.eigh(symmetric, k)
     # eigh returns ascending eigenvalues; flip to descending.
     return deterministic_sign(vecs[:, ::-1])
 
@@ -116,11 +125,9 @@ def _warm_factor(
     eps = np.finfo(g.dtype).eps
     gq = g @ np.asarray(init, dtype=g.dtype)
     for _ in range(SUBSPACE_STEPS):
-        q = scipy.linalg.qr(
-            gq, mode="economic", overwrite_a=True, check_finite=False
-        )[0]
+        q = lapack.qr_economic(gq)
         gq = g @ q
-        theta, v = scipy.linalg.eigh(q.T @ gq, check_finite=False)
+        theta, v = lapack.eigh(q.T @ gq)
         theta, v = theta[::-1], v[:, ::-1]
         q, gq = q @ v, gq @ v
         tol = 64 * eps * theta[0]

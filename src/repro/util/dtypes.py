@@ -33,7 +33,9 @@ def resolve_dtype(value, dtype=None) -> np.dtype:
                 f"dtype must be float32 or float64, got {dtype}"
             )
         return dtype
-    candidate = np.dtype(getattr(value, "dtype", None) or value)
+    if not isinstance(value, type):  # a scalar type's ``dtype`` is a descriptor
+        value = getattr(value, "dtype", None) or value
+    candidate = np.dtype(value)
     return candidate if candidate in SUPPORTED_DTYPES else np.dtype(np.float64)
 
 

@@ -364,26 +364,60 @@ class TestServer:
         assert loads == {path: 1 for path in paths}
         assert headers == {path: 1 for path in paths}
 
-    def test_path_replaced_while_queued_fails_typed(self, tmp_path):
-        path = str(tmp_path / "x.npy")
-        np.save(path, _random((8, 8, 8)))
-        budget = 1 << 20
-        server = TuckerServer(
-            workers=1, backend="sequential", memory_budget=budget,
-        )
+    @staticmethod
+    def _queued_behind_a_held_run(monkeypatch, path, change):
+        """Serve ``path`` on the only worker while it is held inside
+        another run, ``change`` the file, then release the worker."""
+        entered, release = threading.Event(), threading.Event()
+        real_run = TuckerSession.run
+
+        def run(session, tensor, *args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                release.wait(60)
+            return real_run(session, tensor, *args, **kwargs)
+
+        monkeypatch.setattr(TuckerSession, "run", run)
+        server = TuckerServer(workers=1, backend="sequential")
         try:
-            hold = server.admission.acquire(budget)
+            held = server.submit(ServeRequest(
+                dims=(8, 8, 8), core=(2, 2, 2), id="held", max_iters=1,
+            ))
+            assert entered.wait(60)
             ticket = server.submit(ServeRequest(
                 core=(2, 2, 2), path=path, id="swapped", max_iters=1,
             ))
-            np.save(path, _random((8, 8, 6)))
-            server.admission.release(hold)
-            res = ticket.result(timeout=60)
+            change(path)
+            release.set()
+            assert held.result(timeout=60).ok
+            return ticket.result(timeout=60)
         finally:
+            release.set()
             server.close()
+
+    def test_path_replaced_while_queued_fails_typed(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "x.npy")
+        np.save(path, _random((8, 8, 8)))
+        res = self._queued_behind_a_held_run(
+            monkeypatch, path, lambda p: np.save(p, _random((8, 8, 6)))
+        )
         assert not res.ok
         assert res.error_kind == "ValueError"
         assert "changed after it was queued" in res.error
+
+    def test_path_truncated_while_queued_fails_typed(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "x.npy")
+        np.save(path, _random((8, 8, 8)))
+        res = self._queued_behind_a_held_run(
+            monkeypatch, path, lambda p: open(p, "wb").close()
+        )
+        assert not res.ok
+        assert res.error_kind == "ValueError"
+        assert path in res.error
 
     def test_bad_core_rejected_at_submission(self, tmp_path):
         path = str(tmp_path / "x.npy")

@@ -45,6 +45,11 @@ class TestCompile:
         session.close()
         assert not session.backend._gram_scratch
 
+    def test_compile_plan_without_a_dtype_is_float64(self):
+        meta = TensorMeta(dims=(12, 10, 8), core=(4, 3, 3))
+        plan = Planner(4, tree="optimal", grid="dynamic").plan(meta)
+        assert compile_plan(plan, dtype=None).dtype == np.dtype(np.float64)
+
     def test_portfolio_is_default_planner(self, tensor):
         session = TuckerSession()
         res = session.run(tensor, (4, 3, 3), n_procs=4, max_iters=2)

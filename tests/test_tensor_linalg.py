@@ -1,14 +1,20 @@
 """Tests for Gram-based SVD helpers."""
 
+import ctypes
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tensor import linalg
+from repro.tensor import lapack, linalg
 from repro.tensor.linalg import (
     deterministic_sign,
     gram,
@@ -330,3 +336,256 @@ def test_accepted_warm_factor_spans_the_exact_subspace(
     eps = np.finfo(dtype).eps
     bound = 128 * eps * lams[0] / gap if gap > 0 else np.inf
     assert _angle(factor, exact) <= max(ANGLE_TOL[dtype], bound)
+
+
+# --------------------------------------------------------------------- #
+# the GIL-free LAPACK calls: scipy's bits, other threads keep running
+# --------------------------------------------------------------------- #
+
+
+def _family(kind, n, dtype, rng):
+    """A symmetric ``n x n`` test matrix of one kind, in ``dtype``."""
+    if kind == "repeated":
+        lams = rng.integers(0, 3, n).astype(np.float64)
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (v * lams) @ v.T
+    elif kind == "rank":
+        x = rng.standard_normal((n, max(1, n // 3)))
+        a = x @ x.T
+    else:
+        x = rng.standard_normal((n, n + 3))
+        a = x @ x.T
+    return ((a + a.T) * 0.5).astype(dtype)
+
+
+def _transposed(a):
+    """``a``'s values in a non-contiguous, transposed layout."""
+    buf = np.zeros((2 * a.shape[1], a.shape[0]), a.dtype)
+    buf[::2] = a.T
+    view = buf[::2].T
+    assert view.size == 1 or not (
+        view.flags.c_contiguous or view.flags.f_contiguous
+    )
+    return view
+
+
+def _same_bits(ours, theirs):
+    assert ours.dtype == theirs.dtype
+    assert ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def _assert_matches_scipy(a, k):
+    n = a.shape[0]
+    w, v = scipy.linalg.eigh(a, subset_by_index=[n - k, n - 1])
+    ours = lapack.eigh(a, k)
+    _same_bits(ours[0], w)
+    _same_bits(ours[1], v)
+    _same_bits(leading_eigvecs(a, k), deterministic_sign(v[:, ::-1]))
+    w, v = scipy.linalg.eigh(a)
+    ours = lapack.eigh(a)
+    _same_bits(ours[0], w)
+    _same_bits(ours[1], v)
+    tall = a[:, :k]
+    _same_bits(
+        lapack.qr_economic(tall), scipy.linalg.qr(tall, mode="economic")[0]
+    )
+
+
+def _ks(n):
+    return sorted({1, max(1, n // 8), max(1, n // 2), n})
+
+
+class TestLapackMatchesScipy:
+    """:mod:`repro.tensor.lapack` returns scipy's ``eigh`` and economic
+    ``qr`` bit for bit: the rest of the program sees no change."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 37, 128, 300])
+    def test_every_k_of_a_size(self, n, dtype):
+        rng = np.random.default_rng(n)
+        a = _family("random", n, dtype, rng)
+        for k in _ks(n):
+            _assert_matches_scipy(a, k)
+
+    @given(
+        dtype=st.sampled_from([np.float64, np.float32]),
+        n=st.integers(1, 300),
+        k_pick=st.integers(0, 3),
+        kind=st.sampled_from(["random", "repeated", "rank"]),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property(self, dtype, n, k_pick, kind, transposed, seed):
+        rng = np.random.default_rng(seed)
+        a = _family(kind, n, dtype, rng)
+        if transposed:
+            a = _transposed(a)
+        _assert_matches_scipy(a, _ks(n)[min(k_pick, len(_ks(n)) - 1)])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_only_the_lower_triangle_is_read(self, dtype):
+        # a non-symmetric input: both read the same triangle of the
+        # transposed, non-contiguous view
+        rng = np.random.default_rng(5)
+        a = _transposed(rng.standard_normal((40, 40)).astype(dtype))
+        _assert_matches_scipy(a, 6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cols", ["duplicate", "zero"])
+    def test_rank_deficient_qr(self, dtype, cols):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((30, 9)).astype(dtype)
+        if cols == "duplicate":
+            a[:, 4] = a[:, 1]
+        else:
+            a[:, 2:5] = 0
+        for view in (a, _transposed(a)):
+            _same_bits(
+                lapack.qr_economic(view),
+                scipy.linalg.qr(view, mode="economic")[0],
+            )
+
+    @pytest.mark.parametrize(
+        "dtype, runs_in", [(np.int64, np.float64), (np.int16, np.float32)]
+    )
+    def test_integer_matrices_run_where_scipy_ran_them(self, dtype, runs_in):
+        a = np.array([[4, 1, 0], [1, 3, 1], [0, 1, 2]], dtype=dtype)
+        assert leading_eigvecs(a, 2).dtype == runs_in
+        _assert_matches_scipy(a, 2)
+
+    def test_workspace_sizes_are_scipys(self):
+        from scipy.linalg import lapack as scipy_lapack
+
+        for n in (1, 9, 300, 2000):
+            for prefix, dtype in (("s", np.float32), ("d", np.float64)):
+                lapack.eigh(np.eye(n, dtype=dtype), 1)
+                query = getattr(scipy_lapack, prefix + "syevr_lwork")
+                key = ("syevr", np.dtype(dtype).char, n)
+                assert lapack._workspace[key] == (
+                    scipy_lapack._compute_lwork(query, n, lower=1)
+                )
+
+    def test_warm_route_is_the_scipy_algorithm(self):
+        """The warm route's steps, written with scipy's calls, give the
+        same factor bit for bit."""
+        for dtype in (np.float64, np.float32):
+            g, _ = _spectral_gram(_separated(), dtype)
+            init = _near(gram_factor(g, K), 1e-6)
+            warm, factor = _routed(g, K, init)
+            assert warm
+            _same_bits(factor, _scipy_warm_factor(g, K, init))
+
+    def test_bad_input_is_refused(self):
+        with pytest.raises(TypeError, match="real"):
+            lapack.eigh(np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="2-D"):
+            lapack.qr_economic(np.ones(3))
+        with pytest.raises(ValueError, match="square"):
+            lapack.eigh(np.ones((3, 4)))
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="k must be"):
+                lapack.eigh(np.eye(3), k)
+        with pytest.raises(ValueError, match="m >= n"):
+            lapack.qr_economic(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("routine", ["syevr", "geqrf", "orgqr"])
+    def test_lapack_failure_raises_linalg_error(self, routine, monkeypatch):
+        def failing(*args):
+            ctypes.c_int.from_address(args[-1]).value = -1
+
+        routines = {dt: dict(fs) for dt, fs in lapack._ROUTINES.items()}
+        routines[np.dtype(np.float64)][routine] = failing
+        monkeypatch.setattr(lapack, "_ROUTINES", routines)
+        monkeypatch.setattr(lapack, "_workspace", {})
+        with pytest.raises(np.linalg.LinAlgError, match="info=-1"):
+            if routine == "syevr":
+                lapack.eigh(np.eye(4))
+            else:
+                lapack.qr_economic(np.eye(4)[:, :3])
+
+
+def _scipy_warm_factor(g, k, init):
+    """:func:`linalg._warm_factor`'s steps through scipy's wrappers (the
+    form that held the GIL): the reference the GIL-free calls must match."""
+    g = (g + g.T) * 0.5
+    eps = np.finfo(g.dtype).eps
+    gq = g @ np.asarray(init, dtype=g.dtype)
+    for _ in range(linalg.SUBSPACE_STEPS):
+        q = scipy.linalg.qr(
+            gq, mode="economic", overwrite_a=True, check_finite=False
+        )[0]
+        gq = g @ q
+        theta, v = scipy.linalg.eigh(q.T @ gq, check_finite=False)
+        theta, v = theta[::-1], v[:, ::-1]
+        q, gq = q @ v, gq @ v
+        tol = 64 * eps * theta[0]
+        if np.linalg.norm(gq - q * theta) <= tol and (
+            np.linalg.norm(g - (q * theta) @ q.T) + 2 * tol < theta[-1]
+        ):
+            return deterministic_sign(q)
+    return None
+
+
+def _helper_advance(call):
+    """How far a helper thread, counting while it yields, gets during
+    ``call()`` when the interpreter never takes the GIL away by itself:
+    only a call that releases the GIL lets it run."""
+    count = 0
+    stop = threading.Event()
+
+    def spin():
+        nonlocal count
+        while not stop.is_set():
+            count += 1
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(100)
+    helper = threading.Thread(target=spin)
+    try:
+        helper.start()
+        time.sleep(0.01)
+        before = count
+        call()
+        return count - before
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        helper.join(10)
+        assert not helper.is_alive()
+
+
+def test_factor_evd_lets_other_threads_run():
+    g = gram(np.random.default_rng(7).standard_normal((800, 900)))
+    ours = theirs = 0
+    for _ in range(3):
+        ours += _helper_advance(lambda: leading_eigvecs(g, 80))
+        theirs += _helper_advance(
+            lambda: scipy.linalg.eigh(g, subset_by_index=[720, 799])
+        )
+    assert ours >= 5 * max(theirs, 1), (ours, theirs)
+
+
+def test_threads_get_the_serial_results():
+    rng = np.random.default_rng(8)
+    work = []
+    for i in range(200):
+        n = int(rng.integers(2, 90))
+        k = int(rng.integers(1, n))
+        dtype = (np.float64, np.float32)[i % 2]
+        g = _family(("random", "rank")[i % 3 == 0], n, dtype, rng)
+        init = gram_factor(g, k) if i % 4 == 0 else None
+        if init is not None:
+            init = _near(init, 1e-7, seed=i)
+        work.append((g, k, init))
+    serial = [gram_factor(*item).tobytes() for item in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda item: gram_factor(*item), work))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [f.tobytes() for f in threaded] == serial
+
