@@ -1,9 +1,9 @@
 """Plan-level sweep: model algorithm configs over tensor suites.
 
-For each (tensor, algorithm) pair the runner plans (tree + grids) — routed
-through a shared :class:`~repro.session.TuckerSession` so repeated sweeps
-over the same metadata hit the compiled-plan cache — and asks the model
-executor (:mod:`repro.hooi.model`) for one invocation's metrics.
+For each (tensor, algorithm) pair the runner plans (tree + grids) with the
+algorithm's :class:`~repro.core.planner.Planner` and asks the model
+executor (:mod:`repro.hooi.model`) for one invocation's metrics. Nothing
+is compiled: a modelled sweep never runs a Step program.
 Metrics per record:
 
 ``flops``            TTM-component multiply-adds (exact; Fig 11c/d)
@@ -29,18 +29,6 @@ from repro.bench.algorithms import make_planner
 from repro.core.meta import TensorMeta
 from repro.hooi.model import predict
 from repro.dist.machine import MachineModel
-from repro.session import TuckerSession
-
-
-def planning_session() -> TuckerSession:
-    """The sweep-wide planning session (shared compiled-plan LRU cache)."""
-    global _session
-    if _session is None:
-        _session = TuckerSession(backend="sequential", cache_size=128)
-    return _session
-
-
-_session: TuckerSession | None = None
 
 
 def evaluate_algorithms(
@@ -51,12 +39,9 @@ def evaluate_algorithms(
 ) -> dict[str, dict[str, float]]:
     """Plan + model one tensor under each named algorithm."""
     machine = machine if machine is not None else MachineModel.bgq_like()
-    session = planning_session()
     out: dict[str, dict[str, float]] = {}
     for name in algorithms:
-        plan = session.compile(
-            meta, planner=make_planner(name, n_procs)
-        ).plan
+        plan = make_planner(name, n_procs).plan(meta)
         report = predict(plan, machine)
         out[name] = {
             "flops": float(plan.flops),

@@ -542,19 +542,12 @@ def cmd_psi(args) -> int:
     return 0
 
 
-#: planning goes through the session layer so repeated CLI invocations in
-#: one process (and the model loop below) share the compiled-plan cache.
-_planning_session = TuckerSession(backend="sequential", cache_size=64)
-
-
 def cmd_model(args) -> int:
     meta = _meta_from_args(args)
     machine = MachineModel.bgq_like()
     rows = []
     for name in ALGORITHMS:
-        plan = _planning_session.compile(
-            meta, planner=make_planner(name, args.procs)
-        ).plan
+        plan = make_planner(name, args.procs).plan(meta)
         rep = predict(plan, machine)
         rows.append(
             [

@@ -14,7 +14,8 @@ Layout
   to cross-check the DP on small N.
 * :mod:`repro.core.grids` — processor grids and the psi(P, N) count
   (section 4.2).
-* :mod:`repro.core.volume` — communication-volume semantics (section 4.1/4.3).
+* :mod:`repro.core.volume` — the per-step charges every cost reader prices
+  (sections 3.1, 4.1 and 4.3).
 * :mod:`repro.core.static_grid` — optimal static grid by exhaustive search.
 * :mod:`repro.core.dynamic_grid` — the optimal dynamic-gridding DP
   (section 4.4).
@@ -34,7 +35,7 @@ from repro.core.cost import tree_cost, node_costs, normalized_tree_cost
 from repro.core.opt_tree import optimal_tree, optimal_tree_cost
 from repro.core.enumerate_trees import enumerate_trees, brute_force_optimal_cost
 from repro.core.grids import enumerate_grids, valid_grids, psi, is_valid_grid
-from repro.core.volume import static_volume, scheme_volume, node_volumes
+from repro.core.volume import static_volume, scheme_volume
 from repro.core.static_grid import optimal_static_grid
 from repro.core.dynamic_grid import GridScheme, optimal_dynamic_scheme, static_scheme
 from repro.core.planner import Plan, Planner
@@ -62,7 +63,6 @@ __all__ = [
     "is_valid_grid",
     "static_volume",
     "scheme_volume",
-    "node_volumes",
     "optimal_static_grid",
     "GridScheme",
     "optimal_dynamic_scheme",

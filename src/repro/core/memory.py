@@ -20,11 +20,13 @@ first-class, exact quantity:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from repro.core.cost import node_costs
 from repro.core.meta import TensorMeta
 from repro.core.planner import Plan
 from repro.core.trees import Node, TTMTree
+from repro.core.volume import chain_charges, tree_charges
 
 
 def carried_nodes(path: Sequence[Node]) -> tuple[Node, ...]:
@@ -132,44 +134,35 @@ def plan_peak_bytes_per_rank(
 
     * ``resident`` — peak live tensors along the DFS
       (:func:`traversal_peak_cards`);
-    * ``ttm_buffer`` — the largest transient of any TTM: the local partial
-      product is ``K_n x local-fibers = q_n x`` the output block, held
-      together with the reduce-scatter result;
-    * ``regrid_buffer`` — staging for the largest redistribution (send
-      intersections + assembled new block, ~2x the tensor's local share).
+    * ``ttm_buffer`` — the largest transient of any TTM, the tree's or the
+      core chain's: the local partial product is
+      ``K_n x local-fibers = q_n x`` the output block, held together with
+      the reduce-scatter result;
+    * ``regrid_buffer`` — staging for the largest redistribution, the
+      tree's or the core chain's (send intersections + assembled new
+      block, ~2x the tensor's local share).
 
     Returns the components and their sum under ``"total"``.
     """
     meta = plan.meta
     p = plan.n_procs
     tree = plan.tree
-    costs = node_costs(tree, meta)
 
     resident = traversal_peak_cards(tree, meta) / p
 
-    ttm_buffer = 0.0
-    regrid_buffer = 0.0
-    for node in tree.nodes:
-        if node.kind != "ttm":
-            continue
-        grid = plan.scheme.grid_of(node.uid)
-        out_card = costs[node.uid]["out_card"]
-        in_card = costs[node.uid]["in_card"]
-        q = grid[node.mode]
-        # partial product (q x output block) + scattered result (1 x)
-        ttm_buffer = max(ttm_buffer, (q + 1) * out_card / p)
-        parent = tree.parent(node)
-        if tuple(grid) != tuple(plan.scheme.grid_of(parent.uid)):
-            regrid_buffer = max(regrid_buffer, 2 * in_card / p)
-    # the core chain reuses the same machinery on ever-smaller tensors;
-    # its first step dominates its buffers
-    if plan.core_order:
-        first_grid = plan.core_scheme[0]
-        q = first_grid[plan.core_order[0]]
-        first_out = meta.card_after(1 << plan.core_order[0])
-        ttm_buffer = max(ttm_buffer, (q + 1) * first_out / p)
-        if tuple(first_grid) != tuple(plan.initial_grid):
-            regrid_buffer = max(regrid_buffer, 2 * meta.cardinality / p)
+    ttm_buffer = regrid_buffer = 0.0
+    charges = chain(
+        tree_charges(tree, meta, plan.scheme.assignment),
+        chain_charges(
+            meta, plan.core_order, plan.core_scheme, plan.initial_grid
+        ),
+    )
+    for charge in charges:
+        if charge.op == "reduce_scatter":
+            # partial product (q x output block) + scattered result (1 x)
+            ttm_buffer = max(ttm_buffer, (charge.group + 1) * charge.card / p)
+        elif charge.op == "alltoall":
+            regrid_buffer = max(regrid_buffer, 2 * charge.volume / p)
 
     scale = float(bytes_per_element)
     out = {

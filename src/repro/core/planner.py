@@ -28,6 +28,7 @@ from repro.core.ordering import (
 )
 from repro.core.static_grid import optimal_static_grid
 from repro.core.trees import TTMTree, balanced_tree, chain_tree
+from repro.core.volume import chain_charges, volume_totals
 from repro.util import serial
 from repro.util.validation import check_positive_int
 
@@ -199,14 +200,12 @@ class Planner:
         order = self.core_chain_ordering(meta)
         if self.grid_kind == "static":
             grids = [tuple(initial_grid)] * meta.ndim
-            premult = 0
-            ttm_vol = 0
-            for mode in order:
-                premult |= 1 << mode
-                ttm_vol += (initial_grid[mode] - 1) * meta.card_after(premult)
-            return tuple(order), tuple(grids), ttm_vol, 0
-        grids, ttm_vol, regrid_vol = optimal_path_scheme(
-            meta, order, tuple(initial_grid), self.n_procs
+        else:
+            grids, _, _ = optimal_path_scheme(
+                meta, order, tuple(initial_grid), self.n_procs
+            )
+        ttm_vol, regrid_vol = volume_totals(
+            chain_charges(meta, order, grids, initial_grid)
         )
         return tuple(order), tuple(grids), ttm_vol, regrid_vol
 

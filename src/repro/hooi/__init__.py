@@ -7,11 +7,13 @@
   STHOSVD program of :mod:`repro.backends.schedule`).
 * :mod:`repro.hooi.hooi` — single HOOI invocations (Figure 2 of the paper)
   on the sequential and simcluster backends, plus a tree-free naive
-  reference. The iterate-to-convergence drivers and the one-shot /
-  tree-executor shims were removed in PR 14: use
-  :class:`repro.session.TuckerSession` and :mod:`repro.backends.schedule`.
+  reference. Iterating to convergence is
+  :class:`repro.session.TuckerSession`'s job, over the programs of
+  :mod:`repro.backends.schedule`.
 * :mod:`repro.hooi.model` — metadata-only predictions of load, volume and
-  alpha-beta time for a plan; powers the large benchmark sweeps.
+  alpha-beta time for a plan, priced from the per-step charges of
+  :func:`repro.core.volume.plan_charges`; powers the large benchmark
+  sweeps.
 """
 
 from repro.hooi.decomposition import TuckerDecomposition

@@ -16,9 +16,11 @@ the modeled charge is understood *per occurrence*.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Any
 
 from repro.core.planner import Plan
+from repro.core.volume import chain_charges, tree_charges
 from repro.util.table import ascii_table
 
 __all__ = [
@@ -52,37 +54,13 @@ def modeled_step_volumes(plan: Plan) -> dict[str, int]:
     ``plan.ttm_volume`` / ``plan.regrid_volume`` /
     ``plan.core_ttm_volume`` / ``plan.core_regrid_volume`` exactly.
     """
-    from repro.core.volume import node_volumes
-
-    meta = plan.meta
-    out: dict[str, int] = {}
-    vols = node_volumes(plan.tree, meta, plan.scheme.assignment)
-    for node in plan.tree.internal_nodes():
-        if node.kind != "ttm":
-            continue
-        entry = vols[node.uid]
-        out[f"ttm:n{node.uid}"] = int(entry["ttm"])
-        out[f"regrid:n{node.uid}"] = int(entry["regrid"])
-    # The new-core chain: cardinalities of the partially multiplied
-    # tensor shrink as modes are applied in ``core_order``.
-    order = tuple(plan.core_order)
-    if order:
-        cards = [meta.cardinality]
-        premult = 0
-        for mode in order:
-            premult |= 1 << mode
-            cards.append(meta.card_after(premult))
-        core_scheme = tuple(plan.core_scheme)
-        prev_grid = tuple(plan.initial_grid)
-        for i, mode in enumerate(order):
-            grid = tuple(core_scheme[i]) if core_scheme else prev_grid
-            if core_scheme:
-                out[f"core:regrid{i}"] = (
-                    int(cards[i]) if grid != prev_grid else 0
-                )
-            out[f"core:ttm{mode}"] = (grid[mode] - 1) * int(cards[i + 1])
-            prev_grid = grid
-    return out
+    charges = chain(
+        tree_charges(plan.tree, plan.meta, plan.scheme.assignment),
+        chain_charges(
+            plan.meta, plan.core_order, plan.core_scheme, plan.initial_grid
+        ),
+    )
+    return {c.tag: c.volume for c in charges if c.op != "gemm"}
 
 
 def summarize(trace) -> list[dict[str, Any]]:

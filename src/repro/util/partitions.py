@@ -13,6 +13,7 @@ Everything here is exact integer arithmetic; no floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Sequence
 from itertools import combinations_with_replacement
@@ -89,12 +90,14 @@ def _exponent_splits(e: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def ordered_factorizations(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every ordered factorization of ``p`` into ``n`` positive factors.
+@functools.cache
+def ordered_factorizations(p: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every ordered factorization of ``p`` into ``n`` positive factors.
 
     The factorizations are exactly the candidate processor grids for ``p``
-    ranks and an ``n``-dimensional tensor. The iteration order is
-    deterministic (lexicographic in per-prime exponent splits).
+    ranks and an ``n``-dimensional tensor. The order is deterministic
+    (lexicographic in per-prime exponent splits). The result depends only
+    on ``(p, n)``, so it is computed once per pair and shared.
 
     >>> sorted(ordered_factorizations(4, 2))
     [(1, 4), (2, 2), (4, 1)]
@@ -103,21 +106,14 @@ def ordered_factorizations(p: int, n: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"n must be >= 1, got {n}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    primes = list(prime_factorization(p).items()) if p > 1 else []
-    if not primes:
-        yield (1,) * n
-        return
-
-    def rec(idx: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if idx == len(primes):
-            yield acc
-            return
-        prime, exponent = primes[idx]
-        for split in _exponent_splits(exponent, n):
-            nxt = tuple(a * prime**s for a, s in zip(acc, split))
-            yield from rec(idx + 1, nxt)
-
-    yield from rec(0, (1,) * n)
+    grids = [(1,) * n]
+    for prime, exponent in prime_factorization(p).items():
+        grids = [
+            tuple(a * prime**s for a, s in zip(acc, split))
+            for acc in grids
+            for split in _exponent_splits(exponent, n)
+        ]
+    return tuple(grids)
 
 
 def iter_submasks(mask: int) -> Iterator[int]:

@@ -77,6 +77,15 @@ class TestModelCommand:
             assert label in out
         assert "total s" in out
 
+    def test_model_plans_without_a_session(self):
+        # every repro invocation imports the CLI: it must build no session
+        import repro.cli
+        from repro.session import TuckerSession
+
+        assert not any(
+            isinstance(v, TuckerSession) for v in vars(repro.cli).values()
+        )
+
 
 class TestSuiteCommand:
     def test_suite_stats(self, capsys):

@@ -37,13 +37,6 @@ class TestPredictBasics:
                 plan.core_ttm_volume + plan.core_regrid_volume
             )
 
-    def test_include_flags(self, meta):
-        plan = Planner(8).plan(meta)
-        no_svd = predict(plan, include_svd=False)
-        assert no_svd.svd.seconds == 0 and no_svd.svd.volume == 0
-        no_core = predict(plan, include_core=False)
-        assert no_core.core.seconds == 0 and no_core.core.volume == 0
-
     def test_total_is_sum_of_phases(self, meta):
         plan = Planner(8).plan(meta)
         rep = predict(plan)
@@ -53,10 +46,6 @@ class TestPredictBasics:
             + rep.svd.seconds
             + rep.core.seconds
         )
-
-    def test_breakdown_keys(self, meta):
-        rep = predict(Planner(8).plan(meta))
-        assert set(rep.breakdown()) == {"svd", "ttm_compute", "ttm_comm"}
 
     def test_machine_scaling(self, meta):
         plan = Planner(8).plan(meta)

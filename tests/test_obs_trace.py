@@ -15,8 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.meta import TensorMeta
-from repro.core.planner import Planner
 from repro.dist.stats import Record, StatsLedger
 from repro.obs import (
     NULL_TRACER,
@@ -26,7 +24,6 @@ from repro.obs import (
     canonical_tag,
     format_summary,
     load_trace,
-    modeled_step_volumes,
     summarize,
 )
 from repro.obs.metrics import HISTOGRAM_WINDOW
@@ -397,15 +394,8 @@ class TestMetrics:
 
 
 # --------------------------------------------------------------------- #
-# summarize: modeled volumes vs plan aggregates
+# summarize: modeled volumes vs measured steps
 # --------------------------------------------------------------------- #
-
-
-CONFIGS = [
-    ((12, 10, 8), (4, 3, 3), 4, "optimal", "dynamic"),
-    ((14, 9, 11), (5, 3, 4), 8, "optimal", "static"),
-    ((9, 8, 7, 6), (3, 3, 2, 2), 8, "chain-k", "dynamic"),
-]
 
 
 class TestModeledVolumes:
@@ -414,27 +404,6 @@ class TestModeledVolumes:
         assert canonical_tag("hooi:it12:core:ttm1") == "core:ttm1"
         assert canonical_tag("sthosvd:svd0") == "sthosvd:svd0"
         assert canonical_tag("norm:input") == "norm:input"
-
-    @pytest.mark.parametrize("dims,core,procs,tree,grid", CONFIGS)
-    def test_volumes_sum_to_plan_aggregates(self, dims, core, procs, tree,
-                                            grid):
-        plan = Planner(procs, tree=tree, grid=grid).plan(
-            TensorMeta(dims=dims, core=core)
-        )
-        vols = modeled_step_volumes(plan)
-        ttm = sum(v for t, v in vols.items()
-                  if t.startswith("ttm:") or t.startswith("regrid:") is False
-                  and t.startswith("ttm:"))
-        ttm = sum(v for t, v in vols.items() if t.startswith("ttm:"))
-        regrid = sum(v for t, v in vols.items() if t.startswith("regrid:"))
-        core_ttm = sum(v for t, v in vols.items()
-                       if t.startswith("core:ttm"))
-        core_regrid = sum(v for t, v in vols.items()
-                          if t.startswith("core:regrid"))
-        assert ttm == plan.ttm_volume
-        assert regrid == plan.regrid_volume
-        assert core_ttm == plan.core_ttm_volume
-        assert core_regrid == plan.core_regrid_volume
 
     def test_summarize_rows_cover_model(self):
         from repro.session import TuckerSession
