@@ -37,11 +37,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.backends.blockpar import default_workers
-from repro.storage import (
-    DEFAULT_CHUNK_BYTES,
-    default_memory_budget,
-    parse_bytes,
-)
+from repro.storage import default_memory_budget, parse_bytes
 from repro.util.dtypes import resolve_dtype
 
 logger = logging.getLogger("repro.backends.select")
@@ -120,13 +116,10 @@ _METHODS = ("exact", "rsthosvd", "sp-rsthosvd")
 #: machine-level spill-storage parameters (backend-independent: the
 #: spill directory's device doesn't care which backend reads it). A
 #: spilled run is charged one staging write and one read pass at these
-#: bandwidths; ``spill_chunk_bytes`` is the write-through chunk size the
-#: calibrate probe found fastest (used only once the profile is
-#: calibrated).
+#: bandwidths.
 _DEFAULT_STORAGE = {
     "spill_write_bytes_per_s": 8.0e8,
     "spill_read_bytes_per_s": 1.6e9,
-    "spill_chunk_bytes": float(DEFAULT_CHUNK_BYTES),
 }
 
 
@@ -603,17 +596,15 @@ def select_backend(
 class StorageSelection:
     """The storage policy's verdict for one input.
 
-    ``codec`` / ``chunk_bytes`` only matter to spilled (``mmap``)
-    selections: the codec the store will encode staged blocks with, and
-    the write-through chunk size (``None`` = let the store derive it
-    from the budget). Memory-mode selections keep the raw defaults.
+    ``codec`` only matters to spilled (``mmap``) selections: the codec
+    the store will encode staged blocks with. Memory-mode selections
+    keep the raw default.
     """
 
     mode: str  # "memory" or "mmap"
     memory_budget: int | None
     reason: str = ""
     codec: str = "raw"
-    chunk_bytes: int | None = None
 
     @property
     def spilled(self) -> bool:
@@ -630,22 +621,12 @@ def check_spill_codec(codec) -> None:
         )
 
 
-def spill_chunk_bytes(profile: dict | None) -> int | None:
-    """A calibrated profile's write-through chunk size, floored at one
-    page; ``None`` (the store's default) for an uncalibrated one."""
-    if not (isinstance(profile, dict) and profile.get("calibrated")):
-        return None
-    storage = {**_DEFAULT_STORAGE, **(profile.get("storage") or {})}
-    return max(4096, int(storage["spill_chunk_bytes"]))
-
-
 def select_storage(
     nbytes: int,
     storage: str = "auto",
     memory_budget: int | str | None = None,
     *,
     codec: str = "raw",
-    profile: dict | None = None,
 ) -> StorageSelection:
     """Decide where an input's working set lives: RAM or spill files.
 
@@ -660,8 +641,7 @@ def select_storage(
     budget of 0 with ``storage="auto"`` always spills.
 
     Spilled selections carry ``codec`` (one of
-    :data:`SPILL_CODEC_CHOICES`) and the profile's calibrated chunk
-    size (:func:`spill_chunk_bytes`) as ``chunk_bytes``.
+    :data:`SPILL_CODEC_CHOICES`).
     """
     if storage not in STORAGE_MODES:
         raise ValueError(
@@ -698,8 +678,7 @@ def select_storage(
             ),
         )
     return StorageSelection(
-        mode="mmap", memory_budget=budget, reason=reason,
-        codec=codec, chunk_bytes=spill_chunk_bytes(profile),
+        mode="mmap", memory_budget=budget, reason=reason, codec=codec
     )
 
 
@@ -709,13 +688,12 @@ def select_storage(
 
 
 def _probe_storage(rng, probe_bytes: int) -> dict[str, float] | None:
-    """Measure spill write/read bandwidths and the best chunk size.
+    """Measure spill write/read bandwidths.
 
     One throwaway :class:`MmapStore` in the default spill root: a raw
-    put/get pass gives the directory's write/read rates, and a small
-    chunk-size ladder finds the fastest write-through granularity.
-    Spill files are never synced, so the write rate is that of the path
-    runs take: a chunked copy into the page cache, no writeback to disk.
+    put/get pass gives the directory's write/read rates. Spill files
+    are never synced, so the write rate is that of the path runs take:
+    a chunked copy into the page cache, no writeback to disk.
     Best-of is not needed — each direction moves ``probe_bytes``, big
     enough to dominate syscall noise. Returns ``None`` if the spill
     directory cannot be used at all.
@@ -740,22 +718,6 @@ def _probe_storage(rng, probe_bytes: int) -> dict[str, float] | None:
         out["spill_read_bytes_per_s"] = nbytes / max(
             perf_counter() - t0, 1e-9
         )
-    best_chunk = None
-    best_seconds = float("inf")
-    for chunk in (256 * 2**10, 2**20, 4 * 2**20, DEFAULT_CHUNK_BYTES):
-        try:
-            chunked = MmapStore(chunk_bytes=chunk)
-        except OSError:
-            break
-        with chunked:
-            t0 = perf_counter()
-            chunked.put("c", data)
-            seconds = perf_counter() - t0
-        if seconds < best_seconds:
-            best_seconds = seconds
-            best_chunk = chunk
-    if best_chunk is not None:
-        out["spill_chunk_bytes"] = float(best_chunk)
     return out
 
 
@@ -781,9 +743,8 @@ def calibrate(
     session.
 
     With ``storage_probe`` (the default) the profile's ``storage``
-    section is measured too — spill write/read bandwidth and the fastest
-    write-through chunk size (:func:`_probe_storage`) — which is what
-    arms :func:`select_storage`'s chunk size and the spilled backend
+    section is measured too — spill write/read bandwidth
+    (:func:`_probe_storage`) — which is what arms the spilled backend
     charge with real numbers.
     """
     from repro.backends import (  # lazy: avoids an import cycle
@@ -859,7 +820,6 @@ __all__ = [
     "save_profile",
     "select_backend",
     "select_storage",
-    "spill_chunk_bytes",
     "spill_seconds",
     "sweep_flops",
 ]

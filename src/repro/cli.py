@@ -340,7 +340,6 @@ def cmd_batch(args) -> int:
             max_iters=args.max_iters,
             tol=args.tol,
             skip_hooi=args.skip_hooi,
-            max_in_flight=args.max_in_flight,
             on_error=args.on_error,
         )
     except (ValueError, OSError) as exc:  # bad item with --on-error raise
@@ -355,7 +354,6 @@ def cmd_batch(args) -> int:
             "backend": args.backend,
             "core": list(args.core),
             "planner": str(args.planner),
-            "max_in_flight": args.max_in_flight,
             **aggregate,
             "items": [
                 {
@@ -500,9 +498,6 @@ def cmd_calibrate(args) -> int:
 
         print(f"spill write:        {_rate('spill_write_bytes_per_s')}")
         print(f"spill read:         {_rate('spill_read_bytes_per_s')}")
-        chunk = storage.get("spill_chunk_bytes")
-        if chunk:
-            print(f"spill chunk size:   {int(chunk):,} bytes")
     print(f"profile written to {path}")
     print("auto-selection sessions pick it up via "
           "TuckerSession(backend='auto')")
@@ -651,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record a span trace of the run and write it here as a "
-        "Chrome trace-event file (.jsonl extension selects JSON-lines); "
-        "inspect with 'repro trace summarize PATH' or ui.perfetto.dev",
+        "Chrome trace-event file; inspect with 'repro trace summarize "
+        "PATH' or ui.perfetto.dev",
     )
     p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
@@ -679,11 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         calibration_help="calibration profile JSON for --backend auto",
     )
     p_batch.add_argument(
-        "--max-in-flight", type=int, default=8, metavar="N",
-        help="tensors loaded ahead of execution; bounds resident memory "
-        "and the plan-grouping window (default 8)",
-    )
-    p_batch.add_argument(
         "--on-error", default="raise", choices=["raise", "skip"],
         help="stop on the first failed item, or record it and keep "
         "streaming (exit code 1 if anything failed)",
@@ -692,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record a span trace of the whole batch and write it here "
-        "(Chrome trace-event format; .jsonl selects JSON-lines)",
+        "(Chrome trace-event format)",
     )
     p_batch.add_argument("--json", action="store_true")
     p_batch.set_defaults(func=cmd_batch)
@@ -754,8 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.add_argument(
         "--no-storage-probe", action="store_true",
-        help="skip the spill-storage probe (write/read bandwidth, "
-        "chunk size)",
+        help="skip the spill-storage probe (write/read bandwidth)",
     )
     p_cal.add_argument("--json", action="store_true")
     p_cal.set_defaults(func=cmd_calibrate)
@@ -768,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize",
         help="per-step table: modeled volume vs measured seconds/bytes",
     )
-    p_tsum.add_argument("path", help="trace file (Chrome or JSON-lines)")
+    p_tsum.add_argument("path", help="Chrome trace-event file")
     p_tsum.add_argument("--json", action="store_true")
     p_tsum.set_defaults(func=cmd_trace_summarize)
 

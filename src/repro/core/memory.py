@@ -20,13 +20,12 @@ first-class, exact quantity:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
 
 from repro.core.cost import node_costs
 from repro.core.meta import TensorMeta
 from repro.core.planner import Plan
 from repro.core.trees import Node, TTMTree
-from repro.core.volume import chain_charges, tree_charges
+from repro.core.volume import plan_charges
 
 
 def carried_nodes(path: Sequence[Node]) -> tuple[Node, ...]:
@@ -139,8 +138,9 @@ def plan_peak_bytes_per_rank(
       ``K_n x local-fibers = q_n x`` the output block, held together with
       the reduce-scatter result;
     * ``regrid_buffer`` — staging for the largest redistribution, the
-      tree's or the core chain's (send intersections + assembled new
-      block, ~2x the tensor's local share).
+      tree's, a factor step's (each leaf's ``Z`` regridded for its Gram)
+      or the core chain's (send intersections + assembled new block,
+      ~2x the tensor's local share).
 
     Returns the components and their sum under ``"total"``.
     """
@@ -151,13 +151,7 @@ def plan_peak_bytes_per_rank(
     resident = traversal_peak_cards(tree, meta) / p
 
     ttm_buffer = regrid_buffer = 0.0
-    charges = chain(
-        tree_charges(tree, meta, plan.scheme.assignment),
-        chain_charges(
-            meta, plan.core_order, plan.core_scheme, plan.initial_grid
-        ),
-    )
-    for charge in charges:
+    for charge in plan_charges(plan):
         if charge.op == "reduce_scatter":
             # partial product (q x output block) + scattered result (1 x)
             ttm_buffer = max(ttm_buffer, (charge.group + 1) * charge.card / p)

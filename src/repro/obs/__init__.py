@@ -8,8 +8,8 @@ path when disabled:
   spans via the :class:`~repro.dist.stats.StatsLedger` observer hook.
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   histograms (percentiles via :mod:`repro.obs.percentiles`).
-* :mod:`~repro.obs.export` — Chrome trace-event (Perfetto-loadable) and
-  JSON-lines writers with lossless round-trip loaders.
+* :mod:`~repro.obs.export` — the Chrome trace-event (Perfetto-loadable)
+  writer and its lossless round-trip loader.
 * :mod:`~repro.obs.summarize` — the model-vs-measured per-step table
   behind ``repro trace summarize``.
 
@@ -18,15 +18,7 @@ Enable per session (``TuckerSession(trace=True)``, read
 out.json``).
 """
 
-from repro.obs.export import (
-    load_chrome,
-    load_trace,
-    read_jsonl,
-    to_chrome,
-    to_jsonl,
-    write_chrome,
-    write_jsonl,
-)
+from repro.obs.export import load_trace, to_chrome, write_chrome
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -62,14 +54,10 @@ __all__ = [
     "Tracer",
     "canonical_tag",
     "format_summary",
-    "load_chrome",
     "load_trace",
     "modeled_step_volumes",
-    "read_jsonl",
     "safe_rate",
     "summarize",
     "to_chrome",
-    "to_jsonl",
     "write_chrome",
-    "write_jsonl",
 ]

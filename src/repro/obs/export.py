@@ -1,6 +1,6 @@
-"""Trace exporters: Chrome trace-event JSON and JSON-lines.
+"""Trace file format: Chrome trace-event JSON.
 
-Chrome format follows the trace-event spec's "JSON object format": a
+The format follows the trace-event spec's "JSON object format": a
 top-level object with ``traceEvents`` (one complete ``"X"`` event per
 span, microsecond timestamps relative to the trace epoch) plus
 ``otherData`` carrying the trace's run-level metadata. The files load
@@ -10,10 +10,8 @@ Round-tripping is lossless: each event's ``args`` carries the span's
 sid/parent/kind/attrs *and* its full-precision ``t0``/``t1`` (Chrome's
 integer-microsecond ``ts``/``dur`` would otherwise truncate
 ``perf_counter`` resolution), so ``load_trace(write_chrome(t)) == t``
-up to dataclass equality.
-
-JSON-lines is the streaming-friendly sibling: line 1 is a ``meta``
-header, every following line one span.
+up to dataclass equality. It is the one format :meth:`Trace.save`
+writes and :func:`load_trace` reads.
 """
 
 from __future__ import annotations
@@ -23,15 +21,7 @@ from typing import Any
 
 from repro.obs.trace import Span, SpanEvent, Trace
 
-__all__ = [
-    "load_chrome",
-    "load_trace",
-    "read_jsonl",
-    "to_chrome",
-    "to_jsonl",
-    "write_chrome",
-    "write_jsonl",
-]
+__all__ = ["load_trace", "to_chrome", "write_chrome"]
 
 # Lane assignment: Perfetto draws one track per (pid, tid). Main-process
 # spans nest on their kind's lane; worker spans land on a per-worker-pid
@@ -55,62 +45,19 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def _span_record(span: Span) -> dict[str, Any]:
-    """The canonical JSON shape of one span (shared by both formats)."""
-    out: dict[str, Any] = {
-        "sid": span.sid,
-        "name": span.name,
-        "kind": span.kind,
-        "t0": span.start,
-        "t1": span.end,
-        "parent": span.parent,
-        "attrs": _jsonable(span.attrs),
-    }
-    if span.events:
-        out["events"] = [
-            {"name": e.name, "t": e.t, "attrs": _jsonable(e.attrs)}
-            for e in span.events
-        ]
-    return out
-
-
-def _span_from_record(d: dict[str, Any]) -> Span:
-    return Span(
-        sid=int(d["sid"]),
-        name=d["name"],
-        kind=d["kind"],
-        start=float(d["t0"]),
-        end=float(d["t1"]),
-        parent=int(d["parent"]) if d.get("parent") is not None else None,
-        attrs=dict(d.get("attrs") or {}),
-        events=[
-            SpanEvent(
-                name=e["name"], t=float(e["t"]), attrs=dict(e.get("attrs") or {})
-            )
-            for e in d.get("events", ())
-        ],
-    )
-
-
-# --------------------------------------------------------------------- #
-# Chrome trace-event format
-# --------------------------------------------------------------------- #
-
-
 def to_chrome(trace: Trace) -> dict[str, Any]:
     """Build the Chrome trace-event JSON object for ``trace``."""
     epoch = min((s.start for s in trace.spans), default=0.0)
     events: list[dict[str, Any]] = []
     for span in trace.spans:
-        record = _span_record(span)
         args = {
-            "sid": record["sid"],
-            "parent": record["parent"],
-            "kind": record["kind"],
-            "t0": record["t0"],
-            "t1": record["t1"],
+            "sid": span.sid,
+            "parent": span.parent,
+            "kind": span.kind,
+            "t0": span.start,
+            "t1": span.end,
         }
-        args.update(record["attrs"])
+        args.update(_jsonable(span.attrs))
         tid = _TIDS.get(span.kind, 1)
         if span.kind == "worker" and "pid" in span.attrs:
             tid = 1000 + int(span.attrs["pid"]) % 1000
@@ -154,15 +101,19 @@ def write_chrome(trace: Trace, path: str) -> None:
         fh.write("\n")
 
 
-def load_chrome(path: str) -> Trace:
-    """Reconstruct a :class:`Trace` from a Chrome trace-event file."""
+def load_trace(path: str) -> Trace:
+    """Reconstruct a :class:`Trace` from a Chrome trace-event file.
+
+    A file that is not one (not JSON, or JSON without ``traceEvents``)
+    raises :class:`ValueError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return from_chrome(doc)
 
 
 def from_chrome(doc: dict[str, Any]) -> Trace:
-    if "traceEvents" not in doc:
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ValueError("not a Chrome trace-event document")
     spans: dict[int, Span] = {}
     pending_events: list[dict[str, Any]] = []
@@ -195,48 +146,3 @@ def from_chrome(doc: dict[str, Any]) -> Trace:
             )
     ordered = tuple(spans[sid] for sid in sorted(spans))
     return Trace(spans=ordered, meta=dict(doc.get("otherData") or {}))
-
-
-# --------------------------------------------------------------------- #
-# JSON-lines format
-# --------------------------------------------------------------------- #
-
-
-def to_jsonl(trace: Trace) -> str:
-    lines = [json.dumps({"meta": _jsonable(dict(trace.meta))})]
-    lines.extend(json.dumps(_span_record(s)) for s in trace.spans)
-    return "\n".join(lines) + "\n"
-
-
-def write_jsonl(trace: Trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_jsonl(trace))
-
-
-def read_jsonl(path: str) -> Trace:
-    meta: dict[str, Any] = {}
-    spans: list[Span] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if "meta" in d and "sid" not in d:
-                meta = dict(d["meta"] or {})
-            else:
-                spans.append(_span_from_record(d))
-    return Trace(spans=tuple(spans), meta=meta)
-
-
-def load_trace(path: str) -> Trace:
-    """Load either format, sniffing the first byte (``{`` → Chrome)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(4096).lstrip()
-    if head.startswith("{"):
-        first = json.loads(head.split("\n", 1)[0]) if "\n" in head else None
-        # A JSONL header line is itself a JSON object; distinguish by key.
-        if first is not None and ("meta" in first or "sid" in first):
-            return read_jsonl(path)
-        return load_chrome(path)
-    raise ValueError(f"{path}: not a repro trace file")

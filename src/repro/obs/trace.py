@@ -440,28 +440,17 @@ class Trace:
 
     # -- persistence (delegates to repro.obs.export) ----------------------- #
 
-    def save(self, path: str, format: str | None = None) -> None:
-        """Write this trace to ``path``.
+    def save(self, path: str) -> None:
+        """Write this trace to ``path`` as Chrome trace-event JSON
+        (loadable in Perfetto / ``chrome://tracing``), whatever the
+        extension."""
+        from repro.obs.export import write_chrome
 
-        ``format`` is ``"chrome"`` (trace-event JSON, loadable in
-        Perfetto / ``chrome://tracing``) or ``"jsonl"`` (one span per
-        line); by default inferred from the extension (``.jsonl`` →
-        JSON-lines, anything else → Chrome).
-        """
-        from repro.obs.export import write_chrome, write_jsonl
-
-        if format is None:
-            format = "jsonl" if str(path).endswith(".jsonl") else "chrome"
-        if format == "chrome":
-            write_chrome(self, path)
-        elif format == "jsonl":
-            write_jsonl(self, path)
-        else:
-            raise ValueError(f"unknown trace format {format!r}")
+        write_chrome(self, path)
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Read a trace written by :meth:`save` (either format)."""
+        """Read a trace written by :meth:`save`."""
         from repro.obs.export import load_trace
 
         return load_trace(path)

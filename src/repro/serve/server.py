@@ -17,6 +17,7 @@ import logging
 import queue
 import threading
 
+from repro.core.planner import TREE_KINDS
 from repro.obs import MetricsRegistry
 from repro.serve.admission import AdmissionController, AdmissionError
 from repro.serve.request import ServeRequest, Ticket, parse_request
@@ -72,6 +73,11 @@ class TuckerServer:
     ) -> None:
         workers = check_positive_int(workers, "workers")
         self.max_queue = check_positive_int(max_queue, "max_queue")
+        if planner != "portfolio" and planner not in TREE_KINDS:
+            raise ValueError(
+                f"planner must be 'portfolio' or one of {TREE_KINDS}, "
+                f"got {planner!r}"
+            )
         self.planner = planner
         if deadline is not None and float(deadline) <= 0:
             raise ValueError("deadline must be positive seconds")
@@ -97,6 +103,7 @@ class TuckerServer:
                     spill_codec=spill_codec,
                     trace=trace,
                 ),
+                planner=planner,
                 admission=self.admission,
                 stats=self.stats,
                 on_finished=self._finished,

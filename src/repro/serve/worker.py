@@ -50,7 +50,8 @@ def _failure(
 
 class ServeWorker:
     """A daemon thread draining the shared queue through one private
-    session; a ``None`` on the queue stops one worker."""
+    session with the server's ``planner``; a ``None`` on the queue stops
+    one worker."""
 
     def __init__(
         self,
@@ -58,12 +59,14 @@ class ServeWorker:
         *,
         tickets: queue.Queue,
         session: TuckerSession,
+        planner,
         admission: AdmissionController,
         stats: ServerStats,
         on_finished,
     ) -> None:
         self.index = index
         self.session = session
+        self.planner = planner
         self.admission = admission
         self.stats = stats
         self._on_finished = on_finished
@@ -111,7 +114,7 @@ class ServeWorker:
             self._prefetch_next()
             if req.method == "sthosvd":
                 result = self.session.sthosvd(
-                    arr, req.core, dtype=req.dtype
+                    arr, req.core, planner=self.planner, dtype=req.dtype
                 )
             elif req.method in ("rsthosvd", "sp-rsthosvd"):
                 # Init-only, like "sthosvd" — these exist for raw speed.
@@ -121,6 +124,7 @@ class ServeWorker:
                 result = self.session.run(
                     arr,
                     req.core,
+                    planner=self.planner,
                     dtype=req.dtype,
                     skip_hooi=True,
                     method=req.method,
@@ -130,6 +134,7 @@ class ServeWorker:
                 result = self.session.run(
                     arr,
                     req.core,
+                    planner=self.planner,
                     dtype=req.dtype,
                     max_iters=req.max_iters,
                     tol=req.tol,

@@ -30,7 +30,7 @@ import logging
 import math
 import os
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -198,16 +198,14 @@ class TuckerResult:
 class BatchItem:
     """One successfully decomposed item of a :meth:`TuckerSession.run_many`.
 
-    ``index`` is the item's position in the input stream; ``seq`` is its
-    execution position (plan-key grouping inside the in-flight window may
-    execute items out of arrival order). ``source`` is the ``.npy`` path
+    ``index`` is the item's position in the input stream, which is also
+    the order items run in. ``source`` is the ``.npy`` path
     for file items and ``"item[i]"`` for in-memory arrays. ``seconds``
     is the item's run-root-span duration (== ``result.seconds``).
     """
 
     index: int
     source: str
-    seq: int
     seconds: float
     result: TuckerResult
 
@@ -290,13 +288,12 @@ class BatchResult:
 
 @dataclass
 class _PendingItem:
-    """A materialized input waiting in the run_many in-flight window."""
+    """An opened run_many input waiting for its turn to run."""
 
     index: int
     source: str
     array: np.ndarray | None
     core: tuple[int, ...]
-    group_key: tuple
 
 
 def _maybe_cast(arr: np.ndarray, dtype) -> np.ndarray:
@@ -327,9 +324,7 @@ def _cast_for_run(arr: np.ndarray, dtype, store) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def _spill_geometry(
-    budget: int | None, chunk_bytes: int | None
-) -> tuple[int | None, int]:
+def _spill_geometry(budget: int | None) -> tuple[int | None, int]:
     """``(max_block_bytes, chunk_bytes)`` of a spill store under ``budget``.
 
     A block is the budget over the out-of-core lease factor, so a full
@@ -337,14 +332,12 @@ def _spill_geometry(
     ``is not None`` because a 0 budget means the finest practical cut
     (one page), not the unbounded default — 1-byte blocks would turn
     spills into per-element Python loops. The write-through chunk is
-    ``chunk_bytes`` (a calibrated profile's, else the default) capped
-    at the block size.
+    ``DEFAULT_CHUNK_BYTES`` capped at the block size.
     """
-    chunk = chunk_bytes if chunk_bytes is not None else DEFAULT_CHUNK_BYTES
     if budget is None:
-        return None, chunk
+        return None, DEFAULT_CHUNK_BYTES
     max_block = max(4096, budget // OC_LEASE_FACTOR)
-    return max_block, min(chunk, max_block)
+    return max_block, min(DEFAULT_CHUNK_BYTES, max_block)
 
 
 def _item_source(raw, index: int) -> str:
@@ -353,13 +346,13 @@ def _item_source(raw, index: int) -> str:
     return f"item[{index}]"
 
 
-def _materialize_item(raw, index: int, core_dims, dtype) -> _PendingItem:
-    """Open one batch input (array or ``.npy`` path) and key it for grouping.
+def _materialize_item(raw, index: int, core_dims) -> _PendingItem:
+    """Open one batch input (array or ``.npy`` path) and resolve its core.
 
     Path items are opened *lazily* (``np.load(..., mmap_mode="r")``): the
-    window holds a mapping plus metadata, not the tensor's bytes, so an
-    item is never fully resident before its blocks are cut — windowed
-    and skipped items cost pages touched, not tensors loaded.
+    opened-ahead item is a mapping plus metadata, not the tensor's bytes,
+    so an item is never fully resident before its blocks are cut —
+    waiting and skipped items cost pages touched, not tensors loaded.
     """
     source = _item_source(raw, index)
     if isinstance(raw, (str, os.PathLike)):
@@ -377,12 +370,7 @@ def _materialize_item(raw, index: int, core_dims, dtype) -> _PendingItem:
         int(k)
         for k in (core_dims(array.shape) if callable(core_dims) else core_dims)
     )
-    # Items agreeing on this key share a compiled plan under this call's
-    # fixed planner/n_procs — the grouping the window scheduler uses.
-    key = (tuple(array.shape), core, resolve_dtype(array, dtype).name)
-    return _PendingItem(
-        index=index, source=source, array=array, core=core, group_key=key
-    )
+    return _PendingItem(index=index, source=source, array=array, core=core)
 
 
 def _read_ahead(array: np.ndarray, metrics: MetricsRegistry) -> None:
@@ -693,28 +681,22 @@ class TuckerSession:
     # -- storage policy ---------------------------------------------------- #
 
     def _select_storage(self, nbytes: int) -> StorageSelection:
-        """The session's storage verdict for an input of ``nbytes``.
-
-        Auto sessions hand the selector their calibration profile, whose
-        calibrated chunk size the spill store then writes with.
-        """
+        """The session's storage verdict for an input of ``nbytes``."""
         return select_storage(
             nbytes, self._storage, self._memory_budget,
-            codec=self._spill_codec, profile=self._profile,
+            codec=self._spill_codec,
         )
 
     def _open_store(self, selection: StorageSelection) -> MmapStore | None:
         """A run-scoped spill store, or ``None`` for in-memory runs.
 
         Blocks and write-through chunks come from :func:`_spill_geometry`
-        (the selection's budget and calibrated chunk); the selection's
-        codec becomes the store's default for every spilled block.
+        (the selection's budget); the selection's codec becomes the
+        store's default for every spilled block.
         """
         if not selection.spilled:
             return None
-        max_block, chunk = _spill_geometry(
-            selection.memory_budget, selection.chunk_bytes
-        )
+        max_block, chunk = _spill_geometry(selection.memory_budget)
         return MmapStore(
             root=self._spill_dir,
             max_block_bytes=max_block,
@@ -1595,7 +1577,6 @@ class TuckerSession:
         oversample: int = 5,
         power_iters: int = 0,
         seed: int = 0,
-        max_in_flight: int = 1,
         on_error: str = "raise",
         prefetch: bool = True,
     ) -> BatchResult:
@@ -1603,12 +1584,13 @@ class TuckerSession:
 
         ``inputs`` is any iterable — a list, a generator, a lazily read
         manifest — of in-memory ndarrays and/or ``.npy`` paths
-        (``str``/``os.PathLike``); path items are opened as lazy
-        memory mappings at most ``max_in_flight`` ahead of execution, so
-        an arbitrarily long stream never materializes more than the
-        executing item (and, spilled, never even that — see below).
-        ``core_dims`` is one core shape applied to every item, or a
-        callable ``shape -> core`` for heterogeneous streams.
+        (``str``/``os.PathLike``). Items run one at a time in input
+        order; path items are opened as lazy memory mappings one item
+        ahead of execution, so an arbitrarily long stream never
+        materializes more than the executing item (and, spilled, never
+        even that — see below). ``core_dims`` is one core shape applied
+        to every item, or a callable ``shape -> core`` for heterogeneous
+        streams.
 
         The session's storage policy applies per item: with a budget
         set, any item whose bytes exceed it streams through
@@ -1618,24 +1600,21 @@ class TuckerSession:
         per-item backend selection.
 
         Each distinct ``(shape, core, dtype)`` compiles its plan exactly
-        once (the session's LRU plan cache); within the in-flight window
-        items sharing a plan key execute consecutively, so a mixed stream
-        does not thrash backend selection. Worker pools stay warm across
-        the whole batch: the session's backend (and, under
+        once (the session's LRU plan cache). Worker pools stay warm
+        across the whole batch: the session's backend (and, under
         ``backend="auto"``, every per-selection cached instance) is
         *never* torn down between items — auto mode re-selects per item
         from its metadata, reusing already-built pools at zero startup
         charge.
 
-        ``prefetch`` (default on) reads file-backed items ahead: as each
-        item enters the window it is named to the OS in one advisory
-        call (``posix_fadvise`` with ``POSIX_FADV_WILLNEED``, see
-        :func:`repro.storage.warm_pages`), and the kernel reads its
-        pages into the page cache while earlier items compute. At the
-        default ``max_in_flight=1`` item *i+1* is advised just before
-        item *i* runs. No thread is started and nothing is mapped into
-        the process ahead of time. In-memory items are skipped (nothing
-        to read); ``prefetch=False`` advises nothing. Every advised item,
+        ``prefetch`` (default on) reads file-backed items ahead: item
+        *i+1* is opened and named to the OS in one advisory call
+        (``posix_fadvise`` with ``POSIX_FADV_WILLNEED``, see
+        :func:`repro.storage.warm_pages`) just before item *i* runs, and
+        the kernel reads its pages into the page cache while item *i*
+        computes. No thread is started and nothing is mapped into the
+        process ahead of time. In-memory items are skipped (nothing to
+        read); ``prefetch=False`` advises nothing. Every advised item,
         the first one included, lands in the session metrics as the
         ``prefetch_bytes`` / ``prefetch_items`` counters.
 
@@ -1653,7 +1632,6 @@ class TuckerSession:
             raise ValueError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}"
             )
-        max_in_flight = check_positive_int(max_in_flight, "max_in_flight")
         if dtype is not None:
             resolve_dtype(np.float64, dtype)  # fail fast on a bad knob
         info = self.cache_info()
@@ -1661,26 +1639,17 @@ class TuckerSession:
         self._run_lock.acquire()  # whole-batch scope: tmark..drain is positional
         tmark = self.tracer.mark()
         item_traces: list[Trace] = []
-        stream = iter(inputs)
-        window: deque[_PendingItem] = deque()
+        stream = enumerate(inputs)
         items: list[BatchItem] = []
         failures: list[BatchFailure] = []
         ledger = StatsLedger()
-        seq = 0
-        index = 0
-        exhausted = False
 
-        def fill() -> None:
-            """Top the window up to ``max_in_flight`` materialized items."""
-            nonlocal index, exhausted
-            while not exhausted and len(window) < max_in_flight:
+        def open_next() -> _PendingItem | None:
+            """Open (and advise) the next input that opens; ``None`` at
+            the end of the stream."""
+            for index, raw in stream:
                 try:
-                    raw = next(stream)
-                except StopIteration:
-                    exhausted = True
-                    return
-                try:
-                    pending = _materialize_item(raw, index, core_dims, dtype)
+                    pending = _materialize_item(raw, index, core_dims)
                 except Exception as exc:
                     if on_error == "raise":
                         raise
@@ -1692,79 +1661,67 @@ class TuckerSession:
                             kind=type(exc).__name__,
                         )
                     )
-                else:
-                    window.append(pending)
-                    if prefetch:
-                        _read_ahead(pending.array, self.metrics)
-                index += 1
+                    continue
+                if prefetch:
+                    _read_ahead(pending.array, self.metrics)
+                return pending
+            return None
 
         try:
             with self.tracer.span("batch", kind="phase", method="batch") as root:
-                fill()
-                while window:
-                    # Drain the oldest item's plan-key group first:
-                    # streaming order overall, grouped execution within
-                    # the window.
-                    key = window[0].group_key
-                    group = [
-                        entry for entry in window if entry.group_key == key
-                    ]
-                    for entry in group:
-                        window.remove(entry)
-                    # Top the window back up *before* executing, so the
-                    # next item's read-ahead overlaps this group's
-                    # compute.
-                    fill()
-                    for entry in group:
-                        try:
-                            result = self.run(
-                                entry.array,
-                                entry.core,
-                                planner=planner,
-                                n_procs=n_procs,
-                                dtype=dtype,
-                                max_iters=max_iters,
-                                tol=tol,
-                                skip_hooi=skip_hooi,
-                                method=method,
-                                oversample=oversample,
-                                power_iters=power_iters,
-                                seed=seed,
+                entry = open_next()
+                while entry is not None:
+                    # Open the next item *before* executing this one, so
+                    # its read-ahead overlaps this item's compute.
+                    upcoming = open_next()
+                    try:
+                        result = self.run(
+                            entry.array,
+                            entry.core,
+                            planner=planner,
+                            n_procs=n_procs,
+                            dtype=dtype,
+                            max_iters=max_iters,
+                            tol=tol,
+                            skip_hooi=skip_hooi,
+                            method=method,
+                            oversample=oversample,
+                            power_iters=power_iters,
+                            seed=seed,
+                        )
+                    except Exception as exc:
+                        if on_error == "raise":
+                            raise
+                        failures.append(
+                            BatchFailure(
+                                index=entry.index,
+                                source=entry.source,
+                                error=str(exc),
+                                kind=type(exc).__name__,
                             )
-                        except Exception as exc:
-                            if on_error == "raise":
-                                raise
-                            failures.append(
-                                BatchFailure(
-                                    index=entry.index,
-                                    source=entry.source,
-                                    error=str(exc),
-                                    kind=type(exc).__name__,
-                                )
-                            )
-                            # The failed run stashed its spans; fold
-                            # them into the batch timeline so a skipped
-                            # item still shows up in the trace.
-                            if self.last_error_trace is not None:
-                                item_traces.append(self.last_error_trace)
-                                self.last_error_trace = None
-                            continue
-                        finally:
-                            entry.array = None  # released before next load
+                        )
+                        # The failed run stashed its spans; fold them
+                        # into the batch timeline so a skipped item
+                        # still shows up in the trace.
+                        if self.last_error_trace is not None:
+                            item_traces.append(self.last_error_trace)
+                            self.last_error_trace = None
+                    else:
                         if result.trace is not None:
                             item_traces.append(result.trace)
                         items.append(
                             BatchItem(
                                 index=entry.index,
                                 source=entry.source,
-                                seq=seq,
                                 seconds=result.seconds,
                                 result=result,
                             )
                         )
-                        seq += 1
                         if result.ledger is not None:
                             ledger.merge(result.ledger)
+                    finally:
+                        entry.array = None  # released before the next run
+                    entry = upcoming
                 root.set(items=len(items), failures=len(failures))
         except BaseException:
             try:
@@ -1778,7 +1735,8 @@ class TuckerSession:
                 self._run_lock.release()
             raise
         try:
-            items.sort(key=lambda item: item.index)
+            # Item i+1 is opened before item i runs, so an open failure
+            # can be recorded ahead of the run failure before it.
             failures.sort(key=lambda failure: failure.index)
             info = self.cache_info()
             self.metrics.counter("batches").inc()

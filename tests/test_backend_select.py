@@ -12,6 +12,9 @@ properties the session relies on:
   never overrides an explicitly named backend.
 """
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -797,17 +800,10 @@ class TestDtypeSpeedupClamp:
 class TestCodecSelection:
     """select_storage's codec half: raw or an explicit narrow, no choice."""
 
-    def _calibrated(self, **storage):
-        profile = default_profile()
-        profile["calibrated"] = True
-        profile["storage"].update(storage)
-        return profile
-
     def test_default_is_raw_and_narrow_is_honored(self):
         assert select_storage(10**9, "mmap").codec == "raw"
         sel = select_storage(10**9, "mmap", codec="narrow")
         assert sel.codec == "narrow"
-        assert sel.chunk_bytes is None  # uncalibrated: store default
 
     @pytest.mark.parametrize(
         "codec", ["auto", "zlib", "zlib:6", "gzip", "RAW", None]
@@ -816,10 +812,9 @@ class TestCodecSelection:
         with pytest.raises(ValueError, match=r"spill_codec must be one of"):
             select_storage(1024, "memory", codec=codec)
 
-    def test_calibrated_chunk_size_rides_along(self):
-        profile = self._calibrated(spill_chunk_bytes=2.0**20)
-        sel = select_storage(10**9, "mmap", profile=profile)
-        assert sel.chunk_bytes == 2**20
+    def test_takes_no_profile(self):
+        with pytest.raises(TypeError):
+            select_storage(10**9, "mmap", profile=default_profile())
 
     def test_memory_mode_keeps_raw_codec(self):
         sel = select_storage(1024, "auto", memory_budget=10**9,
@@ -827,13 +822,11 @@ class TestCodecSelection:
         assert sel.mode == "memory"
         assert sel.codec == "raw"
 
-    def test_auto_budget_spill_carries_codec_and_chunk(self):
-        profile = self._calibrated(spill_chunk_bytes=2.0**18)
+    def test_auto_budget_spill_carries_codec(self):
         sel = select_storage(10**9, "auto", memory_budget=1024,
-                             codec="narrow", profile=profile)
+                             codec="narrow")
         assert sel.spilled
         assert sel.codec == "narrow"
-        assert sel.chunk_bytes == 2**18
 
 
 class TestSpillCodecFrontDoors:
@@ -871,39 +864,45 @@ class TestSpillCodecFrontDoors:
 class TestSpillGeometry:
     """Stores take their block and chunk from one budget rule."""
 
-    def _session(self, spill_dir=None, **storage):
-        profile = default_profile()
-        profile["calibrated"] = True
-        profile["storage"].update(storage)
-        return TuckerSession(
-            "auto", calibration=profile, storage="mmap", memory_budget="16M",
-            spill_dir=spill_dir,
-        )
-
-    def test_store_chunk_is_the_calibrated_chunk(self, tmp_path):
-        with self._session(
-            str(tmp_path), spill_chunk_bytes=256 * 2**10
-        ) as session:
-            selection = session._select_storage(10**9)
-            store = session._open_store(selection)
-            with store:
-                assert store.chunk_bytes == 256 * 2**10
-
-    def test_uncalibrated_numbers_unchanged(self):
+    def test_block_and_chunk_follow_the_budget(self):
         from repro.backends.blockpar import OC_LEASE_FACTOR
         from repro.session import _spill_geometry
         from repro.storage import DEFAULT_CHUNK_BYTES
 
         block = 16 * 2**20 // OC_LEASE_FACTOR
-        assert _spill_geometry(16 * 2**20, None) == (
+        assert _spill_geometry(16 * 2**20) == (
             block, min(DEFAULT_CHUNK_BYTES, block)
         )
-        assert _spill_geometry(0, None) == (4096, 4096)
-        assert _spill_geometry(None, None) == (None, DEFAULT_CHUNK_BYTES)
+        assert _spill_geometry(0) == (4096, 4096)
+        assert _spill_geometry(None) == (None, DEFAULT_CHUNK_BYTES)
+
+    def test_stale_calibrated_chunk_is_dropped(self, tmp_path):
+        # Profiles written before the chunk size was fixed still carry
+        # storage.spill_chunk_bytes: they load quietly without it, and
+        # a calibrated auto session's store writes the default chunk.
+        from repro.session import _spill_geometry
+
+        stale = default_profile()
+        stale["calibrated"] = True
+        stale["storage"]["spill_chunk_bytes"] = 256.0 * 2**10
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(stale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = load_profile(str(path))
+        assert "spill_chunk_bytes" not in profile["storage"]
+        assert profile["calibrated"] is True
+        with TuckerSession(
+            "auto", calibration=str(path), storage="mmap",
+            memory_budget="16M", spill_dir=str(tmp_path),
+        ) as session:
+            store = session._open_store(session._select_storage(10**9))
+            with store:
+                assert store.chunk_bytes == _spill_geometry(16 * 2**20)[1]
 
 
 class TestCalibrateStorageProbe:
-    def test_probe_measures_raw_rates_and_chunk(self, monkeypatch, tmp_path):
+    def test_probe_measures_raw_rates(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
         profile = calibrate(
             backends=(), storage_probe=True, probe_bytes=1 << 16,
@@ -912,9 +911,8 @@ class TestCalibrateStorageProbe:
         assert set(storage) == set(default_profile()["storage"])
         for key in ("spill_write_bytes_per_s", "spill_read_bytes_per_s"):
             assert storage[key] > 0, key
-        assert storage["spill_chunk_bytes"] >= 256 * 2**10
         # A storage-only probe still counts as calibrated: it armed the
-        # chunk choice and the spilled charge with real numbers.
+        # spilled charge with real numbers.
         assert profile["calibrated"] is True
         assert profile["measured"] == []
         # The probe cleans up after itself.

@@ -102,11 +102,11 @@ class TestBatchManifest:
             "--backend", "sequential",
             "-p", "2",
             "--max-iters", "2",
-            "--max-in-flight", "4",
             "--json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
+        assert "max_in_flight" not in payload
         assert payload["n_items"] == 3
         assert payload["n_failures"] == 0
         assert payload["items_per_second"] > 0
@@ -119,6 +119,16 @@ class TestBatchManifest:
         for item in payload["items"]:
             assert 0.0 <= item["error"] <= 1.0
             assert item["ledger"]["flops"] > 0
+
+    def test_max_in_flight_is_not_a_flag(self, npy_dir):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "batch",
+                "--glob", str(npy_dir / "t*.npy"),
+                "--core", "4,3,3",
+                "--max-in-flight", "4",
+            ])
+        assert exc.value.code == 2
 
     def test_manifest_missing_file_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read manifest"):

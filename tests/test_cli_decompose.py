@@ -223,8 +223,8 @@ class TestCalibrate:
         from repro.backends.select import default_profile
 
         storage = profile["storage"]
-        for key in ("spill_write_bytes_per_s", "spill_read_bytes_per_s",
-                    "spill_chunk_bytes"):
+        assert set(storage) == set(default_profile()["storage"])
+        for key in ("spill_write_bytes_per_s", "spill_read_bytes_per_s"):
             assert storage[key] > 0, key
         assert storage["spill_write_bytes_per_s"] != (
             default_profile()["storage"]["spill_write_bytes_per_s"]

@@ -53,17 +53,6 @@ class TestDecomposeTrace:
         )
         assert trace.step_tags() == {r.tag for r in res.ledger.records}
 
-    def test_jsonl_extension_selects_jsonl(self, tmp_path):
-        trace_path = tmp_path / "out.jsonl"
-        rc = main([
-            "decompose", "--random", "10,8,6", "--core", "3,3,2",
-            "--max-iters", "1", "--trace", str(trace_path),
-        ])
-        assert rc == 0
-        first = trace_path.read_text().splitlines()[0]
-        assert "meta" in json.loads(first)
-        load_trace(str(trace_path)).validate()
-
     def test_json_payload_names_trace(self, tmp_path, capsys):
         rc, path = _golden_decompose(tmp_path, extra=("--json",))
         assert rc == 0
@@ -100,6 +89,12 @@ class TestTraceSummarize:
     def test_summarize_missing_file(self):
         with pytest.raises(SystemExit, match="cannot load trace"):
             main(["trace", "summarize", "/nonexistent/trace.json"])
+
+    def test_summarize_reports_a_file_that_is_not_a_trace(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        path.write_text('{"meta": {}}\n')
+        with pytest.raises(SystemExit, match="cannot load trace"):
+            main(["trace", "summarize", str(path)])
 
 
 class TestBatchTrace:

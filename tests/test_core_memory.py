@@ -80,10 +80,14 @@ class TestPlanPeakBytes:
             mem["resident"] + mem["ttm_buffer"] + mem["regrid_buffer"]
         )
 
-    def test_static_plan_has_no_regrid_buffer(self, meta):
+    def test_static_plan_stages_the_factor_step_regrid(self):
+        # A static plan never regrids between TTMs, but each factor step
+        # with q_n > 1 redistributes Z onto a q_n = 1 grid first: the
+        # largest such Z here is 4800 elements, staged twice over P = 8.
+        meta = TensorMeta((40, 30, 20, 10), (8, 6, 5, 4))
         plan = Planner(8, tree="balanced", grid="static").plan(meta)
         mem = plan_peak_bytes_per_rank(plan)
-        assert mem["regrid_buffer"] == 0.0
+        assert mem["regrid_buffer"] == 9600.0
 
     def test_scales_inversely_with_procs(self, meta):
         m8 = plan_peak_bytes_per_rank(Planner(8, grid="static").plan(meta))

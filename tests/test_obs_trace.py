@@ -31,7 +31,6 @@ from repro.obs.export import (
     from_chrome,
     to_chrome,
     write_chrome,
-    write_jsonl,
 )
 from repro.obs.trace import _NULL_SPAN, Span
 
@@ -260,6 +259,8 @@ class TestExport:
             assert back.start == pytest.approx(orig.start, abs=1e-9)
             assert back.seconds == pytest.approx(orig.seconds, abs=1e-9)
         assert loaded.step_tags() == {"ttm:n1"}
+        events = loaded.find("run")[0].events
+        assert [e.name for e in events] == ["select:storage"]
         loaded.validate()
 
     def test_chrome_document_shape(self):
@@ -274,28 +275,26 @@ class TestExport:
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert any(e["name"] == "select:storage" for e in instants)
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_save_writes_chrome_whatever_the_extension(self, tmp_path):
         trace = self._trace()
-        path = str(tmp_path / "t.jsonl")
-        write_jsonl(trace, path)
-        loaded = Trace.load(path)
-        assert loaded.meta == trace.meta
-        assert [s.name for s in loaded.spans] == [s.name for s in trace.spans]
-        events = loaded.find("run")[0].events
-        assert events[0].name == "select:storage"
+        for name in ("a.json", "a.jsonl", "a.trace"):
+            path = tmp_path / name
+            trace.save(str(path))
+            assert "traceEvents" in json.loads(path.read_text())
+            assert load_trace(str(path)).step_tags() == {"ttm:n1"}
 
-    def test_save_infers_format_from_extension(self, tmp_path):
-        trace = self._trace()
-        chrome = tmp_path / "a.json"
-        jsonl = tmp_path / "a.jsonl"
-        trace.save(str(chrome))
-        trace.save(str(jsonl))
-        assert "traceEvents" in json.loads(chrome.read_text())
-        first = jsonl.read_text().splitlines()[0]
-        assert "meta" in json.loads(first)
-        # the sniffing loader handles both without being told
-        assert load_trace(str(chrome)).step_tags() == {"ttm:n1"}
-        assert load_trace(str(jsonl)).step_tags() == {"ttm:n1"}
+    def test_save_takes_no_format(self, tmp_path):
+        with pytest.raises(TypeError):
+            self._trace().save(str(tmp_path / "a.json"), format="jsonl")
+
+    def test_load_rejects_a_file_that_is_not_a_trace(self, tmp_path):
+        lines = tmp_path / "spans.jsonl"
+        lines.write_text('{"meta": {}}\n{"sid": 1}\n')
+        listing = tmp_path / "list.json"
+        listing.write_text("[1, 2]\n")
+        for path in (lines, listing):
+            with pytest.raises(ValueError):
+                load_trace(str(path))
 
     def test_chrome_from_bad_document(self):
         with pytest.raises(ValueError):

@@ -271,6 +271,22 @@ class TestServer:
                 atol=1e-10,
             )
 
+    @pytest.mark.parametrize("method", ["run", "sthosvd", "rsthosvd"])
+    def test_server_planner_reaches_every_run(self, method):
+        with TuckerServer(
+            workers=1, backend="sequential", planner="chain-k"
+        ) as server:
+            ticket = server.submit(ServeRequest(
+                dims=(10, 8, 6), core=(3, 3, 2), method=method, max_iters=1,
+            ))
+            res = ticket.result(timeout=60)
+        assert res.ok, res.error
+        assert res.value.plan.tree_kind == "chain-k"
+
+    def test_unknown_planner_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="planner"):
+            TuckerServer(workers=1, backend="sequential", planner="nope")
+
     def test_repeated_key_finds_its_plan_cached(self):
         with TuckerServer(workers=2, backend="sequential") as server:
             tickets = [

@@ -3,10 +3,12 @@
 Covers the acceptance criteria of the batching layer — N same-shape
 tensors compile exactly one plan and reuse one worker pool while matching
 per-item sequential results to 1e-10 — plus input handling (arrays,
-``.npy`` paths, generators), the in-flight window's plan-key grouping,
-failure streaming, per-item adaptive backend re-selection, per-run ledger
+``.npy`` paths, generators), input-order execution with one item of
+read-ahead, failure streaming, per-item adaptive backend re-selection, per-run ledger
 scoping on reused backends, and plan-cache key properties.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -159,9 +161,9 @@ class TestInputKinds:
         with pytest.raises(ValueError, match="on_error"):
             TuckerSession().run_many(tensors_a(1), CORE_A, on_error="ignore")
 
-    def test_bad_max_in_flight_rejected(self):
-        with pytest.raises(ValueError, match="max_in_flight"):
-            TuckerSession().run_many(tensors_a(1), CORE_A, max_in_flight=0)
+    def test_max_in_flight_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            TuckerSession().run_many(tensors_a(1), CORE_A, max_in_flight=2)
 
     def test_empty_stream_yields_empty_batch(self):
         batch = TuckerSession().run_many([], CORE_A)
@@ -169,33 +171,77 @@ class TestInputKinds:
         assert batch.items_per_second == 0.0 or batch.seconds > 0
 
 
-class TestWindowGrouping:
-    def _interleaved(self):
-        a = tensors_a(2)
-        b = tensors_b(2)
-        return [a[0], b[0], a[1], b[1]]
+class TestInputOrder:
+    """Items run in input order; item i+1 is opened and advised to the
+    OS just before item i runs."""
 
-    def test_window_groups_by_plan_key(self):
+    def test_advise_one_ahead_then_run(self, tmp_path, monkeypatch):
+        import repro.session as session_module
+
+        paths = []
+        for i, t in enumerate(tensors_a(3)):
+            paths.append(str(tmp_path / f"t{i}.npy"))
+            np.save(paths[-1], t)
+        events = []
+
+        def index_of(array):
+            return paths.index(os.fspath(array.filename))
+
+        def advise(array, *args, **kwargs):
+            events.append(("advise", index_of(array)))
+            return 0
+
         session = TuckerSession()
+        real_run = session.run
+
+        def run(array, *args, **kwargs):
+            events.append(("run", index_of(array)))
+            return real_run(array, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "warm_pages", advise)
+        monkeypatch.setattr(session, "run", run)
         batch = session.run_many(
-            self._interleaved(),
-            lambda shape: CORE_A if shape == SHAPE_A else CORE_B,
-            planner="optimal", n_procs=2, max_iters=1, max_in_flight=4,
+            paths, CORE_A, planner="optimal", n_procs=2, max_iters=1
         )
-        # items stay in input order; seq records execution order:
-        # both A items ran first, then both B items.
-        seqs = {item.index: item.seq for item in batch.items}
-        assert seqs == {0: 0, 2: 1, 1: 2, 3: 3}
+        assert events == [
+            ("advise", 0), ("advise", 1), ("run", 0),
+            ("advise", 2), ("run", 1), ("run", 2),
+        ]
+        assert [item.index for item in batch.items] == [0, 1, 2]
+
+    def test_interleaved_keys_run_in_arrival_order(self, monkeypatch):
+        a, b = tensors_a(2), tensors_b(2)
+        session = TuckerSession()
+        shapes = []
+        real_run = session.run
+
+        def run(array, *args, **kwargs):
+            shapes.append(array.shape)
+            return real_run(array, *args, **kwargs)
+
+        monkeypatch.setattr(session, "run", run)
+        batch = session.run_many(
+            [a[0], b[0], a[1], b[1]],
+            lambda shape: CORE_A if shape == SHAPE_A else CORE_B,
+            planner="optimal", n_procs=2, max_iters=1,
+        )
+        assert shapes == [SHAPE_A, SHAPE_B, SHAPE_A, SHAPE_B]
+        assert [item.index for item in batch.items] == [0, 1, 2, 3]
         assert batch.plans_compiled == 2 and batch.cache_hits == 2
 
-    def test_max_in_flight_one_preserves_arrival_order(self):
-        session = TuckerSession()
-        batch = session.run_many(
-            self._interleaved(),
-            lambda shape: CORE_A if shape == SHAPE_A else CORE_B,
-            planner="optimal", n_procs=2, max_iters=1, max_in_flight=1,
+    def test_failures_come_back_sorted_by_index(self, tmp_path):
+        # Item 1 fails to open while item 0 is still waiting to run, so
+        # its failure is recorded before item 0's run failure.
+        bad = tmp_path / "broken.npy"
+        bad.write_bytes(b"not an npy")
+        inputs = [tensors_b(1)[0], str(bad), tensors_a(1)[0]]
+        batch = TuckerSession().run_many(
+            inputs,
+            lambda shape: (20, 3, 3) if shape == SHAPE_B else CORE_A,
+            planner="optimal", n_procs=2, max_iters=1, on_error="skip",
         )
-        assert all(item.seq == item.index for item in batch.items)
+        assert [f.index for f in batch.failures] == [0, 1]
+        assert [item.index for item in batch.items] == [2]
 
 
 class TestOnError:
@@ -267,7 +313,7 @@ class TestAutoReselection:
             batch = session.run_many(
                 [small, big, small],
                 lambda shape: (2, 2, 2) if shape == (6, 5, 4) else (8, 6, 5),
-                planner="optimal", n_procs=2, max_iters=1, max_in_flight=1,
+                planner="optimal", n_procs=2, max_iters=1,
             )
         backends = [item.backend for item in batch.items]
         assert backends == ["sequential", "threaded", "sequential"]
@@ -428,10 +474,10 @@ class TestPlanCacheKey:
 class TestLazyPathLoading:
     """Regression: ``.npy`` path items must never be eagerly materialized.
 
-    ``run_many`` used to ``np.load`` each path fully before windowing —
-    every windowed (and even every *skipped*) item paid a whole-tensor
-    read. Path items now open as lazy memory mappings
-    (``mmap_mode="r"``), so the window holds page mappings, not copies.
+    ``run_many`` used to ``np.load`` each path fully before running it —
+    every opened-ahead (and even every *skipped*) item paid a
+    whole-tensor read. Path items now open as lazy memory mappings
+    (``mmap_mode="r"``), so a waiting item is a page mapping, not a copy.
     """
 
     def _save_batch(self, tmp_path, n=3):
@@ -446,7 +492,7 @@ class TestLazyPathLoading:
         from repro.session import _materialize_item
 
         [path] = self._save_batch(tmp_path, n=1)
-        item = _materialize_item(path, 0, CORE_A, None)
+        item = _materialize_item(path, 0, CORE_A)
         assert isinstance(item.array, np.memmap)
         assert item.array.shape == SHAPE_A
 
@@ -462,14 +508,13 @@ class TestLazyPathLoading:
         monkeypatch.setattr(np, "load", spy)
         session = TuckerSession(backend="sequential")
         batch = session.run_many(
-            paths, CORE_A, planner="optimal", n_procs=2, max_iters=1,
-            max_in_flight=3,
+            paths, CORE_A, planner="optimal", n_procs=2, max_iters=1
         )
         assert batch.n_items == len(paths)
         assert seen == ["r"] * len(paths)  # no eager full-copy load
 
     def test_skipped_items_are_not_materialized(self, tmp_path, monkeypatch):
-        """A failing item in the window never pays a full read either."""
+        """A failing item never pays a full read either."""
         paths = self._save_batch(tmp_path, n=2)
         bad = tmp_path / "bad.npy"
         bad.write_bytes(b"\x93NUMPY not really")
@@ -484,7 +529,7 @@ class TestLazyPathLoading:
         session = TuckerSession(backend="sequential")
         batch = session.run_many(
             [paths[0], str(bad), paths[1]], CORE_A, planner="optimal",
-            n_procs=2, max_iters=1, max_in_flight=3, on_error="skip",
+            n_procs=2, max_iters=1, on_error="skip",
         )
         assert batch.n_items == 2 and len(batch.failures) == 1
         assert all(mode == "r" for _, mode in loads)
@@ -494,11 +539,11 @@ class TestLazyPathLoading:
         arrays = tensors_a(len(paths))
         lazy = TuckerSession(backend="sequential").run_many(
             paths, CORE_A, planner="optimal", n_procs=2, max_iters=2,
-            tol=-np.inf, max_in_flight=2,
+            tol=-np.inf,
         )
         eager = TuckerSession(backend="sequential").run_many(
             arrays, CORE_A, planner="optimal", n_procs=2, max_iters=2,
-            tol=-np.inf, max_in_flight=2,
+            tol=-np.inf,
         )
         for a, b in zip(lazy.results, eager.results):
             np.testing.assert_allclose(
