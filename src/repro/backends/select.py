@@ -39,6 +39,7 @@ import numpy as np
 from repro.backends.blockpar import default_workers
 from repro.storage import default_memory_budget, parse_bytes
 from repro.util.dtypes import resolve_dtype
+from repro.util.validation import check_dims
 
 logger = logging.getLogger("repro.backends.select")
 
@@ -113,15 +114,6 @@ _POSITIVE_PARAMS = frozenset({"rate", "efficiency"})
 #: initialization methods the cost model knows how to charge.
 _METHODS = ("exact", "rsthosvd", "sp-rsthosvd")
 
-#: machine-level spill-storage parameters (backend-independent: the
-#: spill directory's device doesn't care which backend reads it). A
-#: spilled run is charged one staging write and one read pass at these
-#: bandwidths.
-_DEFAULT_STORAGE = {
-    "spill_write_bytes_per_s": 8.0e8,
-    "spill_read_bytes_per_s": 1.6e9,
-}
-
 
 def default_profile() -> dict:
     """A fresh copy of the built-in profile."""
@@ -130,7 +122,6 @@ def default_profile() -> dict:
         "calibrated": False,
         "measured": [],
         "backends": {k: dict(v) for k, v in _DEFAULT_BACKENDS.items()},
-        "storage": dict(_DEFAULT_STORAGE),
     }
 
 
@@ -147,7 +138,8 @@ def default_profile_path() -> str:
 def merge_profile(partial: dict) -> dict:
     """Merge a (possibly partial) profile dict over the defaults.
 
-    Unknown backends and unknown parameter keys are dropped; every known
+    Unknown backends, parameter keys and sections (the ``storage``
+    section older calibration files carry) are dropped; every known
     backend keeps default values for any parameter the partial omits, so
     hand-written overrides like ``{"backends": {"procpool": {"rate":
     5e9}}}`` are valid. The ``measured`` list (which backends calibration
@@ -155,10 +147,10 @@ def merge_profile(partial: dict) -> dict:
 
     Merging never raises: a value of the wrong type (``"rate": "fast"``,
     a null, a nested object) or out of range (non-finite; ``rate`` /
-    ``efficiency`` and every storage value not > 0; any other backend
-    value negative) keeps its default and is reported in a single
-    :class:`RuntimeWarning` — a stale or hand-mangled calibration file
-    must degrade selection quality, not crash a run.
+    ``efficiency`` not > 0; any other value negative) keeps its default
+    and is reported in a single :class:`RuntimeWarning` — a stale or
+    hand-mangled calibration file must degrade selection quality, not
+    crash a run.
     """
     profile = default_profile()
     if not isinstance(partial, dict):
@@ -188,23 +180,6 @@ def merge_profile(partial: dict) -> dict:
                 invalid.append(f"{name}.{key}")
                 continue
             profile["backends"][name][key] = value
-    storage = partial.get("storage")
-    if storage is not None:
-        if not isinstance(storage, dict):
-            invalid.append("storage")
-        else:
-            for key, value in storage.items():
-                if key not in profile["storage"]:
-                    continue
-                try:
-                    value = float(value)
-                except (TypeError, ValueError):
-                    invalid.append(f"storage.{key}")
-                    continue
-                if not math.isfinite(value) or value <= 0:
-                    invalid.append(f"storage.{key}")
-                    continue
-                profile["storage"][key] = value
     measured = partial.get("measured") or []
     if not isinstance(measured, (list, tuple)):
         invalid.append("measured")
@@ -280,13 +255,6 @@ def save_profile(profile: dict, path: str | None = None) -> str:
 # --------------------------------------------------------------------- #
 
 
-def _check_dims(name: str, dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"{name} must be positive integers, got {dims}")
-    return dims
-
-
 def sweep_flops(dims: tuple[int, ...], core: tuple[int, ...]) -> float:
     """Modeled multiply-adds of one HOOI sweep (TTMs + Gram syrks).
 
@@ -347,7 +315,6 @@ def estimate_seconds(
     dtype,
     available_cores: int,
     spilled: bool = False,
-    storage_params: dict | None = None,
     method: str = "exact",
     oversample: int = 5,
     power_iters: int = 0,
@@ -356,10 +323,9 @@ def estimate_seconds(
 
     ``spilled`` switches the model to the out-of-core regime: the copy
     charge is *dropped* (workers memory-map the spill blocks in place —
-    there is no staging copy into backend-owned segments) and a spill
-    I/O term is *added* — one full write pass to stage the tensor plus
-    one read pass at the machine's measured (or default) spill
-    bandwidths from ``storage_params`` (see :func:`spill_seconds`).
+    there is no staging copy into backend-owned segments). Staging and
+    reading the spill files costs every backend the same, so the model
+    leaves it out: it could not change a verdict.
 
     ``method`` charges the pass method-aware: the randomized methods'
     flops come from :func:`init_flops` (sketch widths instead of Gram
@@ -367,12 +333,9 @@ def estimate_seconds(
     Every method runs at the backend's one calibrated ``rate``.
     """
     flops = init_flops(dims, core, method, oversample, power_iters)
-    itemsize = float(np.dtype(dtype).itemsize)
-    # Narrower dtypes stream more elements per second, but BLAS only
-    # has a real fast path down to float32 — clamping at 2x keeps
-    # float16/float8 inputs from being modeled at throughputs numpy
-    # cannot deliver (they'd otherwise auto-select on mispriced speed).
-    dtype_speedup = min(2.0, 8.0 / itemsize)
+    # resolve_dtype admits float32 and float64 only: float32 streams
+    # twice the elements per second.
+    dtype_speedup = 8.0 / np.dtype(dtype).itemsize
     cores_used = max(1, min(int(n_procs), int(available_cores)))
     max_cores = int(params.get("max_cores", 0.0))
     if max_cores > 0:
@@ -388,24 +351,10 @@ def estimate_seconds(
     # ~2 kernels per mode per sweep, each fanning out one task per worker.
     n_tasks = 2.0 * len(dims) * cores_used if cores_used > 1 else 0.0
     seconds += n_tasks * float(params["per_task"])
-    if spilled:
-        storage = {**_DEFAULT_STORAGE, **(storage_params or {})}
-        nbytes = float(np.prod([float(d) for d in dims])) * itemsize
-        seconds += spill_seconds(nbytes, storage)
-    else:
-        copy_rate = float(params["copy_elems_per_s"])
-        if copy_rate > 0:
-            seconds += float(np.prod([float(d) for d in dims])) / copy_rate
+    copy_rate = float(params["copy_elems_per_s"])
+    if not spilled and copy_rate > 0:
+        seconds += float(np.prod([float(d) for d in dims])) / copy_rate
     return seconds
-
-
-def spill_seconds(nbytes: float, storage: dict) -> float:
-    """Modeled spill I/O seconds for one staged tensor: one full write
-    plus one read pass at the profile's bandwidths."""
-    nbytes = float(nbytes)
-    write = float(storage["spill_write_bytes_per_s"])
-    read = float(storage["spill_read_bytes_per_s"])
-    return nbytes / write + nbytes / read
 
 
 def resolve_auto_procs(n_procs, available_cores: int | None = None) -> int:
@@ -478,10 +427,9 @@ def select_backend(
     :data:`AUTO_CANDIDATES`. ``warm`` names backends whose instance
     already exists (a session's cached pools): their one-off startup
     cost is sunk and is not charged. ``spilled`` scores the run in the
-    out-of-core regime — spill I/O charged at the profile's measured
-    storage bandwidths, staging copies dropped (see
-    :func:`estimate_seconds`) — which notably removes procpool's copy
-    handicap on runs that stream from spill files anyway.
+    out-of-core regime — staging copies dropped (see
+    :func:`estimate_seconds`) — which removes procpool's copy handicap
+    on runs that stream from spill files anyway.
 
     ``n_procs``: an explicit count is honored verbatim. With
     ``n_procs=None`` and an *uncalibrated* profile the legacy cap-8
@@ -491,8 +439,8 @@ def select_backend(
     count becomes the selection — the cost model, not a constant,
     chooses the pool size.
     """
-    dims = _check_dims("dims", dims)
-    core = _check_dims("core", core)
+    dims = check_dims(dims, "dims")
+    core = check_dims(core, "core")
     if len(core) != len(dims):
         raise ValueError(
             f"core has {len(core)} modes but dims has {len(dims)}"
@@ -527,7 +475,6 @@ def select_backend(
                 dtype=work_dtype,
                 available_cores=available_cores,
                 spilled=spilled,
-                storage_params=profile.get("storage"),
                 method=method,
                 oversample=oversample,
                 power_iters=power_iters,
@@ -550,7 +497,7 @@ def select_backend(
     ranked = ", ".join(
         f"{name} {scores[name]:.3g}s" for name in sorted(scores, key=scores.get)
     )
-    regime = " (spilled: I/O charged, staging copies dropped)" if spilled else ""
+    regime = " (spilled: staging copies dropped)" if spilled else ""
     algo = f" method={method}" if method != "exact" else ""
     notes = []
     if rank_procs and len(candidates) > 1:
@@ -687,40 +634,6 @@ def select_storage(
 # --------------------------------------------------------------------- #
 
 
-def _probe_storage(rng, probe_bytes: int) -> dict[str, float] | None:
-    """Measure spill write/read bandwidths.
-
-    One throwaway :class:`MmapStore` in the default spill root: a raw
-    put/get pass gives the directory's write/read rates. Spill files
-    are never synced, so the write rate is that of the path runs take:
-    a chunked copy into the page cache, no writeback to disk.
-    Best-of is not needed — each direction moves ``probe_bytes``, big
-    enough to dominate syscall noise. Returns ``None`` if the spill
-    directory cannot be used at all.
-    """
-    from repro.storage import MmapStore  # lazy: avoids an import cycle
-
-    data = rng.standard_normal(max(1, int(probe_bytes) // 8))
-    nbytes = float(data.nbytes)
-    out: dict[str, float] = {}
-    try:
-        store = MmapStore()
-    except OSError:
-        return None
-    with store:
-        t0 = perf_counter()
-        store.put("raw", data)
-        out["spill_write_bytes_per_s"] = nbytes / max(
-            perf_counter() - t0, 1e-9
-        )
-        t0 = perf_counter()
-        float(np.asarray(store.get("raw")).sum())  # fault every page
-        out["spill_read_bytes_per_s"] = nbytes / max(
-            perf_counter() - t0, 1e-9
-        )
-    return out
-
-
 def calibrate(
     dims=(48, 40, 32),
     core=(8, 8, 8),
@@ -729,8 +642,6 @@ def calibrate(
     n_procs: int | None = None,
     backends=AUTO_CANDIDATES,
     seed: int = 0,
-    storage_probe: bool = True,
-    probe_bytes: int = 4 * 2**20,
 ) -> dict:
     """Measure per-backend throughput on this machine; returns a profile.
 
@@ -741,19 +652,14 @@ def calibrate(
     ``rate`` / ``startup`` replaced by measurements; persist it with
     :func:`save_profile` and it is picked up by every ``backend="auto"``
     session.
-
-    With ``storage_probe`` (the default) the profile's ``storage``
-    section is measured too — spill write/read bandwidth
-    (:func:`_probe_storage`) — which is what arms the spilled backend
-    charge with real numbers.
     """
     from repro.backends import (  # lazy: avoids an import cycle
         BackendUnavailableError,
         get_backend,
     )
 
-    dims = _check_dims("dims", dims)
-    core = _check_dims("core", core)
+    dims = check_dims(dims, "dims")
+    core = check_dims(core, "core")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
@@ -788,15 +694,9 @@ def calibrate(
         params["startup"] = startup if name != "sequential" else 0.0
         profile["measured"].append(name)
         backend.close()
-    storage_probed = False
-    if storage_probe:
-        measured_storage = _probe_storage(rng, probe_bytes)
-        if measured_storage:
-            profile["storage"].update(measured_storage)
-            storage_probed = True
     # Only a profile with at least one real measurement counts as
     # calibrated; skipped backends are visible via the "measured" list.
-    profile["calibrated"] = bool(profile["measured"]) or storage_probed
+    profile["calibrated"] = bool(profile["measured"])
     return profile
 
 
@@ -820,6 +720,5 @@ __all__ = [
     "save_profile",
     "select_backend",
     "select_storage",
-    "spill_seconds",
     "sweep_flops",
 ]

@@ -463,7 +463,6 @@ def cmd_calibrate(args) -> int:
             repeats=args.repeats,
             n_procs=args.procs,
             seed=args.seed,
-            storage_probe=not args.no_storage_probe,
         )
         path = backend_select.save_profile(profile, args.out)
     except (ValueError, OSError) as exc:  # bad probe args, unwritable --out
@@ -489,15 +488,6 @@ def cmd_calibrate(args) -> int:
          "source"],
         rows,
     ))
-    if not args.no_storage_probe:
-        storage = profile.get("storage", {})
-
-        def _rate(key):
-            value = storage.get(key)
-            return "-" if value is None else f"{value / 1e6:.0f}M/s"
-
-        print(f"spill write:        {_rate('spill_write_bytes_per_s')}")
-        print(f"spill read:         {_rate('spill_read_bytes_per_s')}")
     print(f"profile written to {path}")
     print("auto-selection sessions pick it up via "
           "TuckerSession(backend='auto')")
@@ -741,10 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--out", help="write the profile here (default: the machine "
         "profile path, $REPRO_CALIBRATION or ~/.cache/repro)",
-    )
-    p_cal.add_argument(
-        "--no-storage-probe", action="store_true",
-        help="skip the spill-storage probe (write/read bandwidth)",
     )
     p_cal.add_argument("--json", action="store_true")
     p_cal.set_defaults(func=cmd_calibrate)

@@ -87,7 +87,6 @@ from repro.hooi.sthosvd import sthosvd as host_sthosvd
 from repro.dist.stats import StatsLedger
 from repro.obs import MetricsRegistry, Trace, Tracer, canonical_tag, safe_rate
 from repro.obs.trace import NULL_TRACER
-from repro.util import serial
 from repro.util.dtypes import resolve_dtype
 from repro.util.validation import check_core_dims, check_positive_int
 
@@ -296,24 +295,14 @@ class _PendingItem:
     core: tuple[int, ...]
 
 
-def _maybe_cast(arr: np.ndarray, dtype) -> np.ndarray:
-    """Convert to the working dtype now — unless the run can do better.
-
-    A memory-mapped input needing conversion is returned *unconverted*:
-    ``astype`` here would materialize the whole file in RAM, defeating
-    lazy inputs exactly when they matter. The run-level
-    :func:`_cast_for_run` finishes the job — chunked through the spill
-    store when the run spills, plain ``astype`` when it is resident
-    anyway.
-    """
-    dtype = np.dtype(dtype)
-    if isinstance(arr, np.memmap) and arr.dtype != dtype:
-        return arr
-    return arr.astype(dtype, copy=False)
-
-
 def _cast_for_run(arr: np.ndarray, dtype, store) -> np.ndarray:
-    """The deferred half of :func:`_maybe_cast` (no-op when dtypes match)."""
+    """Cast a run's input to the working dtype (no-op when they match).
+
+    The one cast a run makes, after its store is open: a spilled run
+    casts chunked through the store, so an input of another dtype —
+    a lazily mapped file or an in-memory array alike — is never
+    converted whole in RAM; a resident run casts with ``astype``.
+    """
     dtype = np.dtype(dtype)
     if arr.dtype == dtype:
         return arr
@@ -436,31 +425,6 @@ class CompiledPlan:
     @property
     def initial_grid(self) -> tuple[int, ...]:
         return self.plan.initial_grid
-
-    # -- serialization ---------------------------------------------------- #
-
-    def to_json(self) -> str:
-        """Serialize; the embedded :class:`Plan` round-trips losslessly.
-
-        Schedules are recompiled deterministically on load, so only the
-        plan, dtype and planner key are stored.
-        """
-        return serial.dumps(
-            {
-                "version": 1,
-                "dtype": self.dtype.name,
-                "planner_key": self.planner_key,
-                "plan": serial.loads(self.plan.to_json()),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CompiledPlan":
-        d = serial.loads(text)
-        plan = Plan.from_json(serial.dumps(d["plan"]))
-        return compile_plan(
-            plan, dtype=d["dtype"], planner_key=d["planner_key"]
-        )
 
 
 @dataclass
@@ -719,8 +683,8 @@ class TuckerSession:
         Backend instances are cached per name so their ledgers persist
         across runs; ``self.backend`` always points at the last selection.
         ``storage`` is this run's resolved storage verdict: whether the
-        input will spill changes the scores (spill I/O charged, staging
-        copies dropped), so the selector is told up front. ``algo``
+        input will spill changes the scores (staging copies dropped),
+        so the selector is told up front. ``algo``
         carries the run's ``method`` / ``oversample`` / ``power_iters``,
         so a randomized run is priced as sketches, not as exact sweeps.
         """
@@ -1071,6 +1035,8 @@ class TuckerSession:
 
         The run's storage verdict is made here, once: the
         :class:`StorageSelection` feeds backend selection and travels on.
+        The input comes back uncast: :func:`_cast_for_run` casts it once
+        the run's store is open.
         """
         # Keep ndarray subclasses (np.memmap in particular): a lazily
         # opened .npy must reach distribute() as a mapping so spilled
@@ -1123,7 +1089,7 @@ class TuckerSession:
             compiled, from_cache = self._compile(
                 meta, n_procs, planner, work_dtype, selection, algo
             )
-        return _maybe_cast(arr, work_dtype), compiled, from_cache, selection
+        return arr, compiled, from_cache, selection
 
     # -- algorithms ------------------------------------------------------- #
 

@@ -219,16 +219,16 @@ class TestCalibrate:
             profile = json.load(fh)
         assert profile["calibrated"] is True
         assert profile["backends"]["sequential"]["rate"] > 0
-        # the storage probe ran: measured values replaced the defaults
-        from repro.backends.select import default_profile
+        # calibration measures backend rates only: no spill section
+        assert "storage" not in profile
+        assert "spill" not in out
 
-        storage = profile["storage"]
-        assert set(storage) == set(default_profile()["storage"])
-        for key in ("spill_write_bytes_per_s", "spill_read_bytes_per_s"):
-            assert storage[key] > 0, key
-        assert storage["spill_write_bytes_per_s"] != (
-            default_profile()["storage"]["spill_write_bytes_per_s"]
-        )
+    def test_storage_probe_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--no-storage-probe",
+                  "--out", str(tmp_path / "cal.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "cal.json").exists()
 
     def test_calibrate_bad_args_exit_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="repeats"):

@@ -78,8 +78,16 @@ class TestPlanContents:
 
 class TestPlanSerialization:
     def test_roundtrip_static_and_dynamic(self, meta):
-        for grid in GRID_KINDS:
-            plan = Planner(8, tree="optimal", grid=grid).plan(meta)
+        plans = [
+            Planner(8, tree="optimal", grid=grid).plan(meta)
+            for grid in GRID_KINDS
+        ]
+        plans.append(
+            Planner(8, tree="chain-k", grid="static").plan(
+                TensorMeta(dims=(12, 10, 8, 6), core=(4, 3, 3, 2))
+            )
+        )
+        for plan in plans:
             plan2 = Plan.from_json(plan.to_json())
             assert plan2.meta == plan.meta
             assert plan2.flops == plan.flops
@@ -88,6 +96,9 @@ class TestPlanSerialization:
             assert plan2.core_order == plan.core_order
             assert plan2.core_scheme == plan.core_scheme
             assert plan2.tree.to_dict() == plan.tree.to_dict()
+            # TTMTree compares by identity; the deterministic JSON form
+            # is the lossless-equality witness.
+            assert plan2.to_json() == plan.to_json()
 
     def test_plan_reuse_across_invocations(self, meta):
         # the paper's planner runs once; its JSON must be stable

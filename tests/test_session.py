@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.meta import TensorMeta
-from repro.core.planner import Plan, Planner
+from repro.core.planner import Planner
 from repro.hooi.sthosvd import sthosvd
 from repro.dist.comm import SimCluster
 from repro.session import CompiledPlan, TuckerSession, compile_plan
@@ -109,30 +109,6 @@ class TestPlanCache:
         assert session.cache_info() == {
             "hits": 0, "misses": 0, "size": 0, "maxsize": 32
         }
-
-
-class TestCompiledPlanSerialization:
-    def test_compiled_plan_round_trip(self):
-        meta = TensorMeta(dims=(12, 10, 8), core=(4, 3, 3))
-        plan = Planner(4, tree="optimal", grid="dynamic").plan(meta)
-        cp = compile_plan(plan, dtype=np.float32, planner_key="optimal:dynamic")
-        back = CompiledPlan.from_json(cp.to_json())
-        assert back.dtype == np.dtype(np.float32)
-        assert back.planner_key == "optimal:dynamic"
-        assert back.tree_steps == cp.tree_steps
-        assert back.core_steps == cp.core_steps
-
-    def test_plan_round_trips_through_compiled_plan(self):
-        # satellite: Plan.to_json/from_json round-trip *through* CompiledPlan
-        meta = TensorMeta(dims=(12, 10, 8, 6), core=(4, 3, 3, 2))
-        plan = Planner(8, tree="chain-k", grid="static").plan(meta)
-        recovered = CompiledPlan.from_json(compile_plan(plan).to_json()).plan
-        assert isinstance(recovered, Plan)
-        # TTMTree compares by identity; the deterministic JSON form is the
-        # lossless-equality witness.
-        assert recovered.to_json() == plan.to_json()
-        assert recovered.meta == plan.meta
-        assert recovered.initial_grid == plan.initial_grid
 
 
 class TestRunResult:

@@ -627,7 +627,7 @@ class TestReviewRegressions:
 
     def test_lazy_input_dtype_cast_never_materializes(self, tmp_path):
         """An int64 .npy run at float64 casts through the store, chunked."""
-        from repro.session import TuckerSession, _maybe_cast
+        from repro.session import TuckerSession
         from repro.storage import resident_gauge
 
         t = np.random.default_rng(1).integers(
@@ -636,8 +636,6 @@ class TestReviewRegressions:
         path = tmp_path / "ints.npy"
         np.save(path, t)
         mapped = np.load(path, mmap_mode="r")
-        # the prepare-side half defers (no full-RAM astype of a mapping)
-        assert _maybe_cast(mapped, np.float64) is mapped
         gauge = resident_gauge()
         gauge.reset()
         session = TuckerSession(
@@ -658,6 +656,39 @@ class TestReviewRegressions:
         # the cast was chunked: nothing tensor-sized was ever leased
         assert gauge.peak < t.nbytes
         assert list((tmp_path / "spill").iterdir()) == []
+
+    def test_in_memory_input_of_another_dtype_casts_chunked(self, tmp_path):
+        """A resident float32 array run at float64 on a spilled session
+        is cast through the store, never whole in RAM."""
+        import gc
+        import tracemalloc
+
+        from repro.session import TuckerSession
+
+        x = np.random.default_rng(0).standard_normal((64, 64, 64))
+        x = x.astype(np.float32)
+        with TuckerSession(
+            "sequential", storage="mmap", memory_budget="1M",
+            spill_dir=str(tmp_path),
+        ) as session:
+
+            def run():
+                return session.run(x, (4, 4, 4), dtype="float64",
+                                   max_iters=1)
+
+            run()  # lazy imports and the plan cache are not the cast's
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert res.storage == "mmap"
+        assert res.decomposition.core.dtype == np.float64
+        # a whole-array astype alone would be x.size * 8 bytes
+        assert peak < x.size * 8 / 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_external_view_offset_derived_from_pointers(self, tmp_path):
         """Regression: a sliced memmap must map its own region, not the
