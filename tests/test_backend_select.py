@@ -603,6 +603,22 @@ class TestSpilledCostModel:
         )
         assert spilled < resident  # the huge copy charge is gone
 
+    @pytest.mark.parametrize("backend", ["sequential", "threaded", "procpool"])
+    def test_spilled_charges_no_io(self, backend):
+        # Writing and reading the spill files costs every backend the
+        # same, so the model prices no I/O: a spilled estimate is the
+        # resident one less the staging copy, with nothing added.
+        params = default_profile()["backends"][backend]
+        dims = (48, 40, 32)
+        kw = dict(n_procs=4, dtype=np.float64, available_cores=4)
+        resident = estimate_seconds(params, dims, (8, 8, 8), **kw)
+        spilled = estimate_seconds(
+            params, dims, (8, 8, 8), spilled=True, **kw
+        )
+        copy_rate = params["copy_elems_per_s"]
+        copy = float(np.prod(dims)) / copy_rate if copy_rate > 0 else 0.0
+        assert resident - spilled == pytest.approx(copy, rel=1e-12, abs=0.0)
+
     def test_select_backend_spilled_deterministic_and_flagged(self):
         a = select_backend(
             (48, 48, 48), (8, 8, 8), n_procs=4, available_cores=8,
