@@ -10,11 +10,11 @@ and picks the cheapest:
 ``time(backend) = startup + tasks * per_task + copy + flops / throughput``
 
 where ``throughput = rate * dtype_speedup * efficiency * cores_used``.
-The model's per-backend parameters ship with conservative defaults and can
-be *calibrated* on the actual machine (``repro calibrate``): measured
-throughputs are persisted to a JSON profile (``~/.cache/repro/``, or
-``$REPRO_CALIBRATION``) that :func:`load_profile` merges over the
-defaults.
+A profile holds the two parameters ``repro calibrate`` measures, ``rate``
+and ``startup`` per backend, and the list of backends it measured. They
+ship with conservative defaults; a measured profile is persisted as JSON
+(``~/.cache/repro/``, or ``$REPRO_CALIBRATION``) that :func:`load_profile`
+merges over the defaults. The other costs are :data:`FIXED_COSTS`.
 
 ``simcluster`` is deliberately not auto-eligible: it is a measurement
 instrument (exact communication-volume accounting on a virtual cluster),
@@ -70,46 +70,37 @@ SPILL_CODEC_CHOICES = ("raw", "narrow")
 #: profile schema version (bump on incompatible changes).
 PROFILE_VERSION = 1
 
-#: conservative built-in cost-model parameters. ``rate`` is sustained
-#: float64 multiply-adds per second per core, the one throughput every
-#: method (exact sweeps and sketches alike) is priced at; ``startup`` is
-#: the one-off cost of bringing the backend up (process pools fork +
-#: import); ``per_task`` is the dispatch overhead per block task;
-#: ``efficiency`` discounts parallel scaling; ``copy_elems_per_s``
-#: charges moving the tensor into backend-owned storage (shared-memory
-#: segments), 0 = free; ``max_cores`` caps the cores a backend uses,
-#: 0 = uncapped.
+#: conservative built-in defaults of what a profile holds: ``rate`` is
+#: sustained float64 multiply-adds per second per core, the one
+#: throughput every method (exact sweeps and sketches alike) is priced
+#: at; ``startup`` is the one-off cost of bringing the backend up
+#: (process pools fork + import). A profile must keep ``rate`` > 0 and
+#: ``startup`` >= 0.
 _DEFAULT_BACKENDS = {
-    "sequential": {
-        "rate": 2.0e9,
-        "startup": 0.0,
-        "per_task": 0.0,
-        "efficiency": 1.0,
-        "copy_elems_per_s": 0.0,
-        "max_cores": 1.0,
-    },
-    "threaded": {
-        "rate": 2.0e9,
-        "startup": 2.0e-3,
-        "per_task": 1.0e-4,
-        "efficiency": 0.85,
-        "copy_elems_per_s": 0.0,
-        "max_cores": 0.0,  # 0 = no backend-imposed cap
-    },
-    "procpool": {
-        "rate": 2.0e9,
-        "startup": 1.5e-1,
-        "per_task": 2.0e-3,
-        "efficiency": 0.90,
-        "copy_elems_per_s": 1.0e9,
-        "max_cores": 0.0,
-    },
+    "sequential": {"rate": 2.0e9, "startup": 0.0},
+    "threaded": {"rate": 2.0e9, "startup": 2.0e-3},
+    "procpool": {"rate": 2.0e9, "startup": 1.5e-1},
 }
 
-#: backend parameters the model divides by: a calibration file must
-#: keep them > 0. The others are costs or caps, where 0 means free or
-#: uncapped, so they only have to be >= 0.
-_POSITIVE_PARAMS = frozenset({"rate", "efficiency"})
+#: the costs calibration does not measure, fixed per backend:
+#: ``per_task`` is the dispatch overhead per block task; ``efficiency``
+#: discounts parallel scaling; ``copy_elems_per_s`` charges moving the
+#: tensor into backend-owned storage (shared-memory segments), 0 = free;
+#: ``max_cores`` caps the cores a backend uses, 0 = uncapped.
+FIXED_COSTS = {
+    "sequential": {
+        "per_task": 0.0, "efficiency": 1.0, "copy_elems_per_s": 0.0,
+        "max_cores": 1,
+    },
+    "threaded": {
+        "per_task": 1.0e-4, "efficiency": 0.85, "copy_elems_per_s": 0.0,
+        "max_cores": 0,
+    },
+    "procpool": {
+        "per_task": 2.0e-3, "efficiency": 0.90, "copy_elems_per_s": 1.0e9,
+        "max_cores": 0,
+    },
+}
 
 #: initialization methods the cost model knows how to charge.
 _METHODS = ("exact", "rsthosvd", "sp-rsthosvd")
@@ -119,7 +110,6 @@ def default_profile() -> dict:
     """A fresh copy of the built-in profile."""
     return {
         "version": PROFILE_VERSION,
-        "calibrated": False,
         "measured": [],
         "backends": {k: dict(v) for k, v in _DEFAULT_BACKENDS.items()},
     }
@@ -138,19 +128,21 @@ def default_profile_path() -> str:
 def merge_profile(partial: dict) -> dict:
     """Merge a (possibly partial) profile dict over the defaults.
 
-    Unknown backends, parameter keys and sections (the ``storage``
-    section older calibration files carry) are dropped; every known
-    backend keeps default values for any parameter the partial omits, so
-    hand-written overrides like ``{"backends": {"procpool": {"rate":
-    5e9}}}`` are valid. The ``measured`` list (which backends calibration
-    actually probed) is carried through, filtered to known backends.
+    Unknown backends, parameter keys and sections are dropped silently:
+    so are the ``storage`` section, the ``calibrated`` flag and the
+    fixed costs (:data:`FIXED_COSTS`) that older calibration files
+    carry. Every known backend keeps default values for any parameter
+    the partial omits, so hand-written overrides like ``{"backends":
+    {"procpool": {"rate": 5e9}}}`` are valid. The ``measured`` list
+    (which backends calibration actually probed) is carried through,
+    filtered to known backends; a profile is calibrated exactly when it
+    is non-empty.
 
     Merging never raises: a value of the wrong type (``"rate": "fast"``,
-    a null, a nested object) or out of range (non-finite; ``rate`` /
-    ``efficiency`` not > 0; any other value negative) keeps its default
-    and is reported in a single :class:`RuntimeWarning` — a stale or
-    hand-mangled calibration file must degrade selection quality, not
-    crash a run.
+    a null, a nested object) or out of range (non-finite; ``rate`` not
+    > 0; ``startup`` negative) keeps its default and is reported in a
+    single :class:`RuntimeWarning` — a stale or hand-mangled calibration
+    file must degrade selection quality, not crash a run.
     """
     profile = default_profile()
     if not isinstance(partial, dict):
@@ -175,7 +167,7 @@ def merge_profile(partial: dict) -> dict:
                 invalid.append(f"{name}.{key}")
                 continue
             if not math.isfinite(value) or (
-                value <= 0 if key in _POSITIVE_PARAMS else value < 0
+                value <= 0 if key == "rate" else value < 0
             ):
                 invalid.append(f"{name}.{key}")
                 continue
@@ -189,7 +181,6 @@ def merge_profile(partial: dict) -> dict:
         for name in measured
         if isinstance(name, str) and name in profile["backends"]
     ]
-    profile["calibrated"] = bool(partial.get("calibrated", False))
     if invalid:
         _warn(
             f"calibration profile has invalid entries "
@@ -255,19 +246,6 @@ def save_profile(profile: dict, path: str | None = None) -> str:
 # --------------------------------------------------------------------- #
 
 
-def sweep_flops(dims: tuple[int, ...], core: tuple[int, ...]) -> float:
-    """Modeled multiply-adds of one HOOI sweep (TTMs + Gram syrks).
-
-    Dominated by each mode's first TTM from the full tensor plus the Gram
-    accumulation per mode — a deliberate over-approximation that is
-    monotone in the tensor size, which is all selection needs.
-    """
-    card = float(np.prod([float(d) for d in dims]))
-    ttm = sum(float(k) * card for k in core)
-    gram = sum(float(d + 1) / 2.0 * card for d in dims)
-    return ttm + gram
-
-
 def init_flops(
     dims: tuple[int, ...],
     core: tuple[int, ...],
@@ -277,21 +255,24 @@ def init_flops(
 ) -> float:
     """Modeled multiply-adds of one initialization pass, per method.
 
-    ``"exact"`` is a HOOI-shaped sweep (:func:`sweep_flops`, whose Gram
-    term charges ``(d+1)/2 * card`` per mode). The randomized methods
-    replace each mode's Gram with a sketch contraction of width ``s =
-    min(k + oversample, d)`` — the whole point of sketching is ``s <<
-    d``. ``rsthosvd`` keeps the sequential-truncation TTM term and adds
-    one TTM-plus-cross-Gram round per power iteration; ``sp-rsthosvd``
-    drops the TTMs (the input is never modified) but adds the core
-    sketch's dominant first contraction. Like :func:`sweep_flops`, a
-    deliberate over-approximation monotone in tensor size.
+    ``"exact"`` is a HOOI-shaped sweep: each mode's first TTM from the
+    full tensor plus its Gram accumulation, ``(d+1)/2 * card``. The
+    randomized methods replace each mode's Gram with a sketch
+    contraction of width ``s = min(k + oversample, d)`` — the whole
+    point of sketching is ``s << d``. ``rsthosvd`` keeps the
+    sequential-truncation TTM term and adds one TTM-plus-cross-Gram
+    round per power iteration; ``sp-rsthosvd`` drops the TTMs (the input
+    is never modified) but adds the core sketch's dominant first
+    contraction. A deliberate over-approximation
+    monotone in tensor size, which is all selection needs.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if method == "exact":
-        return sweep_flops(dims, core)
     card = float(np.prod([float(d) for d in dims]))
+    if method == "exact":
+        ttm = sum(float(k) * card for k in core)
+        gram = sum(float(d + 1) / 2.0 * card for d in dims)
+        return ttm + gram
     widths = [
         float(max(1, min(int(k) + int(oversample), int(d))))
         for d, k in zip(dims, core)
@@ -307,6 +288,7 @@ def init_flops(
 
 
 def estimate_seconds(
+    name: str,
     params: dict,
     dims: tuple[int, ...],
     core: tuple[int, ...],
@@ -319,7 +301,10 @@ def estimate_seconds(
     oversample: int = 5,
     power_iters: int = 0,
 ) -> float:
-    """Modeled wall seconds of one sweep under one backend's parameters.
+    """Modeled wall seconds of one sweep on backend ``name``.
+
+    ``params`` is the backend's profile entry (``rate``, ``startup``);
+    the rest of the price is the backend's :data:`FIXED_COSTS`.
 
     ``spilled`` switches the model to the out-of-core regime: the copy
     charge is *dropped* (workers memory-map the spill blocks in place —
@@ -332,26 +317,23 @@ def estimate_seconds(
     halves), so a randomized run is not mispriced as an exact sweep.
     Every method runs at the backend's one calibrated ``rate``.
     """
+    fixed = FIXED_COSTS[name]
     flops = init_flops(dims, core, method, oversample, power_iters)
     # resolve_dtype admits float32 and float64 only: float32 streams
     # twice the elements per second.
     dtype_speedup = 8.0 / np.dtype(dtype).itemsize
     cores_used = max(1, min(int(n_procs), int(available_cores)))
-    max_cores = int(params.get("max_cores", 0.0))
-    if max_cores > 0:
-        cores_used = min(cores_used, max_cores)
-    if cores_used == 1:
-        efficiency = 1.0
-    else:
-        efficiency = float(params["efficiency"])
+    if fixed["max_cores"] > 0:
+        cores_used = min(cores_used, fixed["max_cores"])
+    efficiency = fixed["efficiency"] if cores_used > 1 else 1.0
     throughput = (
         float(params["rate"]) * dtype_speedup * efficiency * cores_used
     )
     seconds = float(params["startup"]) + flops / throughput
     # ~2 kernels per mode per sweep, each fanning out one task per worker.
     n_tasks = 2.0 * len(dims) * cores_used if cores_used > 1 else 0.0
-    seconds += n_tasks * float(params["per_task"])
-    copy_rate = float(params["copy_elems_per_s"])
+    seconds += n_tasks * fixed["per_task"]
+    copy_rate = fixed["copy_elems_per_s"]
     if not spilled and copy_rate > 0:
         seconds += float(np.prod([float(d) for d in dims])) / copy_rate
     return seconds
@@ -432,12 +414,12 @@ def select_backend(
     on runs that stream from spill files anyway.
 
     ``n_procs``: an explicit count is honored verbatim. With
-    ``n_procs=None`` and an *uncalibrated* profile the legacy cap-8
-    natural default applies (and the clamp is spelled out in the
-    reason); with a **calibrated** profile the selector ranks every
-    :func:`candidate_procs` value per backend and the winner's cheapest
-    count becomes the selection — the cost model, not a constant,
-    chooses the pool size.
+    ``n_procs=None`` and an *uncalibrated* profile (empty ``measured``)
+    the legacy cap-8 natural default applies (and the clamp is spelled
+    out in the reason); with a **calibrated** profile (a non-empty
+    ``measured``) the selector ranks every :func:`candidate_procs` value
+    per backend and the winner's cheapest count becomes the selection —
+    the cost model, not a constant, chooses the pool size.
     """
     dims = check_dims(dims, "dims")
     core = check_dims(core, "core")
@@ -453,7 +435,7 @@ def select_backend(
     work_dtype = resolve_dtype(np.float64, dtype) if dtype is not None else np.dtype(np.float64)
     profile = profile if profile is not None else default_profile()
     backends = profile.get("backends") or {}
-    rank_procs = not explicit_procs and bool(profile.get("calibrated"))
+    rank_procs = not explicit_procs and bool(profile.get("measured"))
     candidates = (
         candidate_procs(available_cores) if rank_procs else (n_procs,)
     )
@@ -468,6 +450,7 @@ def select_backend(
             params = {**params, "startup": 0.0}
         per_candidate = {
             procs: estimate_seconds(
+                name,
                 params,
                 dims,
                 core,
@@ -512,12 +495,6 @@ def select_backend(
                 f"n_procs clamped to {n_procs} (uncalibrated cap 8 of "
                 f"{natural} usable cores; calibrate to rank candidates)"
             )
-    best_max_cores = int((backends.get(best) or {}).get("max_cores", 0.0))
-    if 0 < best_max_cores < min(best_procs, available_cores):
-        notes.append(
-            f"{best} capped at {best_max_cores} core(s) by its "
-            f"max_cores parameter"
-        )
     suffix = "".join(f"; {note}" for note in notes)
     reason = (
         f"modeled fastest for dims={'x'.join(map(str, dims))} "
@@ -541,17 +518,11 @@ def select_backend(
 
 @dataclass(frozen=True)
 class StorageSelection:
-    """The storage policy's verdict for one input.
-
-    ``codec`` only matters to spilled (``mmap``) selections: the codec
-    the store will encode staged blocks with. Memory-mode selections
-    keep the raw default.
-    """
+    """The storage policy's verdict for one input: where it lives, and why."""
 
     mode: str  # "memory" or "mmap"
     memory_budget: int | None
     reason: str = ""
-    codec: str = "raw"
 
     @property
     def spilled(self) -> bool:
@@ -572,8 +543,6 @@ def select_storage(
     nbytes: int,
     storage: str = "auto",
     memory_budget: int | str | None = None,
-    *,
-    codec: str = "raw",
 ) -> StorageSelection:
     """Decide where an input's working set lives: RAM or spill files.
 
@@ -586,9 +555,6 @@ def select_storage(
 
     ``memory_budget`` accepts bytes or a ``"512M"``-style string. A
     budget of 0 with ``storage="auto"`` always spills.
-
-    Spilled selections carry ``codec`` (one of
-    :data:`SPILL_CODEC_CHOICES`).
     """
     if storage not in STORAGE_MODES:
         raise ValueError(
@@ -597,7 +563,6 @@ def select_storage(
     nbytes = int(nbytes)
     if nbytes < 0:
         raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-    check_spill_codec(codec)  # validate early, even for memory-mode runs
     budget = (
         parse_bytes(memory_budget)
         if memory_budget is not None
@@ -624,9 +589,7 @@ def select_storage(
                 else f"input is {nbytes} bytes, within the {budget}-byte budget"
             ),
         )
-    return StorageSelection(
-        mode="mmap", memory_budget=budget, reason=reason, codec=codec
-    )
+    return StorageSelection(mode="mmap", memory_budget=budget, reason=reason)
 
 
 # --------------------------------------------------------------------- #
@@ -649,9 +612,9 @@ def calibrate(
     ``dims`` tensor by a ``core[0] x dims[0]`` factor (taking the fastest
     repeat, standard benchmarking practice) and the one-off startup cost
     of bringing the backend up. The returned profile is the defaults with
-    ``rate`` / ``startup`` replaced by measurements; persist it with
-    :func:`save_profile` and it is picked up by every ``backend="auto"``
-    session.
+    ``rate`` / ``startup`` replaced by measurements and the probed
+    backends listed in ``measured``; persist it with :func:`save_profile`
+    and it is picked up by every ``backend="auto"`` session.
     """
     from repro.backends import (  # lazy: avoids an import cycle
         BackendUnavailableError,
@@ -689,19 +652,19 @@ def calibrate(
         cores_used = max(1, min(backend.default_procs, os.cpu_count() or 1))
         params = profile["backends"][name]
         params["rate"] = flops / best / (
-            cores_used * params["efficiency"] if cores_used > 1 else 1.0
+            cores_used * FIXED_COSTS[name]["efficiency"]
+            if cores_used > 1
+            else 1.0
         )
         params["startup"] = startup if name != "sequential" else 0.0
         profile["measured"].append(name)
         backend.close()
-    # Only a profile with at least one real measurement counts as
-    # calibrated; skipped backends are visible via the "measured" list.
-    profile["calibrated"] = bool(profile["measured"])
     return profile
 
 
 __all__ = [
     "AUTO_CANDIDATES",
+    "FIXED_COSTS",
     "PROFILE_VERSION",
     "SPILL_CODEC_CHOICES",
     "STORAGE_MODES",
@@ -720,5 +683,4 @@ __all__ = [
     "save_profile",
     "select_backend",
     "select_storage",
-    "sweep_flops",
 ]

@@ -477,16 +477,12 @@ def cmd_calibrate(args) -> int:
             name,
             f"{params['rate'] / 1e9:.2f}G",
             f"{params['startup'] * 1e3:.1f}ms",
-            f"{params['per_task'] * 1e6:.0f}us",
-            f"{params['efficiency']:.2f}",
             "measured" if name in measured else "default",
         ]
         for name, params in sorted(profile["backends"].items())
     ]
     print(ascii_table(
-        ["backend", "rate (madds/s)", "startup", "per task", "efficiency",
-         "source"],
-        rows,
+        ["backend", "rate (madds/s)", "startup", "source"], rows
     ))
     print(f"profile written to {path}")
     print("auto-selection sessions pick it up via "

@@ -197,7 +197,6 @@ class Tracer:
         self._stack: list[Span] = []
         self._lock = threading.Lock()
         self._next_sid = 0
-        self._orphan_events: list[SpanEvent] = []
 
     enabled = True
 
@@ -220,12 +219,6 @@ class Tracer:
                     del self._stack[i]
                     break
             self._spans.append(span)
-
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span (``None`` outside any span)."""
-        with self._lock:
-            return self._stack[-1] if self._stack else None
 
     def span(self, name: str, kind: str = "phase", **attrs: Any) -> _ActiveSpan:
         """Open a nested span; use as a context manager."""
@@ -277,22 +270,14 @@ class Tracer:
     def event(self, name: str, **attrs: Any) -> None:
         """Attach an instant event to the innermost open span.
 
-        Outside any span the event is buffered and attached to the next
-        span that closes into the trace (or dropped at ``drain`` if none
-        does) — selection decisions fire before the run span opens.
+        Outside any span the event is dropped: the ``select:backend``
+        event of a standalone ``compile()`` of an auto session, for one,
+        is recorded nowhere.
         """
         evt = SpanEvent(name=name, t=perf_counter(), attrs=dict(attrs))
         with self._lock:
             if self._stack:
                 self._stack[-1].events.append(evt)
-            else:
-                self._orphan_events.append(evt)
-
-    def annotate(self, **attrs: Any) -> None:
-        """Merge attributes into the innermost open span (no-op outside)."""
-        with self._lock:
-            if self._stack:
-                self._stack[-1].attrs.update(attrs)
 
     def on_record(self, record) -> None:
         """The :class:`~repro.dist.stats.StatsLedger` observer hook.
@@ -330,7 +315,6 @@ class Tracer:
         with self._lock:
             spans = tuple(self._spans[mark:])
             del self._spans[mark:]
-            self._orphan_events.clear()
         return Trace(spans=spans)
 
 

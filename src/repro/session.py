@@ -646,17 +646,14 @@ class TuckerSession:
 
     def _select_storage(self, nbytes: int) -> StorageSelection:
         """The session's storage verdict for an input of ``nbytes``."""
-        return select_storage(
-            nbytes, self._storage, self._memory_budget,
-            codec=self._spill_codec,
-        )
+        return select_storage(nbytes, self._storage, self._memory_budget)
 
     def _open_store(self, selection: StorageSelection) -> MmapStore | None:
         """A run-scoped spill store, or ``None`` for in-memory runs.
 
         Blocks and write-through chunks come from :func:`_spill_geometry`
-        (the selection's budget); the selection's codec becomes the
-        store's default for every spilled block.
+        (the selection's budget); the session's ``spill_codec`` becomes
+        the store's default for every spilled block.
         """
         if not selection.spilled:
             return None
@@ -665,7 +662,7 @@ class TuckerSession:
             root=self._spill_dir,
             max_block_bytes=max_block,
             chunk_bytes=chunk,
-            codec=selection.codec,
+            codec=self._spill_codec,
         )
 
     # -- adaptive backend selection --------------------------------------- #
@@ -1433,7 +1430,7 @@ class TuckerSession:
                 tensor, core_dims, plan, planner, n_procs, dtype, algo,
             )
         tr.event(
-            "select:storage", mode=selection.mode, codec=selection.codec,
+            "select:storage", mode=selection.mode, codec=self._spill_codec,
             reason=selection.reason,
         )
         if selection.spilled:

@@ -30,11 +30,12 @@ from repro.backends import (
     select_backend,
 )
 from repro.backends.select import (
+    FIXED_COSTS,
     calibrate,
     default_profile_path,
     estimate_seconds,
+    init_flops,
     select_storage,
-    sweep_flops,
 )
 from repro.session import TuckerSession
 from repro.tensor.random import low_rank_tensor
@@ -231,7 +232,6 @@ class TestRobustness:
 
         monkeypatch.setattr(backends_mod, "get_backend", flaky)
         profile = calibrate(dims=(12, 10, 8), core=(3, 3, 2), repeats=1)
-        assert profile["calibrated"] is True
         # procpool keeps its default parameters and is honestly reported
         # as unmeasured; the rest were measured.
         assert "procpool" not in profile["measured"]
@@ -336,12 +336,12 @@ class TestRobustness:
         assert backend.n_workers == 2
         backend.close()
 
-    def test_profile_without_calibrated_key_loads_uncalibrated(self, tmp_path):
+    def test_profile_without_measured_list_loads_uncalibrated(self, tmp_path):
         import json as json_mod
 
         path = tmp_path / "p.json"
         path.write_text(json_mod.dumps({"version": 1, "backends": {}}))
-        assert load_profile(str(path))["calibrated"] is False
+        assert load_profile(str(path))["measured"] == []
 
 
 class TestValidation:
@@ -374,7 +374,7 @@ class TestValidation:
             calibrate(backends=(), probe_bytes=1)
         with pytest.raises(TypeError):
             estimate_seconds(
-                params, (8, 8, 8), (2, 2, 2), n_procs=1,
+                "sequential", params, (8, 8, 8), (2, 2, 2), n_procs=1,
                 dtype=np.float64, available_cores=1, storage_params={},
             )
 
@@ -384,38 +384,41 @@ class TestValidation:
 
 
 class TestCostModel:
-    def test_sweep_flops_monotone_in_size(self):
-        small = sweep_flops((8, 8, 8), (2, 2, 2))
-        large = sweep_flops((16, 16, 16), (2, 2, 2))
+    def test_exact_flops_monotone_in_size(self):
+        small = init_flops((8, 8, 8), (2, 2, 2))
+        large = init_flops((16, 16, 16), (2, 2, 2))
         assert large > small > 0
 
     def test_float32_estimated_faster(self):
         params = default_profile()["backends"]["sequential"]
         kwargs = dict(n_procs=1, available_cores=1)
-        f64 = estimate_seconds(params, (32, 32, 32), (4, 4, 4),
+        f64 = estimate_seconds("sequential", params, (32, 32, 32), (4, 4, 4),
                                dtype=np.float64, **kwargs)
-        f32 = estimate_seconds(params, (32, 32, 32), (4, 4, 4),
+        f32 = estimate_seconds("sequential", params, (32, 32, 32), (4, 4, 4),
                                dtype=np.float32, **kwargs)
         assert f32 < f64
 
     @pytest.mark.parametrize("method", ["exact", "rsthosvd", "sp-rsthosvd"])
     @pytest.mark.parametrize("name", AUTO_CANDIDATES)
     def test_every_method_priced_at_the_one_rate(self, name, method):
-        # With the fixed costs zeroed, the modelled time is flops over
-        # throughput: doubling the backend's rate halves it, for the
-        # sketch methods exactly as for the exact sweep.
-        params = dict(
-            default_profile()["backends"][name],
-            startup=0.0, per_task=0.0, copy_elems_per_s=0.0,
-        )
+        # Less the costs no rate touches (an infinite rate's estimate),
+        # the modelled time is flops over throughput: doubling the
+        # backend's rate halves it, for the sketch methods exactly as
+        # for the exact sweep.
+        params = default_profile()["backends"][name]
         kw = dict(n_procs=4, dtype=np.float64, available_cores=8,
                   method=method)
-        slow = estimate_seconds(params, (64, 48, 40), (8, 6, 5), **kw)
-        fast = estimate_seconds(
-            dict(params, rate=2.0 * params["rate"]), (64, 48, 40), (8, 6, 5),
-            **kw,
-        )
-        assert slow == pytest.approx(2.0 * fast, rel=1e-12)
+
+        def at(rate):
+            return estimate_seconds(
+                name, dict(params, rate=rate), (64, 48, 40), (8, 6, 5), **kw
+            )
+
+        fixed = at(float("inf"))
+        slow = at(params["rate"]) - fixed
+        fast = at(2.0 * params["rate"]) - fixed
+        assert slow > 0
+        assert slow == pytest.approx(2.0 * fast, rel=1e-9)
 
     def test_large_tensor_prefers_parallel_when_cores_abound(self):
         sel = select_backend(
@@ -443,7 +446,7 @@ class TestProfilePersistence:
         monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "absent.json"))
         loaded = load_profile()
         assert loaded["backends"] == default_profile()["backends"]
-        assert loaded["calibrated"] is False
+        assert loaded["measured"] == []
 
     def test_explicit_missing_path_raises(self, tmp_path):
         # A *named* path that cannot be read at all is a caller error.
@@ -465,7 +468,7 @@ class TestProfilePersistence:
         with pytest.warns(RuntimeWarning, match="falling back"):
             loaded = load_profile(str(path))
         assert loaded["backends"] == default_profile()["backends"]
-        assert loaded["calibrated"] is False
+        assert loaded["measured"] == []
 
     def test_wrong_typed_values_warn_and_keep_defaults(self, tmp_path):
         import json as json_mod
@@ -503,17 +506,18 @@ class TestProfilePersistence:
         "params",
         [
             {"rate": 0},
-            {"efficiency": 0},
+            {"rate": float("inf")},
             {"rate": -1e9},
             {"startup": -5},
-            {"per_task": -1},
+            {"startup": float("inf")},
         ],
-        ids=["rate-0", "efficiency-0", "rate-negative", "startup-negative",
-             "per-task-negative"],
+        ids=["rate-0", "rate-inf", "rate-negative", "startup-negative",
+             "startup-inf"],
     )
     def test_out_of_range_values_warn_and_select_as_default(self, params):
-        # rate / efficiency divide the model, and a negative cost would
-        # let threaded win on a negative modelled time.
+        # rate divides the model, a negative startup would let threaded
+        # win on a negative modelled time, and an infinite one would
+        # price it out of every verdict.
         with pytest.warns(RuntimeWarning, match="threaded"):
             merged = merge_profile({"backends": {"threaded": params}})
         assert merged["backends"] == default_profile()["backends"]
@@ -523,16 +527,11 @@ class TestProfilePersistence:
             b.backend, b.n_procs, b.scores, b.reason
         )
 
-    def test_zero_costs_and_caps_are_accepted(self):
-        import warnings
-
-        zero = {"startup": 0, "per_task": 0, "copy_elems_per_s": 0,
-                "max_cores": 0}
+    def test_zero_startup_is_accepted(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            merged = merge_profile({"backends": {"procpool": zero}})
-        for key in zero:
-            assert merged["backends"]["procpool"][key] == 0.0
+            merged = merge_profile({"backends": {"procpool": {"startup": 0}}})
+        assert merged["backends"]["procpool"]["startup"] == 0.0
 
     def test_session_survives_corrupt_explicit_calibration(self, tmp_path):
         # End to end: a stale profile file named by the caller must not
@@ -564,11 +563,11 @@ class TestProfilePersistence:
             dims=(12, 10, 8), core=(3, 3, 2), repeats=1,
             backends=("sequential",),
         )
-        assert profile["calibrated"] is True
+        assert profile["measured"] == ["sequential"]
         assert profile["backends"]["sequential"]["rate"] > 0
         path = save_profile(profile, str(tmp_path / "cal.json"))
         loaded = load_profile(path)
-        assert loaded["calibrated"] is True
+        assert loaded == profile
         sel = select_backend((12, 10, 8), (3, 3, 2), profile=loaded)
         assert sel.backend in AUTO_CANDIDATES
 
@@ -577,31 +576,25 @@ class TestProfilePersistence:
         # uncalibrated cap-8 default instead of ranking n_procs on
         # default rates.
         profile = calibrate(backends=())
-        assert profile["calibrated"] is False
-        assert profile["measured"] == []
         assert profile == default_profile()
 
 
 class TestSpilledCostModel:
     """The out-of-core regime: staging copies dropped."""
 
-    def _params(self, **over):
-        params = dict(default_profile()["backends"]["sequential"])
-        params.update(over)
-        return params
-
     def test_spilled_drops_copy_charge(self):
-        # A backend with a staging-copy cost loses it under spill: the
-        # workers map the spill blocks in place.
+        # procpool stages its input into shared memory; under spill the
+        # workers map the spill blocks in place. A slow rate makes the
+        # copy the only difference between the two estimates.
+        params = dict(default_profile()["backends"]["procpool"], rate=1.0)
         kw = dict(n_procs=1, dtype=np.float64, available_cores=1)
-        slow_copy = self._params(copy_elems_per_s=1.0)  # absurdly slow
         resident = estimate_seconds(
-            slow_copy, (32, 32, 32), (4, 4, 4), **kw
+            "procpool", params, (32, 32, 32), (4, 4, 4), **kw
         )
         spilled = estimate_seconds(
-            slow_copy, (32, 32, 32), (4, 4, 4), spilled=True, **kw
+            "procpool", params, (32, 32, 32), (4, 4, 4), spilled=True, **kw
         )
-        assert spilled < resident  # the huge copy charge is gone
+        assert spilled < resident  # the copy charge is gone
 
     @pytest.mark.parametrize("backend", ["sequential", "threaded", "procpool"])
     def test_spilled_charges_no_io(self, backend):
@@ -611,11 +604,11 @@ class TestSpilledCostModel:
         params = default_profile()["backends"][backend]
         dims = (48, 40, 32)
         kw = dict(n_procs=4, dtype=np.float64, available_cores=4)
-        resident = estimate_seconds(params, dims, (8, 8, 8), **kw)
+        resident = estimate_seconds(backend, params, dims, (8, 8, 8), **kw)
         spilled = estimate_seconds(
-            params, dims, (8, 8, 8), spilled=True, **kw
+            backend, params, dims, (8, 8, 8), spilled=True, **kw
         )
-        copy_rate = params["copy_elems_per_s"]
+        copy_rate = FIXED_COSTS[backend]["copy_elems_per_s"]
         copy = float(np.prod(dims)) / copy_rate if copy_rate > 0 else 0.0
         assert resident - spilled == pytest.approx(copy, rel=1e-12, abs=0.0)
 
@@ -639,14 +632,14 @@ class TestSpilledCostModel:
 
 class TestStorageProfileMerge:
     @staticmethod
-    def _assert_loads_like_base(tmp_path, backends=None, storage=None):
+    def _assert_loads_like_base(
+        tmp_path, backends=None, storage=None, top=None
+    ):
         """A profile carrying retired keys loads without a warning and
         selects exactly as the same profile without them."""
         import copy
-        import warnings
 
         base = default_profile()
-        base["calibrated"] = True
         base["measured"] = ["sequential", "threaded"]
         base["backends"]["threaded"]["rate"] = 5.0e9
         old = copy.deepcopy(base)
@@ -654,6 +647,7 @@ class TestStorageProfileMerge:
             old["backends"][name].update(extra)
         if storage is not None:
             old["storage"] = dict(storage)
+        old.update(top or {})
         path = save_profile(old, str(tmp_path / "old.json"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -709,13 +703,37 @@ class TestStorageProfileMerge:
             storage={"spill_read_passes": 3.0},
         )
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_profiles_with_fixed_costs_and_flag_load_silently(
+        self, tmp_path, flag
+    ):
+        # Profiles written while the fixed costs and the calibrated flag
+        # were settable carry them; values far from the fixed ones (an
+        # efficiency of 0 was once refused) change no verdict now.
+        fixed = dict(per_task=1.0, efficiency=0.0, copy_elems_per_s=1.0,
+                     max_cores=1.0)
+        self._assert_loads_like_base(
+            tmp_path,
+            backends={name: fixed for name in AUTO_CANDIDATES},
+            top={"calibrated": flag},
+        )
+        merged = merge_profile({"calibrated": flag, "backends": {
+            name: fixed for name in AUTO_CANDIDATES
+        }})
+        assert merged == default_profile()
+        assert set(merged) == {"version", "measured", "backends"}
+        assert all(
+            set(params) == {"rate", "startup"}
+            for params in merged["backends"].values()
+        )
+
 
 class TestCalibratedProcRanking:
     """With a calibrated profile, the cost model picks n_procs itself."""
 
     def _many_core_profile(self):
         profile = default_profile()
-        profile["calibrated"] = True
+        profile["measured"] = list(AUTO_CANDIDATES)
         # Cripple sequential so a parallel backend wins outright.
         profile["backends"]["sequential"]["rate"] = 1.0
         return profile
@@ -740,14 +758,26 @@ class TestCalibratedProcRanking:
         assert "uncalibrated cap 8" in sel.reason
         assert "calibrate to rank candidates" in sel.reason
 
+    def test_stale_calibrated_flag_without_measurements_keeps_cap8(self):
+        # An older `calibrate(backends=())` wrote `"calibrated": true`
+        # with nothing measured: the flag is ignored, and only a
+        # non-empty `measured` list ranks the ladder.
+        profile = merge_profile(
+            {"version": 1, "calibrated": True, "measured": []}
+        )
+        sel = select_backend(
+            (512, 512, 512), (32, 32, 32), available_cores=32,
+            profile=profile,
+        )
+        assert sel.n_procs == 8
+        assert "uncalibrated cap 8" in sel.reason
+
     def test_small_input_ranks_fewer_procs(self):
         # A tiny tensor's dispatch overhead dominates: the calibrated
         # ladder settles on a single process, below the cap-8 default.
-        profile = self._many_core_profile()
-        profile["backends"]["threaded"]["per_task"] = 1.0
-        profile["backends"]["procpool"]["per_task"] = 1.0
         sel = select_backend(
-            (4, 4, 4), (2, 2, 2), available_cores=32, profile=profile,
+            (4, 4, 4), (2, 2, 2), available_cores=32,
+            profile=self._many_core_profile(),
         )
         assert sel.n_procs == 1
 
@@ -800,42 +830,22 @@ class TestDtypeSpeedup:
         assert resolve_dtype(np.zeros(2, np.float16)) == np.float64
 
 
-class TestCodecSelection:
-    """select_storage's codec half: raw or an explicit narrow, no choice."""
-
-    def test_default_is_raw_and_narrow_is_honored(self):
-        assert select_storage(10**9, "mmap").codec == "raw"
-        sel = select_storage(10**9, "mmap", codec="narrow")
-        assert sel.codec == "narrow"
+class TestStorageSelection:
+    """select_storage decides memory or mmap, and why: nothing else."""
 
     @pytest.mark.parametrize(
-        "codec", ["auto", "zlib", "zlib:6", "gzip", "RAW", None]
+        "retired", [{"profile": {}}, {"codec": "narrow"}],
+        ids=["profile", "codec"],
     )
-    def test_only_raw_and_narrow_accepted(self, codec):
-        with pytest.raises(ValueError, match=r"spill_codec must be one of"):
-            select_storage(1024, "memory", codec=codec)
-
-    def test_takes_no_profile(self):
+    def test_takes_no_profile_or_codec(self, retired):
         with pytest.raises(TypeError):
-            select_storage(10**9, "mmap", profile=default_profile())
-
-    def test_memory_mode_keeps_raw_codec(self):
-        sel = select_storage(1024, "auto", memory_budget=10**9,
-                             codec="narrow")
-        assert sel.mode == "memory"
-        assert sel.codec == "raw"
-
-    def test_auto_budget_spill_carries_codec(self):
-        sel = select_storage(10**9, "auto", memory_budget=1024,
-                             codec="narrow")
-        assert sel.spilled
-        assert sel.codec == "narrow"
+            select_storage(10**9, "mmap", **retired)
 
 
 class TestSpillCodecFrontDoors:
     """Every entry point takes raw or narrow and refuses the rest early."""
 
-    REJECTED = ["auto", "zlib", "zlib:6"]
+    REJECTED = ["auto", "zlib", "zlib:6", "gzip", "RAW", None]
 
     @pytest.mark.parametrize("codec", REJECTED)
     def test_session_rejects_at_construction(self, codec):
@@ -863,6 +873,19 @@ class TestSpillCodecFrontDoors:
         with TuckerSession("sequential") as session:
             assert session._spill_codec == "raw"
 
+    @pytest.mark.parametrize("storage", ["mmap", "memory"])
+    def test_result_reports_the_codec_only_when_spilled(
+        self, tmp_path, storage
+    ):
+        t = low_rank_tensor((12, 10, 8), (3, 3, 2), seed=0)
+        with TuckerSession(
+            "sequential", storage=storage, memory_budget="4K",
+            spill_dir=str(tmp_path), spill_codec="narrow",
+        ) as session:
+            res = session.run(t, (3, 3, 2), max_iters=1)
+        assert res.storage == storage
+        assert res.spill_codec == ("narrow" if storage == "mmap" else "raw")
+
 
 class TestSpillGeometry:
     """Stores take their block and chunk from one budget rule."""
@@ -886,7 +909,7 @@ class TestSpillGeometry:
         from repro.session import _spill_geometry
 
         stale = default_profile()
-        stale["calibrated"] = True
+        stale["measured"] = list(AUTO_CANDIDATES)
         stale["storage"] = {"spill_chunk_bytes": 256.0 * 2**10}
         path = tmp_path / "calibration.json"
         path.write_text(json.dumps(stale))
@@ -894,7 +917,7 @@ class TestSpillGeometry:
             warnings.simplefilter("error")
             profile = load_profile(str(path))
         assert "storage" not in profile
-        assert profile["calibrated"] is True
+        assert profile["measured"] == list(AUTO_CANDIDATES)
         with TuckerSession(
             "auto", calibration=str(path), storage="mmap",
             memory_budget="16M", spill_dir=str(tmp_path),

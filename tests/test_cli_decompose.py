@@ -217,11 +217,16 @@ class TestCalibrate:
         assert "profile written to" in out
         with open(path, encoding="utf-8") as fh:
             profile = json.load(fh)
-        assert profile["calibrated"] is True
+        assert "sequential" in profile["measured"]
+        assert set(profile["backends"]["sequential"]) == {"rate", "startup"}
         assert profile["backends"]["sequential"]["rate"] > 0
         # calibration measures backend rates only: no spill section
         assert "storage" not in profile
         assert "spill" not in out
+        header = next(line for line in out.splitlines() if "backend" in line)
+        assert [cell.strip() for cell in header.split("|")] == [
+            "backend", "rate (madds/s)", "startup", "source"
+        ]
 
     def test_storage_probe_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -255,7 +260,8 @@ class TestCalibrate:
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["profile"]["calibrated"] is True
+        assert payload["profile"]["measured"]
+        assert set(payload["profile"]) == {"version", "measured", "backends"}
         assert set(payload["profile"]["backends"]) >= {
             "sequential", "threaded", "procpool"
         }

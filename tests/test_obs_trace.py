@@ -89,13 +89,6 @@ class TestTracer:
         assert got.events[0].name == "select:backend"
         assert got.events[0].attrs == {"backend": "threaded"}
 
-    def test_annotate_open_span(self):
-        tr = Tracer()
-        with tr.span("s"):
-            tr.annotate(flag=1)
-        (got,) = tr.drain().spans
-        assert got.attrs["flag"] == 1
-
     def test_on_record_mirrors_ledger(self):
         tr = Tracer()
         ledger = StatsLedger()

@@ -28,7 +28,6 @@ from repro.backends.select import (
     estimate_seconds,
     init_flops,
     select_backend,
-    sweep_flops,
 )
 from repro.cli import main
 from repro.core.meta import TensorMeta
@@ -486,10 +485,13 @@ class TestServeRandomized:
 class TestMethodAwareCostModel:
     DIMS, CORE = (200, 180, 160), (8, 6, 5)
 
-    def test_exact_init_flops_is_sweep(self):
-        assert init_flops(self.DIMS, self.CORE) == sweep_flops(
-            self.DIMS, self.CORE
+    def test_exact_init_flops_is_a_sweep(self):
+        # each mode's TTM from the full tensor plus its (d+1)/2 Gram
+        card = float(np.prod(self.DIMS))
+        sweep = sum(k * card for k in self.CORE) + sum(
+            (d + 1) / 2 * card for d in self.DIMS
         )
+        assert init_flops(self.DIMS, self.CORE) == sweep
 
     def test_randomized_flops_beat_exact_gram(self):
         exact = init_flops(self.DIMS, self.CORE, "exact")
@@ -511,9 +513,12 @@ class TestMethodAwareCostModel:
         kwargs = dict(
             n_procs=1, dtype=np.float64, available_cores=4
         )
-        exact = estimate_seconds(params, self.DIMS, self.CORE, **kwargs)
+        exact = estimate_seconds(
+            "sequential", params, self.DIMS, self.CORE, **kwargs
+        )
         rand = estimate_seconds(
-            params, self.DIMS, self.CORE, method="rsthosvd", **kwargs
+            "sequential", params, self.DIMS, self.CORE, method="rsthosvd",
+            **kwargs,
         )
         assert rand < exact
 

@@ -288,15 +288,15 @@ class TestOnError:
 class TestAutoReselection:
     def _profile(self):
         # Crafted so selection is machine-independent: sequential is slow
-        # but startup-free, threaded is instant but pays startup+dispatch,
-        # procpool is never competitive.
+        # but startup-free (about 0.1 ms on the small item, 0.25 s on the
+        # big one), threaded is instant but pays its 50 ms startup cold
+        # and its fixed 1.2 ms of dispatch warm, procpool is never
+        # competitive.
         return {
             "version": 1,
             "backends": {
-                "sequential": {"rate": 1.0e6},
-                "threaded": {
-                    "rate": 1.0e18, "startup": 0.05, "per_task": 1.0e-2,
-                },
+                "sequential": {"rate": 2.0e7},
+                "threaded": {"rate": 1.0e18, "startup": 0.05},
                 "procpool": {"rate": 1.0, "startup": 1.0e6},
             },
         }
