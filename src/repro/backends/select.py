@@ -611,7 +611,10 @@ def calibrate(
     For each backend the probe times ``repeats`` TTMs of a random
     ``dims`` tensor by a ``core[0] x dims[0]`` factor (taking the fastest
     repeat, standard benchmarking practice) and the one-off startup cost
-    of bringing the backend up. The returned profile is the defaults with
+    of bringing the backend up. ``n_procs`` sizes the pool backends;
+    by default they run at their natural size but with two workers at
+    least, so the probe starts (and times) a real pool even on a machine
+    of one or two cores. The returned profile is the defaults with
     ``rate`` / ``startup`` replaced by measurements and the probed
     backends listed in ``measured``; persist it with :func:`save_profile`
     and it is picked up by every ``backend="auto"`` session.
@@ -630,12 +633,14 @@ def calibrate(
     matrix = rng.standard_normal((core[0], dims[0]))
     flops = float(core[0]) * tensor.size
     profile = default_profile()
+    # a one-worker pool runs its tasks in the parent and never starts
+    probe_procs = max(2, default_workers()) if n_procs is None else n_procs
     for name in backends:
         if name not in profile["backends"]:
             continue
         start = perf_counter()
         try:
-            backend = get_backend(name, n_procs=n_procs)
+            backend = get_backend(name, n_procs=probe_procs)
         except BackendUnavailableError:
             # An absent backend keeps its defaults and stays out of the
             # "measured" list; the others still calibrate. If it is still

@@ -60,14 +60,13 @@ class Node:
 class TTMTree:
     """A validated TTM-tree over ``n_modes`` modes."""
 
-    def __init__(self, root: Node, n_modes: int, *, validate: bool = True) -> None:
+    def __init__(self, root: Node, n_modes: int) -> None:
         if root.kind != ROOT:
             raise ValueError("top node must have kind 'root'")
         self.root = root
         self.n_modes = int(n_modes)
         self.reindex()
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structure ----------------------------------------------------- #
 

@@ -1,4 +1,4 @@
-"""The Tucker decomposition container and its error metrics."""
+"""The Tucker decomposition container and its explicit error."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.meta import TensorMeta
-from repro.tensor.dense import fro_norm, relative_error
+from repro.tensor.dense import relative_error
 from repro.tensor.ttm import ttm_chain
 from repro.util.dtypes import as_float
 
@@ -84,18 +84,3 @@ class TuckerDecomposition:
     def error_vs(self, tensor: np.ndarray) -> float:
         """Explicit normalized error ``||T - Z||_F / ||T||_F``."""
         return relative_error(tensor, self.reconstruct())
-
-    def implicit_error(self, tensor_norm: float) -> float:
-        """Error via the norm identity (requires orthonormal factors).
-
-        When ``G = T x_1 F_1^T ... x_N F_N^T`` with orthonormal ``F_n``
-        (exactly what HOOI and STHOSVD produce), the recovered tensor is the
-        orthogonal projection of ``T`` and
-        ``||T - Z||^2 = ||T||^2 - ||G||^2``. This makes error tracking free
-        even when ``T`` is huge and distributed.
-        """
-        t2 = float(tensor_norm) ** 2
-        g2 = fro_norm(self.core) ** 2
-        if t2 == 0.0:
-            return 0.0
-        return math.sqrt(max(t2 - g2, 0.0) / t2)

@@ -13,6 +13,7 @@ from repro.backends.simcluster import SimClusterBackend
 from repro.core.meta import TensorMeta
 from repro.dist.comm import SimCluster
 from repro.dist.machine import MachineModel
+from repro.session import TuckerSession
 
 # Hypothesis: no wall-clock deadline (BLAS warm-up jitter), moderate example
 # counts so the full suite stays fast; REPRO_HYP_EXAMPLES overrides.
@@ -79,5 +80,28 @@ def sthosvd_on_cluster():
             backend, backend.distribute(t, grid), steps, factors, tag=tag
         )
         return cluster, core_dt, factors
+
+    return run
+
+
+@pytest.fixture
+def hooi_sweep():
+    """One HOOI invocation (paper Figure 2) through the session.
+
+    ``run(t, init, plan, cluster=None)`` runs one cold sweep of ``plan``
+    on ``cluster`` (on the sequential backend without one) and returns
+    the new decomposition. On a cluster the sweep's records carry the
+    ``hooi:it0:`` tag prefix; the session's two norm reductions
+    (``norm:input``, ``norm:core``) fall outside it.
+    """
+
+    def run(t, init, plan, cluster=None):
+        backend = (
+            "sequential" if cluster is None else SimClusterBackend(cluster)
+        )
+        result = TuckerSession(backend).hooi(
+            t, init, plan=plan, max_iters=1, tol=0.0
+        )
+        return result.decomposition
 
     return run

@@ -13,7 +13,9 @@ properties the session relies on:
 """
 
 import json
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -570,6 +572,23 @@ class TestProfilePersistence:
         assert loaded == profile
         sel = select_backend((12, 10, 8), (3, 3, 2), profile=loaded)
         assert sel.backend in AUTO_CANDIDATES
+
+    def test_calibrate_starts_the_pool_on_two_cores(self, monkeypatch):
+        # Two cores leave the natural pool one worker, which runs every
+        # task in the parent: the probe must still time a pool spin-up.
+        from repro.backends.procpool import ProcessPoolBackend
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with mock.patch.object(
+            ProcessPoolBackend, "_start_pool", autospec=True,
+            side_effect=ProcessPoolBackend._start_pool,
+        ) as start:
+            profile = calibrate(
+                dims=(12, 10, 8), core=(3, 3, 2), repeats=1,
+                backends=("procpool",),
+            )
+        assert start.call_count >= 1
+        assert profile["measured"] == ["procpool"]
 
     def test_calibrate_without_measurements_is_uncalibrated(self):
         # Nothing measured, nothing calibrated: selection keeps the

@@ -7,7 +7,6 @@ from repro.core.grids import svd_regrid_target
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
 from repro.dist.dtensor import DistTensor
-from repro.hooi.hooi import hooi_step_distributed
 from repro.hooi.model import predict
 from repro.hooi.sthosvd import sthosvd
 from repro.dist.comm import SimCluster
@@ -31,16 +30,16 @@ class TestModelAllgatherFallback:
     def test_target_is_none(self):
         assert svd_regrid_target((2, 2), (16, 2), 0) is None
 
-    def test_model_and_engine_agree(self):
+    def test_model_and_engine_agree(self, hooi_sweep):
         plan = Planner(4, tree="optimal", grid="static").plan(self.meta)
         t = low_rank_tensor(self.meta.dims, self.meta.core, noise=0.1, seed=0)
         init = sthosvd(t, self.meta.core)
         cluster = SimCluster(4)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        hooi_step_distributed(dt, init.factors, plan, tag="h")
+        hooi_sweep(t, init, plan, cluster)
         rep = predict(plan)
         assert rep.svd.volume > 0
-        assert cluster.stats.volume(tag_prefix="h:svd") <= rep.svd.volume
+        engine = cluster.stats.volume(tag_prefix="hooi:it0:svd")
+        assert engine <= rep.svd.volume
 
 
 class TestDegenerateTensors:
@@ -74,6 +73,9 @@ class TestDegenerateTensors:
         t = np.zeros((6, 5, 4))
         dec = sthosvd(t, (2, 2, 2))
         assert dec.error_vs(t) == 0.0
+        # the norm identity reads 0 for a zero input, not 0/0
+        res = hooi_sequential(t, dec, n_procs=1, max_iters=1)
+        assert res.errors == [0.0]
 
     def test_core_equal_dims_lossless_hooi(self):
         t = low_rank_tensor((5, 4, 3), (5, 4, 3), noise=0.0, seed=4)
@@ -94,14 +96,13 @@ class TestClusterMismatches:
         with pytest.raises(ValueError):
             DistTensor.from_global(cluster, t, plan.initial_grid)
 
-    def test_single_rank_cluster_end_to_end(self):
+    def test_single_rank_cluster_end_to_end(self, hooi_sweep):
         meta = TensorMeta(dims=(8, 6, 4), core=(4, 3, 2))
         plan = Planner(1).plan(meta)
         cluster = SimCluster(1)
         t = low_rank_tensor(meta.dims, meta.core, noise=0.1, seed=6)
         init = sthosvd(t, meta.core)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        dec, _ = hooi_step_distributed(dt, init.factors, plan)
+        dec = hooi_sweep(t, init, plan, cluster)
         assert cluster.stats.volume() == 0  # P = 1: zero communication
         assert dec.error_vs(t) <= init.error_vs(t) + 1e-12
 

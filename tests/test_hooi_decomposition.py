@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.hooi.decomposition import TuckerDecomposition
-from repro.tensor.dense import fro_norm
 from repro.tensor.random import random_tucker
 from repro.tensor.ttm import ttm_chain
 
@@ -64,19 +63,3 @@ class TestNumerics:
         d = make_dec(4)
         t = d.reconstruct()
         assert d.error_vs(t) < 1e-12
-
-    def test_implicit_error_matches_explicit(self):
-        # Project a random tensor onto random orthonormal factors: the norm
-        # identity must agree with the explicit reconstruction error.
-        rng = np.random.default_rng(5)
-        t = rng.standard_normal((8, 7, 6))
-        _, factors = random_tucker((8, 7, 6), (3, 2, 4), seed=6)
-        core = ttm_chain(t, factors, [0, 1, 2], transpose=True)
-        d = TuckerDecomposition(core=core, factors=factors)
-        implicit = d.implicit_error(fro_norm(t))
-        explicit = d.error_vs(t)
-        assert implicit == pytest.approx(explicit, rel=1e-10)
-
-    def test_implicit_error_zero_norm(self):
-        d = make_dec(7)
-        assert d.implicit_error(0.0) == 0.0

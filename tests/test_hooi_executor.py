@@ -16,11 +16,7 @@ from repro.core.meta import TensorMeta
 from repro.core.ordering import optimal_chain_ordering
 from repro.core.planner import Planner
 from repro.dist.dtensor import DistTensor
-from repro.hooi.hooi import (
-    hooi_reference_step,
-    hooi_step_distributed,
-    hooi_step_sequential,
-)
+from repro.hooi.hooi import hooi_reference_step
 from repro.hooi.sthosvd import sthosvd
 from repro.dist.comm import SimCluster
 from repro.tensor.random import low_rank_tensor, random_tensor
@@ -88,13 +84,13 @@ class TestSequentialExecution:
         with pytest.raises(AssertionError, match="every factor"):
             run_sweep(SequentialBackend(), t, init.factors, partial, ())
 
-    def test_factor_shape_validation(self, problem):
+    def test_factor_shape_validation(self, problem, hooi_sweep):
         t, meta, init = problem
         plan = Planner(4).plan(meta)
         bad = list(init.factors)
         bad[0] = bad[0][:, :-1]
         with pytest.raises(ValueError, match="factor 0"):
-            hooi_step_sequential(t, bad, plan)
+            hooi_sweep(t, bad, plan)
 
     def test_core_matches_reference(self, problem):
         t, meta, init = problem
@@ -121,28 +117,12 @@ class TestDistributedExecution:
         for mode in range(meta.ndim):
             np.testing.assert_allclose(new[mode], seq[mode], atol=1e-8)
 
-    def test_wrong_grid_rejected(self, problem):
-        t, meta, init = problem
-        plan = Planner(8, tree="optimal", grid="dynamic").plan(meta)
-        cluster = SimCluster(8)
-        # distribute on some other valid grid
-        other = tuple(
-            g for g in [(1, 1, 2, 4), (2, 2, 2, 1), (8, 1, 1, 1)]
-            if g != plan.initial_grid
-        )[0]
-        dt = DistTensor.from_global(cluster, t, other)
-        with pytest.raises(ValueError, match="grid"):
-            hooi_step_distributed(dt, init.factors, plan)
-
-    def test_wrong_shape_rejected(self, problem):
+    def test_wrong_shape_rejected(self, problem, hooi_sweep):
         _, meta, init = problem
         plan = Planner(8).plan(meta)
-        cluster = SimCluster(8)
-        dt = DistTensor.from_global(
-            cluster, random_tensor((12, 10, 8, 7), seed=1), (2, 2, 2, 1)
-        )
+        t = random_tensor((12, 10, 8, 7), seed=1)
         with pytest.raises(ValueError, match="plan dims"):
-            hooi_step_distributed(dt, init.factors, plan)
+            hooi_sweep(t, init, plan, SimCluster(8))
 
     def test_core_chain_with_scheme(self, problem):
         t, meta, init = problem

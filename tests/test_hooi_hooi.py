@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
-from repro.hooi.hooi import hooi_reference_step, hooi_step_sequential
+from repro.hooi.hooi import hooi_reference_step
 from repro.hooi.sthosvd import sthosvd
 from repro.dist.comm import SimCluster
 from repro.session import TuckerSession
@@ -38,19 +38,19 @@ def problem():
 
 
 class TestSingleStep:
-    def test_step_matches_reference(self, problem):
+    def test_step_matches_reference(self, problem, hooi_sweep):
         t, meta, init = problem
         plan = Planner(4).plan(meta)
-        dec = hooi_step_sequential(t, init.factors, plan)
+        dec = hooi_sweep(t, init, plan)
         ref = hooi_reference_step(t, init.factors, meta.core)
         np.testing.assert_allclose(dec.core, ref.core, atol=1e-8)
         for a, b in zip(dec.factors, ref.factors):
             np.testing.assert_allclose(a, b, atol=1e-8)
 
-    def test_step_does_not_increase_error(self, problem):
+    def test_step_does_not_increase_error(self, problem, hooi_sweep):
         t, meta, init = problem
         plan = Planner(4).plan(meta)
-        dec = hooi_step_sequential(t, init.factors, plan)
+        dec = hooi_sweep(t, init, plan)
         assert dec.error_vs(t) <= init.error_vs(t) + 1e-12
 
     def test_update_variants(self, problem):

@@ -6,8 +6,6 @@ import pytest
 
 from repro.core.meta import TensorMeta
 from repro.core.planner import Planner
-from repro.dist.dtensor import DistTensor
-from repro.hooi.hooi import hooi_step_distributed
 from repro.hooi.model import predict
 from repro.hooi.sthosvd import sthosvd
 from repro.dist.comm import SimCluster
@@ -68,41 +66,39 @@ class TestEngineVsModel:
 
     @pytest.mark.parametrize("grid_kind", ["static", "dynamic"])
     @pytest.mark.parametrize("n_procs", [4, 8])
-    def test_volume_agreement(self, meta, grid_kind, n_procs):
+    def test_volume_agreement(self, meta, grid_kind, n_procs, hooi_sweep):
         t = low_rank_tensor(meta.dims, meta.core, noise=0.1, seed=1)
         init = sthosvd(t, meta.core)
         plan = Planner(n_procs, tree="optimal", grid=grid_kind).plan(meta)
         cluster = SimCluster(n_procs)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        hooi_step_distributed(dt, init.factors, plan, tag="h")
+        hooi_sweep(t, init, plan, cluster)
         rep = predict(plan)
 
         # tree TTM reduce-scatter: exact
         assert cluster.stats.volume(
-            op="reduce_scatter", tag_prefix="h:ttm"
+            op="reduce_scatter", tag_prefix="hooi:it0:ttm"
         ) == rep.ttm.volume
         # tree regrids: engine moves at most the modeled full redistribution
         assert cluster.stats.volume(
-            op="alltoallv", tag_prefix="h:regrid"
+            op="alltoallv", tag_prefix="hooi:it0:regrid"
         ) <= rep.regrid.volume
         # core chain reduce-scatter: exact
         assert (
-            cluster.stats.volume(op="reduce_scatter", tag_prefix="h:core")
+            cluster.stats.volume(op="reduce_scatter", tag_prefix="hooi:it0:core")
             == plan.core_ttm_volume
         )
         # core chain regrids: bounded by the model charge
         assert (
-            cluster.stats.volume(op="alltoallv", tag_prefix="h:core")
+            cluster.stats.volume(op="alltoallv", tag_prefix="hooi:it0:core")
             <= plan.core_regrid_volume
         )
         # SVD: engine <= model (regrid path counts moved-only)
-        assert cluster.stats.volume(tag_prefix="h:svd") <= rep.svd.volume
+        assert cluster.stats.volume(tag_prefix="hooi:it0:svd") <= rep.svd.volume
 
-    def test_engine_seconds_positive(self, meta):
+    def test_engine_seconds_positive(self, meta, hooi_sweep):
         t = low_rank_tensor(meta.dims, meta.core, noise=0.1, seed=2)
         init = sthosvd(t, meta.core)
         plan = Planner(8).plan(meta)
         cluster = SimCluster(8)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        hooi_step_distributed(dt, init.factors, plan)
+        hooi_sweep(t, init, plan, cluster)
         assert cluster.stats.total_seconds() > 0

@@ -27,7 +27,9 @@ class TestSequential:
     def test_norm_identity_holds(self):
         t = random_tensor((8, 7, 6), seed=3)
         dec = sthosvd(t, (4, 3, 2))
-        assert dec.implicit_error(fro_norm(t)) == pytest.approx(
+        # orthonormal factors: ||T - Z||^2 = ||T||^2 - ||G||^2
+        t2, g2 = fro_norm(t) ** 2, fro_norm(dec.core) ** 2
+        assert np.sqrt((t2 - g2) / t2) == pytest.approx(
             dec.error_vs(t), rel=1e-8
         )
 

@@ -15,7 +15,6 @@ import pytest
 
 import repro
 from repro import (
-    DistTensor,
     MachineModel,
     Planner,
     SimCluster,
@@ -219,7 +218,7 @@ class TestFullPipeline:
         assert res.error < 0.5 * init.error_vs(t)
 
     @pytest.mark.parametrize("alg", sorted(ALGORITHMS))
-    def test_every_algorithm_executes_and_agrees(self, alg):
+    def test_every_algorithm_executes_and_agrees(self, alg, hooi_sweep):
         # all five algorithm configs must produce the same new factors
         dims, core = (10, 9, 8, 7), (3, 3, 2, 2)
         t = low_rank_tensor(dims, core, noise=0.1, seed=2)
@@ -227,18 +226,14 @@ class TestFullPipeline:
         init = sthosvd(t, core)
         ref = hooi_reference_step(t, init.factors, core)
         plan = make_planner(alg, 8).plan(meta)
-        cluster = SimCluster(8)
-        dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-        from repro.hooi.hooi import hooi_step_distributed
-
-        dec, _ = hooi_step_distributed(dt, init.factors, plan)
+        dec = hooi_sweep(t, init, plan, SimCluster(8))
         for a, b in zip(dec.factors, ref.factors):
             np.testing.assert_allclose(a, b, atol=1e-7)
         np.testing.assert_allclose(dec.core, ref.core, atol=1e-7)
 
 
 class TestPlannerEnginePredictions:
-    def test_predicted_volume_is_engine_upper_bound(self):
+    def test_predicted_volume_is_engine_upper_bound(self, hooi_sweep):
         dims, core = (12, 12, 9, 8), (4, 6, 3, 4)
         meta = TensorMeta(dims=dims, core=core)
         t = low_rank_tensor(dims, core, noise=0.2, seed=3)
@@ -246,19 +241,18 @@ class TestPlannerEnginePredictions:
         for alg in sorted(ALGORITHMS):
             plan = make_planner(alg, 8).plan(meta)
             cluster = SimCluster(8)
-            dt = DistTensor.from_global(cluster, t, plan.initial_grid)
-            from repro.hooi.hooi import hooi_step_distributed
-
-            hooi_step_distributed(dt, init.factors, plan, tag="h")
+            hooi_sweep(t, init, plan, cluster)
             rep = predict(plan)
-            engine_total = cluster.stats.volume()
+            engine_total = cluster.stats.volume(tag_prefix="hooi:it0:")
             model_total = (
                 rep.ttm.volume + rep.regrid.volume + rep.svd.volume + rep.core.volume
             )
             assert engine_total <= model_total
             # and the reduce-scatter part is exact
             assert (
-                cluster.stats.volume(op="reduce_scatter", tag_prefix="h:ttm")
+                cluster.stats.volume(
+                    op="reduce_scatter", tag_prefix="hooi:it0:ttm"
+                )
                 == plan.ttm_volume
             )
 

@@ -19,10 +19,19 @@ coverage.py is not installed; the two agree to within a few lines (they
 count a multi-line statement differently).
 
 Threads started while counting are traced too; worker processes are not.
-Tracing gives every call a heap-allocated frame object, so a test that
-bounds a kernel's allocations with ``tracemalloc`` can fail under the
-counter alone (``test_tensor_ttm.py``'s allocation bounds do, by ~200
-bytes); read the coverage numbers of such a run all the same.
+Tracing allocates on the heap (a frame object per call, and a trace
+closure per call of a counted file), so a test that bounds a kernel's
+allocations with ``tracemalloc`` can fail under the counter alone, and
+the more files are counted, the more of them do. Counting any file fails
+``test_tensor_ttm.py``'s ``test_last_mode_allocates_no_product`` (by
+~200 bytes); counting every file under ``src/repro`` fails 16 tests of
+``test_blockkernels.py`` and ``test_tensor_ttm.py``: the cases of
+``test_blockkernels.py``'s
+``test_ttm_block_task_allocates_no_block_sized_temporary`` and
+``test_threaded_ttm_peaks_at_its_output``, and four of
+``test_tensor_ttm.py``'s ``TestNoTensorSizedTemporary``. All of them
+pass without the tracer; read the coverage numbers of such a run all
+the same.
 """
 
 from __future__ import annotations
