@@ -101,4 +101,4 @@ class TestEngineVsModel:
         plan = Planner(8).plan(meta)
         cluster = SimCluster(8)
         hooi_sweep(t, init, plan, cluster)
-        assert cluster.stats.total_seconds() > 0
+        assert cluster.stats.total_seconds(tag_prefix="hooi:it0:") > 0

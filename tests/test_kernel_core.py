@@ -4,10 +4,13 @@
 ``repro.tensor.linalg.gram_factor`` the one leading-k factor routine.
 Held here:
 
-* the leaf stays a leaf: ``repro.tensor`` imports nothing from
-  ``repro.backends`` or ``repro.dist``, and every package that sits
-  around the cycle ``repro`` -> ``repro.dist`` -> ... -> ``repro.backends``
-  imports first in a fresh interpreter;
+* the layers point downward: no module of the math and model packages
+  (``util``, ``tensor``, ``core``, ``dist``, ``obs``, ``hooi``) imports
+  the execution layer (``backends``, ``storage``, ``session``,
+  ``serve``, ``bench``, ``cli``), function-level imports included; the
+  ``repro.tensor`` leaf imports nothing from ``repro.dist`` either; and
+  every package that sits around the cycle ``repro`` -> ``repro.dist``
+  -> ... -> ``repro.backends`` imports first in a fresh interpreter;
 * the simulator is one package: no source, test, benchmark or example
   imports the former ``repro.mpi``;
 * the simulator provably runs those functions — spies on them count
@@ -49,8 +52,21 @@ FIRST_IMPORTS = [
     "repro.dist.stats",
 ]
 
-#: what a leaf under repro/tensor/ must not import
-NOT_IN_LEAF = ("repro.backends", "repro.dist")
+#: the execution layer, built on the math and model packages
+EXECUTION = tuple(
+    f"repro.{name}"
+    for name in ("backends", "storage", "session", "serve", "bench", "cli")
+)
+
+#: what each math and model package must not import
+NOT_IMPORTED = {
+    "util": EXECUTION,
+    "tensor": EXECUTION + ("repro.dist",),
+    "core": EXECUTION,
+    "dist": EXECUTION,
+    "obs": EXECUTION,
+    "hooi": EXECUTION,
+}
 
 
 @pytest.mark.parametrize("module", FIRST_IMPORTS)
@@ -70,7 +86,9 @@ def test_imports_first_in_a_fresh_interpreter(module):
 
 def imported_modules(path: pathlib.Path, package: str) -> list:
     """``(line, dotted name)`` of every import in the file at ``path``,
-    relative imports resolved against ``package``."""
+    at any depth, relative imports resolved against ``package``. A
+    ``from X import y`` yields ``X`` and ``X.y``, since ``y`` may be a
+    submodule (``from repro import backends``)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -83,15 +101,23 @@ def imported_modules(path: pathlib.Path, package: str) -> list:
             else:
                 name = node.module
             found.append((node.lineno, name))
+            found += [
+                (node.lineno, f"{name}.{alias.name}") for alias in node.names
+            ]
     return found
 
 
-def test_tensor_package_imports_neither_backends_nor_dist():
+@pytest.mark.parametrize("layer", sorted(NOT_IMPORTED))
+def test_math_and_model_packages_import_nothing_above_them(layer):
+    paths = sorted((SRC / "repro" / layer).rglob("*.py"))
+    assert paths
     offenders = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted((SRC / "repro" / "tensor").glob("*.py"))
-        for line, name in imported_modules(path, "repro.tensor")
-        if any(f"{name}.".startswith(f"{bad}.") for bad in NOT_IN_LEAF)
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in paths
+        for line, name in imported_modules(
+            path, ".".join(path.relative_to(SRC).parent.parts)
+        )
+        if any(f"{name}.".startswith(f"{bad}.") for bad in NOT_IMPORTED[layer])
     ]
     assert offenders == []
 
@@ -117,11 +143,17 @@ def test_the_leaf_scan_resolves_relative_imports(tmp_path):
         "from ..backends.blockkernels import KERNELS\n"
         "from . import ttm\n"
         "import repro.dist.gram\n"
+        "def lazy():\n"
+        "    from repro import session\n"
     )
     assert imported_modules(path, "repro.tensor") == [
         (1, "repro.backends.blockkernels"),
+        (1, "repro.backends.blockkernels.KERNELS"),
         (2, "repro.tensor"),
+        (2, "repro.tensor.ttm"),
         (3, "repro.dist.gram"),
+        (5, "repro"),
+        (5, "repro.session"),
     ]
 
 
